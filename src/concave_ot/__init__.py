@@ -36,9 +36,11 @@ from .measures import (
     MeasureFormatError,
     hyperplane_sample,
     load_measure,
+    match_atoms,
     meet,
     mutually_singular,
     save_measure,
+    snap,
     three_segments,
     translate,
     uniform_box,
@@ -56,6 +58,7 @@ from .solver import (
     save_potentials,
     solve_entropic,
     solve_exact,
+    solve_with_meet,
 )
 from .structure import (
     CcmReport,

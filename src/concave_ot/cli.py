@@ -14,8 +14,9 @@ Every command writes ``report.json`` plus artifacts and a
 fixed seed up to their timestamp field.  Exit codes: 0 pass, 1
 threshold fail, 2 input error, 3 solver failure.
 
-Unless ``--no-meet`` is given, commands subtract the common mass of the
-two measures before solving and re-add it as diagonal entries
+Unless ``--no-meet`` is given, ``solve`` runs the library presolve
+:func:`concave_ot.solver.solve_with_meet`: it subtracts the common mass
+of the two measures before solving and re-adds it as diagonal entries
 afterwards; with ``--no-meet`` the LP is left to find the same diagonal
 structure on its own.
 """
@@ -40,23 +41,23 @@ from .measures import (
     MeasureFormatError,
     hyperplane_sample,
     load_measure,
+    match_atoms,
     meet,
-    mutually_singular,
     snap,
     three_segments,
     translate,
     uniform_box,
 )
 from .solver import (
-    DualPotentials,
     SolverError,
     TransportPlan,
-    certify,
+    _measure_dict,
     load_plan,
     save_plan,
     save_potentials,
     solve_entropic,
     solve_exact,
+    solve_with_meet,
 )
 from .structure import (
     decompose,
@@ -156,48 +157,6 @@ def _resolve_seed(seed):
     return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
 
 
-def solve_with_meet(mu, nu, cost, no_meet=False):
-    """Solve, optionally keeping the common mass at rest by construction.
-
-    Returns (plan, potentials, objective, certificate, preprocessed).
-    With preprocessing the LP runs on the residual measures and diagonal
-    entries for the common atoms are added back; the certificate then
-    refers to the residual problem, whose potentials are the ones
-    exported.
-    """
-    dec = meet(mu, nu)
-    overlap = dec.common.total_mass > 0.0
-    if no_meet or not overlap:
-        plan, pots, obj = solve_exact(mu, nu, cost)
-        return plan, pots, obj, certify(plan, pots, cost), False
-    if len(dec.mu_residual) == 0:
-        # identical measures: the plan is purely diagonal
-        idx_mu = {k: i for i, k in enumerate(mu._keys())}
-        src = [idx_mu[k] for k in dec.common._keys()]
-        tgt = [{k: j for j, k in enumerate(nu._keys())}[k] for k in dec.common._keys()]
-        plan = TransportPlan(
-            source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=dec.common.weights
-        ).validate()
-        pots = DualPotentials(phi=np.zeros(len(mu)), psi=np.zeros(len(nu)))
-        return plan, pots, 0.0, certify(plan, pots, cost), True
-    r_plan, pots, obj = solve_exact(dec.mu_residual, dec.nu_residual, cost)
-    cert = certify(r_plan, pots, cost)
-    idx_mu = {k: i for i, k in enumerate(mu._keys())}
-    idx_nu = {k: j for j, k in enumerate(nu._keys())}
-    src = [idx_mu[k] for k in dec.common._keys()]
-    tgt = [idx_nu[k] for k in dec.common._keys()]
-    mass = list(dec.common.weights)
-    res_keys_mu = dec.mu_residual._keys()
-    res_keys_nu = dec.nu_residual._keys()
-    for i, j, w in zip(r_plan.src_idx, r_plan.tgt_idx, r_plan.mass):
-        src.append(idx_mu[res_keys_mu[i]])
-        tgt.append(idx_nu[res_keys_nu[j]])
-        mass.append(w)
-    plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=mass)
-    plan.validate()
-    return plan, pots, obj, cert, True
-
-
 def run_solve(
     mu_path, nu_path, cost_spec, out_dir,
     entropic=None, no_meet=False, snap_tol=None, seed=None,
@@ -291,9 +250,9 @@ def run_decompose(plan_path, cost_spec, out_dir, tol=1e-9, seed=None):
         {
             "diagonal_mass": dec.diagonal_mass,
             "off_diagonal_mass": dec.off_diagonal_mass,
-            "diag_source_marginal": _measure_doc(dec.diag_source_marginal),
-            "off_source_marginal": _measure_doc(dec.off_source_marginal),
-            "off_target_marginal": _measure_doc(dec.off_target_marginal),
+            "diag_source_marginal": _measure_dict(dec.diag_source_marginal),
+            "off_source_marginal": _measure_dict(dec.off_source_marginal),
+            "off_target_marginal": _measure_dict(dec.off_target_marginal),
         },
     )
     _write_json(out / "stay_at_rest.json", rest.to_dict())
@@ -326,19 +285,14 @@ def limit_plan_pair(n):
     equals the unit-displacement cost for any cost function.
     """
     mu, _ = three_segments(n)
-    pts = np.vstack([mu.points + [1.0, 0.0], mu.points + [-1.0, 0.0]])
-    nu = DiscreteMeasure(
-        pts, np.concatenate([mu.weights / 2.0, mu.weights / 2.0]), dim=2
-    )
-    key_to_j = {k: j for j, k in enumerate(nu._keys())}
-    src, tgt, mass = [], [], []
-    for i, x in enumerate(mu.points):
-        for e in ((1.0, 0.0), (-1.0, 0.0)):
-            y = x + np.asarray(e)
-            src.append(i)
-            tgt.append(key_to_j[y.tobytes()])
-            mass.append(mu.weights[i] / 2.0)
-    plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=mass)
+    half = mu.weights / 2.0
+    # translating by (+-1, 0) keeps the order of these atoms, so atom k
+    # of each image is the image of atom k of mu
+    images = [translate(mu, e) for e in ([1.0, 0.0], [-1.0, 0.0])]
+    nu = DiscreteMeasure(np.vstack([im.points for im in images]), np.tile(half, 2), dim=2)
+    tgt = np.column_stack([match_atoms(im, nu)[1] for im in images]).ravel()
+    plan = TransportPlan(source=mu, target=nu, src_idx=np.repeat(np.arange(len(mu)), 2),
+                         tgt_idx=tgt, mass=np.repeat(half, 2))
     return plan.validate()
 
 
@@ -538,14 +492,13 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     cost = cost_from_json(cost_spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    warned_overlap = False
-    if not mutually_singular(mu, nu):
+    dec = meet(mu, nu)
+    warned_overlap = len(dec.common) > 0
+    if warned_overlap:
         print(
             "warning: measures share atoms; reconstructing on the residuals",
             file=sys.stderr,
         )
-        warned_overlap = True
-        dec = meet(mu, nu)
         mu, nu = dec.mu_residual, dec.nu_residual
         if len(mu) == 0 or len(nu) == 0:
             raise ValueError("measures coincide; nothing to reconstruct")
@@ -593,14 +546,6 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
         passed=passed,
     )
     return _finish(report, out)
-
-
-def _measure_doc(measure):
-    return {
-        "dim": measure.dim,
-        "points": [[float(v) for v in row] for row in measure.points],
-        "weights": [float(w) for w in measure.weights],
-    }
 
 
 def _build_parser():

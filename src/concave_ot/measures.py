@@ -6,7 +6,8 @@ construction, atoms of zero weight dropped).  The lattice operations --
 the common part ``mu /\\ nu`` and the positive residuals -- use exact
 coordinate equality: the common mass between two measures is a
 measure-theoretic object, and fuzzy matching would silently change the
-problem.
+problem.  Every exact match of atoms between two measures goes through
+:func:`match_atoms`.
 
 Also provides generators for the standard experiment instances (uniform
 boxes, hyperplane-supported samples, and the three-parallel-segments
@@ -26,6 +27,7 @@ __all__ = [
     "DiscreteMeasure",
     "MassDecomposition",
     "MeasureFormatError",
+    "match_atoms",
     "meet",
     "mutually_singular",
     "three_segments",
@@ -73,7 +75,7 @@ class DiscreteMeasure:
         elif dim is not None and points.shape[1] != dim:
             raise ValueError(f"points have dim {points.shape[1]}, expected {dim}")
 
-        points = points + 0.0  # canonicalize -0.0 so byte keys are unique
+        points = points + 0.0  # canonicalize -0.0
         keep = weights > 0.0
         points, weights = points[keep], weights[keep]
         if len(points):
@@ -124,10 +126,6 @@ class DiscreteMeasure:
             )
         return self
 
-    def _keys(self):
-        """Hashable per-atom keys for exact-coordinate matching."""
-        return [row.tobytes() for row in self.points]
-
 
 @dataclass(frozen=True)
 class MassDecomposition:
@@ -143,6 +141,42 @@ def _check_same_dim(mu, nu):
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
 
 
+def match_atoms(mu, nu):
+    """Index pairs ``(i, j)`` with ``mu.points[i] == nu.points[j]`` exactly.
+
+    Atoms of a measure are sorted and pairwise distinct, so labelling
+    the distinct rows of the stacked points once and intersecting the
+    two label arrays pairs every coincident atom.  Both index arrays
+    increase.
+    """
+    _check_same_dim(mu, nu)
+    _, label = np.unique(
+        np.vstack([mu.points, nu.points]), axis=0, return_inverse=True
+    )
+    label = label.ravel()
+    m = len(mu)
+    _, i, j = np.intersect1d(
+        label[:m], label[m:], assume_unique=True, return_indices=True
+    )
+    return i, j
+
+
+def _meet_weights(mu, nu):
+    """Atomwise meet on weight arrays: ``(i, j, common, mu_rest, nu_rest)``.
+
+    Atom ``i[k]`` of mu and atom ``j[k]`` of nu coincide and share the
+    weight ``common[k]``; ``mu_rest`` and ``nu_rest`` hold the excess left
+    on every atom of each measure, zero where an atom is fully shared.
+    """
+    i, j = match_atoms(mu, nu)
+    common = np.minimum(mu.weights[i], nu.weights[j])
+    mu_rest = mu.weights.copy()
+    nu_rest = nu.weights.copy()
+    mu_rest[i] -= common
+    nu_rest[j] -= common
+    return i, j, common, mu_rest, nu_rest
+
+
 def meet(mu, nu):
     """Atomwise lattice meet: common part and both positive residuals.
 
@@ -150,48 +184,18 @@ def meet(mu, nu):
     minimum of the two weights; residuals keep the atomwise excess.  The
     two residuals never share an atom.
     """
-    _check_same_dim(mu, nu)
-    nu_index = {k: j for j, k in enumerate(nu._keys())}
-    common_at = {}  # nu atom index -> common weight
-    m_pts, m_wts = [], []
-    a_pts, a_wts = [], []
-    for i, key in enumerate(mu._keys()):
-        j = nu_index.get(key)
-        if j is None:
-            a_pts.append(mu.points[i])
-            a_wts.append(mu.weights[i])
-            continue
-        w = min(mu.weights[i], nu.weights[j])
-        common_at[j] = w
-        m_pts.append(mu.points[i])
-        m_wts.append(w)
-        if mu.weights[i] > w:
-            a_pts.append(mu.points[i])
-            a_wts.append(mu.weights[i] - w)
-    b_pts, b_wts = [], []
-    for j in range(len(nu)):
-        w = common_at.get(j, 0.0)
-        if nu.weights[j] > w:
-            b_pts.append(nu.points[j])
-            b_wts.append(nu.weights[j] - w)
+    i, _, common, mu_rest, nu_rest = _meet_weights(mu, nu)
     d = mu.dim
-
-    def build(pts, wts):
-        if not pts:
-            return DiscreteMeasure.empty(d)
-        return DiscreteMeasure(np.asarray(pts), np.asarray(wts), dim=d)
-
     return MassDecomposition(
-        common=build(m_pts, m_wts),
-        mu_residual=build(a_pts, a_wts),
-        nu_residual=build(b_pts, b_wts),
+        common=DiscreteMeasure(mu.points[i], common, dim=d),
+        mu_residual=DiscreteMeasure(mu.points, mu_rest, dim=d),
+        nu_residual=DiscreteMeasure(nu.points, nu_rest, dim=d),
     )
 
 
 def mutually_singular(mu, nu):
     """True iff no point carries positive weight under both measures."""
-    _check_same_dim(mu, nu)
-    return not set(mu._keys()) & set(nu._keys())
+    return len(match_atoms(mu, nu)[0]) == 0
 
 
 def three_segments(n):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import cost_matrix
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _meet_weights
 
 __all__ = [
     "TransportPlan",
@@ -40,6 +40,7 @@ __all__ = [
     "EntropicSolution",
     "SolverError",
     "solve_exact",
+    "solve_with_meet",
     "solve_entropic",
     "certify",
     "save_plan",
@@ -209,6 +210,46 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     potentials = DualPotentials(phi=pi[:m], psi=-pi[m:])
     objective = plan.transport_cost(cost)
     return ExactSolution(plan, potentials, objective)
+
+
+def solve_with_meet(mu, nu, cost, no_meet=False):
+    """Solve exactly, keeping the common mass at rest by construction.
+
+    Returns (plan, potentials, objective, certificate, preprocessed).
+    Under a strictly concave cost the meet mu /\\ nu stays at rest, so
+    the LP runs on the two residuals and the common atoms come back as
+    diagonal entries; certificate and potentials refer to the residual
+    problem.  If either residual is empty the plan is diagonal with zero
+    potentials.  ``no_meet``, or no shared atom, solves the full problem.
+    """
+    i, j, common, mu_rest, nu_rest = _meet_weights(mu, nu)
+    if no_meet or len(i) == 0:
+        plan, pots, obj = solve_exact(mu, nu, cost)
+        return plan, pots, obj, certify(plan, pots, cost), False
+    rows = np.flatnonzero(mu_rest > 0.0)
+    cols = np.flatnonzero(nu_rest > 0.0)
+    if len(rows) == 0 or len(cols) == 0:
+        plan = TransportPlan(
+            source=mu, target=nu, src_idx=i, tgt_idx=j, mass=common
+        ).validate()
+        pots = DualPotentials(phi=np.zeros(len(mu)), psi=np.zeros(len(nu)))
+        return plan, pots, 0.0, certify(plan, pots, cost), True
+    # residual atom k is atom rows[k] of mu (cols[k] of nu): a subset of
+    # sorted, distinct atoms keeps its order in a new measure
+    r_plan, pots, obj = solve_exact(
+        DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim),
+        DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim),
+        cost,
+    )
+    cert = certify(r_plan, pots, cost)
+    plan = TransportPlan(
+        source=mu,
+        target=nu,
+        src_idx=np.concatenate([i, rows[r_plan.src_idx]]),
+        tgt_idx=np.concatenate([j, cols[r_plan.tgt_idx]]),
+        mass=np.concatenate([common, r_plan.mass]),
+    ).validate()
+    return plan, pots, obj, cert, True
 
 
 def _initial_staircase(a, b):

@@ -89,6 +89,25 @@ class TestSolveCommand:
         obj = read_report(out)["metrics"]["objective"]
         assert 1.0 <= obj <= 1.25**0.5
 
+    def test_one_residual_empty_solves_diagonal(self, tmp_path):
+        # mu exceeds nu by 1e-12 at one shared atom: load_measure accepts
+        # both, and only mu has a (rounding-level) residual left
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(f"0.0,0.0,0.5\n1.0,0.0,{0.5 + 1e-12!r}\n")
+        b.write_text("0.0,0.0,0.5\n1.0,0.0,0.5\n")
+        for flags, presolved in (([], True), (["--no-meet"], False)):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                         "--out", str(out), *flags]) == 0
+            metrics = read_report(out)["metrics"]
+            assert metrics["objective"] == 0.0
+            assert metrics["preprocessed_meet"] is presolved
+
+    def test_presolve_is_the_library_one(self):
+        from concave_ot import solver
+
+        assert solve_with_meet is solver.solve_with_meet
+
     def test_meet_preprocessing_matches_plain_lp(self, tmp_path):
         mu, nu = overlapping_instance(np.random.default_rng(5))
         plan1, _, obj1, cert1, pre = solve_with_meet(mu, nu, PowerCost(0.5), no_meet=False)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from concave_ot.measures import (
     DiscreteMeasure,
     MeasureFormatError,
     hyperplane_sample,
     load_measure,
+    match_atoms,
     meet,
     mutually_singular,
     save_measure,
@@ -128,6 +131,47 @@ class TestMutuallySingular:
     def test_identical(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
         assert not mutually_singular(mu, mu)
+
+
+# Few coordinate values (signed zeros included) and some zero weights give
+# lattice supports with many duplicates, shared atoms and empty measures.
+coords = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def lattice_pairs(draw):
+    d = draw(st.integers(1, 3))
+
+    def measure():
+        k = draw(st.integers(0, 12))
+        pts = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=k, max_size=k))
+        wts = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=k, max_size=k))
+        return DiscreteMeasure(np.reshape(pts, (k, d)), wts, dim=d)
+
+    return measure(), measure()
+
+
+def brute_force_matches(mu, nu):
+    same = np.all(mu.points[:, None, :] == nu.points[None, :, :], axis=2)
+    return np.nonzero(same)
+
+
+class TestMatchAtoms:
+    @settings(max_examples=200, deadline=None)
+    @given(pair=lattice_pairs())
+    @example(pair=(  # -0.0 against 0.0
+        DiscreteMeasure([[-0.0, 1.0], [2.0, -0.0]], [0.5, 0.5]),
+        DiscreteMeasure([[0.0, 1.0], [2.0, 0.0], [3.0, 0.0]], [0.2, 0.3, 0.5]),
+    ))
+    @example(pair=(uniform_box(10, 2, seed=4),) * 2)  # both residuals empty
+    def test_agrees_with_row_equality(self, pair):
+        mu, nu = pair
+        dec = meet(mu, nu)
+        for a, b in ((mu, nu), (dec.mu_residual, nu), (mu, dec.nu_residual),
+                     (dec.mu_residual, dec.nu_residual)):
+            i, j = match_atoms(a, b)
+            bi, bj = brute_force_matches(a, b)
+            assert i.tolist() == bi.tolist() and j.tolist() == bj.tolist()
 
 
 class TestThreeSegments:
