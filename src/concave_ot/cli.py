@@ -406,6 +406,7 @@ _GENERATORS = {"uniform_box": uniform_box, "hyperplane": hyperplane_sample}
 
 
 def _parse_generator(spec):
+    """``name:n=N,dim=D[,seed=S]`` -> (name, kwargs) with integer values."""
     name, _, rest = spec.partition(":")
     if name not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
@@ -416,6 +417,13 @@ def _parse_generator(spec):
             if not val:
                 raise ValueError(f"bad generator parameter {item!r}")
             kwargs[key.strip()] = int(val)
+    unknown = sorted(kwargs.keys() - {"n", "dim", "seed"})
+    missing = [key for key in ("n", "dim") if key not in kwargs]
+    if unknown or missing:
+        problem = f"unknown {unknown}" if unknown else f"missing {missing}"
+        raise ValueError(
+            f"generator {name!r}: {problem}; it takes n and dim (required) and seed"
+        )
     return name, kwargs
 
 
@@ -590,7 +598,11 @@ def _build_parser():
     p = sub.add_parser("isotropy", help="cone-positivity audit")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--measure")
-    group.add_argument("--generator", help="e.g. uniform_box:n=5000,dim=2")
+    group.add_argument(
+        "--generator",
+        help="uniform_box or hyperplane with n, dim and optional seed,"
+        " e.g. uniform_box:n=5000,dim=2",
+    )
     p.add_argument("--point-sample", type=int, default=500)
     common(p)
 

@@ -229,6 +229,8 @@ def uniform_box(n, dim, corner_lo=None, corner_hi=None, seed=0):
     """n i.i.d. uniform atoms of weight 1/n in an axis-aligned box."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     lo = np.zeros(dim) if corner_lo is None else np.asarray(corner_lo, dtype=float)
     hi = np.ones(dim) if corner_hi is None else np.asarray(corner_hi, dtype=float)
     if lo.shape != (dim,) or hi.shape != (dim,):

@@ -6,12 +6,19 @@ dual potentials (phi, psi), which downstream structure checks need: the
 potentials certify optimality through feasibility and complementary
 slackness, with a duality gap at rounding level.
 
+The northwest-corner starting basis becomes a rooted tree in one DFS
+from source 0, whose preorder is the thread: the cyclic node order in
+which every subtree is a contiguous run.  A reverse pass over it gives
+subtree sizes, and subtree reattachment and potential updates stay
+linear in the subtree size.
+
 Pricing combines a block search (block size ~ sqrt(m*n), blocks visited
-cyclically) with Dantzig's rule inside each block; the leaving arc is the
-last blocking arc around the pivot cycle, which preserves strong
+cyclically) with Dantzig's rule inside each block.  The leaving arc is
+the last blocking arc around the pivot cycle, which preserves strong
 feasibility and prevents cycling on the (heavily degenerate) uniform
-instances.  The tree is kept as parent/size/thread arrays so subtree
-reattachment and potential updates stay linear in the subtree size.
+instances.  Two walks up the tree find it, from the entering arc's
+target end to the apex with ``<=`` and then from its source end with
+``<``; the same two walks push the flow change.
 
 ``solve_entropic`` is a log-domain Sinkhorn loop with epsilon-scaling for
 instances too large for the dense exact solver; its output is rounded
@@ -305,57 +312,44 @@ def _network_simplex(a, b, C, pivot_budget=None):
         adj[u].append((v, arc, fl))
         adj[v].append((u, arc, fl))
 
+    # One DFS from the root (source 0).  In a tree the only neighbour
+    # already seen is the parent, so the pop order is a preorder: it is
+    # the thread.  Potentials follow from the tree equalities, pi[0] = 0.
     parent = [-1] * num_nodes
     parc = [0] * num_nodes  # arc id to parent (child-indexed)
     parc_flow = [0.0] * num_nodes
-    children = [[] for _ in range(num_nodes)]
-    order = []  # BFS/DFS preorder from the root (source 0)
-    stack = [0]
+    pi = np.zeros(num_nodes)
+    thread = []
     seen = [False] * num_nodes
     seen[0] = True
+    stack = [0]
     while stack:
         u = stack.pop()
-        order.append(u)
+        thread.append(u)
         for v, arc, fl in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 parent[v] = u
                 parc[v] = arc
                 parc_flow[v] = fl
-                children[u].append(v)
+                pi[v] = pi[u] - cflat[arc] if v >= m else pi[u] + cflat[arc]
                 stack.append(v)
-    if len(order) != num_nodes:
+    if len(thread) != num_nodes:
         raise SolverError("initial basis is not spanning (internal error)")
 
-    # DFS preorder thread: next_/prev_ cycle through all nodes, last[v] is
-    # the final node of v's subtree, size[v] its subtree size.
+    # next_/prev_ cycle through the thread; a subtree is a contiguous run
+    # of it, so one reverse pass gives size[v] and last[v], its final node.
     size = [1] * num_nodes
-    last = list(range(num_nodes))
-    dfs = []
-    stack = [(0, False)]
-    while stack:
-        u, processed = stack.pop()
-        if processed:
-            for v in children[u]:
-                size[u] += size[v]
-            last[u] = dfs[-1] if children[u] else u
-            continue
-        dfs.append(u)
-        stack.append((u, True))
-        for v in reversed(children[u]):
-            stack.append((v, False))
+    last = [0] * num_nodes
     next_ = [0] * num_nodes
     prev_ = [0] * num_nodes
-    for t, v in enumerate(dfs):
-        next_[v] = dfs[(t + 1) % num_nodes]
-        prev_[v] = dfs[t - 1]
-
-    # node potentials from tree equalities, root pinned at 0
-    pi = np.zeros(num_nodes)
-    for v in dfs[1:]:
-        u = parent[v]
-        c = cflat[parc[v]]
-        pi[v] = pi[u] - c if v >= m else pi[u] + c
+    for t in range(num_nodes - 1, -1, -1):
+        v = thread[t]
+        last[v] = thread[t + size[v] - 1]
+        if t:
+            size[parent[v]] += size[v]
+        next_[v] = thread[(t + 1) % num_nodes]
+        prev_[v] = thread[t - 1]
 
     # --- pricing -------------------------------------------------------
     block = int(math.ceil(math.sqrt(num_arcs)))
@@ -377,15 +371,6 @@ def _network_simplex(a, b, C, pivot_budget=None):
         return -1
 
     # --- tree surgery (child-indexed arcs move with their child) -------
-    def trace_path(v, w):
-        nodes = [v]
-        arcs = []
-        while v != w:
-            arcs.append(v)
-            v = parent[v]
-            nodes.append(v)
-        return nodes, arcs
-
     def find_apex(p, q):
         sp, sq = size[p], size[q]
         while True:
@@ -494,49 +479,34 @@ def _network_simplex(a, b, C, pivot_budget=None):
         q_ent = m + arc % n
         c_ent = cflat[arc]
 
+        # The cycle runs apex -> p_ent -> q_ent -> apex.  Walking each side
+        # up from its entering end, an arc carries flow against the cycle
+        # (and blocks) if its child is a target on the q side or a source
+        # on the p side.  "<=" on the q side, then "<" on the p side, picks
+        # the last blocking arc in cycle order.  Removing it cuts off the
+        # side it lies on, which re-hangs below the other entering end.
         apex = find_apex(p_ent, q_ent)
-        wn, we = trace_path(p_ent, apex)
-        wn.reverse()
-        we.reverse()
-        we.append(-1)  # entering arc sentinel
-        wn_r, we_r = trace_path(q_ent, apex)
-        del wn_r[-1]
-        wn += wn_r
-        we += we_r
-
-        # signs: +1 where travel direction (from wn[k]) matches the arc's
-        # source->target orientation, -1 otherwise; flow moves by +/- theta
-        signs = []
-        for key, from_node in zip(we, wn):
-            if key == -1:
-                signs.append(1)
-            else:
-                src_node = key if key < m else parent[key]
-                signs.append(1 if from_node == src_node else -1)
-
         theta = math.inf
-        leave_pos = -1
-        for pos in range(len(we) - 1, -1, -1):
-            if signs[pos] < 0:
-                fl = parc_flow[we[pos]]
-                if fl < theta:
-                    theta = fl
-                    leave_pos = pos
-        if leave_pos < 0:
+        t_leave = -1  # child endpoint of the leaving arc
+        v = q_ent
+        while v != apex:
+            if v >= m and parc_flow[v] <= theta:
+                theta, t_leave, p_att, q_att = parc_flow[v], v, p_ent, q_ent
+            v = parent[v]
+        v = p_ent
+        while v != apex:
+            if v < m and parc_flow[v] < theta:
+                theta, t_leave, p_att, q_att = parc_flow[v], v, q_ent, p_ent
+            v = parent[v]
+        if t_leave < 0:
             raise SolverError("no leaving arc found (internal error)")
         if theta > 0.0:
-            for key, sg in zip(we, signs):
-                if key != -1:
-                    parc_flow[key] += sg * theta
+            for v, step in ((q_ent, theta), (p_ent, -theta)):
+                while v != apex:
+                    parc_flow[v] += -step if v >= m else step
+                    v = parent[v]
 
-        t_leave = we[leave_pos]  # child endpoint of the leaving arc
-        s_leave = parent[t_leave]
-        pos_enter = len(wn) - 1 - len(wn_r)  # index of the entering arc in we
-        p_att, q_att = p_ent, q_ent
-        if pos_enter > leave_pos:
-            p_att, q_att = q_ent, p_ent
-
-        remove_edge(s_leave, t_leave)
+        remove_edge(parent[t_leave], t_leave)
         make_root(q_att)
         add_edge(arc, p_att, q_att, theta)
         d = pi[p_att] - c_ent - pi[q_att] if q_att >= m else pi[p_att] + c_ent - pi[q_att]
@@ -659,7 +629,7 @@ def solve_entropic(mu, nu, cost, epsilon, max_iter=10_000, marginal_tol=1e-6):
     return EntropicSolution(plan, iterations, converged)
 
 
-def save_plan(plan, basepath, objective=None, gap=None, stats=None):
+def save_plan(plan, basepath, objective=None, gap=None):
     """Write ``basepath.csv`` (i, j, mass rows) and ``basepath.json`` header.
 
     The JSON header embeds both measures so the plan file round-trips on
@@ -678,7 +648,6 @@ def save_plan(plan, basepath, objective=None, gap=None, stats=None):
         "entries_csv": csv_path.name,
         "objective": objective,
         "gap": gap,
-        "stats": stats or {},
         "mu": _measure_dict(plan.source),
         "nu": _measure_dict(plan.target),
     }

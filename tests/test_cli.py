@@ -242,6 +242,15 @@ class TestIsotropyCommand:
         assert main(["isotropy", "--generator", "gauss:n=10",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("uniform_box:n=50", "missing ['dim']; it takes n and dim"),
+        ("uniform_box:n=50,dim=2,bogus=1", "unknown ['bogus']; it takes n and dim"),
+        ("uniform_box:n=50,dim=0", "dim must be >= 1"),
+    ])
+    def test_bad_generator_parameters_exit_2(self, tmp_path, capsys, spec, problem):
+        assert main(["isotropy", "--generator", spec, "--out", str(tmp_path / "o")]) == 2
+        assert problem in capsys.readouterr().err
+
 
 class TestReconstructCommand:
     def test_separated_clouds(self, tmp_path):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from concave_ot.costs import PowerCost, cost_matrix
+from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, three_segments, translate, uniform_box
 from concave_ot.solver import (
     DualPotentials,
     SolverError,
     TransportPlan,
+    _network_simplex,
     certify,
     load_plan,
     save_plan,
@@ -18,6 +21,7 @@ from support import (
     assignment_oracle,
     basis_enumeration_oracle,
     lebesgue_grid_pair,
+    linprog_oracle,
     random_instance,
 )
 
@@ -93,6 +97,85 @@ class TestOracles:
         # the translation coupling is feasible
         translation_cost = float(np.sum(mu.weights * P05.value(0.5)))
         assert obj <= translation_cost + 1e-12
+
+
+def _unit_grid_pair(k, e):
+    g = np.arange(float(k))
+    mu = DiscreteMeasure(np.array([(x, y) for x in g for y in g]), np.full(k * k, 1.0 / k**2))
+    return mu, translate(mu, e)
+
+
+PINNED_PIVOTS = [
+    pytest.param(three_segments(16), P05, 260, 1.0000610295691101, id="three_segments16"),
+    pytest.param(
+        (
+            uniform_box(200, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=10),
+            uniform_box(200, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11),
+        ),
+        P05, 4829, 2.0455727930561447, id="separated_clouds200",
+    ),
+    pytest.param(
+        _unit_grid_pair(12, (1.0, 0.0)),
+        PiecewiseConcaveCost([0.5, 1.5], [2, 1, 0.25]),
+        1014, 0.38541666666666663, id="grid12_translated",
+    ),
+]
+
+
+class TestPivotSequence:
+    """The pivot rule is deterministic: these counts and objectives are
+    the solver's own, so any change to pricing, the leaving rule or the
+    tree updates that alters the pivot sequence shows up here."""
+
+    @pytest.mark.parametrize("pair, cost, pivots, objective", PINNED_PIVOTS)
+    def test_pinned(self, pair, cost, pivots, objective):
+        mu, nu = pair
+        flows, arcs, _, count = _network_simplex(
+            mu.weights, nu.weights, cost_matrix(mu, nu, cost)
+        )
+        keep = flows > 0.0
+        n = len(nu)
+        plan = TransportPlan(mu, nu, arcs[keep] // n, arcs[keep] % n, flows[keep])
+        assert count == pivots
+        assert plan.transport_cost(cost) == objective
+
+
+# Lattice supports (distances hit the piecewise kinks exactly) and
+# duplicate-heavy ones (few distinct points drawn many times), which
+# DiscreteMeasure merges: up to 12 atoms per side, d in {1, 2, 3}.
+@st.composite
+def lp_instances(draw):
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        pool = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    else:
+        pool = st.sampled_from(draw(st.lists(
+            st.floats(-2.0, 2.0, allow_subnormal=False), min_size=1, max_size=3)))
+
+    def measure():
+        k = draw(st.integers(1, 12))
+        pts = draw(st.lists(st.lists(pool, min_size=d, max_size=d), min_size=k, max_size=k))
+        wts = np.array(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)), float)
+        return DiscreteMeasure(np.reshape(pts, (k, d)), wts / wts.sum(), dim=d)
+
+    kinks = sorted(draw(st.sets(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=3)))
+    cost = draw(st.sampled_from([
+        PowerCost(0.5),
+        PowerCost(0.2),
+        LogShiftCost(2.0),
+        PiecewiseConcaveCost(kinks, [2.0 ** -k for k in range(len(kinks) + 1)]),
+    ]))
+    return measure(), measure(), cost
+
+
+class TestLinprogOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(instance=lp_instances())
+    def test_matches_highs(self, instance):
+        mu, nu, cost = instance
+        plan, pots, obj = solve_exact(mu, nu, cost)
+        assert abs(obj - linprog_oracle(mu, nu, cost)) <= 1e-9 * (1.0 + abs(obj))
+        assert certify(plan, pots, cost).ok
 
 
 class TestDuality:
