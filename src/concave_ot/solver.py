@@ -6,14 +6,22 @@ dual potentials (phi, psi), which downstream structure checks need: the
 potentials certify optimality through feasibility and complementary
 slackness, with a duality gap at rounding level.
 
-The northwest-corner starting basis becomes a rooted tree in one DFS
-from source 0, whose preorder is the thread: the cyclic node order in
-which every subtree is a contiguous run.  A reverse pass over it gives
-subtree sizes, and subtree reattachment and potential updates stay
-linear in the subtree size.
+The starting basis is least-cost (matrix-minimum): arcs are scanned by
+increasing cost and each one taken crosses out one atom, so the m+n-1
+arcs form a spanning tree.  Remainders carry an integer epsilon
+perturbation, compared lexicographically, which makes the start
+strongly feasible: hung from source 0, every zero-flow arc has its
+source as the child.  The tree is rooted in one DFS from source 0,
+whose preorder is the thread: the cyclic node order in which every
+subtree is a contiguous run.  A reverse pass over it gives subtree
+sizes, and subtree reattachment and potential updates stay linear in
+the subtree size.
 
 Pricing combines a block search (block size ~ sqrt(m*n), blocks visited
-cyclically) with Dantzig's rule inside each block.  The leaving arc is
+cyclically) with Dantzig's rule inside each block; the atom indices of
+a block are slices of two periodic index arrays of length n + block,
+offset by the block's start, so no array has m*n entries besides the
+costs.  The leaving arc is
 the last blocking arc around the pivot cycle, which preserves strong
 feasibility and prevents cycling on the (heavily degenerate) uniform
 instances.  Two walks up the tree find it, from the entering arc's
@@ -259,29 +267,64 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     return plan, pots, obj, cert, True
 
 
-def _initial_staircase(a, b):
-    """Northwest-corner basic feasible solution: m+n-1 tree arcs."""
-    m, n = len(a), len(b)
-    ra, rb = a.copy(), b.copy()
-    arcs = np.empty(m + n - 1, dtype=np.int64)
-    flows = np.empty(m + n - 1, dtype=float)
-    i = j = 0
-    for k in range(m + n - 1):
-        arcs[k] = i * n + j
-        f = min(ra[i], rb[j])
-        f = f if f > 0.0 else 0.0
-        flows[k] = f
-        ra[i] -= f
-        rb[j] -= f
-        if i == m - 1:
-            j += 1
-        elif j == n - 1:
-            i += 1
-        elif ra[i] <= rb[j]:
-            i += 1
-        else:
-            j += 1
-    return arcs, flows
+def _least_cost_basis(a, b, C):
+    """Least-cost (matrix-minimum) basic feasible solution: m+n-1 tree arcs.
+
+    Line u is source u (u < m) or target u - m.  Arcs are scanned by
+    increasing cost, ties by arc id; an arc whose two lines are both
+    alive is taken with the smaller remainder as its flow, and exactly
+    that line is crossed out (both at the last step), so the arcs form a
+    spanning tree.  Returns (arc ids, flows) in the order taken.
+
+    Each remainder carries an integer epsilon part, the perturbation of
+    Ahuja, Magnanti and Orlin: +1 for sources 1..m-1, -(m+n-1) for source
+    0 and -1 for every target.  Comparing (remainder, epsilon) pairs
+    lexicographically builds the basic solution of the perturbed
+    problem, in which an arc's epsilon part is +-(size of its child's
+    subtree) and never 0.  So every arc's perturbed flow is positive, and
+    with the tree hung from source 0 every zero-flow arc has its source
+    as the child: the tree is strongly feasible.
+    """
+    m, n = C.shape
+    rest = np.asarray(a, dtype=float).tolist() + np.asarray(b, dtype=float).tolist()
+    eps = [-(m + n - 1)] + [1] * (m - 1) + [-1] * n
+    alive = [True] * (m + n)
+    left_rows, left_cols = m, n
+    arcs, flows = [], []
+    while True:
+        rows = np.flatnonzero(alive[:m])
+        cols = np.flatnonzero(alive[m:])
+        # The cheapest 4(rows + cols) arcs among the alive lines, sorted
+        # by (cost, arc id).  Once they are scanned, every arc left
+        # between alive lines costs more than the threshold, so the next
+        # round picks up on the alive submatrix.
+        sub = (C if len(rows) == m and len(cols) == n else C[np.ix_(rows, cols)]).ravel()
+        k = min(4 * (len(rows) + len(cols)), sub.size)
+        cand = np.flatnonzero(sub <= np.partition(sub, k - 1)[k - 1])
+        cand = cand[np.argsort(sub[cand], kind="stable")]
+        for i, j in zip(rows[cand // len(cols)].tolist(), cols[cand % len(cols)].tolist()):
+            u = m + j
+            if not (alive[i] and alive[u]):
+                continue
+            arcs.append(i * n + j)
+            if left_rows == 1 and left_cols == 1:
+                flows.append(max(min(rest[i], rest[u]), 0.0))
+                return np.array(arcs, dtype=np.int64), np.array(flows)
+            # The last row (column) stays until the last step; with exact
+            # arithmetic the lexicographic rule already keeps it.
+            if left_cols == 1 or (
+                left_rows > 1 and (rest[i], eps[i]) < (rest[u], eps[u])
+            ):
+                out, keep = i, u
+                left_rows -= 1
+            else:
+                out, keep = u, i
+                left_cols -= 1
+            f = max(rest[out], 0.0)
+            flows.append(f)
+            alive[out] = False
+            rest[keep] -= f
+            eps[keep] -= eps[out]
 
 
 def _network_simplex(a, b, C, pivot_budget=None):
@@ -300,11 +343,8 @@ def _network_simplex(a, b, C, pivot_budget=None):
     if pivot_budget is None:
         pivot_budget = 10 * num_nodes * num_nodes
 
-    i_of = np.repeat(np.arange(m, dtype=np.int64), n)
-    jn_of = np.tile(np.arange(m, num_nodes, dtype=np.int64), m)
-
-    # --- initial spanning tree from the staircase basis ---------------
-    arcs0, flows0 = _initial_staircase(np.asarray(a, float), np.asarray(b, float))
+    # --- initial spanning tree from the least-cost basis --------------
+    arcs0, flows0 = _least_cost_basis(a, b, cflat.reshape(m, n))
     adj = [[] for _ in range(num_nodes)]
     for arc, fl in zip(arcs0.tolist(), flows0.tolist()):
         u = arc // n
@@ -355,6 +395,11 @@ def _network_simplex(a, b, C, pivot_budget=None):
     block = int(math.ceil(math.sqrt(num_arcs)))
     n_blocks = (num_arcs + block - 1) // block
     f_ptr = 0
+    # Arc lo + t has source lo // n + (lo % n + t) // n and target node
+    # m + (lo % n + t) % n, for t < block: two periodic index arrays,
+    # sliced per block, stand in for per-arc index arrays of length m*n.
+    i_cyc = np.arange(n + block, dtype=np.int64) // n
+    jn_cyc = m + np.arange(n + block, dtype=np.int64) % n
 
     def find_entering():
         nonlocal f_ptr
@@ -363,7 +408,9 @@ def _network_simplex(a, b, C, pivot_budget=None):
             lo = f_ptr
             hi = min(lo + block, num_arcs)
             f_ptr = hi % num_arcs
-            rc = cflat[lo:hi] - pi[i_of[lo:hi]] + pi[jn_of[lo:hi]]
+            i0, off = divmod(lo, n)
+            end = off + hi - lo
+            rc = cflat[lo:hi] - pi[i_cyc[off:end] + i0] + pi[jn_cyc[off:end]]
             t = int(np.argmin(rc))
             if rc[t] < -opt_tol:
                 return lo + t
@@ -527,13 +574,16 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
 
     ``feasible_dual`` checks phi_i + psi_j <= c_ij everywhere;
     ``slack_ok`` checks equality on the plan's support; ``gap`` is the
-    primal minus dual objective.
+    primal minus dual objective.  Both checks allow
+    ``tol * max(1, max|C|)``: potentials carry rounding relative to the
+    costs, as the solver's pricing tolerance does.
     """
     mu, nu = plan.source, plan.target
     phi, psi = potentials.phi, potentials.psi
     if phi.shape != (len(mu),) or psi.shape != (len(nu),):
         raise ValueError("potential shapes do not match the plan's measures")
     C = cost_matrix(mu, nu, cost)
+    tol = tol * max(1.0, float(np.abs(C).max(initial=0.0)))
     viol = (phi[:, None] + psi[None, :]) - C
     max_viol = float(viol.max())
     if plan.n_entries:
