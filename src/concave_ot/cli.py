@@ -204,6 +204,7 @@ def run_solve(
             "gap": cert.gap,
             "max_feasibility_violation": cert.max_feasibility_violation,
             "max_slack_residual": cert.max_slack_residual,
+            "tolerance": cert.tolerance,
             "preprocessed_meet": preprocessed,
         }
         _write_json(out / "certificate.json", cert_doc)

@@ -28,6 +28,19 @@ instances.  Two walks up the tree find it, from the entering arc's
 target end to the apex with ``<=`` and then from its source end with
 ``<``; the same two walks push the flow change.
 
+The pivot loop (pricing, leaving arc, tree surgery, potential update)
+runs in C: ``_pivot.c``, a port of ``_pivot_loop``.  The first exact
+solve of a process loads it with ctypes, compiling it first with the
+system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
+``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
+and the compiler command, so each version compiles once).
+``-ffp-contract=off`` forbids fused multiply-adds, so every
+floating-point operation rounds as numpy's and Python's do, and both
+loops return the same pivots, flows and potentials bit for bit.  If
+compiling or loading fails, a RuntimeWarning says so once and the
+Python loop runs, with the same results at Python speed.  No option
+selects the loop.
+
 ``solve_entropic`` is a log-domain Sinkhorn loop with epsilon-scaling for
 instances too large for the dense exact solver; its output is rounded
 onto the transport polytope so the returned plan has exact marginals.
@@ -36,8 +49,15 @@ onto the transport polytope so the returned plan has exact marginals.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import hashlib
 import json
 import math
+import os
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -159,11 +179,15 @@ class DualPotentials:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Outcome of :func:`certify`; ``tolerance`` is the absolute bound its
+    feasibility and slackness checks allowed."""
+
     feasible_dual: bool
     slack_ok: bool
     gap: float
     max_feasibility_violation: float
     max_slack_residual: float
+    tolerance: float
 
     @property
     def ok(self):
@@ -327,23 +351,56 @@ def _least_cost_basis(a, b, C):
             eps[keep] -= eps[out]
 
 
+class _Tree(NamedTuple):
+    """Spanning-tree basis of the network simplex, plus what pricing reads.
+
+    Node ids: sources 0..m-1, targets m..m+n-1; arc k = i*n + j runs from
+    source i to target node m+j.  The node arrays (int64 or float64, one
+    entry per node) hang the tree from the root, source 0: ``parent``
+    (-1 at the root), ``parc`` and ``flow`` (arc id to the parent and its
+    flow), ``size`` and ``last`` (subtree size and final thread node),
+    ``next_`` and ``prev_`` (the thread) and the potentials ``pi``.  A
+    pivot loop updates them in place.
+    """
+
+    cost: np.ndarray  # flat m*n costs
+    n: int
+    opt_tol: float
+    parent: np.ndarray
+    parc: np.ndarray
+    flow: np.ndarray
+    size: np.ndarray
+    last: np.ndarray
+    next_: np.ndarray
+    prev_: np.ndarray
+    pi: np.ndarray
+
+
+# the node arrays the Python pivot loop works on as lists
+_TREE_LISTS = ("parent", "parc", "flow", "size", "last", "next_", "prev_")
+
+
 def _network_simplex(a, b, C, pivot_budget=None):
     """Primal network simplex on the dense bipartite transportation LP.
 
-    Node ids: sources 0..m-1, targets m..m+n-1; arc k = i*n + j runs from
-    source i to target node m+j.  Returns per-node flows on the arcs to
-    parents, the arc ids, node potentials pi (pi[root]=0), and the pivot
-    count.  Reduced costs are c_ij - pi[i] + pi[m+j].
+    Returns per-node flows on the arcs to parents, the arc ids, node
+    potentials pi (pi[root]=0), and the pivot count; node and arc ids are
+    those of :class:`_Tree`.  Reduced costs are c_ij - pi[i] + pi[m+j].
+    The compiled pivot loop runs when it could be built, else
+    :func:`_pivot_loop`; both return the same bits.
     """
+    tree = _starting_tree(a, b, C)
+    if pivot_budget is None:
+        pivot_budget = 10 * len(tree.pi) ** 2
+    pivots = (_compiled_pivot_loop() or _pivot_loop)(tree, pivot_budget)
+    return tree.flow[1:], tree.parc[1:], tree.pi, pivots
+
+
+def _starting_tree(a, b, C):
+    """The least-cost basis as a :class:`_Tree`, threaded in one DFS."""
     m, n = len(a), len(b)
     num_nodes = m + n
-    num_arcs = m * n
     cflat = np.ascontiguousarray(C, dtype=float).ravel()
-    opt_tol = OPT_TOL_SCALE * max(cflat.max(), 1e-300)
-    if pivot_budget is None:
-        pivot_budget = 10 * num_nodes * num_nodes
-
-    # --- initial spanning tree from the least-cost basis --------------
     arcs0, flows0 = _least_cost_basis(a, b, cflat.reshape(m, n))
     adj = [[] for _ in range(num_nodes)]
     for arc, fl in zip(arcs0.tolist(), flows0.tolist()):
@@ -391,8 +448,45 @@ def _network_simplex(a, b, C, pivot_budget=None):
         next_[v] = thread[(t + 1) % num_nodes]
         prev_[v] = thread[t - 1]
 
+    def ints(x):
+        return np.array(x, dtype=np.int64)
+
+    return _Tree(
+        cost=cflat, n=n, opt_tol=OPT_TOL_SCALE * max(cflat.max(), 1e-300),
+        parent=ints(parent), parc=ints(parc), flow=np.array(parc_flow, dtype=float),
+        size=ints(size), last=ints(last), next_=ints(next_), prev_=ints(prev_), pi=pi,
+    )
+
+
+def _pricing_block(num_arcs):
+    return int(math.ceil(math.sqrt(num_arcs)))
+
+
+def _budget_exhausted(pivot_budget):
+    return SolverError(f"pivot budget {pivot_budget} exhausted (numeric degeneracy?)")
+
+
+def _no_leaving_arc():
+    return SolverError("no leaving arc found (internal error)")
+
+
+def _pivot_loop(tree, pivot_budget):
+    """Pivot ``tree`` to optimality in place; returns the pivot count.
+
+    The Python reference for the compiled loop in ``_pivot.c``, which
+    must reproduce it bit for bit; it also runs when that loop cannot be
+    built.
+    """
+    cflat, n, opt_tol, pi = tree.cost, tree.n, tree.opt_tol, tree.pi
+    num_nodes = len(pi)
+    m = num_nodes - n
+    num_arcs = m * n
+    parent, parc, parc_flow, size, last, next_, prev_ = (
+        getattr(tree, name).tolist() for name in _TREE_LISTS
+    )
+
     # --- pricing -------------------------------------------------------
-    block = int(math.ceil(math.sqrt(num_arcs)))
+    block = _pricing_block(num_arcs)
     n_blocks = (num_arcs + block - 1) // block
     f_ptr = 0
     # Arc lo + t has source lo // n + (lo % n + t) // n and target node
@@ -519,9 +613,7 @@ def _network_simplex(a, b, C, pivot_budget=None):
             break
         pivots += 1
         if pivots > pivot_budget:
-            raise SolverError(
-                f"pivot budget {pivot_budget} exhausted (numeric degeneracy?)"
-            )
+            raise _budget_exhausted(pivot_budget)
         p_ent = arc // n
         q_ent = m + arc % n
         c_ent = cflat[arc]
@@ -546,7 +638,7 @@ def _network_simplex(a, b, C, pivot_budget=None):
                 theta, t_leave, p_att, q_att = parc_flow[v], v, q_ent, p_ent
             v = parent[v]
         if t_leave < 0:
-            raise SolverError("no leaving arc found (internal error)")
+            raise _no_leaving_arc()
         if theta > 0.0:
             for v, step in ((q_ent, theta), (p_ent, -theta)):
                 while v != apex:
@@ -561,12 +653,101 @@ def _network_simplex(a, b, C, pivot_budget=None):
             for w in subtree(q_att):
                 pi[w] += d
 
-    return (
-        np.array([parc_flow[v] for v in range(1, num_nodes)]),
-        np.array([parc[v] for v in range(1, num_nodes)], dtype=np.int64),
-        pi,
-        pivots,
-    )
+    for name, values in zip(_TREE_LISTS, (parent, parc, parc_flow, size, last, next_, prev_)):
+        getattr(tree, name)[:] = values
+    return pivots
+
+
+_PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+
+
+def _build_pivot_kernel(cache_dir):
+    """Path of the compiled ``_pivot.c`` in ``cache_dir``, compiled if absent.
+
+    The file name carries the sha256 of the source and the compiler
+    command, so each version is compiled once per cache directory.  The
+    compiler writes a temporary file that is then renamed into place, so
+    a concurrent process never loads a partial library.
+    """
+    source = _PIVOT_SOURCE.read_bytes()
+    key = hashlib.sha256(source + "\0".join(_CC).encode()).hexdigest()[:16]
+    path = Path(cache_dir) / f"_pivot.{key}.so"
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_pivot.", suffix=".tmp", dir=path.parent)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [*_CC, "-x", "c", "-o", tmp, "-"], input=source, check=True, capture_output=True
+            )
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    return path
+
+
+class _CompiledPivotLoop:
+    """ctypes binding of ``pivot_loop`` in ``_pivot.c``; called like :func:`_pivot_loop`."""
+
+    def __init__(self, path):
+        self.path = path
+        self._lib = ctypes.CDLL(str(path))
+        i64 = ctypes.c_int64
+        ints, floats = (
+            np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS,WRITEABLE")
+            for dtype in (np.int64, np.float64)
+        )
+        self._fn = self._lib.pivot_loop
+        self._fn.argtypes = [
+            i64, i64, i64, ctypes.c_double, i64,
+            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+            ints, ints, floats, ints, ints, ints, ints, floats, ints,
+            ctypes.POINTER(i64),
+        ]
+        self._fn.restype = ctypes.c_int
+
+    def __call__(self, tree, pivot_budget):
+        num_nodes, n = len(tree.pi), tree.n
+        m = num_nodes - n
+        if len(tree.cost) != m * n or any(
+            len(getattr(tree, name)) != num_nodes for name in _TREE_LISTS
+        ):
+            raise ValueError("tree arrays do not match the instance size")
+        pivots = ctypes.c_int64()
+        status = self._fn(
+            m, n, _pricing_block(m * n), tree.opt_tol, min(pivot_budget, 2**63 - 1),
+            tree.cost, tree.parent, tree.parc, tree.flow, tree.size, tree.last,
+            tree.next_, tree.prev_, tree.pi, np.empty(num_nodes, dtype=np.int64),
+            ctypes.byref(pivots),
+        )
+        if status == 1:
+            raise _budget_exhausted(pivot_budget)
+        if status == 2:
+            raise _no_leaving_arc()
+        return pivots.value
+
+
+@functools.cache
+def _compiled_pivot_loop():
+    """The compiled pivot loop, built and loaded on first use; None if it fails.
+
+    On failure (no ``cc``, a compile error, an unwritable cache) a
+    RuntimeWarning says why, once per process, and the exact solver runs
+    :func:`_pivot_loop`, with the same results at Python speed.
+    """
+    try:
+        return _CompiledPivotLoop(_build_pivot_kernel(_KERNEL_CACHE))
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        warnings.warn(
+            f"cannot build the compiled pivot loop ({exc}{': ' + stderr if stderr else ''});"
+            " the exact solver runs the Python pivot loop, about ten times slower",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
 
 
 def certify(plan, potentials, cost, tol=MARGINAL_TOL):
@@ -575,8 +756,8 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
     ``feasible_dual`` checks phi_i + psi_j <= c_ij everywhere;
     ``slack_ok`` checks equality on the plan's support; ``gap`` is the
     primal minus dual objective.  Both checks allow
-    ``tol * max(1, max|C|)``: potentials carry rounding relative to the
-    costs, as the solver's pricing tolerance does.
+    ``tol * max(1, max|C|)``, recorded as ``tolerance``: potentials carry
+    rounding relative to the costs, as the solver's pricing tolerance does.
     """
     mu, nu = plan.source, plan.target
     phi, psi = potentials.phi, potentials.psi
@@ -601,6 +782,7 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
         gap=float(primal - dual),
         max_feasibility_violation=max_viol,
         max_slack_residual=max_slack,
+        tolerance=tol,
     )
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from concave_ot.cli import limit_plan_pair, main, solve_with_meet
-from concave_ot.costs import PowerCost
-from concave_ot.measures import DiscreteMeasure, save_measure, uniform_box
+from concave_ot.costs import PowerCost, cost_matrix
+from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
 from concave_ot.solver import TransportPlan, save_plan
 from concave_ot.structure import decompose
-from support import overlapping_instance
+from support import overlapping_instance, random_instance
 
 COST = '{"kind":"power","alpha":0.5}'
 
@@ -102,6 +102,22 @@ class TestSolveCommand:
             metrics = read_report(out)["metrics"]
             assert metrics["objective"] == 0.0
             assert metrics["preprocessed_meet"] is presolved
+
+    def test_certificate_records_tolerance(self, tmp_path):
+        # costs around 1e8: the plan certifies within 1e-9 * max cost, not
+        # within an absolute 1e-9, and certificate.json says so
+        mu, nu = random_instance(np.random.default_rng(1), 100, 100, 2)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(DiscreteMeasure(mu.points * 1e16, mu.weights), a)
+        save_measure(DiscreteMeasure(nu.points * 1e16, nu.weights), b)
+        out = tmp_path / "out"
+        assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "certificate.json").read_text())
+        max_cost = cost_matrix(load_measure(a), load_measure(b), PowerCost(0.5)).max()
+        assert doc["tolerance"] == 1e-9 * max_cost
+        assert 1e-9 < doc["max_slack_residual"] <= doc["tolerance"]
+        assert "tolerance" not in json.dumps(read_report(out))
 
     def test_presolve_is_the_library_one(self):
         from concave_ot import solver

@@ -1,18 +1,25 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from concave_ot import solver
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, three_segments, translate, uniform_box
 from concave_ot.solver import (
+    MARGINAL_TOL,
     DualPotentials,
     SolverError,
     TransportPlan,
+    _build_pivot_kernel,
+    _compiled_pivot_loop,
     _least_cost_basis,
     _network_simplex,
+    _pivot_loop,
+    _starting_tree,
     certify,
     load_plan,
     save_plan,
@@ -273,6 +280,100 @@ class TestLinprogOracle:
         assert certify(plan, pots, cost).ok
 
 
+requires_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+def _copy(tree):
+    return tree._replace(**{
+        k: v.copy() for k, v in tree._asdict().items() if isinstance(v, np.ndarray)
+    })
+
+
+def _run_both_loops(mu, nu, cost, pivot_budget=10**9):
+    """(pivots, flow bytes, arc-id bytes, pi bytes) from the Python loop
+    and from the compiled one, each run on a copy of the same start."""
+    tree = _starting_tree(mu.weights, nu.weights, cost_matrix(mu, nu, cost))
+    out = []
+    for loop in (_pivot_loop, _compiled_pivot_loop()):
+        t = _copy(tree)
+        pivots = loop(t, pivot_budget)
+        out.append((pivots, t.flow[1:].tobytes(), t.parc[1:].tobytes(), t.pi.tobytes()))
+    return out
+
+
+@pytest.fixture
+def fresh_kernel_loader():
+    _compiled_pivot_loop.cache_clear()
+    yield
+    _compiled_pivot_loop.cache_clear()
+
+
+@requires_cc
+class TestCompiledPivotLoop:
+    """The C pivot loop is a port of the Python one: from the same tree
+    it must make the same pivots and return the same bits."""
+
+    @pytest.mark.parametrize("pair, cost", [
+        *(pytest.param(*p.values[:2], id=p.id) for p in PINNED_PIVOTS),
+        *(pytest.param(p.values[:2], p.values[2], id=p.id) for p in STARTS[-2:]),
+    ])
+    def test_matches_python_loop(self, pair, cost):
+        python, compiled = _run_both_loops(*pair, cost)
+        assert compiled == python
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=st.one_of(lp_instances(), tie_heavy_instances()))
+    def test_matches_python_loop_on_drawn_instances(self, instance):
+        python, compiled = _run_both_loops(*instance)
+        assert compiled == python
+
+    def test_same_pivot_budget_error(self):
+        mu, nu = random_instance(np.random.default_rng(6), 10, 10, 2)
+        tree = _starting_tree(mu.weights, nu.weights, cost_matrix(mu, nu, P05))
+        messages = []
+        for loop in (_pivot_loop, _compiled_pivot_loop()):
+            with pytest.raises(SolverError, match="pivot budget") as err:
+                loop(_copy(tree), 1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "pivot budget 1 exhausted (numeric degeneracy?)"
+
+    def test_solver_runs_the_compiled_loop(self, monkeypatch):
+        # with a compiler at hand, a solve at Python speed is a failure
+        def python_loop(tree, pivot_budget):
+            raise AssertionError("the Python pivot loop ran")
+
+        monkeypatch.setattr(solver, "_pivot_loop", python_loop)
+        _, _, obj = solve_exact(*three_segments(16), P05)
+        assert obj == 1.0000610295691101
+
+    def test_compiled_once_per_cache(self, tmp_path, monkeypatch):
+        path = _build_pivot_kernel(tmp_path)
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("compiled a second time")
+
+        monkeypatch.setattr(solver.subprocess, "run", no_compiler)
+        assert _build_pivot_kernel(tmp_path) == path
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader):
+    mu, nu = random_instance(np.random.default_rng(3), 30, 25, 2)
+    expected = solve_exact(mu, nu, P05)
+    monkeypatch.setattr(solver, "_KERNEL_CACHE", tmp_path)
+    monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
+    _compiled_pivot_loop.cache_clear()
+    with pytest.warns(RuntimeWarning, match="runs the Python pivot loop"):
+        plan, pots, obj = solve_exact(mu, nu, P05)
+    assert _compiled_pivot_loop() is None
+    assert obj == expected.objective
+    for got, want in ((plan.src_idx, expected.plan.src_idx), (plan.tgt_idx, expected.plan.tgt_idx),
+                      (plan.mass, expected.plan.mass), (pots.phi, expected.potentials.phi),
+                      (pots.psi, expected.potentials.psi)):
+        assert got.tobytes() == want.tobytes()
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestDuality:
     @pytest.mark.parametrize("seed", range(10))
     def test_certificate_on_solver_output(self, seed):
@@ -304,6 +405,17 @@ class TestDuality:
         assert cert.ok and abs(cert.gap) <= 1e-8 * (1.0 + abs(obj))
         bad = DualPotentials(phi=pots.phi + 1e-6 * obj, psi=pots.psi)
         assert not certify(plan, bad, P05).feasible_dual
+
+    def test_certificate_records_tolerance(self):
+        mu, nu = random_instance(np.random.default_rng(1), 100, 100, 2)
+        mu = DiscreteMeasure(mu.points * 1e16, mu.weights)
+        nu = DiscreteMeasure(nu.points * 1e16, nu.weights)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+        cert = certify(plan, pots, P05)
+        max_cost = cost_matrix(mu, nu, P05).max()
+        assert cert.tolerance == MARGINAL_TOL * max_cost
+        assert 1e-9 < cert.max_feasibility_violation <= cert.tolerance
+        assert certify(plan, pots, P05, tol=1e-6).tolerance == 1e-6 * max_cost
 
     def test_zero_potentials(self):
         rng = np.random.default_rng(2)
