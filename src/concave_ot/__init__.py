@@ -48,7 +48,6 @@ from .measures import (
 from .solver import (
     Certificate,
     DualPotentials,
-    EntropicSolution,
     ExactSolution,
     SolverError,
     TransportPlan,
@@ -56,7 +55,6 @@ from .solver import (
     load_plan,
     save_plan,
     save_potentials,
-    solve_entropic,
     solve_exact,
     solve_with_meet,
 )

@@ -55,7 +55,6 @@ from .solver import (
     load_plan,
     save_plan,
     save_potentials,
-    solve_entropic,
     solve_exact,
     solve_with_meet,
 )
@@ -157,10 +156,7 @@ def _resolve_seed(seed):
     return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
 
 
-def run_solve(
-    mu_path, nu_path, cost_spec, out_dir,
-    entropic=None, no_meet=False, snap_tol=None, seed=None,
-):
+def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None, seed=None):
     """Solve one instance from files; writes plan, potentials, certificate."""
     seed = _resolve_seed(seed)
     mu = load_measure(mu_path)
@@ -174,56 +170,33 @@ def run_solve(
         "mu": str(mu_path),
         "nu": str(nu_path),
         "cost": cost.to_dict(),
-        "entropic": entropic,
         "no_meet": bool(no_meet),
         "snap_tol": snap_tol,
         "seed": seed,
     }
-    if entropic is not None:
-        sol = solve_entropic(mu, nu, cost, float(entropic))
-        plan = sol.plan
-        obj = plan.transport_cost(cost)
-        metrics = {
-            "objective": obj,
-            "iterations": sol.iterations,
-            "converged": sol.converged,
-        }
-        passed = sol.converged
-        artifacts = []
-        csv_path, json_path = save_plan(plan, out / "plan", objective=obj)
-        artifacts += [csv_path.name, json_path.name]
-    else:
-        plan, pots, obj, cert, preprocessed = solve_with_meet(mu, nu, cost, no_meet)
-        csv_path, json_path = save_plan(
-            plan, out / "plan", objective=obj, gap=cert.gap
-        )
-        phi_path, psi_path = save_potentials(pots, out / "potentials")
-        cert_doc = {
-            "feasible_dual": cert.feasible_dual,
-            "slack_ok": cert.slack_ok,
-            "gap": cert.gap,
-            "max_feasibility_violation": cert.max_feasibility_violation,
-            "max_slack_residual": cert.max_slack_residual,
-            "tolerance": cert.tolerance,
-            "preprocessed_meet": preprocessed,
-        }
-        _write_json(out / "certificate.json", cert_doc)
-        metrics = {
-            "objective": obj,
-            "gap": cert.gap,
-            "dual_feasibility_violation": cert.max_feasibility_violation,
-            "slack_residual": cert.max_slack_residual,
-            "n_entries": plan.n_entries,
-            "preprocessed_meet": preprocessed,
-        }
-        passed = cert.ok and abs(cert.gap) <= GAP_PASS * (1.0 + abs(obj))
-        artifacts = [
-            csv_path.name,
-            json_path.name,
-            phi_path.name,
-            psi_path.name,
-            "certificate.json",
-        ]
+    plan, pots, obj, cert, preprocessed = solve_with_meet(mu, nu, cost, no_meet)
+    csv_path, json_path = save_plan(plan, out / "plan", objective=obj, gap=cert.gap)
+    phi_path, psi_path = save_potentials(pots, out / "potentials")
+    cert_doc = {
+        "feasible_dual": cert.feasible_dual,
+        "slack_ok": cert.slack_ok,
+        "gap": cert.gap,
+        "max_feasibility_violation": cert.max_feasibility_violation,
+        "max_slack_residual": cert.max_slack_residual,
+        "tolerance": cert.tolerance,
+        "preprocessed_meet": preprocessed,
+    }
+    _write_json(out / "certificate.json", cert_doc)
+    metrics = {
+        "objective": obj,
+        "gap": cert.gap,
+        "dual_feasibility_violation": cert.max_feasibility_violation,
+        "slack_residual": cert.max_slack_residual,
+        "n_entries": plan.n_entries,
+        "preprocessed_meet": preprocessed,
+    }
+    passed = cert.ok and abs(cert.gap) <= GAP_PASS * (1.0 + abs(obj))
+    artifacts = [csv_path.name, json_path.name, phi_path.name, psi_path.name, "certificate.json"]
     report = ExperimentReport(
         experiment="solve",
         parameters=params,
@@ -572,7 +545,6 @@ def _build_parser():
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.add_argument("--cost", required=True, help='cost JSON, e.g. {"kind":"power","alpha":0.5}')
-    p.add_argument("--entropic", type=float, default=None, metavar="EPS")
     p.add_argument("--no-meet", action="store_true")
     p.add_argument("--snap-tol", type=float, default=None,
                    help="merge nu-atoms onto mu-atoms closer than this before solving")
@@ -623,8 +595,7 @@ def main(argv=None):
         if args.command == "solve":
             report = run_solve(
                 args.mu, args.nu, args.cost, args.out,
-                entropic=args.entropic, no_meet=args.no_meet,
-                snap_tol=args.snap_tol, seed=args.seed,
+                no_meet=args.no_meet, snap_tol=args.snap_tol, seed=args.seed,
             )
         elif args.command == "decompose":
             report = run_decompose(args.plan, args.cost, args.out, tol=args.tol, seed=args.seed)

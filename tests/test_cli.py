@@ -61,13 +61,13 @@ class TestSolveCommand:
                      "--out", str(out)]) == 0
         assert read_report(out)["metrics"]["objective"] == pytest.approx(5.0**0.5)
 
-    def test_entropic_mode(self, tmp_path, measure_files):
-        mu_path, nu_path = measure_files
-        out = tmp_path / "out"
-        rc = main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
-                   "--cost", COST, "--entropic", "0.01", "--out", str(out)])
-        assert rc == 0
-        assert read_report(out)["metrics"]["converged"] is True
+    def test_overflowing_costs_exit_3(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("-1e308,0.0,0.5\n0.0,0.0,0.5\n")
+        b.write_text("1e308,0.0,1.0\n")
+        assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "non-finite cost matrix entries: 2 of 2x1" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path, measure_files):
         mu_path, _ = measure_files

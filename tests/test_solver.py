@@ -24,7 +24,6 @@ from concave_ot.solver import (
     load_plan,
     save_plan,
     save_potentials,
-    solve_entropic,
     solve_exact,
 )
 from support import (
@@ -472,11 +471,49 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_exact(DiscreteMeasure.empty(2), uniform_box(3, 2, seed=0), P05)
 
-    def test_size_guard_points_to_entropic(self):
+    def test_size_guard_states_the_cap(self):
         mu = uniform_box(8000, 2, seed=0)
         nu = uniform_box(8000, 2, seed=1)
-        with pytest.raises(SolverError, match="solve_entropic"):
+        with pytest.raises(SolverError, match="512,000,000 bytes") as err:
             solve_exact(mu, nu, P05)
+        assert "5e7 entries (400 MB)" in str(err.value)
+        assert "smaller or subsampled instance" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        class BadAt3(PowerCost):
+            """alpha = 0.5, but ``bad`` at distance 3."""
+
+            def value(self, t):
+                return np.where(np.asarray(t) == 3.0, bad, super().value(t))
+
+        mu = DiscreteMeasure([[0.0], [1.0], [2.0]], [1 / 3] * 3)
+        nu = DiscreteMeasure([[4.0], [5.0]], [0.5, 0.5])
+        # distance 3 occurs at (1, 0) and (2, 1)
+        with pytest.raises(SolverError, match=r"^non-finite cost matrix entries: 2 of 3x2,"
+                           rf" the first at \(i, j\) = \(1, 0\): {bad}$"):
+            solve_exact(mu, nu, BadAt3(0.5))
+
+    def test_overflowing_distance_rejected(self):
+        # finite coordinates whose distances overflow to inf (both do, as
+        # the distance squares the 1e308 coordinate differences)
+        mu = DiscreteMeasure([[-1e308, 0.0], [0.0, 0.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[1e308, 0.0]], [1.0])
+        with pytest.raises(SolverError, match=r"^non-finite cost matrix entries: 2 of 2x1,"
+                           r" the first at \(i, j\) = \(0, 0\): inf$"):
+            solve_exact(mu, nu, P05)
+
+    def test_default_pivot_budget_is_linear(self, monkeypatch):
+        budgets = []
+
+        def recording_loop(tree, pivot_budget):
+            budgets.append(pivot_budget)
+            return _pivot_loop(tree, pivot_budget)
+
+        monkeypatch.setattr(solver, "_compiled_pivot_loop", lambda: recording_loop)
+        mu, nu = random_instance(np.random.default_rng(7), 7, 9, 2)
+        _network_simplex(mu.weights, nu.weights, cost_matrix(mu, nu, P05))
+        assert budgets == [16_000]
 
     def test_pivot_budget_exhaustion(self):
         rng = np.random.default_rng(6)
@@ -495,48 +532,6 @@ class TestValidation:
         mu = DiscreteMeasure([[0.0]], [1.0])
         with pytest.raises(ValueError):
             TransportPlan(source=mu, target=mu, src_idx=[0], tgt_idx=[0], mass=[-0.1])
-
-
-class TestEntropic:
-    def test_identical_measures_small_cost(self):
-        mu = uniform_box(50, 2, seed=8)
-        res = solve_entropic(mu, mu, P05, epsilon=1e-4)
-        assert res.plan.transport_cost(P05) <= 1e-6
-
-    def test_delta_pair_unique_coupling(self):
-        mu = DiscreteMeasure([[0.0, 0.0]], [1.0])
-        nu = DiscreteMeasure([[1.0, 1.0]], [1.0])
-        res = solve_entropic(mu, nu, P05, epsilon=0.5)
-        assert res.plan.n_entries == 1 and res.plan.mass[0] == pytest.approx(1.0)
-
-    def test_close_to_exact_on_200_atoms(self):
-        mu = uniform_box(200, 2, seed=31)
-        nu = uniform_box(200, 2, seed=32)
-        _, _, exact = solve_exact(mu, nu, P05)
-        eps = 1e-3 * float(cost_matrix(mu, nu, P05).mean())
-        res = solve_entropic(mu, nu, P05, eps, max_iter=3000)
-        ent = res.plan.transport_cost(P05)
-        assert ent >= exact - 1e-9
-        assert (ent - exact) / exact <= 0.01
-
-    def test_rounded_marginals_exact(self):
-        rng = np.random.default_rng(9)
-        mu, nu = random_instance(rng, 30, 25, 2)
-        res = solve_entropic(mu, nu, P05, epsilon=0.01, max_iter=500)
-        np.testing.assert_allclose(res.plan.row_marginals(), mu.weights, atol=1e-12)
-        np.testing.assert_allclose(res.plan.col_marginals(), nu.weights, atol=1e-12)
-
-    def test_unconverged_flagged(self):
-        rng = np.random.default_rng(10)
-        mu, nu = random_instance(rng, 20, 20, 2)
-        res = solve_entropic(mu, nu, P05, epsilon=1e-6, max_iter=5)
-        assert not res.converged
-        res.plan.validate()  # rounded plan is still a coupling
-
-    def test_epsilon_positive(self):
-        mu = uniform_box(5, 2, seed=0)
-        with pytest.raises(ValueError):
-            solve_entropic(mu, mu, P05, epsilon=0.0)
 
 
 class TestExport:
