@@ -35,6 +35,12 @@ __all__ = [
     "isotropy_audit",
 ]
 
+# Nearest atoms that settle each sampled apex before any exact rescan.
+_NEIGHBOURS = 64
+# Apices per batch of that first pass; bounds its (apex, neighbour,
+# direction) temporaries to about a megabyte whatever the sample size.
+_APEX_BATCH = 64
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -125,10 +131,14 @@ def direction_grid(dim, count):
 
 def resolution_scale(measure):
     """Median nearest-neighbor distance of the support."""
-    if len(measure) < 2:
+    return _resolution(cKDTree(measure.points))
+
+
+def _resolution(tree):
+    """``resolution_scale`` of the tree's points, reusing the tree."""
+    if tree.n < 2:
         return math.inf
-    tree = cKDTree(measure.points)
-    d, _ = tree.query(measure.points, k=2)
+    d, _ = tree.query(tree.data, k=2)
     return float(np.median(d[:, 1]))
 
 
@@ -187,15 +197,33 @@ def isotropy_audit(
     direction.  Failing mass is reported relative to the sampled mass;
     per-atom failure counts and the distance to the support's bounding
     box are included so boundary effects can be filtered downstream.
+
+    Each apex is first settled from its 64 nearest atoms (one k-d
+    tree query for the whole sample): per opening, the nearest
+    in-cone distance of each direction answers every radius at once.
+    The verdicts are those of a scan over all atoms, because an apex is
+    rescanned over every atom within the largest radius whenever the
+    neighbours leave a cone empty yet do not reach past that radius.
     """
-    res = resolution_scale(measure)
-    if epsilons is None:
-        epsilons = tuple(m * res for m in (10.0, 30.0, 100.0))
-    epsilons = tuple(float(e) for e in epsilons)
+    if point_sample < 1:
+        raise ValueError(f"point_sample must be at least 1, got {point_sample}")
     deltas = tuple(float(d) for d in deltas)
+    if not deltas:
+        raise ValueError("deltas must not be empty")
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {d}")
+    pts = measure.points
+    tree = cKDTree(pts)
+    res = _resolution(tree)
+    if epsilons is None:
+        epsilons = tuple(m * res for m in (10.0, 30.0, 100.0))
+    epsilons = tuple(float(e) for e in epsilons)
+    if not epsilons:
+        raise ValueError("epsilons must not be empty")
+    for e in epsilons:
+        if not e > 0.0:
+            raise ValueError(f"epsilons must be positive (inf allowed), got {e}")
     res_warning = any(e < res for e in epsilons) or len(measure) < 2
     if res_warning:
         warnings.warn(
@@ -213,31 +241,58 @@ def isotropy_audit(
             rng.choice(n, size=point_sample, replace=False, p=measure.weights)
         )
     U = direction_grid(measure.dim, directions)
-
-    pts = measure.points
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    fail_counts = np.zeros(len(sample), dtype=int)
-    atom_failed = np.zeros(len(sample), dtype=bool)
-    dist_boundary = np.zeros(len(sample))
-    worst = None
     eps_arr = np.asarray(epsilons)
-    for t, i in enumerate(sample):
-        x = pts[i]
-        dist_boundary[t] = float(np.minimum(x - lo, hi - x).min())
-        w = pts - x
-        r = np.linalg.norm(w, axis=1)
-        others = r > 0.0
-        dots = w @ U.T  # (n, directions)
-        for dl in deltas:
-            dir_ok = dots >= (1.0 - dl) * r[:, None]
-            for ep in eps_arr:
-                hit = (dir_ok & others[:, None] & (r <= ep)[:, None]).any(axis=0)
-                misses = np.flatnonzero(~hit)
-                if misses.size:
-                    fail_counts[t] += misses.size
-                    atom_failed[t] = True
-                    if worst is None:
-                        worst = (x.copy(), U[misses[0]].copy(), dl, float(ep))
+    X = pts[sample]
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    dist_boundary = np.minimum(X - lo, hi - X).min(axis=1)
+
+    def cone_hits(x, rows):
+        """hits[..., delta, eps, direction] of apices x over atoms rows.
+
+        The nearest other atom in each cone, with the scan's own
+        expressions for w, r and the dot products, decides every
+        radius: the cell is hit iff that distance is <= eps.
+        """
+        w = pts[rows] - x
+        r = np.linalg.norm(w, axis=-1)
+        dots = w @ U.T
+        r_other = np.where(r > 0.0, r, np.nan)[..., None]
+        nearest = np.stack(
+            [
+                np.fmin.reduce(
+                    np.where(dots >= (1.0 - dl) * r[..., None], r_other, np.nan),
+                    axis=-2,
+                )
+                for dl in deltas
+            ],
+            axis=-2,
+        )
+        return nearest[..., None, :] <= eps_arr[:, None]
+
+    k = min(_NEIGHBOURS, n)
+    dk, near = (a.reshape(len(X), k) for a in tree.query(X, k=k))
+    hits = np.concatenate(
+        [
+            cone_hits(X[s : s + _APEX_BATCH, None, :], near[s : s + _APEX_BATCH])
+            for s in range(0, len(X), _APEX_BATCH)
+        ]
+    )
+    # Atoms beyond the k nearest lie at tree distance >= the k-th one; the
+    # margin covers rounding between the tree's distances and r.
+    reach = eps_arr.max() * (1.0 + 1e-9)
+    if k < n:
+        open_cone = ~hits.all(axis=(1, 2, 3))
+        for t in np.flatnonzero(open_cone & (dk[:, -1] <= reach)):
+            hits[t] = cone_hits(X[t], tree.query_ball_point(X[t], reach))
+
+    misses = ~hits
+    fail_counts = misses.sum(axis=(1, 2, 3))
+    atom_failed = fail_counts > 0
+    worst = None
+    if atom_failed.any():
+        t = int(np.argmax(atom_failed))
+        l, e, j = np.argwhere(misses[t])[0]
+        worst = (X[t].copy(), U[j].copy(), deltas[l], float(eps_arr[e]))
     sampled_mass = measure.weights[sample].sum()
     failing_mass = measure.weights[sample[atom_failed]].sum()
     return IsotropyReport(

@@ -5,15 +5,18 @@ permutation oracle enumerates assignment matrices, and the basis oracle
 enumerates spanning trees of the bipartite graph and prices every
 feasible basic solution.  Both are only usable at toy sizes, which is
 the point.  The LP oracle hands the same linear program to scipy's
-HiGHS, independent code that scales to a few hundred atoms.
+HiGHS, independent code that scales to a few hundred atoms.  The
+isotropy reference scans every atom for every cone.
 """
 
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linprog
 
 from concave_ot.costs import cost_matrix
+from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure
 
 
@@ -164,3 +167,84 @@ def linprog_oracle(mu, nu, cost):
     )
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def isotropy_audit_reference(
+    measure,
+    directions=16,
+    deltas=(0.2, 0.5, 0.8),
+    epsilons=None,
+    point_sample=500,
+    seed=0,
+):
+    """The isotropy audit as one brute-force loop over every atom.
+
+    For each sampled apex this sweeps all n atoms once per (delta,
+    epsilon) pair; ``geometry.isotropy_audit`` must return the same
+    report from its nearest-neighbour pass.  Slow; keep n small.
+    """
+    res = resolution_scale(measure)
+    if epsilons is None:
+        epsilons = tuple(m * res for m in (10.0, 30.0, 100.0))
+    epsilons = tuple(float(e) for e in epsilons)
+    deltas = tuple(float(d) for d in deltas)
+    for d in deltas:
+        if not 0.0 < d < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {d}")
+    res_warning = any(e < res for e in epsilons) or len(measure) < 2
+    if res_warning:
+        warnings.warn(
+            "isotropy audit has epsilons below the resolution scale "
+            f"({res:.3g}); cone positivity is not meaningful there",
+            stacklevel=2,
+        )
+
+    n = len(measure)
+    rng = np.random.default_rng(seed)
+    if point_sample >= n:
+        sample = np.arange(n)
+    else:
+        sample = np.sort(
+            rng.choice(n, size=point_sample, replace=False, p=measure.weights)
+        )
+    U = direction_grid(measure.dim, directions)
+
+    pts = measure.points
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    fail_counts = np.zeros(len(sample), dtype=int)
+    atom_failed = np.zeros(len(sample), dtype=bool)
+    dist_boundary = np.zeros(len(sample))
+    worst = None
+    eps_arr = np.asarray(epsilons)
+    for t, i in enumerate(sample):
+        x = pts[i]
+        dist_boundary[t] = float(np.minimum(x - lo, hi - x).min())
+        w = pts - x
+        r = np.linalg.norm(w, axis=1)
+        others = r > 0.0
+        dots = w @ U.T  # (n, directions)
+        for dl in deltas:
+            dir_ok = dots >= (1.0 - dl) * r[:, None]
+            for ep in eps_arr:
+                hit = (dir_ok & others[:, None] & (r <= ep)[:, None]).any(axis=0)
+                misses = np.flatnonzero(~hit)
+                if misses.size:
+                    fail_counts[t] += misses.size
+                    atom_failed[t] = True
+                    if worst is None:
+                        worst = (x.copy(), U[misses[0]].copy(), dl, float(ep))
+    sampled_mass = measure.weights[sample].sum()
+    failing_mass = measure.weights[sample[atom_failed]].sum()
+    return IsotropyReport(
+        failing_mass_fraction=float(failing_mass / sampled_mass) if sampled_mass else 1.0,
+        worst_witness=worst,
+        sampled_atoms=sample,
+        atom_failed=atom_failed,
+        fail_counts=fail_counts,
+        distance_to_boundary=dist_boundary,
+        resolution=res,
+        deltas=deltas,
+        epsilons=epsilons,
+        n_directions=len(U),
+        resolution_warning=bool(res_warning),
+    )

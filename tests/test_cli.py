@@ -254,6 +254,12 @@ class TestIsotropyCommand:
         assert rc == 1
         assert "degenerate" in read_report(out)["metrics"]["reason"]
 
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_point_sample_below_one_exit_2(self, tmp_path, capsys, sample):
+        assert main(["isotropy", "--generator", "uniform_box:n=300,dim=2",
+                     "--point-sample", sample, "--out", str(tmp_path / "o")]) == 2
+        assert f"point_sample must be at least 1, got {sample}" in capsys.readouterr().err
+
     def test_unknown_generator_exit_2(self, tmp_path):
         assert main(["isotropy", "--generator", "gauss:n=10",
                      "--out", str(tmp_path / "o")]) == 2

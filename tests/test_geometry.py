@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import isotropy_audit_reference
 
 from concave_ot.geometry import (
     Cone,
@@ -207,3 +209,111 @@ class TestIsotropyAudit:
         box = uniform_box(200, 2, seed=14)
         rep = isotropy_audit(box, point_sample=50, seed=0)
         json.dumps(rep.to_dict())
+
+    def test_point_sample_below_one(self):
+        box = uniform_box(50, 2, seed=13)
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="point_sample"):
+                isotropy_audit(box, point_sample=bad)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"epsilons": ()}, "epsilons"),
+        ({"epsilons": (math.nan,)}, "epsilons"),
+        ({"epsilons": (0.1, 0.0)}, "epsilons"),
+        ({"epsilons": (-1.0,)}, "epsilons"),
+        ({"deltas": ()}, "deltas"),
+        ({"deltas": (math.nan,)}, "delta"),
+    ])
+    def test_bad_radii_and_openings(self, kwargs, match):
+        box = uniform_box(50, 2, seed=13)
+        with pytest.raises(ValueError, match=match):
+            isotropy_audit(box, point_sample=10, **kwargs)
+
+    def test_infinite_radius_allowed(self):
+        box = uniform_box(100, 2, seed=15)
+        rep = isotropy_audit(box, epsilons=(math.inf,), point_sample=20, seed=0)
+        assert rep.epsilons == (math.inf,)
+        assert not rep.resolution_warning
+
+
+# Lattice distances and openings: with unit spacing, atoms sit exactly on
+# these spheres, and on (or within rounding of) these cone boundaries.
+_LATTICE_RADII = (1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0, math.inf)
+_LATTICE_OPENINGS = (
+    0.2,
+    0.5,
+    1.0 - 1.0 / math.sqrt(2.0),
+    1.0 - 2.0 / math.sqrt(5.0),
+    1.0 - 1.0 / math.sqrt(5.0),
+)
+
+
+@st.composite
+def _audit_cases(draw):
+    """A measure and audit arguments: lattices with exact ties, flat
+    (hyperplane) samples that leave cones empty, and plain clouds, with n
+    on both sides of the 64 neighbours the audit starts from."""
+    dim = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["lattice", "flat", "cloud"]))
+    n = draw(st.integers(2, 160))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cloud":
+        pts = rng.uniform(0.0, 1.0, size=(n, dim))
+        radii = (0.05, 0.2, 0.5, math.inf)
+    else:
+        side = draw(st.integers(2, max(2, math.ceil(2 * n ** (1.0 / dim)))))
+        pts = rng.integers(0, side, size=(n, dim)).astype(float)
+        radii = _LATTICE_RADII
+    if kind == "flat" and dim >= 2:
+        pts[:, -1] = 0.0
+    w = rng.uniform(0.5, 1.5, n)
+    measure = DiscreteMeasure(pts, w / w.sum())
+    epsilons = draw(st.none() | st.lists(st.sampled_from(radii), min_size=1, max_size=3))
+    deltas = draw(st.lists(st.sampled_from(_LATTICE_OPENINGS), min_size=1, max_size=3))
+    kwargs = dict(
+        directions=draw(st.sampled_from([2, 4, 8, 16])),
+        deltas=tuple(deltas),
+        epsilons=None if epsilons is None else tuple(epsilons),
+        point_sample=draw(st.integers(1, len(measure) + 10)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return measure, kwargs
+
+
+class TestIsotropyAgainstReference:
+    """The nearest-neighbour audit returns the brute-force loop's report."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_audit_cases())
+    def test_same_report(self, case):
+        measure, kwargs = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = isotropy_audit(measure, **kwargs)
+            want = isotropy_audit_reference(measure, **kwargs)
+        np.testing.assert_array_equal(got.fail_counts, want.fail_counts)
+        np.testing.assert_array_equal(got.atom_failed, want.atom_failed)
+        np.testing.assert_array_equal(got.distance_to_boundary, want.distance_to_boundary)
+        assert got.failing_mass_fraction == want.failing_mass_fraction
+        assert got.to_dict() == want.to_dict()  # worst_witness and every other key
+
+    def test_far_atom_fills_cones_the_neighbours_leave_empty(self):
+        # 100 clustered atoms, so the 64 nearest never reach the far atom;
+        # it alone fills the +x cones of the cluster's right edge at eps = 2
+        g = np.arange(10) * 0.01
+        pts = np.vstack([np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), [[1.5, 0.045]]])
+        m = DiscreteMeasure(pts, np.full(101, 1.0 / 101))
+        kwargs = dict(epsilons=(0.05, 2.0), point_sample=101, seed=0)
+        got = isotropy_audit(m, **kwargs)
+        assert got.to_dict() == isotropy_audit_reference(m, **kwargs).to_dict()
+        cluster = DiscreteMeasure(pts[:100], np.full(100, 0.01))
+        without = isotropy_audit(cluster, epsilons=(0.05, 2.0), point_sample=100, seed=0)
+        edge = np.flatnonzero(cluster.points[:, 0] == g[-1])
+        assert len(edge) == 10
+        assert (got.fail_counts[edge] < without.fail_counts[edge]).all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hyperplane_sample(self, dim):
+        hp = hyperplane_sample(400, dim, seed=dim)
+        got = isotropy_audit(hp, point_sample=60, seed=1)
+        assert got.to_dict() == isotropy_audit_reference(hp, point_sample=60, seed=1).to_dict()
