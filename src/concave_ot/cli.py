@@ -35,10 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .costs import PowerCost, cost_from_json
-from .geometry import isotropy_audit, resolution_scale
+from .geometry import _check_point_sample, isotropy_audit, resolution_scale
 from .measures import (
     DiscreteMeasure,
     MeasureFormatError,
+    _jsonable,
     hyperplane_sample,
     load_measure,
     match_atoms,
@@ -51,7 +52,6 @@ from .measures import (
 from .solver import (
     SolverError,
     TransportPlan,
-    _measure_dict,
     load_plan,
     save_plan,
     save_potentials,
@@ -110,25 +110,9 @@ class ExperimentReport:
     passed: bool = False
 
     def to_dict(self):
-        return {
-            "experiment": self.experiment,
-            "parameters": _jsonable(self.parameters),
-            "metrics": _jsonable(self.metrics),
-            "artifacts": list(self.artifacts),
-            "pass": bool(self.passed),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+        doc = _jsonable(self)
+        doc["pass"] = doc.pop("passed")
+        return doc
 
 
 def _write_json(path, doc):
@@ -164,8 +148,6 @@ def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None
     cost = cost_from_json(cost_spec)
     if snap_tol:
         nu = snap(mu, nu, snap_tol)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = {
         "mu": str(mu_path),
         "nu": str(nu_path),
@@ -175,18 +157,11 @@ def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None
         "seed": seed,
     }
     plan, pots, obj, cert, preprocessed = solve_with_meet(mu, nu, cost, no_meet)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = save_plan(plan, out / "plan", objective=obj, gap=cert.gap)
     phi_path, psi_path = save_potentials(pots, out / "potentials")
-    cert_doc = {
-        "feasible_dual": cert.feasible_dual,
-        "slack_ok": cert.slack_ok,
-        "gap": cert.gap,
-        "max_feasibility_violation": cert.max_feasibility_violation,
-        "max_slack_residual": cert.max_slack_residual,
-        "tolerance": cert.tolerance,
-        "preprocessed_meet": preprocessed,
-    }
-    _write_json(out / "certificate.json", cert_doc)
+    _write_json(out / "certificate.json", {**_jsonable(cert), "preprocessed_meet": preprocessed})
     metrics = {
         "objective": obj,
         "gap": cert.gap,
@@ -213,25 +188,25 @@ def run_decompose(plan_path, cost_spec, out_dir, tol=1e-9, seed=None):
     cost = cost_from_json(cost_spec)
     plan, header = load_plan(plan_path)
     plan.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dec = decompose(plan)
     rest = verify_stay_at_rest(plan.source, plan.target, plan, tol=tol)
     ccm = verify_ccm(plan, cost, max_cycle_len=3, tol=tol, seed=seed)
     extract = extract_map(dec, mass_tol=tol)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "decomposition.json",
         {
             "diagonal_mass": dec.diagonal_mass,
             "off_diagonal_mass": dec.off_diagonal_mass,
-            "diag_source_marginal": _measure_dict(dec.diag_source_marginal),
-            "off_source_marginal": _measure_dict(dec.off_source_marginal),
-            "off_target_marginal": _measure_dict(dec.off_target_marginal),
+            "diag_source_marginal": dec.diag_source_marginal,
+            "off_source_marginal": dec.off_source_marginal,
+            "off_target_marginal": dec.off_target_marginal,
         },
     )
-    _write_json(out / "stay_at_rest.json", rest.to_dict())
-    _write_json(out / "ccm.json", ccm.to_dict())
-    _write_json(out / "map.json", extract.to_dict())
+    _write_json(out / "stay_at_rest.json", rest)
+    _write_json(out / "ccm.json", ccm)
+    _write_json(out / "map.json", extract)
     passed = rest.ok and ccm.ok
     report = ExperimentReport(
         experiment="decompose",
@@ -291,8 +266,6 @@ def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
     if any(n < 1 for n in n_values):
         raise ValueError("all n must be >= 1")
     cost = PowerCost(alpha)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cases = [(n, alpha) for n in n_values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -310,6 +283,8 @@ def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
         ok_env &= f1 - 1e-12 <= obj <= upper + 1e-12
         objs.append(obj)
     monotone = all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "objective_vs_n.csv").write_text("\n".join(lines) + "\n")
     passed = ok_env and monotone and abs(lim_cost - f1) <= 1e-12
     report = ExperimentReport(
@@ -406,6 +381,7 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
     seed = _resolve_seed(seed)
     if (measure_path is None) == (generator is None):
         raise ValueError("need exactly one of measure_path or generator")
+    _check_point_sample(point_sample)
     gen_name = None
     if generator is not None:
         gen_name, kwargs = _parse_generator(generator)
@@ -415,8 +391,6 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
     else:
         measure = load_measure(measure_path)
         source = str(measure_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if len(measure) < 2:
         report = ExperimentReport(
             experiment="isotropy",
@@ -424,7 +398,7 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
             metrics={"reason": "degenerate measure: fewer than 2 atoms"},
             passed=False,
         )
-        return _finish(report, out)
+        return _finish(report, out_dir)
     audit = isotropy_audit(measure, point_sample=point_sample, seed=seed)
     interior = audit.distance_to_boundary >= min(audit.epsilons)
     w = measure.weights[audit.sampled_atoms]
@@ -434,6 +408,8 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
         if interior_mass > 0
         else 0.0
     )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", audit.to_dict())
     lines = ["atom,weight,fail_count,distance_to_boundary"]
     for t, i in enumerate(audit.sampled_atoms):
@@ -472,8 +448,6 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dec = meet(mu, nu)
     warned_overlap = len(dec.common) > 0
     if warned_overlap:
@@ -501,6 +475,8 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
         lines.append(
             f"{i},{float(pe)!r},{float(dc)!r},{float(recon.fit_residual[i])!r}"
         )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "reconstruction.csv").write_text("\n".join(lines) + "\n")
     passed = err.size > 0 and median_err <= 3.0 * res_nu and split <= 1e-9
     report = ExperimentReport(

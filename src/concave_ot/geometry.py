@@ -24,6 +24,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.stats import norm, qmc
 
+from .measures import _jsonable
+
 __all__ = [
     "Cone",
     "IsotropyReport",
@@ -157,28 +159,16 @@ class IsotropyReport:
     resolution_warning: bool
 
     def to_dict(self):
-        witness = None
+        doc = _jsonable(self)
         if self.worst_witness is not None:
-            x, u, dl, ep = self.worst_witness
-            witness = {
-                "apex": [float(v) for v in x],
-                "direction": [float(v) for v in u],
-                "delta": float(dl),
-                "eps": float(ep),
-            }
-        return {
-            "failing_mass_fraction": self.failing_mass_fraction,
-            "worst_witness": witness,
-            "sampled_atoms": self.sampled_atoms.tolist(),
-            "atom_failed": self.atom_failed.tolist(),
-            "fail_counts": self.fail_counts.tolist(),
-            "distance_to_boundary": self.distance_to_boundary.tolist(),
-            "resolution": self.resolution,
-            "deltas": list(self.deltas),
-            "epsilons": list(self.epsilons),
-            "n_directions": self.n_directions,
-            "resolution_warning": self.resolution_warning,
-        }
+            keys = ("apex", "direction", "delta", "eps")
+            doc["worst_witness"] = dict(zip(keys, doc["worst_witness"]))
+        return doc
+
+
+def _check_point_sample(point_sample):
+    if point_sample < 1:
+        raise ValueError(f"point_sample must be at least 1, got {point_sample}")
 
 
 def isotropy_audit(
@@ -205,8 +195,7 @@ def isotropy_audit(
     rescanned over every atom within the largest radius whenever the
     neighbours leave a cone empty yet do not reach past that radius.
     """
-    if point_sample < 1:
-        raise ValueError(f"point_sample must be at least 1, got {point_sample}")
+    _check_point_sample(point_sample)
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ValueError("deltas must not be empty")

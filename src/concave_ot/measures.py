@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -363,3 +363,48 @@ def load_measure(path, require_probability=True):
     if require_probability:
         measure.require_probability()
     return measure
+
+
+_PLAIN = (str, int, float, bool, type(None))
+
+
+def _jsonable(obj):
+    """The JSON form of a result: the one encoder for every report.
+
+    A report's JSON is its dataclass fields, each encoded in turn: a
+    dataclass instance becomes a dict of its fields, a
+    :class:`DiscreteMeasure` ``{"dim", "points", "weights"}`` (read back
+    by :func:`_measure_from_dict`), arrays and tuples lists, and numpy
+    scalars Python numbers.  Plain values are tested first: they are
+    most of what a report holds.
+    """
+    if type(obj) in _PLAIN:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, DiscreteMeasure):
+        return {"dim": obj.dim, "points": obj.points.tolist(), "weights": obj.weights.tolist()}
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
+
+
+def _measure_from_dict(doc, where):
+    """Inverse of the :class:`DiscreteMeasure` branch of :func:`_jsonable`;
+    ``where`` names the document in errors."""
+    try:
+        return DiscreteMeasure(
+            np.asarray(doc["points"], dtype=float),
+            np.asarray(doc["weights"], dtype=float),
+            dim=int(doc["dim"]),
+        )
+    except KeyError as exc:
+        raise MeasureFormatError(f"{where}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MeasureFormatError(f"{where}: {exc}") from exc

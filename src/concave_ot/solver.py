@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import cost_matrix
-from .measures import DiscreteMeasure, _meet_weights
+from .measures import DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights
 
 __all__ = [
     "TransportPlan",
@@ -808,8 +808,8 @@ def save_plan(plan, basepath, objective=None, gap=None):
         "entries_csv": csv_path.name,
         "objective": objective,
         "gap": gap,
-        "mu": _measure_dict(plan.source),
-        "nu": _measure_dict(plan.target),
+        "mu": _jsonable(plan.source),
+        "nu": _jsonable(plan.target),
     }
     with open(json_path, "w") as fh:
         json.dump(header, fh)
@@ -821,10 +821,13 @@ def load_plan(json_path):
     json_path = Path(json_path)
     with open(json_path) as fh:
         header = json.load(fh)
-    if header.get("format") != "transport-plan":
+    if not isinstance(header, dict) or header.get("format") != "transport-plan":
         raise ValueError(f"{json_path}: not a transport-plan header")
-    mu = _measure_from_dict(header["mu"])
-    nu = _measure_from_dict(header["nu"])
+    for key in ("mu", "nu", "entries_csv"):
+        if key not in header:
+            raise ValueError(f"{json_path}: missing key {key!r}")
+    mu = _measure_from_dict(header["mu"], f"{json_path}: mu")
+    nu = _measure_from_dict(header["nu"], f"{json_path}: nu")
     csv_path = json_path.parent / header["entries_csv"]
     ii, jj, ww = [], [], []
     with open(csv_path, newline="") as fh:
@@ -859,18 +862,3 @@ def save_potentials(potentials, basepath):
         paths.append(path)
     return tuple(paths)
 
-
-def _measure_dict(measure):
-    return {
-        "dim": measure.dim,
-        "points": [[float(v) for v in row] for row in measure.points],
-        "weights": [float(w) for w in measure.weights],
-    }
-
-
-def _measure_from_dict(doc):
-    return DiscreteMeasure(
-        np.asarray(doc["points"], dtype=float),
-        np.asarray(doc["weights"], dtype=float),
-        dim=int(doc["dim"]),
-    )

@@ -26,7 +26,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .costs import DerivativeGap, OutOfRange
-from .measures import DiscreteMeasure, meet
+from .measures import DiscreteMeasure, _jsonable, meet
 from .solver import TransportPlan
 
 __all__ = [
@@ -122,14 +122,7 @@ class StayAtRestReport:
         return self.diag_matches_meet and self.off_marginals_singular
 
     def to_dict(self):
-        return {
-            "diag_matches_meet": self.diag_matches_meet,
-            "off_marginals_singular": self.off_marginals_singular,
-            "diag_mass": self.diag_mass,
-            "meet_mass": self.meet_mass,
-            "max_diag_deviation": self.max_diag_deviation,
-            "max_shared_off_mass": self.max_shared_off_mass,
-        }
+        return _jsonable(self)
 
 
 def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
@@ -173,13 +166,7 @@ class CcmReport:
         return self.violating_cycle is None
 
     def to_dict(self):
-        return {
-            "cycles_checked": self.cycles_checked,
-            "worst_violation": self.worst_violation,
-            "violating_cycle": None
-            if self.violating_cycle is None
-            else [list(map(int, part)) for part in self.violating_cycle],
-        }
+        return _jsonable(self)
 
 
 def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
@@ -301,23 +288,8 @@ class MapExtract:
     splits: list
     split_fraction: float
 
-    def target_of(self):
-        return dict(zip(self.assigned_sources.tolist(), self.assigned_targets.tolist()))
-
     def to_dict(self):
-        return {
-            "assigned_sources": self.assigned_sources.tolist(),
-            "assigned_targets": self.assigned_targets.tolist(),
-            "splits": [
-                {
-                    "source": int(s.source),
-                    "targets": s.targets.tolist(),
-                    "masses": s.masses.tolist(),
-                }
-                for s in self.splits
-            ],
-            "split_fraction": self.split_fraction,
-        }
+        return _jsonable(self)
 
 
 def extract_map(decomp, mass_tol=1e-9):

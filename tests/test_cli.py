@@ -183,6 +183,17 @@ class TestDecomposeCommand:
         assert main(["decompose", "--plan", str(tmp_path / "nope.json"),
                      "--cost", COST, "--out", str(tmp_path / "o")]) == 2
 
+    def test_plan_header_without_measure_exit_2(self, tmp_path, capsys):
+        _, json_path = save_plan(limit_plan_pair(1), tmp_path / "plan")
+        header = json.loads(json_path.read_text())
+        del header["mu"]
+        json_path.write_text(json.dumps(header))
+        out = tmp_path / "o"
+        assert main(["decompose", "--plan", str(json_path), "--cost", COST,
+                     "--out", str(out)]) == 2
+        assert "missing key 'mu'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCounterexampleCommand:
     def test_envelope_and_monotonicity(self, tmp_path):
@@ -256,9 +267,14 @@ class TestIsotropyCommand:
 
     @pytest.mark.parametrize("sample", ["0", "-3"])
     def test_point_sample_below_one_exit_2(self, tmp_path, capsys, sample):
-        assert main(["isotropy", "--generator", "uniform_box:n=300,dim=2",
-                     "--point-sample", sample, "--out", str(tmp_path / "o")]) == 2
-        assert f"point_sample must be at least 1, got {sample}" in capsys.readouterr().err
+        one = tmp_path / "one.csv"
+        save_measure(DiscreteMeasure([[0.0, 0.0]], [1.0]), one)
+        out = tmp_path / "o"
+        for source in (["--generator", "uniform_box:n=300,dim=2"], ["--measure", str(one)]):
+            assert main(["isotropy", *source, "--point-sample", sample,
+                         "--out", str(out)]) == 2
+            assert f"point_sample must be at least 1, got {sample}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_generator_exit_2(self, tmp_path):
         assert main(["isotropy", "--generator", "gauss:n=10",
@@ -305,8 +321,12 @@ class TestReconstructCommand:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_measure(DiscreteMeasure([[0.0, 0.0]], [1.0]), a)
         save_measure(DiscreteMeasure([[5.0, 5.0]], [1.0]), b)
-        assert main(["reconstruct", "--mu", str(a), "--nu", str(b),
-                     "--cost", COST, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        # a one-atom pair, and a pair that coincides
+        for mu, nu in ((a, b), (a, a)):
+            assert main(["reconstruct", "--mu", str(mu), "--nu", str(nu),
+                         "--cost", COST, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestDeterminism:
@@ -355,3 +375,77 @@ class TestSnapFlag:
         assert m1["preprocessed_meet"] is False   # no exact overlap
         assert m2["preprocessed_meet"] is True    # snapping created one
         assert m2["objective"] < m1["objective"]
+
+
+def key_paths(doc, prefix=""):
+    """Dotted path of every key in a JSON document; list items share ``[]``."""
+    paths = set()
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            paths |= {prefix + k} | key_paths(v, f"{prefix}{k}.")
+    elif isinstance(doc, list):
+        for v in doc:
+            paths |= key_paths(v, f"{prefix}[].")
+    return paths
+
+
+def measure_keys(name):
+    return {name, f"{name}.dim", f"{name}.points", f"{name}.weights"}
+
+
+class TestArtifactFormats:
+    def test_keys_of_every_artifact(self, tmp_path, measure_files):
+        mu_path, nu_path = measure_files
+        solve_out, split_out, iso_out = tmp_path / "s", tmp_path / "d", tmp_path / "i"
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(solve_out)]) == 0
+        # half of every source atom goes to each of two targets: map.json has splits
+        _, plan_path = save_plan(limit_plan_pair(2), tmp_path / "split")
+        assert main(["decompose", "--plan", str(plan_path), "--cost", COST,
+                     "--out", str(split_out)]) == 0
+        # a flat sample fails its normal cones: audit.json has a witness
+        assert main(["isotropy", "--generator", "hyperplane:n=300,dim=2",
+                     "--point-sample", "20", "--out", str(iso_out)]) == 0
+
+        def keys(path):
+            return key_paths(json.loads(path.read_text()))
+
+        assert keys(solve_out / "report.json") == {
+            "experiment", "parameters", "metrics", "artifacts", "pass", "timestamp",
+        } | {f"parameters.{k}" for k in ("mu", "nu", "cost", "no_meet", "snap_tol", "seed")} | {
+            "parameters.cost.kind", "parameters.cost.alpha",
+        } | {f"metrics.{k}" for k in ("objective", "gap", "dual_feasibility_violation",
+                                      "slack_residual", "n_entries", "preprocessed_meet")}
+        assert keys(solve_out / "certificate.json") == {
+            "feasible_dual", "slack_ok", "gap", "max_feasibility_violation",
+            "max_slack_residual", "tolerance", "preprocessed_meet",
+        }
+        for plan_json in (solve_out / "plan.json", plan_path):
+            assert keys(plan_json) == {
+                "format", "entries_csv", "objective", "gap",
+            } | measure_keys("mu") | measure_keys("nu")
+        assert keys(split_out / "decomposition.json") == {
+            "diagonal_mass", "off_diagonal_mass",
+        } | measure_keys("diag_source_marginal") | measure_keys(
+            "off_source_marginal") | measure_keys("off_target_marginal")
+        assert keys(split_out / "stay_at_rest.json") == {
+            "diag_matches_meet", "off_marginals_singular", "diag_mass", "meet_mass",
+            "max_diag_deviation", "max_shared_off_mass",
+        }
+        assert keys(split_out / "ccm.json") == {
+            "cycles_checked", "worst_violation", "violating_cycle",
+        }
+        split_map = json.loads((split_out / "map.json").read_text())
+        assert len(split_map["splits"]) == 4
+        assert key_paths(split_map) == {
+            "assigned_sources", "assigned_targets", "split_fraction", "splits",
+            "splits.[].source", "splits.[].targets", "splits.[].masses",
+        }
+        audit = json.loads((iso_out / "audit.json").read_text())
+        assert audit["worst_witness"] is not None
+        assert key_paths(audit) == {
+            "failing_mass_fraction", "sampled_atoms", "atom_failed", "fail_counts",
+            "distance_to_boundary", "resolution", "deltas", "epsilons", "n_directions",
+            "resolution_warning", "worst_witness", "worst_witness.apex",
+            "worst_witness.direction", "worst_witness.delta", "worst_witness.eps",
+        }

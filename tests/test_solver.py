@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 
@@ -558,4 +559,28 @@ class TestExport:
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError):
+            load_plan(path)
+
+    @pytest.mark.parametrize(
+        "path", [("mu",), ("nu",), ("entries_csv",), ("nu", "points")],
+        ids=["mu", "nu", "entries_csv", "nu.points"],
+    )
+    def test_load_plan_names_missing_key(self, tmp_path, path):
+        mu, nu = random_instance(np.random.default_rng(3), 4, 3, 2)
+        plan, _, _ = solve_exact(mu, nu, P05)
+        _, json_path = save_plan(plan, tmp_path / "plan")
+        header = json.loads(json_path.read_text())
+        doc = header
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+        json_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=f"missing key '{path[-1]}'") as info:
+            load_plan(json_path)
+        assert str(json_path) in str(info.value)
+
+    def test_load_plan_rejects_a_json_list(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a transport-plan header"):
             load_plan(path)
