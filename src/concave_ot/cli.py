@@ -40,6 +40,7 @@ from .measures import (
     DiscreteMeasure,
     MeasureFormatError,
     _jsonable,
+    _write_table,
     hyperplane_sample,
     load_measure,
     match_atoms,
@@ -274,18 +275,17 @@ def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
         rows = [_counterexample_case(c) for c in cases]
     f1 = float(cost.value(1.0))
     lim_cost = float(limit_plan_pair(max(n_values)).transport_cost(cost))
-    lines = ["n,objective,lower,upper,split_fraction"]
-    ok_env = True
-    objs = []
-    for n, obj, split in rows:
-        upper = float(cost.value(1.0 + 1.0 / n))
-        lines.append(f"{n},{obj!r},{f1!r},{upper!r},{split!r}")
-        ok_env &= f1 - 1e-12 <= obj <= upper + 1e-12
-        objs.append(obj)
+    ns, objs, splits = zip(*rows)
+    uppers = [float(cost.value(1.0 + 1.0 / n)) for n in ns]
+    ok_env = all(f1 - 1e-12 <= obj <= upper + 1e-12 for obj, upper in zip(objs, uppers))
     monotone = all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "objective_vs_n.csv").write_text("\n".join(lines) + "\n")
+    _write_table(
+        out / "objective_vs_n.csv",
+        ("n", "objective", "lower", "upper", "split_fraction"),
+        [ns, objs, [f1] * len(ns), uppers, splits],
+    )
     passed = ok_env and monotone and abs(lim_cost - f1) <= 1e-12
     report = ExperimentReport(
         experiment="counterexample",
@@ -411,13 +411,11 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "audit.json", audit.to_dict())
-    lines = ["atom,weight,fail_count,distance_to_boundary"]
-    for t, i in enumerate(audit.sampled_atoms):
-        lines.append(
-            f"{int(i)},{float(w[t])!r},{int(audit.fail_counts[t])},"
-            f"{float(audit.distance_to_boundary[t])!r}"
-        )
-    (out / "per_atom.csv").write_text("\n".join(lines) + "\n")
+    _write_table(
+        out / "per_atom.csv",
+        ("atom", "weight", "fail_count", "distance_to_boundary"),
+        [audit.sampled_atoms, w, audit.fail_counts, audit.distance_to_boundary],
+    )
     if gen_name == "hyperplane":
         passed = audit.failing_mass_fraction >= 0.95
     else:
@@ -468,16 +466,13 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     err = recon.pred_error[~np.isnan(recon.pred_error)]
     median_err = float(np.median(err)) if err.size else float("nan")
     p90_err = float(np.percentile(err, 90)) if err.size else float("nan")
-    lines = ["source,pred_error,direction_cosine,fit_residual"]
-    for i in range(len(mu)):
-        pe = recon.pred_error[i]
-        dc = recon.direction_cosine[i]
-        lines.append(
-            f"{i},{float(pe)!r},{float(dc)!r},{float(recon.fit_residual[i])!r}"
-        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "reconstruction.csv").write_text("\n".join(lines) + "\n")
+    _write_table(
+        out / "reconstruction.csv",
+        ("source", "pred_error", "direction_cosine", "fit_residual"),
+        [np.arange(len(mu)), recon.pred_error, recon.direction_cosine, recon.fit_residual],
+    )
     passed = err.size > 0 and median_err <= 3.0 * res_nu and split <= 1e-9
     report = ExperimentReport(
         experiment="reconstruct",

@@ -152,6 +152,8 @@ class LogShiftCost(ConcaveCost):
     kind = "logshift"
 
     def __post_init__(self):
+        # a JSON integer such as {"a": 2} is recorded as 2.0; a string raises
+        object.__setattr__(self, "a", self.a + 0.0)
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
 
@@ -385,17 +387,21 @@ def cost_to_json(cost):
     return json.dumps(cost.to_dict(), sort_keys=True)
 
 
+_KINDS = {cls.kind: cls for cls in (PowerCost, LogShiftCost, PiecewiseConcaveCost)}
+
+
 def cost_from_json(spec):
-    """Build a cost from a JSON string or an already-parsed dict."""
+    """Build a cost from a JSON string or an already-parsed dict; the fields
+    other than ``kind`` are the keyword arguments of the cost's class."""
     if isinstance(spec, (str, bytes)):
         spec = json.loads(spec)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("cost spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "power":
-        return PowerCost(alpha=float(spec["alpha"]))
-    if kind == "logshift":
-        return LogShiftCost(a=float(spec["a"]))
-    if kind == "piecewise":
-        return PiecewiseConcaveCost(spec["breakpoints"], spec["slopes"])
-    raise ValueError(f"unknown cost kind {kind!r}")
+    if not isinstance(spec, dict) or not isinstance(spec.get("kind"), str):
+        raise ValueError("cost spec must be an object with a string 'kind' field")
+    params = dict(spec)
+    kind = params.pop("kind")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown cost kind {kind!r}")
+    try:
+        return _KINDS[kind](**params)
+    except TypeError as exc:
+        raise ValueError(f"cost {kind!r}: {exc}") from exc

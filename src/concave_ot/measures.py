@@ -11,7 +11,9 @@ problem.  Every exact match of atoms between two measures goes through
 
 Also provides generators for the standard experiment instances (uniform
 boxes, hyperplane-supported samples, and the three-parallel-segments
-instance where no transport map can be optimal) plus CSV/JSON file I/O.
+instance where no transport map can be optimal) plus file I/O: every table
+goes through :func:`_write_table` and :func:`_read_table`, and a measure in
+JSON, alone or in a plan header, is ``{"dim", "points", "weights"}``.
 """
 
 from __future__ import annotations
@@ -289,20 +291,10 @@ def save_measure(measure, path):
     """Write a measure to ``path``; format chosen by suffix (.csv or .json)."""
     path = Path(path)
     if path.suffix == ".csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for x, w in zip(measure.points, measure.weights):
-                writer.writerow([repr(float(v)) for v in x] + [repr(float(w))])
+        _write_table(path, None, [*measure.points.T, measure.weights])
     elif path.suffix == ".json":
-        doc = {
-            "dim": measure.dim,
-            "atoms": [
-                {"x": [float(v) for v in x], "w": float(w)}
-                for x, w in zip(measure.points, measure.weights)
-            ],
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
+            json.dump(_jsonable(measure), fh)
     else:
         raise MeasureFormatError(f"unsupported measure format {path.suffix!r}")
 
@@ -311,38 +303,17 @@ def load_measure(path, require_probability=True):
     """Read a measure written by :func:`save_measure`; validates weights.
 
     CSV rows are ``x_1, ..., x_d, weight``; the JSON form is
-    ``{"dim": d, "atoms": [{"x": [...], "w": ...}]}``.  Parse failures
-    report the offending line; negative weights and a total mass away
-    from 1 are validation errors.
+    ``{"dim": d, "points": [[...], ...], "weights": [...]}``, the form a
+    plan header embeds.  Parse failures report the offending line;
+    negative weights and a total mass away from 1 are validation errors.
     """
     path = Path(path)
     if path.suffix == ".csv":
-        pts, wts = [], []
-        width = None
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as exc:
-                    raise MeasureFormatError(f"{path}: line {lineno}: {exc}") from exc
-                if len(vals) < 2:
-                    raise MeasureFormatError(
-                        f"{path}: line {lineno}: need at least one coordinate and a weight"
-                    )
-                if width is None:
-                    width = len(vals)
-                elif len(vals) != width:
-                    raise MeasureFormatError(
-                        f"{path}: line {lineno}: expected {width} columns, got {len(vals)}"
-                    )
-                pts.append(vals[:-1])
-                wts.append(vals[-1])
-        if not pts:
-            raise MeasureFormatError(f"{path}: no atoms found")
+        table = _read_table(path)
+        if table.shape[1] < 2:
+            raise MeasureFormatError(f"{path}: need rows of coordinates then a weight")
         try:
-            measure = DiscreteMeasure(np.asarray(pts), np.asarray(wts))
+            measure = DiscreteMeasure(table[:, :-1], table[:, -1])
         except ValueError as exc:
             raise MeasureFormatError(f"{path}: {exc}") from exc
     elif path.suffix == ".json":
@@ -351,13 +322,7 @@ def load_measure(path, require_probability=True):
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise MeasureFormatError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        try:
-            atoms = doc["atoms"]
-            pts = np.asarray([a["x"] for a in atoms], dtype=float)
-            wts = np.asarray([a["w"] for a in atoms], dtype=float)
-            measure = DiscreteMeasure(pts, wts, dim=int(doc["dim"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MeasureFormatError(f"{path}: {exc}") from exc
+        measure = _measure_from_dict(doc, path)
     else:
         raise MeasureFormatError(f"unsupported measure format {path.suffix!r}")
     if require_probability:
@@ -408,3 +373,45 @@ def _measure_from_dict(doc, where):
         raise MeasureFormatError(f"{where}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MeasureFormatError(f"{where}: {exc}") from exc
+
+
+def _write_table(path, header, columns):
+    """Write ``columns`` one row per index after an optional ``header`` row;
+    a cell is the ``repr`` of its Python int or float, which reads back
+    bit-exact, and every line, the last included, ends in ``\\n``."""
+    rows = zip(*(map(repr, np.asarray(col).tolist()) for col in columns))
+    lines = ([",".join(header)] if header else []) + [",".join(row) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _read_table(path, header=None):
+    """The rows of a comma-separated table as a float array, blank lines
+    skipped.  ``header``, if given, must be the first row, and every row
+    must be as wide as it (or else as the first row); a bad cell or a
+    wrong width raises :class:`MeasureFormatError` naming the file and
+    the line."""
+    rows, n = [], 1
+    width = len(header) if header else None
+    expect = list(header) if header else None  # the header row, until it is read
+    with open(path, newline="") as fh:
+        for n, row in enumerate(csv.reader(fh), start=1):
+            if not (len(row) > 1 or row and row[0].strip()):
+                continue
+            if expect:
+                if row != expect:
+                    break
+                expect = None
+                continue
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise MeasureFormatError(f"{path}: line {n}: {exc}") from exc
+            width = width or len(row)
+            if len(row) != width:
+                raise MeasureFormatError(
+                    f"{path}: line {n}: expected {width} columns, got {len(row)}"
+                )
+    if expect:
+        raise MeasureFormatError(f"{path}: line {n}: expected header {','.join(expect)}")
+    return np.array(rows).reshape(len(rows), width or 0)

@@ -44,7 +44,6 @@ selects the loop.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import hashlib
@@ -61,7 +60,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import cost_matrix
-from .measures import DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights
+from .measures import (
+    DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights, _read_table, _write_table
+)
 
 __all__ = [
     "TransportPlan",
@@ -258,8 +259,10 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     Returns (plan, potentials, objective, certificate, preprocessed).
     Under a strictly concave cost the meet mu /\\ nu stays at rest, so
     the LP runs on the two residuals and the common atoms come back as
-    diagonal entries; certificate and potentials refer to the residual
-    problem.  If either residual is empty the plan is diagonal with zero
+    diagonal entries.  The certificate refers to the residual problem.
+    The potentials are indexed by atom, like the plan: an atom with
+    residual mass carries its residual potential, and an atom without
+    one NaN.  If either residual is empty the plan is diagonal with zero
     potentials.  ``no_meet``, or no shared atom, solves the full problem.
     """
     i, j, common, mu_rest, nu_rest = _meet_weights(mu, nu)
@@ -282,6 +285,9 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
         cost,
     )
     cert = certify(r_plan, pots, cost)
+    phi = np.full(len(mu), np.nan)
+    psi = np.full(len(nu), np.nan)
+    phi[rows], psi[cols] = pots.phi, pots.psi
     plan = TransportPlan(
         source=mu,
         target=nu,
@@ -289,7 +295,7 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
         tgt_idx=np.concatenate([j, cols[r_plan.tgt_idx]]),
         mass=np.concatenate([common, r_plan.mass]),
     ).validate()
-    return plan, pots, obj, cert, True
+    return plan, DualPotentials(phi=phi, psi=psi), obj, cert, True
 
 
 def _least_cost_basis(a, b, C):
@@ -798,11 +804,7 @@ def save_plan(plan, basepath, objective=None, gap=None):
     basepath = Path(basepath)
     csv_path = basepath.with_suffix(".csv")
     json_path = basepath.with_suffix(".json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "mass"])
-        for i, j, w in zip(plan.src_idx, plan.tgt_idx, plan.mass):
-            writer.writerow([int(i), int(j), repr(float(w))])
+    _write_table(csv_path, ("i", "j", "mass"), [plan.src_idx, plan.tgt_idx, plan.mass])
     header = {
         "format": "transport-plan",
         "entries_csv": csv_path.name,
@@ -829,36 +831,20 @@ def load_plan(json_path):
     mu = _measure_from_dict(header["mu"], f"{json_path}: mu")
     nu = _measure_from_dict(header["nu"], f"{json_path}: nu")
     csv_path = json_path.parent / header["entries_csv"]
-    ii, jj, ww = [], [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader, None)
-        if head != ["i", "j", "mass"]:
-            raise ValueError(f"{csv_path}: expected header i,j,mass")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                ii.append(int(row[0]))
-                jj.append(int(row[1]))
-                ww.append(float(row[2]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{csv_path}: line {lineno}: {exc}") from exc
-    plan = TransportPlan(source=mu, target=nu, src_idx=ii, tgt_idx=jj, mass=ww)
+    table = _read_table(csv_path, header=("i", "j", "mass"))
+    ij = table[:, :2]
+    if not (np.isfinite(ij) & (ij == np.round(ij))).all():
+        raise ValueError(f"{csv_path}: i and j must be integers")
+    i, j, mass = table.T
+    plan = TransportPlan(source=mu, target=nu, src_idx=i, tgt_idx=j, mass=mass)
     return plan, header
 
 
 def save_potentials(potentials, basepath):
     """Write phi/psi as (index, value) CSV files; returns the two paths."""
     basepath = Path(basepath)
-    paths = []
-    for name, vec in (("phi", potentials.phi), ("psi", potentials.psi)):
-        path = basepath.parent / f"{basepath.name}_{name}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "value"])
-            for k, v in enumerate(vec):
-                writer.writerow([k, repr(float(v))])
-        paths.append(path)
-    return tuple(paths)
+    paths = tuple(basepath.parent / f"{basepath.name}_{name}.csv" for name in ("phi", "psi"))
+    for path, vec in zip(paths, (potentials.phi, potentials.psi)):
+        _write_table(path, ("index", "value"), [np.arange(len(vec)), vec])
+    return paths
 

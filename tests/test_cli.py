@@ -7,7 +7,7 @@ import pytest
 from concave_ot.cli import limit_plan_pair, main, solve_with_meet
 from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
-from concave_ot.solver import TransportPlan, save_plan
+from concave_ot.solver import TransportPlan, load_plan, save_plan
 from concave_ot.structure import decompose
 from support import overlapping_instance, random_instance
 
@@ -75,6 +75,49 @@ class TestSolveCommand:
                      "--cost", COST, "--out", str(tmp_path / "o")]) == 2
         assert main(["solve", "--mu", str(mu_path), "--nu", str(mu_path),
                      "--cost", '{"kind":"bogus"}', "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("spec, problem", [
+        ('{"kind":"power"}', "missing 1 required positional argument: 'alpha'"),
+        ('{"kind":"piecewise","breakpoints":[1]}', "argument: 'slopes'"),
+        ('{"kind":"power","alpha":0.5,"beta":1}', "unexpected keyword argument 'beta'"),
+        ('{"kind":"power","alpha":"0.5"}', "not supported between"),
+        ('{"kind":"logshift","a":"2"}', "cost 'logshift'"),
+    ], ids=["missing", "piecewise-missing", "unknown-key", "string-alpha", "string-a"])
+    def test_bad_cost_parameters_exit_2(self, tmp_path, capsys, measure_files, spec, problem):
+        mu_path, nu_path = measure_files
+        out = tmp_path / "o"
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", spec, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_presolve_potentials_indexed_by_atom(self, tmp_path):
+        # atoms 0 and 2 are shared with equal weight; only 1 and 3 move
+        q = [0.25] * 4
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], q)
+        nu = DiscreteMeasure([[0.0, 0.0], [1.0, 5.0], [2.0, 0.0], [3.0, 7.0]], q)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(mu, a)
+        save_measure(nu, b)
+        out = tmp_path / "out"
+        assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                     "--out", str(out)]) == 0
+        assert read_report(out)["metrics"]["preprocessed_meet"] is True
+
+        def values(name):
+            rows = [line.split(",") for line in (out / name).read_text().splitlines()[1:]]
+            assert [int(k) for k, _ in rows] == list(range(4))
+            return np.array([float(v) for _, v in rows])
+
+        phi, psi = values("potentials_phi.csv"), values("potentials_psi.csv")
+        np.testing.assert_array_equal(np.isnan(phi), [True, False, True, False])
+        np.testing.assert_array_equal(np.isnan(psi), [True, False, True, False])
+        plan, _ = load_plan(out / "plan.json")
+        C = cost_matrix(mu, nu, PowerCost(0.5))
+        moved = (mu.points[plan.src_idx] != nu.points[plan.tgt_idx]).any(axis=1)
+        i, j = plan.src_idx[moved], plan.tgt_idx[moved]
+        assert sorted(i) == [1, 3]
+        np.testing.assert_allclose(phi[i] + psi[j], C[i, j], rtol=0, atol=1e-12)
 
     def test_saved_three_segments_instance(self, tmp_path):
         from concave_ot.measures import three_segments
@@ -449,3 +492,50 @@ class TestArtifactFormats:
             "resolution_warning", "worst_witness", "worst_witness.apex",
             "worst_witness.direction", "worst_witness.delta", "worst_witness.eps",
         }
+
+    def test_tables_of_every_artifact(self, tmp_path, measure_files):
+        mu_path, nu_path = measure_files
+        outs = {name: tmp_path / name for name in ("s", "c", "i", "r")}
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(outs["s"])]) == 0
+        assert main(["counterexample", "--n", "1,2", "--out", str(outs["c"])]) == 0
+        assert main(["isotropy", "--generator", "hyperplane:n=300,dim=2",
+                     "--point-sample", "20", "--out", str(outs["i"])]) == 0
+        assert main(["reconstruct", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(outs["r"])]) in (0, 1)
+        headers = {
+            outs["s"] / "plan.csv": "i,j,mass",
+            outs["s"] / "potentials_phi.csv": "index,value",
+            outs["s"] / "potentials_psi.csv": "index,value",
+            outs["c"] / "objective_vs_n.csv": "n,objective,lower,upper,split_fraction",
+            outs["i"] / "per_atom.csv": "atom,weight,fail_count,distance_to_boundary",
+            outs["r"] / "reconstruction.csv": "source,pred_error,direction_cosine,fit_residual",
+        }
+        for path, header in headers.items():
+            text = path.read_bytes().decode()
+            assert text.split("\n", 1)[0] == header, path.name
+            assert "\r" not in text and text.endswith("\n"), path.name
+        assert b"\r" not in mu_path.read_bytes()
+        mu, nu = load_measure(mu_path), load_measure(nu_path)
+        plan, _, _, _, _ = solve_with_meet(mu, nu, PowerCost(0.5))
+        back, _ = load_plan(outs["s"] / "plan.json")
+        np.testing.assert_array_equal(back.src_idx, plan.src_idx)
+        np.testing.assert_array_equal(back.tgt_idx, plan.tgt_idx)
+        assert back.mass.tobytes() == plan.mass.tobytes()
+        # a plan.csv with \r\n line ends, as older versions wrote, still loads
+        csv_path = outs["s"] / "plan.csv"
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_plan(outs["s"] / "plan.json")[0].mass.tobytes() == plan.mass.tobytes()
+
+    def test_measure_of_a_plan_header_is_a_measure_file(self, tmp_path, measure_files):
+        mu_path, nu_path = measure_files
+        solve_out, again = tmp_path / "s", tmp_path / "again"
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(solve_out)]) == 0
+        cut = tmp_path / "mu.json"
+        cut.write_text(json.dumps(json.loads((solve_out / "plan.json").read_text())["mu"]))
+        assert load_measure(cut) == load_measure(mu_path)
+        assert main(["solve", "--mu", str(cut), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(again)]) == 0
+        assert read_report(again)["metrics"]["objective"] == read_report(solve_out)["metrics"][
+            "objective"]

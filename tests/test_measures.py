@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +296,16 @@ class TestIO:
         path2.write_text('{"atoms": []}')
         with pytest.raises(MeasureFormatError):
             load_measure(path2)
+
+    def test_json_is_the_plan_header_schema(self, tmp_path):
+        m = uniform_box(5, 2, seed=4)
+        path = tmp_path / "m.json"
+        save_measure(m, path)
+        assert json.loads(path.read_text()).keys() == {"dim", "points", "weights"}
+        # the {"dim", "atoms": [{"x", "w"}]} form is no longer read
+        path.write_text('{"dim": 1, "atoms": [{"x": [0.0], "w": 1.0}]}')
+        with pytest.raises(MeasureFormatError, match="missing key 'points'"):
+            load_measure(path)
 
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(MeasureFormatError):

@@ -579,6 +579,21 @@ class TestExport:
             load_plan(json_path)
         assert str(json_path) in str(info.value)
 
+    @pytest.mark.parametrize("row, problem", [
+        ("0.5,0,1.0", "i and j must be integers"),
+        ("nan,0,1.0", "i and j must be integers"),
+        ("0,0", "line 2: expected 3 columns, got 2"),
+        ("0,0,heavy", "line 2: could not convert"),
+    ])
+    def test_load_plan_rejects_a_bad_entry_row(self, tmp_path, row, problem):
+        mu = DiscreteMeasure([[0.0]], [1.0])
+        plan = TransportPlan(source=mu, target=mu, src_idx=[0], tgt_idx=[0], mass=[1.0])
+        csv_path, json_path = save_plan(plan, tmp_path / "plan")
+        csv_path.write_text(f"i,j,mass\n{row}\n")
+        with pytest.raises(ValueError, match=problem) as info:
+            load_plan(json_path)
+        assert str(csv_path) in str(info.value)
+
     def test_load_plan_rejects_a_json_list(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("[]")
