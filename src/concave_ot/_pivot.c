@@ -1,24 +1,371 @@
-/* Pivot loop of the network simplex in concave_ot.solver.
+/* Network simplex kernel of concave_ot.solver: the starting tree and the
+ * pivot loop.
  *
- * A port of solver._pivot_loop, which stays as the reference: block
- * pricing with Dantzig's rule inside a block, the two-walk leaving rule,
- * remove_edge / make_root / add_edge on the thread, and the subtree
- * potential update follow it line for line, except that pricing finds
- * np.argmin's arc in two passes (the least reduced cost, then the first
- * arc that has it).  Every reduced cost, flow and potential is computed
- * by the same floating-point operations in the same order; built with
- * -ffp-contract=off (no fused multiply-add), the two loops return the
- * same bits.  solver._compiled_pivot_loop builds this file with the
- * system cc and calls pivot_loop through ctypes.  Node arrays are indexed
- * by node (sources 0..m-1, targets m..m+n-1) and updated in place; all
- * state lives in the caller's arrays, so concurrent calls are safe.
+ * starting_tree is a port of solver._least_cost_basis and of the one-DFS
+ * thread build of solver._python_start; pivot_loop is a port of
+ * solver._pivot_loop.  The Python functions stay as the reference.  The
+ * start takes arcs in the same global (cost, arc id) order, merging short
+ * sorted runs of each row's cheapest arcs read in place from the cost
+ * matrix, and crosses lines out by the same (remainder, epsilon) rule.
+ * In the loop, block pricing with Dantzig's rule inside a block, the
+ * two-walk leaving rule, remove_edge / make_root / add_edge on the
+ * thread, and the subtree potential update follow the reference line for
+ * line, except that pricing finds np.argmin's arc in two passes (the
+ * least reduced cost, then the first arc that has it).  Every remainder,
+ * flow, reduced cost and potential is computed by the same
+ * floating-point operations in the same order; built with
+ * -ffp-contract=off (no fused multiply-add), both paths return the same
+ * bits.  solver._compiled_kernel builds this file with the system cc and
+ * calls both entry points through ctypes.  Node arrays are indexed by
+ * node (sources 0..m-1, targets m..m+n-1) and filled or updated in place;
+ * all state lives in the caller's arrays or in memory allocated per call,
+ * so concurrent calls are safe.
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 typedef int64_t i64;
 
-enum { OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2 };
+enum { OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2, NO_MEMORY = 3, NOT_SPANNING = 4 };
+
+/* ---- starting tree -------------------------------------------------- */
+
+/* Arcs are scanned in increasing (cost, arc id) order: key_less
+ * compares two keys. */
+static int key_less(double c1, i64 a1, double c2, i64 a2)
+{
+    return c1 < c2 || (c1 == c2 && a1 < a2);
+}
+
+/* A binary min-heap of (cost, arc id) keys. */
+typedef struct {
+    double *cost;
+    i64 *arc, len;
+} Heap;
+
+static void sift_down(Heap *h, i64 k)
+{
+    double c = h->cost[k];
+    i64 a = h->arc[k];
+    for (;;) {
+        i64 child = 2 * k + 1;
+        if (child >= h->len)
+            break;
+        if (child + 1 < h->len
+            && key_less(h->cost[child + 1], h->arc[child + 1], h->cost[child], h->arc[child]))
+            child++;
+        if (!key_less(h->cost[child], h->arc[child], c, a))
+            break;
+        h->cost[k] = h->cost[child];
+        h->arc[k] = h->arc[child];
+        k = child;
+    }
+    h->cost[k] = c;
+    h->arc[k] = a;
+}
+
+static void heap_push(Heap *h, double c, i64 a)
+{
+    i64 k = h->len++;
+    while (k > 0 && key_less(c, a, h->cost[(k - 1) / 2], h->arc[(k - 1) / 2])) {
+        h->cost[k] = h->cost[(k - 1) / 2];
+        h->arc[k] = h->arc[(k - 1) / 2];
+        k = (k - 1) / 2;
+    }
+    h->cost[k] = c;
+    h->arc[k] = a;
+}
+
+/* replaces the least key by (c, a), or drops it if a < 0 */
+static void heap_replace_top(Heap *h, double c, i64 a)
+{
+    if (a < 0) {
+        h->len--;
+        c = h->cost[h->len];
+        a = h->arc[h->len];
+    }
+    h->cost[0] = c;
+    h->arc[0] = a;
+    sift_down(h, 0);
+}
+
+/* insertion sort of len keys */
+static void sort_keys(double *cost, i64 *arc, i64 len)
+{
+    for (i64 k = 1; k < len; k++) {
+        double c = cost[k];
+        i64 a = arc[k], t = k;
+        for (; t > 0 && key_less(c, a, cost[t - 1], arc[t - 1]); t--) {
+            cost[t] = cost[t - 1];
+            arc[t] = arc[t - 1];
+        }
+        cost[t] = c;
+        arc[t] = a;
+    }
+}
+
+enum { ROW_BUF = 6 };
+
+/* Sorts the len keys, of which the first `sorted` already are (a sorted
+ * run of at most ROW_BUF), and keeps the ROW_BUF least; returns how many
+ * are kept. */
+static i64 keep_least(double *cost, i64 *arc, i64 sorted, i64 len)
+{
+    double c[ROW_BUF];
+    i64 a[ROW_BUF], p = 0, q = sorted, k = 0;
+    sort_keys(cost + sorted, arc + sorted, len - sorted);
+    for (; k < ROW_BUF && (p < sorted || q < len); k++) {
+        int left = q == len || (p < sorted && key_less(cost[p], arc[p], cost[q], arc[q]));
+        c[k] = left ? cost[p] : cost[q];
+        a[k] = left ? arc[p++] : arc[q++];
+    }
+    for (i64 t = 0; t < k; t++)
+        cost[t] = c[t], arc[t] = a[t];
+    return k;
+}
+
+/* State of the least-cost scan.  Row i keeps a buffer of its ROW_BUF
+ * cheapest arcs to alive columns, in increasing key order, where
+ * head[i] is the next to scan; `rows` is a min-heap of the row heads.
+ * The arcs scanned before a row's head all go to crossed-out columns,
+ * and every other arc to an alive column has a larger key than the
+ * buffer's last, so the least head whose column is alive is the
+ * cheapest arc between alive lines.  `cols` lists the alive columns in
+ * increasing order. */
+typedef struct {
+    i64 n, n_cols;
+    const double *cost;
+    char *alive; /* per column */
+    i64 *cols, *head, *len, *buf_arc;
+    double *buf_cost;
+    Heap rows;
+} Scan;
+
+/* Refills row i's buffer with its ROW_BUF cheapest arcs to alive
+ * columns; returns their number.  The arcs it held before all go to
+ * crossed-out columns now, so the new ones follow them in key order. */
+static i64 refill(Scan *s, i64 i)
+{
+    double cost[2 * ROW_BUF], limit = INFINITY;
+    i64 arc[2 * ROW_BUF], len = 0, sorted = 0;
+    const double *row = s->cost + i * s->n;
+    /* When the candidates fill up, the ROW_BUF least stay; the arcs
+     * still to come have larger ids, so they can be one only if they
+     * cost less than the last of those. */
+    for (i64 t = 0; t < s->n_cols; t++) {
+        double x = row[s->cols[t]];
+        if (!(x < limit))
+            continue;
+        cost[len] = x;
+        arc[len++] = i * s->n + s->cols[t];
+        if (len == 2 * ROW_BUF) {
+            len = sorted = keep_least(cost, arc, sorted, len);
+            limit = cost[ROW_BUF - 1];
+        }
+    }
+    len = keep_least(cost, arc, sorted, len);
+    for (i64 k = 0; k < len; k++) {
+        s->buf_cost[i * ROW_BUF + k] = cost[k];
+        s->buf_arc[i * ROW_BUF + k] = arc[k];
+    }
+    s->head[i] = 0;
+    return s->len[i] = len;
+}
+
+/* crosses out column j */
+static void drop_col(Scan *s, i64 j)
+{
+    i64 lo = 0, hi = s->n_cols;
+    while (lo < hi) {
+        i64 mid = (lo + hi) / 2;
+        if (s->cols[mid] < j)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    for (s->n_cols--; lo < s->n_cols; lo++)
+        s->cols[lo] = s->cols[lo + 1];
+    s->alive[j] = 0;
+}
+
+/* Moves row i, whose head is the least, to its next head whose column
+ * is alive, refilling its buffer when it runs out; drops the row if no
+ * alive column is left. */
+static void next_head(Scan *s, i64 i)
+{
+    const double *cost = s->buf_cost + i * ROW_BUF;
+    const i64 *arc = s->buf_arc + i * ROW_BUF;
+    i64 k = s->head[i];
+    do {
+        if (++k == s->len[i]) {
+            if (!refill(s, i)) {
+                heap_replace_top(&s->rows, 0.0, -1);
+                return;
+            }
+            k = 0;
+        }
+    } while (!s->alive[arc[k] % s->n]);
+    s->head[i] = k;
+    heap_replace_top(&s->rows, cost[k], arc[k]);
+}
+
+/* solver._least_cost_basis: the m+n-1 arcs (in arcs[], flows[]) taken by
+ * scanning arcs in (cost, arc id) order and crossing out one line per
+ * arc by the (remainder, epsilon) rule. */
+static int least_cost_basis(i64 m, i64 n, const double *a, const double *b,
+                            const double *cost, i64 *arcs, double *flows)
+{
+    const i64 N = m + n;
+    double *rest = malloc(N * sizeof *rest);
+    i64 *eps = malloc(N * sizeof *eps);
+    Scan s = {
+        .n = n, .n_cols = n, .cost = cost, .alive = malloc(n),
+        .cols = malloc(n * sizeof(i64)), .head = malloc(m * sizeof(i64)),
+        .len = malloc(m * sizeof(i64)), .buf_arc = malloc(m * ROW_BUF * sizeof(i64)),
+        .buf_cost = malloc(m * ROW_BUF * sizeof(double)),
+        .rows = { .cost = malloc(m * sizeof(double)), .arc = malloc(m * sizeof(i64)) },
+    };
+    int status = rest && eps && s.alive && s.cols && s.head && s.len && s.buf_arc
+                 && s.buf_cost && s.rows.cost && s.rows.arc ? OPTIMAL : NO_MEMORY;
+    i64 left_rows = m, left_cols = n, taken = 0;
+    if (status != OPTIMAL)
+        goto done;
+    for (i64 u = 0; u < N; u++) {
+        rest[u] = u < m ? a[u] : b[u - m];
+        eps[u] = u == 0 ? -(N - 1) : u < m ? 1 : -1;
+    }
+    for (i64 j = 0; j < n; j++)
+        s.cols[j] = j, s.alive[j] = 1;
+    for (i64 i = 0; i < m; i++)
+        if (refill(&s, i))
+            heap_push(&s.rows, s.buf_cost[i * ROW_BUF], s.buf_arc[i * ROW_BUF]);
+    /* A row leaves the heap when it is crossed out; a head whose column
+     * is crossed out is passed over when it comes up. */
+    status = NOT_SPANNING;
+    while (s.rows.len) {
+        i64 i = s.rows.arc[0] / n, u = m + s.rows.arc[0] % n, out, keep;
+        if (!s.alive[u - m]) {
+            next_head(&s, i);
+            continue;
+        }
+        arcs[taken] = s.rows.arc[0];
+        if (left_rows == 1 && left_cols == 1) {
+            double f = rest[u] < rest[i] ? rest[u] : rest[i];
+            flows[taken] = 0.0 > f ? 0.0 : f;
+            status = OPTIMAL;
+            break;
+        }
+        /* As in the reference: the last row (column) stays until the
+         * last step, else the smaller (remainder, epsilon) goes. */
+        if (left_cols == 1
+            || (left_rows > 1
+                && (rest[i] < rest[u] || (rest[i] == rest[u] && eps[i] < eps[u])))) {
+            out = i, keep = u;
+            left_rows--;
+        } else {
+            out = u, keep = i;
+            left_cols--;
+        }
+        double f = 0.0 > rest[out] ? 0.0 : rest[out];
+        flows[taken++] = f;
+        rest[keep] -= f;
+        eps[keep] -= eps[out];
+        if (out == i) {
+            heap_replace_top(&s.rows, 0.0, -1);
+        } else {
+            drop_col(&s, u - m);
+            next_head(&s, i);
+        }
+    }
+done:
+    free(rest), free(eps), free(s.alive), free(s.cols), free(s.head), free(s.len);
+    free(s.buf_arc), free(s.buf_cost), free(s.rows.cost), free(s.rows.arc);
+    return status;
+}
+
+/* solver._python_start after the basis: one DFS from source 0 over the
+ * basis arcs (adjacency in the order taken) sets parent, parc, flow and
+ * pi; its pop order is the thread, and a reverse pass over the thread
+ * gives size, last, next and prev. */
+static int thread_tree(i64 m, i64 n, const double *cost, const i64 *arcs,
+                       const double *flows, i64 *parent, i64 *parc, double *flow,
+                       i64 *size, i64 *last, i64 *next, i64 *prev, double *pi)
+{
+    const i64 N = m + n;
+    i64 *start = calloc(N + 1, sizeof *start), *adj = malloc(2 * (N - 1) * sizeof *adj);
+    i64 *thread = malloc(N * sizeof *thread), *stack = malloc(N * sizeof *stack);
+    char *seen = calloc(N, 1);
+    int status = start && adj && thread && stack && seen ? OPTIMAL : NO_MEMORY;
+    if (status != OPTIMAL)
+        goto done;
+    /* adjacency lists as one array: node u's arcs are the basis indices
+     * adj[start[u]..start[u+1]-1], in the order taken */
+    for (i64 k = 0; k < N - 1; k++)
+        start[arcs[k] / n + 1]++, start[m + arcs[k] % n + 1]++;
+    for (i64 u = 0; u < N; u++)
+        start[u + 1] += start[u];
+    for (i64 k = 0; k < N - 1; k++)
+        adj[start[arcs[k] / n]++] = k, adj[start[m + arcs[k] % n]++] = k;
+    for (i64 u = N; u > 0; u--)
+        start[u] = start[u - 1];
+    start[0] = 0;
+
+    i64 len = 0, top = 0;
+    parent[0] = -1;
+    parc[0] = 0;
+    flow[0] = 0.0;
+    pi[0] = 0.0;
+    seen[0] = 1;
+    stack[top++] = 0;
+    while (top) {
+        i64 u = stack[--top];
+        thread[len++] = u;
+        for (i64 e = start[u]; e < start[u + 1]; e++) {
+            i64 arc = arcs[adj[e]], v = u < m ? m + arc % n : arc / n;
+            if (seen[v])
+                continue;
+            seen[v] = 1;
+            parent[v] = u;
+            parc[v] = arc;
+            flow[v] = flows[adj[e]];
+            pi[v] = v >= m ? pi[u] - cost[arc] : pi[u] + cost[arc];
+            stack[top++] = v;
+        }
+    }
+    if (len != N) {
+        status = NOT_SPANNING;
+        goto done;
+    }
+    for (i64 v = 0; v < N; v++)
+        size[v] = 1;
+    for (i64 t = N - 1; t >= 0; t--) {
+        i64 v = thread[t];
+        last[v] = thread[t + size[v] - 1];
+        if (t)
+            size[parent[v]] += size[v];
+        next[v] = thread[(t + 1) % N];
+        prev[v] = thread[t ? t - 1 : N - 1];
+    }
+done:
+    free(start), free(adj), free(thread), free(stack), free(seen);
+    return status;
+}
+
+/* The least-cost basis (arcs[], flows[]: m+n-1 entries in the order
+ * taken) and the tree it spans, as solver._python_start builds them.
+ * Returns OPTIMAL, NO_MEMORY or NOT_SPANNING. */
+int starting_tree(i64 m, i64 n, const double *a, const double *b, const double *cost,
+                  i64 *arcs, double *flows, i64 *parent, i64 *parc, double *flow,
+                  i64 *size, i64 *last, i64 *next, i64 *prev, double *pi)
+{
+    int status = least_cost_basis(m, n, a, b, cost, arcs, flows);
+    if (status != OPTIMAL)
+        return status;
+    return thread_tree(m, n, cost, arcs, flows, parent, parc, flow, size, last, next, prev, pi);
+}
+
+/* ---- pivot loop ----------------------------------------------------- */
 
 typedef struct {
     i64 m, n, num_arcs, block, n_blocks, f_ptr;

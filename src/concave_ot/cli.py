@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -40,11 +41,11 @@ from .measures import (
     DiscreteMeasure,
     MeasureFormatError,
     _jsonable,
+    _meet_weights,
     _write_table,
     hyperplane_sample,
     load_measure,
     match_atoms,
-    meet,
     snap,
     three_segments,
     translate,
@@ -84,6 +85,8 @@ __all__ = [
 
 DEFAULT_SEED_ENV = "CONCAVE_OT_SEED"
 GAP_PASS = 1e-8
+
+_log = logging.getLogger("concave_ot")
 
 
 class QuadraticCost:
@@ -440,22 +443,26 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
 
     Overlapping inputs are reduced to their mutually singular residuals
     first (with a warning), mirroring the diagonal/off-diagonal split of
-    optimal plans.
+    optimal plans; the ``source`` column of ``reconstruction.csv`` still
+    indexes the atoms of ``--mu``.
     """
     seed = _resolve_seed(seed)
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
-    dec = meet(mu, nu)
-    warned_overlap = len(dec.common) > 0
+    i, _, _, mu_rest, nu_rest = _meet_weights(mu, nu)
+    rows = np.arange(len(mu))
+    warned_overlap = len(i) > 0
     if warned_overlap:
-        print(
-            "warning: measures share atoms; reconstructing on the residuals",
-            file=sys.stderr,
-        )
-        mu, nu = dec.mu_residual, dec.nu_residual
-        if len(mu) == 0 or len(nu) == 0:
+        _log.warning("measures share atoms; reconstructing on the residuals")
+        # residual atom k is atom rows[k] of mu: a subset of sorted,
+        # distinct atoms keeps its order in a new measure
+        rows = np.flatnonzero(mu_rest > 0.0)
+        cols = np.flatnonzero(nu_rest > 0.0)
+        if len(rows) == 0 or len(cols) == 0:
             raise ValueError("measures coincide; nothing to reconstruct")
+        mu = DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim)
+        nu = DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim)
     plan, pots, obj = solve_exact(mu, nu, cost)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan
@@ -471,7 +478,7 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     _write_table(
         out / "reconstruction.csv",
         ("source", "pred_error", "direction_cosine", "fit_residual"),
-        [np.arange(len(mu)), recon.pred_error, recon.direction_cosine, recon.fit_residual],
+        [rows, recon.pred_error, recon.direction_cosine, recon.fit_residual],
     )
     passed = err.size > 0 and median_err <= 3.0 * res_nu and split <= 1e-9
     report = ExperimentReport(
@@ -559,9 +566,27 @@ def _build_parser():
     return parser
 
 
+class _LevelPrefix(logging.Formatter):
+    """``warning: <message>``, as the CLI prints its errors."""
+
+    def format(self, record):
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the package's warnings go to stderr for the length of the command
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LevelPrefix())
+    _log.addHandler(handler)
+    try:
+        return _run(parser, args)
+    finally:
+        _log.removeHandler(handler)
+
+
+def _run(parser, args):
     try:
         if args.command == "solve":
             report = run_solve(

@@ -18,6 +18,7 @@ Three families are provided:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,20 @@ def _as_positive(t, what="t"):
     if np.any(t <= 0):
         raise ValueError(f"{what} must be > 0, got minimum {t.min()!r}")
     return t
+
+
+def _numbers(values, what):
+    """A list, tuple or array of real numbers as a float array.
+
+    Strings and bools raise ValueError, where ``np.asarray(..., dtype=float)``
+    would parse ``"1"`` and read ``True`` as 1.
+    """
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(items, (list, tuple)) or not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
+    ):
+        raise ValueError(f"{what} must be a list of numbers, got {values!r}")
+    return np.array(items, dtype=float)
 
 
 class ConcaveCost:
@@ -190,9 +205,9 @@ class PiecewiseConcaveCost(ConcaveCost):
     kind = "piecewise"
 
     def __init__(self, breakpoints, slopes):
-        bp = np.asarray(breakpoints, dtype=float)
-        sl = np.asarray(slopes, dtype=float)
-        if bp.ndim != 1 or sl.ndim != 1 or len(sl) != len(bp) + 1:
+        bp = _numbers(breakpoints, "breakpoints")
+        sl = _numbers(slopes, "slopes")
+        if len(sl) != len(bp) + 1:
             raise ValueError("need len(slopes) == len(breakpoints) + 1")
         if len(bp) == 0:
             raise ValueError("need at least one breakpoint (otherwise the cost is linear)")

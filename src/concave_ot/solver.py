@@ -28,18 +28,22 @@ instances.  Two walks up the tree find it, from the entering arc's
 target end to the apex with ``<=`` and then from its source end with
 ``<``; the same two walks push the flow change.
 
-The pivot loop (pricing, leaving arc, tree surgery, potential update)
-runs in C: ``_pivot.c``, a port of ``_pivot_loop``.  The first exact
-solve of a process loads it with ctypes, compiling it first with the
-system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
-``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
-and the compiler command, so each version compiles once).
-``-ffp-contract=off`` forbids fused multiply-adds, so every
-floating-point operation rounds as numpy's and Python's do, and both
-loops return the same pivots, flows and potentials bit for bit.  If
-compiling or loading fails, a RuntimeWarning says so once and the
-Python loop runs, with the same results at Python speed.  No option
-selects the loop.
+The start and the pivot loop run in C: ``_pivot.c`` ports
+``_least_cost_basis`` and the thread build of ``_python_start``
+(``starting_tree``), and ``_pivot_loop`` (pricing, leaving arc, tree
+surgery, potential update; ``pivot_loop``).  The compiled start takes
+arcs in the same (cost, arc id) order from short sorted runs of each
+row's cheapest arcs, read in place, so it copies no part of the cost
+matrix.  The first exact solve of a process loads the kernel with
+ctypes, compiling it first with the system ``cc -O2 -ffp-contract=off
+-shared -fPIC`` unless the package's ``__pycache__`` holds
+``_pivot.<hash>.so`` (the hash covers the source and the compiler
+command, so each version compiles once).  ``-ffp-contract=off`` forbids
+fused multiply-adds, so every floating-point operation rounds as
+numpy's and Python's do, and both paths return the same basis, tree,
+pivots, flows and potentials bit for bit.  If compiling or loading
+fails, a RuntimeWarning says so once and the Python start and loop run,
+with the same results at Python speed.  No option selects the path.
 """
 
 from __future__ import annotations
@@ -393,23 +397,45 @@ def _network_simplex(a, b, C, pivot_budget=None):
     Returns per-node flows on the arcs to parents, the arc ids, node
     potentials pi (pi[root]=0), and the pivot count; node and arc ids are
     those of :class:`_Tree`.  Reduced costs are c_ij - pi[i] + pi[m+j].
-    The compiled pivot loop runs when it could be built, else
-    :func:`_pivot_loop`; both return the same bits.  The default budget
-    of 1000 pivots per node is over 100 times the most seen (about 9, on
-    separated clouds), so a loop that cannot finish fails in seconds.
+    The compiled kernel builds the start and runs the pivot loop when it
+    could be built, else :func:`_python_start` and :func:`_pivot_loop`
+    do; both return the same bits.  The default budget of 1000 pivots
+    per node is over 100 times the most seen (about 9, on separated
+    clouds), so a loop that cannot finish fails in seconds.
     """
-    tree = _starting_tree(a, b, C)
+    kernel = _compiled_kernel()
+    start, loop = (kernel.start, kernel.pivot_loop) if kernel else (_python_start, _pivot_loop)
+    tree = start(a, b, C).tree
     if pivot_budget is None:
         pivot_budget = 1000 * len(tree.pi)
-    pivots = (_compiled_pivot_loop() or _pivot_loop)(tree, pivot_budget)
+    pivots = loop(tree, pivot_budget)
     return tree.flow[1:], tree.parc[1:], tree.pi, pivots
 
 
-def _starting_tree(a, b, C):
-    """The least-cost basis as a :class:`_Tree`, threaded in one DFS."""
+class _Start(NamedTuple):
+    """The least-cost basis (arc ids and flows, in the order taken) and
+    the :class:`_Tree` it spans."""
+
+    arcs: np.ndarray
+    flows: np.ndarray
+    tree: _Tree
+
+
+def _flat_costs(C):
+    """The costs as one contiguous float array, and the pricing tolerance."""
+    cflat = np.ascontiguousarray(C, dtype=float).ravel()
+    return cflat, OPT_TOL_SCALE * max(cflat.max(), 1e-300)
+
+
+def _python_start(a, b, C):
+    """:func:`_least_cost_basis` and its tree, rooted and threaded in one DFS.
+
+    The Python reference for ``starting_tree`` in ``_pivot.c``, which must
+    reproduce it bit for bit; it also runs when that kernel cannot be built.
+    """
     m, n = len(a), len(b)
     num_nodes = m + n
-    cflat = np.ascontiguousarray(C, dtype=float).ravel()
+    cflat, opt_tol = _flat_costs(C)
     arcs0, flows0 = _least_cost_basis(a, b, cflat.reshape(m, n))
     adj = [[] for _ in range(num_nodes)]
     for arc, fl in zip(arcs0.tolist(), flows0.tolist()):
@@ -441,7 +467,7 @@ def _starting_tree(a, b, C):
                 pi[v] = pi[u] - cflat[arc] if v >= m else pi[u] + cflat[arc]
                 stack.append(v)
     if len(thread) != num_nodes:
-        raise SolverError("initial basis is not spanning (internal error)")
+        raise _not_spanning()
 
     # next_/prev_ cycle through the thread; a subtree is a contiguous run
     # of it, so one reverse pass gives size[v] and last[v], its final node.
@@ -460,11 +486,11 @@ def _starting_tree(a, b, C):
     def ints(x):
         return np.array(x, dtype=np.int64)
 
-    return _Tree(
-        cost=cflat, n=n, opt_tol=OPT_TOL_SCALE * max(cflat.max(), 1e-300),
+    return _Start(arcs0, flows0, _Tree(
+        cost=cflat, n=n, opt_tol=opt_tol,
         parent=ints(parent), parc=ints(parc), flow=np.array(parc_flow, dtype=float),
         size=ints(size), last=ints(last), next_=ints(next_), prev_=ints(prev_), pi=pi,
-    )
+    ))
 
 
 def _pricing_block(num_arcs):
@@ -477,6 +503,10 @@ def _budget_exhausted(pivot_budget):
 
 def _no_leaving_arc():
     return SolverError("no leaving arc found (internal error)")
+
+
+def _not_spanning():
+    return SolverError("initial basis is not spanning (internal error)")
 
 
 def _pivot_loop(tree, pivot_budget):
@@ -697,27 +727,57 @@ def _build_pivot_kernel(cache_dir):
     return path
 
 
-class _CompiledPivotLoop:
-    """ctypes binding of ``pivot_loop`` in ``_pivot.c``; called like :func:`_pivot_loop`."""
+class _CompiledKernel:
+    """ctypes binding of ``_pivot.c``: :meth:`start` is called like
+    :func:`_python_start` and :meth:`pivot_loop` like :func:`_pivot_loop`."""
 
     def __init__(self, path):
         self.path = path
         self._lib = ctypes.CDLL(str(path))
         i64 = ctypes.c_int64
+        costs = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
         ints, floats = (
             np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS,WRITEABLE")
             for dtype in (np.int64, np.float64)
         )
-        self._fn = self._lib.pivot_loop
-        self._fn.argtypes = [
-            i64, i64, i64, ctypes.c_double, i64,
-            np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS"),
+        self._start = self._lib.starting_tree
+        self._start.argtypes = [
+            i64, i64, costs, costs, costs, ints, floats,
+            ints, ints, floats, ints, ints, ints, ints, floats,
+        ]
+        self._start.restype = ctypes.c_int
+        self._loop = self._lib.pivot_loop
+        self._loop.argtypes = [
+            i64, i64, i64, ctypes.c_double, i64, costs,
             ints, ints, floats, ints, ints, ints, ints, floats, ints,
             ctypes.POINTER(i64),
         ]
-        self._fn.restype = ctypes.c_int
+        self._loop.restype = ctypes.c_int
 
-    def __call__(self, tree, pivot_budget):
+    def start(self, a, b, C):
+        m, n = len(a), len(b)
+        cflat, opt_tol = _flat_costs(C)
+        if len(cflat) != m * n:
+            raise ValueError("the cost matrix does not match the weights")
+        nodes = np.empty((6, m + n), dtype=np.int64)
+        tree = _Tree(
+            cost=cflat, n=n, opt_tol=opt_tol, parent=nodes[0], parc=nodes[1],
+            flow=np.empty(m + n), size=nodes[2], last=nodes[3], next_=nodes[4],
+            prev_=nodes[5], pi=np.empty(m + n),
+        )
+        start = _Start(np.empty(m + n - 1, dtype=np.int64), np.empty(m + n - 1), tree)
+        status = self._start(
+            m, n, np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float),
+            cflat, start.arcs, start.flows, tree.parent, tree.parc, tree.flow, tree.size,
+            tree.last, tree.next_, tree.prev_, tree.pi,
+        )
+        if status == 3:
+            raise MemoryError("no memory for the starting tree")
+        if status == 4:
+            raise _not_spanning()
+        return start
+
+    def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
         m = num_nodes - n
         if len(tree.cost) != m * n or any(
@@ -725,7 +785,7 @@ class _CompiledPivotLoop:
         ):
             raise ValueError("tree arrays do not match the instance size")
         pivots = ctypes.c_int64()
-        status = self._fn(
+        status = self._loop(
             m, n, _pricing_block(m * n), tree.opt_tol, min(pivot_budget, 2**63 - 1),
             tree.cost, tree.parent, tree.parc, tree.flow, tree.size, tree.last,
             tree.next_, tree.prev_, tree.pi, np.empty(num_nodes, dtype=np.int64),
@@ -739,20 +799,22 @@ class _CompiledPivotLoop:
 
 
 @functools.cache
-def _compiled_pivot_loop():
-    """The compiled pivot loop, built and loaded on first use; None if it fails.
+def _compiled_kernel():
+    """The compiled start and pivot loop, built and loaded on first use;
+    None if that fails.
 
     On failure (no ``cc``, a compile error, an unwritable cache) a
     RuntimeWarning says why, once per process, and the exact solver runs
-    :func:`_pivot_loop`, with the same results at Python speed.
+    :func:`_python_start` and :func:`_pivot_loop`, with the same results
+    at Python speed.
     """
     try:
-        return _CompiledPivotLoop(_build_pivot_kernel(_KERNEL_CACHE))
+        return _CompiledKernel(_build_pivot_kernel(_KERNEL_CACHE))
     except (OSError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         warnings.warn(
-            f"cannot build the compiled pivot loop ({exc}{': ' + stderr if stderr else ''});"
-            " the exact solver runs the Python pivot loop, about ten times slower",
+            f"cannot build the compiled kernel ({exc}{': ' + stderr if stderr else ''});"
+            " the exact solver runs its Python start and pivot loop, 10 to 20 times slower",
             RuntimeWarning,
             stacklevel=2,
         )

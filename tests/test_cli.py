@@ -82,7 +82,10 @@ class TestSolveCommand:
         ('{"kind":"power","alpha":0.5,"beta":1}', "unexpected keyword argument 'beta'"),
         ('{"kind":"power","alpha":"0.5"}', "not supported between"),
         ('{"kind":"logshift","a":"2"}', "cost 'logshift'"),
-    ], ids=["missing", "piecewise-missing", "unknown-key", "string-alpha", "string-a"])
+        ('{"kind":"piecewise","breakpoints":["1"],"slopes":["2",1]}',
+         "breakpoints must be a list of numbers"),
+    ], ids=["missing", "piecewise-missing", "unknown-key", "string-alpha", "string-a",
+            "string-breakpoints"])
     def test_bad_cost_parameters_exit_2(self, tmp_path, capsys, measure_files, spec, problem):
         mu_path, nu_path = measure_files
         out = tmp_path / "o"
@@ -359,6 +362,26 @@ class TestReconstructCommand:
         assert rc in (0, 1)  # thresholds may fail on a rough instance
         assert read_report(out)["metrics"]["overlap_reduced"] is True
         assert "residuals" in capsys.readouterr().err
+
+    def test_overlap_sources_index_the_input(self, tmp_path, capsys):
+        mu, nu = overlapping_instance(np.random.default_rng(6), shared=5,
+                                      extra_mu=40, extra_nu=40)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(mu, a)
+        save_measure(nu, b)
+        out = tmp_path / "rec"
+        rc = main(["reconstruct", "--mu", str(a), "--nu", str(b),
+                   "--cost", COST, "--out", str(out)])
+        assert rc in (0, 1)
+        err = capsys.readouterr().err
+        assert err == "warning: measures share atoms; reconstructing on the residuals\n"
+        # the rows of a.csv whose weight exceeds the same point's weight in b.csv
+        rows_a = np.loadtxt(a, delimiter=",", ndmin=2)
+        weight_b = {tuple(r[:-1]): r[-1] for r in np.loadtxt(b, delimiter=",", ndmin=2).tolist()}
+        moving = [k for k, r in enumerate(rows_a.tolist()) if r[-1] > weight_b.get(tuple(r[:-1]), 0.0)]
+        assert len(moving) == len(rows_a) - 2  # atoms 0 and 29 stay at rest
+        source = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1, usecols=0)
+        assert source.tolist() == moving
 
     def test_single_atom_exit_2(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -323,6 +323,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             cost_from_json("[1, 2]")
 
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"piecewise","breakpoints":["1"],"slopes":["2",1]}',
+        '{"kind":"piecewise","breakpoints":[1],"slopes":["2",1]}',
+        '{"kind":"piecewise","breakpoints":[true],"slopes":[2,1]}',
+    ], ids=["strings", "string-slope", "bool"])
+    def test_piecewise_non_numbers_rejected(self, spec):
+        with pytest.raises(ValueError, match="must be a list of numbers"):
+            cost_from_json(spec)
+
 
 class TestConstruction:
     def test_power_alpha_range(self):

@@ -16,11 +16,11 @@ from concave_ot.solver import (
     SolverError,
     TransportPlan,
     _build_pivot_kernel,
-    _compiled_pivot_loop,
+    _compiled_kernel,
     _least_cost_basis,
     _network_simplex,
     _pivot_loop,
-    _starting_tree,
+    _python_start,
     certify,
     load_plan,
     save_plan,
@@ -185,6 +185,13 @@ STARTS = [
 ]
 
 
+# (costs, arcs, flows) of the least-cost start between two half-half measures
+SCANS = [
+    ([[3.0, 1.0], [2.0, 4.0]], [1, 2, 3], [0.5, 0.5, 0.0]),
+    ([[1.0, 1.0], [1.0, 1.0]], [0, 2, 3], [0.5, 0.0, 0.5]),  # ties by arc id
+]
+
+
 class TestStartingBasis:
     """The least-cost start is a strongly feasible spanning tree, which
     the leaving rule needs to rule out cycling on degenerate instances."""
@@ -194,10 +201,7 @@ class TestStartingBasis:
         arcs, flows = _least_cost_basis(mu.weights, nu.weights, cost_matrix(mu, nu, cost))
         assert _start_violations(mu.weights, nu.weights, arcs, flows) == []
 
-    @pytest.mark.parametrize("C, arcs, flows", [
-        ([[3.0, 1.0], [2.0, 4.0]], [1, 2, 3], [0.5, 0.5, 0.0]),
-        ([[1.0, 1.0], [1.0, 1.0]], [0, 2, 3], [0.5, 0.0, 0.5]),  # ties by arc id
-    ])
+    @pytest.mark.parametrize("C, arcs, flows", SCANS)
     def test_scans_by_cost_then_arc_id(self, C, arcs, flows):
         half = np.array([0.5, 0.5])
         got_arcs, got_flows = _least_cost_basis(half, half, np.array(C))
@@ -292,20 +296,34 @@ def _copy(tree):
 def _run_both_loops(mu, nu, cost, pivot_budget=10**9):
     """(pivots, flow bytes, arc-id bytes, pi bytes) from the Python loop
     and from the compiled one, each run on a copy of the same start."""
-    tree = _starting_tree(mu.weights, nu.weights, cost_matrix(mu, nu, cost))
+    tree = _python_start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
     out = []
-    for loop in (_pivot_loop, _compiled_pivot_loop()):
+    for loop in (_pivot_loop, _compiled_kernel().pivot_loop):
         t = _copy(tree)
         pivots = loop(t, pivot_budget)
         out.append((pivots, t.flow[1:].tobytes(), t.parc[1:].tobytes(), t.pi.tobytes()))
     return out
 
 
+def _both_starts(a, b, C):
+    """The Python and the compiled start of the same instance, each as
+    the bytes of the arc ids, the flows and every array of the tree."""
+    out = []
+    for start in (_python_start, _compiled_kernel().start):
+        arcs, flows, tree = start(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                                  np.asarray(C, dtype=float))
+        out.append({
+            "arcs": arcs.tobytes(), "flows": flows.tobytes(), "opt_tol": tree.opt_tol,
+            **{name: getattr(tree, name).tobytes() for name in ("cost", *solver._TREE_LISTS, "pi")},
+        })
+    return out
+
+
 @pytest.fixture
 def fresh_kernel_loader():
-    _compiled_pivot_loop.cache_clear()
+    _compiled_kernel.cache_clear()
     yield
-    _compiled_pivot_loop.cache_clear()
+    _compiled_kernel.cache_clear()
 
 
 @requires_cc
@@ -329,9 +347,9 @@ class TestCompiledPivotLoop:
 
     def test_same_pivot_budget_error(self):
         mu, nu = random_instance(np.random.default_rng(6), 10, 10, 2)
-        tree = _starting_tree(mu.weights, nu.weights, cost_matrix(mu, nu, P05))
+        tree = _python_start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
         messages = []
-        for loop in (_pivot_loop, _compiled_pivot_loop()):
+        for loop in (_pivot_loop, _compiled_kernel().pivot_loop):
             with pytest.raises(SolverError, match="pivot budget") as err:
                 loop(_copy(tree), 1)
             messages.append(str(err.value))
@@ -357,15 +375,70 @@ class TestCompiledPivotLoop:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def _tied_costs(m, n):
+    """Weights and an m x n matrix of costs in {0, 1, 2}: long runs of
+    ties in every row."""
+    rng = np.random.default_rng(m * n)
+    a, b = rng.integers(1, 5, m).astype(float), rng.integers(1, 5, n).astype(float)
+    return a / a.sum(), b / b.sum(), rng.integers(0, 3, size=(m, n)).astype(float)
+
+
+# (a, b, C) instances of the start
+START_INSTANCES = [
+    *(pytest.param(mu.weights, nu.weights, cost_matrix(mu, nu, cost), id=f"pinned_{p.id}")
+      for p in PINNED_PIVOTS for (mu, nu), cost in [p.values[:2]]),
+    *(pytest.param(mu.weights, nu.weights, cost_matrix(mu, nu, cost), id=p.id)
+      for p in STARTS for mu, nu, cost in [p.values]),
+    *(pytest.param([0.5, 0.5], [0.5, 0.5], C, id=f"scan{k}") for k, (C, _, _) in enumerate(SCANS)),
+    *(pytest.param(*_tied_costs(m, n), id=f"tied_{m}x{n}")
+      for m, n in [(40, 90), (90, 40), (1, 200), (200, 1)]),
+]
+
+
+@requires_cc
+class TestCompiledStart:
+    """The C start is a port of the Python one: on the same instance it
+    must take the same arcs with the same flows and build the same tree,
+    bit for bit."""
+
+    @pytest.mark.parametrize("a, b, C", START_INSTANCES)
+    def test_matches_python_start(self, a, b, C):
+        python, compiled = _both_starts(a, b, C)
+        assert compiled == python
+
+    @settings(max_examples=100, deadline=None)
+    @given(instance=st.one_of(lp_instances(), tie_heavy_instances()))
+    def test_matches_python_start_on_drawn_instances(self, instance):
+        mu, nu, cost = instance
+        python, compiled = _both_starts(mu.weights, nu.weights, cost_matrix(mu, nu, cost))
+        assert compiled == python
+
+    def test_solver_runs_the_compiled_start(self, monkeypatch):
+        def python_start(a, b, C):
+            raise AssertionError("the Python start ran")
+
+        monkeypatch.setattr(solver, "_python_start", python_start)
+        _, _, obj = solve_exact(*three_segments(16), P05)
+        assert obj == 1.0000610295691101
+
+
 def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader):
     mu, nu = random_instance(np.random.default_rng(3), 30, 25, 2)
     expected = solve_exact(mu, nu, P05)
     monkeypatch.setattr(solver, "_KERNEL_CACHE", tmp_path)
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
-    _compiled_pivot_loop.cache_clear()
-    with pytest.warns(RuntimeWarning, match="runs the Python pivot loop"):
+    python_starts = []
+
+    def recording_start(a, b, C):
+        python_starts.append((len(a), len(b)))
+        return _python_start(a, b, C)
+
+    monkeypatch.setattr(solver, "_python_start", recording_start)
+    _compiled_kernel.cache_clear()
+    with pytest.warns(RuntimeWarning, match="runs its Python start and pivot loop"):
         plan, pots, obj = solve_exact(mu, nu, P05)
-    assert _compiled_pivot_loop() is None
+    assert _compiled_kernel() is None
+    assert python_starts == [(30, 25)]
     assert obj == expected.objective
     for got, want in ((plan.src_idx, expected.plan.src_idx), (plan.tgt_idx, expected.plan.tgt_idx),
                       (plan.mass, expected.plan.mass), (pots.phi, expected.potentials.phi),
@@ -511,7 +584,8 @@ class TestValidation:
             budgets.append(pivot_budget)
             return _pivot_loop(tree, pivot_budget)
 
-        monkeypatch.setattr(solver, "_compiled_pivot_loop", lambda: recording_loop)
+        monkeypatch.setattr(solver, "_compiled_kernel", lambda: None)
+        monkeypatch.setattr(solver, "_pivot_loop", recording_loop)
         mu, nu = random_instance(np.random.default_rng(7), 7, 9, 2)
         _network_simplex(mu.weights, nu.weights, cost_matrix(mu, nu, P05))
         assert budgets == [16_000]
