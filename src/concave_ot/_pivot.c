@@ -4,7 +4,7 @@
  * starting_tree is a port of solver._least_cost_basis and of the one-DFS
  * thread build of solver._python_start; pivot_loop is a port of
  * solver._pivot_loop.  The Python functions stay as the reference.  The
- * start takes arcs in the same global (cost, arc id) order, merging short
+ * start takes arcs in the same global (cost, arc id) order, merging
  * sorted runs of each row's cheapest arcs read in place from the cost
  * matrix, and crosses lines out by the same (remainder, epsilon) rule.
  * In the loop, block pricing with Dantzig's rule inside a block, the
@@ -33,181 +33,170 @@ enum { OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2, NO_MEMORY = 3, NOT
 
 /* Arcs are scanned in increasing (cost, arc id) order: key_less
  * compares two keys. */
-static int key_less(double c1, i64 a1, double c2, i64 a2)
+typedef struct {
+    double cost;
+    i64 arc;
+} Key;
+
+static int key_less(Key x, Key y)
 {
-    return c1 < c2 || (c1 == c2 && a1 < a2);
+    return x.cost < y.cost || (x.cost == y.cost && x.arc < y.arc);
 }
 
-/* A binary min-heap of (cost, arc id) keys. */
+/* A binary heap of keys: the least on top, or the greatest if max. */
 typedef struct {
-    double *cost;
-    i64 *arc, len;
+    Key *key;
+    i64 len;
+    int max;
 } Heap;
+
+static int above(const Heap *h, Key x, Key y)
+{
+    return h->max ? key_less(y, x) : key_less(x, y);
+}
 
 static void sift_down(Heap *h, i64 k)
 {
-    double c = h->cost[k];
-    i64 a = h->arc[k];
+    Key x = h->key[k];
     for (;;) {
         i64 child = 2 * k + 1;
         if (child >= h->len)
             break;
-        if (child + 1 < h->len
-            && key_less(h->cost[child + 1], h->arc[child + 1], h->cost[child], h->arc[child]))
+        if (child + 1 < h->len && above(h, h->key[child + 1], h->key[child]))
             child++;
-        if (!key_less(h->cost[child], h->arc[child], c, a))
+        if (!above(h, h->key[child], x))
             break;
-        h->cost[k] = h->cost[child];
-        h->arc[k] = h->arc[child];
+        h->key[k] = h->key[child];
         k = child;
     }
-    h->cost[k] = c;
-    h->arc[k] = a;
+    h->key[k] = x;
 }
 
-static void heap_push(Heap *h, double c, i64 a)
+static void heap_push(Heap *h, Key x)
 {
     i64 k = h->len++;
-    while (k > 0 && key_less(c, a, h->cost[(k - 1) / 2], h->arc[(k - 1) / 2])) {
-        h->cost[k] = h->cost[(k - 1) / 2];
-        h->arc[k] = h->arc[(k - 1) / 2];
-        k = (k - 1) / 2;
-    }
-    h->cost[k] = c;
-    h->arc[k] = a;
+    for (; k > 0 && above(h, x, h->key[(k - 1) / 2]); k = (k - 1) / 2)
+        h->key[k] = h->key[(k - 1) / 2];
+    h->key[k] = x;
 }
 
-/* replaces the least key by (c, a), or drops it if a < 0 */
-static void heap_replace_top(Heap *h, double c, i64 a)
+static void heap_replace_top(Heap *h, Key x)
 {
-    if (a < 0) {
-        h->len--;
-        c = h->cost[h->len];
-        a = h->arc[h->len];
-    }
-    h->cost[0] = c;
-    h->arc[0] = a;
+    h->key[0] = x;
     sift_down(h, 0);
 }
 
-/* insertion sort of len keys */
-static void sort_keys(double *cost, i64 *arc, i64 len)
+static void heap_pop(Heap *h)
 {
-    for (i64 k = 1; k < len; k++) {
-        double c = cost[k];
-        i64 a = arc[k], t = k;
-        for (; t > 0 && key_less(c, a, cost[t - 1], arc[t - 1]); t--) {
-            cost[t] = cost[t - 1];
-            arc[t] = arc[t - 1];
-        }
-        cost[t] = c;
-        arc[t] = a;
-    }
+    heap_replace_top(h, h->key[--h->len]);
 }
 
-enum { ROW_BUF = 6 };
+enum { ROW_RUN = 6 };
 
-/* Sorts the len keys, of which the first `sorted` already are (a sorted
- * run of at most ROW_BUF), and keeps the ROW_BUF least; returns how many
- * are kept. */
-static i64 keep_least(double *cost, i64 *arc, i64 sorted, i64 len)
-{
-    double c[ROW_BUF];
-    i64 a[ROW_BUF], p = 0, q = sorted, k = 0;
-    sort_keys(cost + sorted, arc + sorted, len - sorted);
-    for (; k < ROW_BUF && (p < sorted || q < len); k++) {
-        int left = q == len || (p < sorted && key_less(cost[p], arc[p], cost[q], arc[q]));
-        c[k] = left ? cost[p] : cost[q];
-        a[k] = left ? arc[p++] : arc[q++];
-    }
-    for (i64 t = 0; t < k; t++)
-        cost[t] = c[t], arc[t] = a[t];
-    return k;
-}
-
-/* State of the least-cost scan.  Row i keeps a buffer of its ROW_BUF
- * cheapest arcs to alive columns, in increasing key order, where
- * head[i] is the next to scan; `rows` is a min-heap of the row heads.
+/* State of the least-cost scan.  Each alive row i keeps a run of its
+ * cheapest arcs to alive columns, run[i][0..len[i]-1] in increasing key
+ * order, where head[i] is the next to scan; a run of up to ROW_RUN arcs
+ * is the row's slot in `pool`.  `rows` is a min-heap of the row heads.
  * The arcs scanned before a row's head all go to crossed-out columns,
- * and every other arc to an alive column has a larger key than the
- * buffer's last, so the least head whose column is alive is the
- * cheapest arc between alive lines.  `cols` lists the alive columns in
- * increasing order. */
+ * and every other arc to an alive column has a larger key than the run's
+ * last, so the least head whose column is alive is the cheapest arc
+ * between alive lines.  `cols` lists, in increasing order, the alive
+ * columns and some crossed out since a refill last compacted it. */
 typedef struct {
-    i64 n, n_cols;
+    i64 n, left_rows, left_cols, n_listed;
     const double *cost;
     char *alive; /* per column */
-    i64 *cols, *head, *len, *buf_arc;
-    double *buf_cost;
+    i64 *cols, *head, *len;
+    Key **run, *pool;
     Heap rows;
+    int no_memory;
 } Scan;
 
-/* Refills row i's buffer with its ROW_BUF cheapest arcs to alive
- * columns; returns their number.  The arcs it held before all go to
- * crossed-out columns now, so the new ones follow them in key order. */
-static i64 refill(Scan *s, i64 i)
+/* frees row i's run unless it is the row's slot in the pool */
+static void free_run(Scan *s, i64 i)
 {
-    double cost[2 * ROW_BUF], limit = INFINITY;
-    i64 arc[2 * ROW_BUF], len = 0, sorted = 0;
-    const double *row = s->cost + i * s->n;
-    /* When the candidates fill up, the ROW_BUF least stay; the arcs
-     * still to come have larger ids, so they can be one only if they
-     * cost less than the last of those. */
-    for (i64 t = 0; t < s->n_cols; t++) {
-        double x = row[s->cols[t]];
-        if (!(x < limit))
-            continue;
-        cost[len] = x;
-        arc[len++] = i * s->n + s->cols[t];
-        if (len == 2 * ROW_BUF) {
-            len = sorted = keep_least(cost, arc, sorted, len);
-            limit = cost[ROW_BUF - 1];
-        }
-    }
-    len = keep_least(cost, arc, sorted, len);
-    for (i64 k = 0; k < len; k++) {
-        s->buf_cost[i * ROW_BUF + k] = cost[k];
-        s->buf_arc[i * ROW_BUF + k] = arc[k];
-    }
-    s->head[i] = 0;
-    return s->len[i] = len;
+    if (s->run[i] != s->pool + i * ROW_RUN)
+        free(s->run[i]);
+    s->run[i] = NULL;
 }
 
-/* crosses out column j */
-static void drop_col(Scan *s, i64 j)
+/* Refills row i's run with its cheapest arcs to alive columns; returns
+ * their number, 0 if out of memory.  The arcs it held before all go to
+ * crossed-out columns now, so the new ones follow them in key order.  A
+ * run holds max(ROW_RUN, alive columns / alive rows) arcs, so the runs of
+ * the alive rows hold at most n + ROW_RUN m arcs, and a row re-reads the
+ * alive columns only after that many of them are crossed out (a single
+ * row reads them once). */
+static i64 refill(Scan *s, i64 i)
 {
-    i64 lo = 0, hi = s->n_cols;
-    while (lo < hi) {
-        i64 mid = (lo + hi) / 2;
-        if (s->cols[mid] < j)
-            lo = mid + 1;
-        else
-            hi = mid;
+    i64 cap = s->left_cols / s->left_rows, listed = 0;
+    cap = cap < ROW_RUN ? ROW_RUN : cap;
+    cap = cap > s->left_cols ? s->left_cols : cap;
+    Key *run = s->pool + i * ROW_RUN;
+    if (cap > ROW_RUN) {
+        run = realloc(s->run[i] == run ? NULL : s->run[i], cap * sizeof *run);
+        if (!run) {
+            s->no_memory = 1;
+            return 0;
+        }
+    } else {
+        free_run(s, i);
     }
-    for (s->n_cols--; lo < s->n_cols; lo++)
-        s->cols[lo] = s->cols[lo + 1];
-    s->alive[j] = 0;
+    s->run[i] = run;
+    /* crossed-out columns stay listed until they are a ninth of the list */
+    if (8 * s->n_listed > 9 * s->left_cols) {
+        for (i64 t = 0; t < s->n_listed; t++)
+            if (s->alive[s->cols[t]])
+                s->cols[listed++] = s->cols[t];
+        s->n_listed = listed;
+    }
+    /* a max-heap of the cap least keys to alive columns read so far;
+     * once it is full, an arc that costs more than its top is passed
+     * over at once */
+    Heap least = { .key = run, .len = 0, .max = 1 };
+    const double *row = s->cost + i * s->n;
+    double limit = INFINITY;
+    for (i64 t = 0; t < s->n_listed; t++) {
+        i64 j = s->cols[t];
+        if (row[j] > limit)
+            continue;
+        Key x = { row[j], i * s->n + j };
+        if (!s->alive[j] || (least.len == cap && !key_less(x, run[0])))
+            continue;
+        if (least.len < cap)
+            heap_push(&least, x);
+        else
+            heap_replace_top(&least, x);
+        if (least.len == cap)
+            limit = run[0].cost;
+    }
+    /* heapsort: the greatest key left goes last */
+    for (i64 k = least.len - 1; k > 0; k--) {
+        Key top = run[0];
+        least.len = k;
+        heap_replace_top(&least, run[k]);
+        run[k] = top;
+    }
+    s->head[i] = 0;
+    return s->len[i] = cap;
 }
 
 /* Moves row i, whose head is the least, to its next head whose column
- * is alive, refilling its buffer when it runs out; drops the row if no
- * alive column is left. */
+ * is alive, refilling its run when it runs out. */
 static void next_head(Scan *s, i64 i)
 {
-    const double *cost = s->buf_cost + i * ROW_BUF;
-    const i64 *arc = s->buf_arc + i * ROW_BUF;
     i64 k = s->head[i];
     do {
         if (++k == s->len[i]) {
             if (!refill(s, i)) {
-                heap_replace_top(&s->rows, 0.0, -1);
+                heap_pop(&s->rows);
                 return;
             }
             k = 0;
         }
-    } while (!s->alive[arc[k] % s->n]);
+    } while (!s->alive[s->run[i][k].arc % s->n]);
     s->head[i] = k;
-    heap_replace_top(&s->rows, cost[k], arc[k]);
+    heap_replace_top(&s->rows, s->run[i][k]);
 }
 
 /* solver._least_cost_basis: the m+n-1 arcs (in arcs[], flows[]) taken by
@@ -220,15 +209,15 @@ static int least_cost_basis(i64 m, i64 n, const double *a, const double *b,
     double *rest = malloc(N * sizeof *rest);
     i64 *eps = malloc(N * sizeof *eps);
     Scan s = {
-        .n = n, .n_cols = n, .cost = cost, .alive = malloc(n),
-        .cols = malloc(n * sizeof(i64)), .head = malloc(m * sizeof(i64)),
-        .len = malloc(m * sizeof(i64)), .buf_arc = malloc(m * ROW_BUF * sizeof(i64)),
-        .buf_cost = malloc(m * ROW_BUF * sizeof(double)),
-        .rows = { .cost = malloc(m * sizeof(double)), .arc = malloc(m * sizeof(i64)) },
+        .n = n, .left_rows = m, .left_cols = n, .n_listed = n, .cost = cost,
+        .alive = malloc(n), .cols = malloc(n * sizeof(i64)),
+        .head = malloc(m * sizeof(i64)), .len = malloc(m * sizeof(i64)),
+        .run = calloc(m, sizeof(Key *)), .pool = malloc(m * ROW_RUN * sizeof(Key)),
+        .rows = { .key = malloc(m * sizeof(Key)) },
     };
-    int status = rest && eps && s.alive && s.cols && s.head && s.len && s.buf_arc
-                 && s.buf_cost && s.rows.cost && s.rows.arc ? OPTIMAL : NO_MEMORY;
-    i64 left_rows = m, left_cols = n, taken = 0;
+    int status = rest && eps && s.alive && s.cols && s.head && s.len && s.run && s.pool
+                 && s.rows.key ? OPTIMAL : NO_MEMORY;
+    i64 taken = 0;
     if (status != OPTIMAL)
         goto done;
     for (i64 u = 0; u < N; u++) {
@@ -237,20 +226,20 @@ static int least_cost_basis(i64 m, i64 n, const double *a, const double *b,
     }
     for (i64 j = 0; j < n; j++)
         s.cols[j] = j, s.alive[j] = 1;
-    for (i64 i = 0; i < m; i++)
-        if (refill(&s, i))
-            heap_push(&s.rows, s.buf_cost[i * ROW_BUF], s.buf_arc[i * ROW_BUF]);
+    for (i64 i = 0; i < m && refill(&s, i); i++)
+        heap_push(&s.rows, s.run[i][0]);
     /* A row leaves the heap when it is crossed out; a head whose column
      * is crossed out is passed over when it comes up. */
     status = NOT_SPANNING;
-    while (s.rows.len) {
-        i64 i = s.rows.arc[0] / n, u = m + s.rows.arc[0] % n, out, keep;
+    while (s.rows.len && !s.no_memory) {
+        Key top = s.rows.key[0];
+        i64 i = top.arc / n, u = m + top.arc % n, out, keep;
         if (!s.alive[u - m]) {
             next_head(&s, i);
             continue;
         }
-        arcs[taken] = s.rows.arc[0];
-        if (left_rows == 1 && left_cols == 1) {
+        arcs[taken] = top.arc;
+        if (s.left_rows == 1 && s.left_cols == 1) {
             double f = rest[u] < rest[i] ? rest[u] : rest[i];
             flows[taken] = 0.0 > f ? 0.0 : f;
             status = OPTIMAL;
@@ -258,29 +247,34 @@ static int least_cost_basis(i64 m, i64 n, const double *a, const double *b,
         }
         /* As in the reference: the last row (column) stays until the
          * last step, else the smaller (remainder, epsilon) goes. */
-        if (left_cols == 1
-            || (left_rows > 1
+        if (s.left_cols == 1
+            || (s.left_rows > 1
                 && (rest[i] < rest[u] || (rest[i] == rest[u] && eps[i] < eps[u])))) {
             out = i, keep = u;
-            left_rows--;
         } else {
             out = u, keep = i;
-            left_cols--;
         }
         double f = 0.0 > rest[out] ? 0.0 : rest[out];
         flows[taken++] = f;
         rest[keep] -= f;
         eps[keep] -= eps[out];
         if (out == i) {
-            heap_replace_top(&s.rows, 0.0, -1);
+            s.left_rows--;
+            free_run(&s, i);
+            heap_pop(&s.rows);
         } else {
-            drop_col(&s, u - m);
+            s.left_cols--;
+            s.alive[u - m] = 0;
             next_head(&s, i);
         }
     }
+    if (s.no_memory)
+        status = NO_MEMORY;
 done:
+    for (i64 i = 0; s.run && s.pool && i < m; i++)
+        free_run(&s, i);
     free(rest), free(eps), free(s.alive), free(s.cols), free(s.head), free(s.len);
-    free(s.buf_arc), free(s.buf_cost), free(s.rows.cost), free(s.rows.arc);
+    free(s.run), free(s.pool), free(s.rows.key);
     return status;
 }
 

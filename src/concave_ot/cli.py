@@ -42,6 +42,7 @@ from .measures import (
     MeasureFormatError,
     _jsonable,
     _meet_weights,
+    _residual_pair,
     _write_table,
     hyperplane_sample,
     load_measure,
@@ -455,14 +456,10 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     warned_overlap = len(i) > 0
     if warned_overlap:
         _log.warning("measures share atoms; reconstructing on the residuals")
-        # residual atom k is atom rows[k] of mu: a subset of sorted,
-        # distinct atoms keeps its order in a new measure
-        rows = np.flatnonzero(mu_rest > 0.0)
-        cols = np.flatnonzero(nu_rest > 0.0)
-        if len(rows) == 0 or len(cols) == 0:
+        residuals = _residual_pair(mu, nu, mu_rest, nu_rest)
+        if residuals is None:
             raise ValueError("measures coincide; nothing to reconstruct")
-        mu = DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim)
-        nu = DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim)
+        rows, _, mu, nu = residuals
     plan, pots, obj = solve_exact(mu, nu, cost)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan
@@ -576,14 +573,17 @@ class _LevelPrefix(logging.Formatter):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # the package's warnings go to stderr for the length of the command
+    # the package's warnings go to stderr for the length of the command,
+    # and only there, even if the host process has configured logging
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_LevelPrefix())
     _log.addHandler(handler)
+    propagate, _log.propagate = _log.propagate, False
     try:
         return _run(parser, args)
     finally:
         _log.removeHandler(handler)
+        _log.propagate = propagate
 
 
 def _run(parser, args):

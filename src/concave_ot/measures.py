@@ -179,6 +179,26 @@ def _meet_weights(mu, nu):
     return i, j, common, mu_rest, nu_rest
 
 
+def _residual_pair(mu, nu, mu_rest, nu_rest):
+    """The residuals of :func:`_meet_weights` as two measures.
+
+    Returns ``(rows, cols, mu_r, nu_r)``: residual atom k is atom
+    ``rows[k]`` of mu (``cols[k]`` of nu), as a subset of sorted,
+    distinct atoms keeps its order in a new measure.  None if either
+    residual has no mass.
+    """
+    rows = np.flatnonzero(mu_rest > 0.0)
+    cols = np.flatnonzero(nu_rest > 0.0)
+    if len(rows) == 0 or len(cols) == 0:
+        return None
+    return (
+        rows,
+        cols,
+        DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim),
+        DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim),
+    )
+
+
 def meet(mu, nu):
     """Atomwise lattice meet: common part and both positive residuals.
 

@@ -32,18 +32,19 @@ The start and the pivot loop run in C: ``_pivot.c`` ports
 ``_least_cost_basis`` and the thread build of ``_python_start``
 (``starting_tree``), and ``_pivot_loop`` (pricing, leaving arc, tree
 surgery, potential update; ``pivot_loop``).  The compiled start takes
-arcs in the same (cost, arc id) order from short sorted runs of each
-row's cheapest arcs, read in place, so it copies no part of the cost
-matrix.  The first exact solve of a process loads the kernel with
-ctypes, compiling it first with the system ``cc -O2 -ffp-contract=off
--shared -fPIC`` unless the package's ``__pycache__`` holds
-``_pivot.<hash>.so`` (the hash covers the source and the compiler
-command, so each version compiles once).  ``-ffp-contract=off`` forbids
-fused multiply-adds, so every floating-point operation rounds as
-numpy's and Python's do, and both paths return the same basis, tree,
-pivots, flows and potentials bit for bit.  If compiling or loading
-fails, a RuntimeWarning says so once and the Python start and loop run,
-with the same results at Python speed.  No option selects the path.
+arcs in the same (cost, arc id) order from sorted runs of each row's
+cheapest arcs (6, or alive columns / alive rows if more), read in
+place, so it copies no part of the cost matrix.  The first exact solve
+of a process loads the kernel with ctypes, compiling it first with the
+system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
+``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
+and the compiler command, so each version compiles once).
+``-ffp-contract=off`` forbids fused multiply-adds, so every
+floating-point operation rounds as numpy's and Python's do, and both
+paths return the same basis, tree, pivots, flows and potentials bit for
+bit.  If compiling or loading fails, a RuntimeWarning says so once and
+the Python start and loop run, with the same results at Python speed.
+No option selects the path.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ import numpy as np
 
 from .costs import cost_matrix
 from .measures import (
-    DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights, _read_table, _write_table
+    DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights, _read_table, _residual_pair,
+    _write_table,
 )
 
 __all__ = [
@@ -273,21 +275,15 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     if no_meet or len(i) == 0:
         plan, pots, obj = solve_exact(mu, nu, cost)
         return plan, pots, obj, certify(plan, pots, cost), False
-    rows = np.flatnonzero(mu_rest > 0.0)
-    cols = np.flatnonzero(nu_rest > 0.0)
-    if len(rows) == 0 or len(cols) == 0:
+    residuals = _residual_pair(mu, nu, mu_rest, nu_rest)
+    if residuals is None:
         plan = TransportPlan(
             source=mu, target=nu, src_idx=i, tgt_idx=j, mass=common
         ).validate()
         pots = DualPotentials(phi=np.zeros(len(mu)), psi=np.zeros(len(nu)))
         return plan, pots, 0.0, certify(plan, pots, cost), True
-    # residual atom k is atom rows[k] of mu (cols[k] of nu): a subset of
-    # sorted, distinct atoms keeps its order in a new measure
-    r_plan, pots, obj = solve_exact(
-        DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim),
-        DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim),
-        cost,
-    )
+    rows, cols, mu_r, nu_r = residuals
+    r_plan, pots, obj = solve_exact(mu_r, nu_r, cost)
     cert = certify(r_plan, pots, cost)
     phi = np.full(len(mu), np.nan)
     psi = np.full(len(nu), np.nan)

@@ -1,4 +1,6 @@
+import io
 import json
+import logging
 import re
 
 import numpy as np
@@ -12,6 +14,7 @@ from concave_ot.structure import decompose
 from support import overlapping_instance, random_instance
 
 COST = '{"kind":"power","alpha":0.5}'
+OVERLAP_WARNING = "warning: measures share atoms; reconstructing on the residuals\n"
 
 
 @pytest.fixture
@@ -363,7 +366,10 @@ class TestReconstructCommand:
         assert read_report(out)["metrics"]["overlap_reduced"] is True
         assert "residuals" in capsys.readouterr().err
 
-    def test_overlap_sources_index_the_input(self, tmp_path, capsys):
+    @staticmethod
+    def _reconstruct_overlapping(tmp_path):
+        """Runs reconstruct on two measures that share atoms; returns the
+        --mu and --nu files and the output directory."""
         mu, nu = overlapping_instance(np.random.default_rng(6), shared=5,
                                       extra_mu=40, extra_nu=40)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -373,8 +379,23 @@ class TestReconstructCommand:
         rc = main(["reconstruct", "--mu", str(a), "--nu", str(b),
                    "--cost", COST, "--out", str(out)])
         assert rc in (0, 1)
-        err = capsys.readouterr().err
-        assert err == "warning: measures share atoms; reconstructing on the residuals\n"
+        return a, b, out
+
+    def test_overlap_warning_once_under_configured_logging(self, tmp_path, capsys):
+        root_log = io.StringIO()
+        handler = logging.StreamHandler(root_log)
+        logging.getLogger().addHandler(handler)
+        try:
+            self._reconstruct_overlapping(tmp_path)
+        finally:
+            logging.getLogger().removeHandler(handler)
+        assert capsys.readouterr().err == OVERLAP_WARNING
+        assert root_log.getvalue() == ""
+        assert logging.getLogger("concave_ot").propagate
+
+    def test_overlap_sources_index_the_input(self, tmp_path, capsys):
+        a, b, out = self._reconstruct_overlapping(tmp_path)
+        assert capsys.readouterr().err == OVERLAP_WARNING
         # the rows of a.csv whose weight exceeds the same point's weight in b.csv
         rows_a = np.loadtxt(a, delimiter=",", ndmin=2)
         weight_b = {tuple(r[:-1]): r[-1] for r in np.loadtxt(b, delimiter=",", ndmin=2).tolist()}

@@ -391,7 +391,12 @@ START_INSTANCES = [
       for p in STARTS for mu, nu, cost in [p.values]),
     *(pytest.param([0.5, 0.5], [0.5, 0.5], C, id=f"scan{k}") for k, (C, _, _) in enumerate(SCANS)),
     *(pytest.param(*_tied_costs(m, n), id=f"tied_{m}x{n}")
-      for m, n in [(40, 90), (90, 40), (1, 200), (200, 1)]),
+      for m, n in [(40, 90), (90, 40), (1, 200), (200, 1), (5, 400), (3, 1000)]),
+    # far fewer rows than columns: each row's run holds many arcs
+    *(pytest.param(mu.weights, nu.weights, cost_matrix(mu, nu, P05), id=f"separated_{m}x{n}")
+      for m, n in [(1, 3000), (20, 3000), (3000, 20)]
+      for mu, nu in [(uniform_box(m, 2, seed=10),
+                      uniform_box(n, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11))]),
 ]
 
 
