@@ -115,8 +115,35 @@ class ConcaveCost:
         Returns the radius ``t`` when the slope is attained at a single
         radius, a :class:`DerivativeGap` when ``p`` falls strictly inside
         a kink's slope interval, and :class:`OutOfRange` when no radius
-        attains ``p``.
+        attains ``p``.  A one-element call of :meth:`_inv_deriv`, so the
+        two agree bit for bit.
         """
+        p = float(_as_positive(p, "p"))
+        radii, gap, out = self._inv_deriv(np.array([p]))
+        if out[0]:
+            lo, hi = self._slope_bounds()
+            return OutOfRange(slope=p, lo=lo, hi=hi)
+        radius = float(radii[0])
+        if gap[0]:
+            return DerivativeGap(
+                point=radius,
+                left_slope=float(self.deriv(radius, side="left")),
+                right_slope=float(self.deriv(radius, side="right")),
+            )
+        return radius
+
+    def _inv_deriv(self, p):
+        """Array form of :meth:`inv_deriv` at slopes ``p > 0``.
+
+        Returns ``(radii, gap, out_of_range)``.  ``gap`` marks slopes
+        strictly inside a kink's slope interval, whose radius is the kink;
+        ``out_of_range`` marks slopes no radius attains, whose radius is
+        NaN.
+        """
+        raise NotImplementedError
+
+    def _slope_bounds(self):
+        """``(lo, hi)`` bounds of the attainable slopes, as in OutOfRange."""
         raise NotImplementedError
 
     def kinks(self):
@@ -150,10 +177,11 @@ class PowerCost(ConcaveCost):
         t = _as_positive(t)
         return self.alpha * t ** (self.alpha - 1.0)
 
-    def inv_deriv(self, p):
-        p = float(_as_positive(p, "p"))
+    def _inv_deriv(self, p):
+        p = _as_positive(p, "p")
         # alpha * t**(alpha-1) = p, slope range is all of (0, inf)
-        return (p / self.alpha) ** (1.0 / (self.alpha - 1.0))
+        never = np.zeros(p.shape, dtype=bool)
+        return (p / self.alpha) ** (1.0 / (self.alpha - 1.0)), never, never
 
     def to_dict(self):
         return {"kind": "power", "alpha": self.alpha}
@@ -181,11 +209,14 @@ class LogShiftCost(ConcaveCost):
         t = _as_positive(t)
         return self.a / (1.0 + self.a * t)
 
-    def inv_deriv(self, p):
-        p = float(_as_positive(p, "p"))
-        if p >= self.a:
-            return OutOfRange(slope=p, lo=0.0, hi=self.a)
-        return 1.0 / p - 1.0 / self.a
+    def _inv_deriv(self, p):
+        p = _as_positive(p, "p")
+        out = p >= self.a
+        radii = np.where(out, np.nan, 1.0 / p - 1.0 / self.a)
+        return radii, np.zeros(p.shape, dtype=bool), out
+
+    def _slope_bounds(self):
+        return 0.0, self.a
 
     def to_dict(self):
         return {"kind": "logshift", "a": self.a}
@@ -241,29 +272,27 @@ class PiecewiseConcaveCost(ConcaveCost):
             seg = np.where(at_kink, np.maximum(seg - 1, 0), seg)
         return self.slopes[seg] + 0.0 * t  # broadcast to t's shape
 
-    def inv_deriv(self, p):
-        p = float(_as_positive(p, "p"))
+    def _inv_deriv(self, p):
+        p = _as_positive(p, "p")
         sl = self.slopes
-        if p > sl[0]:
-            return OutOfRange(slope=p, lo=float(sl[-1]), hi=float(sl[0]))
-        if p < sl[-1]:
-            return OutOfRange(slope=p, lo=float(sl[-1]), hi=float(sl[0]))
+        last = len(sl) - 1
         # exact slope hit: the radius is any point of the segment; report its
         # midpoint, except on the unbounded last segment where no finite
         # radius is preferred
-        hit = np.flatnonzero(np.abs(p - sl) <= 1e-12 * sl)
-        if hit.size:
-            i = int(hit[0])
-            if i == len(sl) - 1:
-                return OutOfRange(slope=p, lo=float(sl[-1]), hi=float(sl[0]))
-            return 0.5 * (self._knots[i] + self._knots[i + 1])
-        # strictly inside the slope gap of some kink
-        i = int(np.searchsorted(-sl, -p, side="left"))  # first slope < p is sl[i]
-        return DerivativeGap(
-            point=float(self.breakpoints[i - 1]),
-            left_slope=float(sl[i - 1]),
-            right_slope=float(sl[i]),
-        )
+        near = np.abs(p[..., None] - sl) <= 1e-12 * sl
+        hit = near.any(axis=-1)
+        seg = near.argmax(axis=-1)
+        out = ~((p >= sl[-1]) & (p <= sl[0])) | (hit & (seg == last))
+        # otherwise strictly inside the slope gap of some kink: the first
+        # slope below p is sl[i], and the kink is breakpoints[i - 1]
+        gap = ~out & ~hit
+        kink = np.clip(np.searchsorted(-sl, -p, side="left") - 1, 0, last - 1)
+        mid = 0.5 * (self._knots[:-1] + self._knots[1:])
+        radii = np.where(gap, self.breakpoints[kink], mid[np.minimum(seg, last - 1)])
+        return np.where(out, np.nan, radii), gap, out
+
+    def _slope_bounds(self):
+        return float(self.slopes[-1]), float(self.slopes[0])
 
     def kinks(self):
         return self.breakpoints.copy()

@@ -25,7 +25,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .costs import DerivativeGap, OutOfRange
 from .measures import DiscreteMeasure, _jsonable, meet
 from .solver import TransportPlan
 
@@ -169,6 +168,12 @@ class CcmReport:
         return _jsonable(self)
 
 
+# Largest number of cost entries verify_ccm holds at once.  Up to this
+# many support pairs it evaluates the whole S x S matrix once and reads
+# every cycle from it; beyond, it rebuilds row blocks of that size.
+_CCM_ENTRIES = 4_000_000
+
+
 def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
     """Search support cycles whose reassignment would lower the cost.
 
@@ -177,6 +182,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     beyond; length-4 cycles by seeded sampling.  ``worst_violation`` is
     the largest value of sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i)))
     observed; for an optimal plan it stays below ``tol``.
+
+    When the S x S cost matrix of the S support entries fits in
+    ``_CCM_ENTRIES`` entries it is evaluated once: the pair swaps read it
+    and its transpose, and the cycles gather from it.  Larger supports
+    are checked in row blocks that recompute their costs; both ways give
+    the same report.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
@@ -184,6 +195,14 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     xs = plan.source.points[plan.src_idx]
     ys = plan.target.points[plan.tgt_idx]
     base = cost.value(np.linalg.norm(xs - ys, axis=1))
+    C = cost.value(cdist(xs, ys)) if S * S <= _CCM_ENTRIES else None
+
+    if C is not None:
+        def pair_cost(i, j):  # c(x_i, y_j) for index arrays of one shape
+            return np.take(C, i * S + j)
+    else:
+        def pair_cost(i, j):
+            return cost.value(np.linalg.norm(xs[i] - ys[j], axis=-1))
 
     worst = -math.inf
     witness = None
@@ -196,13 +215,18 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             if value > tol:
                 witness = (tuple(entries), tuple(permuted))
 
-    # length 2: all ordered pairs, chunked to bound memory
-    chunk = max(1, min(S, 4_000_000 // max(S, 1)))
+    # length 2: all ordered pairs, in row blocks when the matrix is too big
+    chunk = max(S, 1) if C is not None else max(1, _CCM_ENTRIES // S)
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
-        A = cost.value(cdist(xs[lo:hi], ys))  # c(x_k, y_l) for k in chunk
-        B = cost.value(cdist(xs, ys[lo:hi]))  # c(x_l, y_k) for k in chunk
-        V = base[lo:hi, None] + base[None, :] - A - B.T
+        if C is not None:
+            A, Bt = C, C.T
+        else:
+            A = cost.value(cdist(xs[lo:hi], ys))  # c(x_k, y_l) for k in block
+            Bt = cost.value(cdist(xs, ys[lo:hi])).T  # c(x_l, y_k) for k in block
+        V = base[lo:hi, None] + base[None, :]
+        V -= A
+        V -= Bt
         idx = np.arange(lo, hi)
         V[idx - lo, idx] = -np.inf  # k == l is not a cycle
         k_rel, l = np.unravel_index(np.argmax(V), V.shape)
@@ -213,7 +237,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
 
     if max_cycle_len >= 3 and S >= 3:
         if S <= 450:
-            A = cost.value(cdist(xs, ys))
+            A = C if C is not None else cost.value(cdist(xs, ys))
             for p in range(S - 2):
                 rest = np.arange(p + 1, S)
                 q, r = np.meshgrid(rest, rest, indexing="ij")
@@ -229,11 +253,9 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
                         perm = (q[t], r[t], p) if v is v1 else (r[t], p, q[t])
                         note(float(v[t]), (p, int(q[t]), int(r[t])), perm)
         else:
-            checked += _sampled_cycles(
-                xs, ys, base, cost, 3, sample_size, seed, note
-            )
+            checked += _sampled_cycles(base, pair_cost, 3, sample_size, seed, note)
     if max_cycle_len >= 4 and S >= 4:
-        checked += _sampled_cycles(xs, ys, base, cost, 4, sample_size, seed + 1, note)
+        checked += _sampled_cycles(base, pair_cost, 4, sample_size, seed + 1, note)
 
     return CcmReport(
         cycles_checked=checked,
@@ -242,7 +264,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     )
 
 
-def _sampled_cycles(xs, ys, base, cost, length, sample_size, seed, note):
+def _sampled_cycles(base, pair_cost, length, sample_size, seed, note):
     """Seeded sample of ordered index tuples checked against one rotation."""
     S = len(base)
     rng = np.random.default_rng(seed)
@@ -258,13 +280,8 @@ def _sampled_cycles(xs, ys, base, cost, length, sample_size, seed, note):
         tuples.append(cand[:need])
         need -= len(cand[:need])
     tuples = np.vstack(tuples)
-    orig = base[tuples].sum(axis=1)
     rotated = np.roll(tuples, -1, axis=1)
-    swapped = np.zeros(len(tuples))
-    for s in range(length):
-        d = np.linalg.norm(xs[tuples[:, s]] - ys[rotated[:, s]], axis=1)
-        swapped += cost.value(d)
-    v = orig - swapped
+    v = base[tuples].sum(axis=1) - pair_cost(tuples, rotated).sum(axis=1)
     t = int(np.argmax(v))
     note(float(v[t]), tuple(tuples[t]), tuple(rotated[t]))
     return len(tuples)
@@ -296,33 +313,31 @@ def extract_map(decomp, mass_tol=1e-9):
     """Assign each off-diagonal source its target where it is unique.
 
     A source is assigned when all but at most ``mass_tol`` of its
-    off-diagonal mass goes to a single target; the rest are recorded as
+    off-diagonal mass goes to a single target, the one of its largest
+    entry (the first in plan order on a tie); the rest are recorded as
     splits, and ``split_fraction`` totals the off-diagonal mass they
     carry.
     """
     off = decomp.off_diagonal
-    by_src = {}
-    for i, j, w in zip(off.src_idx, off.tgt_idx, off.mass):
-        by_src.setdefault(int(i), []).append((int(j), float(w)))
-    assigned_s, assigned_t, splits = [], [], []
-    split_mass = 0.0
-    for i, pairs in sorted(by_src.items()):
-        total = sum(w for _, w in pairs)
-        j_best, w_best = max(pairs, key=lambda p: p[1])
-        if total - w_best <= mass_tol:
-            assigned_s.append(i)
-            assigned_t.append(j_best)
-        else:
-            tg, ms = zip(*sorted(pairs))
-            splits.append(
-                SplitSource(source=i, targets=np.array(tg), masses=np.array(ms))
-            )
-            split_mass += total
+    src, tgt, w = off.src_idx, off.tgt_idx, off.mass
+    # by source, then largest mass first; lexsort is stable, so the first
+    # entry of each group is its first largest one in plan order
+    order = np.lexsort((-w, src))
+    starts = np.flatnonzero(np.diff(src[order], prepend=-1))
+    sources, best = src[order][starts], order[starts]
+    # each group's total sums its masses in plan order
+    total = np.add.reduceat(w[np.argsort(src, kind="stable")], starts)
+    unique = total - w[best] <= mass_tol
+    # a split lists its targets sorted by (target, mass)
+    order = np.lexsort((w, tgt, src))
+    order = order[np.isin(src[order], sources[~unique])]
+    groups = np.split(order, np.flatnonzero(np.diff(src[order])) + 1) if len(order) else []
+    splits = [SplitSource(source=int(src[e[0]]), targets=tgt[e], masses=w[e]) for e in groups]
     return MapExtract(
-        assigned_sources=np.array(assigned_s, dtype=np.int64),
-        assigned_targets=np.array(assigned_t, dtype=np.int64),
+        assigned_sources=sources[unique],
+        assigned_targets=tgt[best[unique]],
         splits=splits,
-        split_fraction=float(split_mass),
+        split_fraction=float(total[~unique].sum()),
     )
 
 
@@ -361,7 +376,14 @@ def reconstruct_map_from_potential(
     least-squares fit of the potential over the ``k`` nearest source
     atoms; the inverse cost derivative converts its magnitude into a
     displacement radius (a kink's slope gap still pins the radius), and
-    ``y_pred = x - r * grad/|grad|``.
+    ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
+    most ``grad_tol`` stay at rest (``near_diagonal``, radius 0).
+
+    All fits are one stacked pseudo-inverse over the (n, k+1, d+1)
+    neighbour systems, with ``lstsq``'s default cutoff, so a
+    rank-deficient neighbourhood gets the minimum-norm gradient; the
+    radii come from one array call of the inverse derivative, and only
+    moving atoms divide by their gradient norm.
     """
     d = mu.dim
     k = max(int(k_neighbors), d + 1)
@@ -377,37 +399,31 @@ def reconstruct_map_from_potential(
     tree = cKDTree(mu.points)
     _, nb = tree.query(mu.points, k=k + 1)
 
-    grads = np.zeros((n, d))
-    resid = np.zeros(n)
-    for i in range(n):
-        idx = nb[i]
-        A = np.column_stack([mu.points[idx] - mu.points[i], np.ones(len(idx))])
-        rhs = phi[idx] - phi[i]
-        sol, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
-        grads[i] = sol[:d]
-        resid[i] = float(np.sqrt(np.mean((A @ sol - rhs) ** 2)))
+    # affine fit phi(x_j) - phi(x_i) ~ g . (x_j - x_i) + b over each
+    # neighbourhood, all at once; pinv with lstsq's default cutoff gives
+    # lstsq's minimum-norm solution on rank-deficient neighbourhoods
+    A = np.ones((n, k + 1, d + 1))
+    A[:, :, :d] = mu.points[nb] - mu.points[:, None, :]
+    rhs = phi[nb] - phi[:, None]
+    pinv = np.linalg.pinv(A, rcond=np.finfo(float).eps * (k + 1))
+    sol = np.einsum("nij,nj->ni", pinv, rhs)
+    grads = sol[:, :d]
+    resid = np.sqrt(np.mean((np.einsum("nij,nj->ni", A, sol) - rhs) ** 2, axis=1))
 
-    y_pred = np.full((n, d), np.nan)
-    radii = np.full(n, np.nan)
-    gap_event = np.zeros(n, dtype=bool)
-    out_of_range = np.zeros(n, dtype=bool)
-    near_diag = np.zeros(n, dtype=bool)
+    # flat gradients stay at rest; the others move by the inverse derivative
     gnorm = np.linalg.norm(grads, axis=1)
-    for i in range(n):
-        if gnorm[i] <= grad_tol:
-            near_diag[i] = True
-            y_pred[i] = mu.points[i]
-            radii[i] = 0.0
-            continue
-        r = cost.inv_deriv(gnorm[i])
-        if isinstance(r, OutOfRange):
-            out_of_range[i] = True
-            continue
-        if isinstance(r, DerivativeGap):
-            gap_event[i] = True
-            r = r.point
-        radii[i] = float(r)
-        y_pred[i] = mu.points[i] - radii[i] * grads[i] / gnorm[i]
+    near_diag = gnorm <= grad_tol
+    moving = ~near_diag
+    r, gap, out = cost._inv_deriv(gnorm[moving])
+    radii = np.zeros(n)
+    radii[moving] = r
+    gap_event = np.zeros(n, dtype=bool)
+    gap_event[moving] = gap
+    out_of_range = np.zeros(n, dtype=bool)
+    out_of_range[moving] = out
+    y_pred = mu.points.copy()
+    # out-of-range radii are NaN, and so are their rows
+    y_pred[moving] -= r[:, None] * grads[moving] / gnorm[moving, None]
 
     result = ReconstructionResult(
         y_pred=y_pred,

@@ -6,7 +6,9 @@ enumerates spanning trees of the bipartite graph and prices every
 feasible basic solution.  Both are only usable at toy sizes, which is
 the point.  The LP oracle hands the same linear program to scipy's
 HiGHS, independent code that scales to a few hundred atoms.  The
-isotropy reference scans every atom for every cone.
+isotropy reference scans every atom for every cone.  The map references
+are the per-atom loops that ``structure.extract_map`` and
+``structure.reconstruct_map_from_potential`` replace with array code.
 """
 
 import warnings
@@ -14,10 +16,17 @@ from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import cKDTree
 
-from concave_ot.costs import cost_matrix
+from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure
+from concave_ot.structure import (
+    MapExtract,
+    ReconstructionResult,
+    SplitSource,
+    decompose,
+)
 
 
 def random_instance(rng, m, n, d, uniform_weights=False):
@@ -248,3 +257,113 @@ def isotropy_audit_reference(
         n_directions=len(U),
         resolution_warning=bool(res_warning),
     )
+
+
+def extract_map_reference(decomp, mass_tol=1e-9):
+    """``structure.extract_map`` as a dict of per-source lists.
+
+    ``max`` keeps the first largest entry in plan order, and each
+    source's total is a plain sum in plan order.
+    """
+    off = decomp.off_diagonal
+    by_src = {}
+    for i, j, w in zip(off.src_idx, off.tgt_idx, off.mass):
+        by_src.setdefault(int(i), []).append((int(j), float(w)))
+    assigned_s, assigned_t, splits = [], [], []
+    split_mass = 0.0
+    for i, pairs in sorted(by_src.items()):
+        total = sum(w for _, w in pairs)
+        j_best, w_best = max(pairs, key=lambda p: p[1])
+        if total - w_best <= mass_tol:
+            assigned_s.append(i)
+            assigned_t.append(j_best)
+        else:
+            tg, ms = zip(*sorted(pairs))
+            splits.append(
+                SplitSource(source=i, targets=np.array(tg), masses=np.array(ms))
+            )
+            split_mass += total
+    return MapExtract(
+        assigned_sources=np.array(assigned_s, dtype=np.int64),
+        assigned_targets=np.array(assigned_t, dtype=np.int64),
+        splits=splits,
+        split_fraction=float(split_mass),
+    )
+
+
+def reconstruct_reference(
+    potentials, mu, nu, cost, k_neighbors=8, plan=None, grad_tol=1e-8
+):
+    """``structure.reconstruct_map_from_potential`` as a loop over atoms.
+
+    Each atom's gradient is its own ``lstsq`` fit, and each radius its own
+    scalar ``cost.inv_deriv`` call.
+    """
+    d = mu.dim
+    k = max(int(k_neighbors), d + 1)
+    n = len(mu)
+    if n < k + 1:
+        raise ValueError(
+            f"gradient fit needs at least {k + 1} source atoms, got {n}"
+        )
+    phi = np.asarray(potentials.phi, dtype=float)
+    if phi.shape != (n,):
+        raise ValueError("phi must have one value per source atom")
+
+    tree = cKDTree(mu.points)
+    _, nb = tree.query(mu.points, k=k + 1)
+
+    grads = np.zeros((n, d))
+    resid = np.zeros(n)
+    for i in range(n):
+        idx = nb[i]
+        A = np.column_stack([mu.points[idx] - mu.points[i], np.ones(len(idx))])
+        rhs = phi[idx] - phi[i]
+        sol, _, _, _ = np.linalg.lstsq(A, rhs, rcond=None)
+        grads[i] = sol[:d]
+        resid[i] = float(np.sqrt(np.mean((A @ sol - rhs) ** 2)))
+
+    y_pred = np.full((n, d), np.nan)
+    radii = np.full(n, np.nan)
+    gap_event = np.zeros(n, dtype=bool)
+    out_of_range = np.zeros(n, dtype=bool)
+    near_diag = np.zeros(n, dtype=bool)
+    gnorm = np.linalg.norm(grads, axis=1)
+    for i in range(n):
+        if gnorm[i] <= grad_tol:
+            near_diag[i] = True
+            y_pred[i] = mu.points[i]
+            radii[i] = 0.0
+            continue
+        r = cost.inv_deriv(gnorm[i])
+        if isinstance(r, OutOfRange):
+            out_of_range[i] = True
+            continue
+        if isinstance(r, DerivativeGap):
+            gap_event[i] = True
+            r = r.point
+        radii[i] = float(r)
+        y_pred[i] = mu.points[i] - radii[i] * grads[i] / gnorm[i]
+
+    result = ReconstructionResult(
+        y_pred=y_pred,
+        gradients=grads,
+        radii=radii,
+        fit_residual=resid,
+        gap_event=gap_event,
+        out_of_range=out_of_range,
+        near_diagonal=near_diag,
+    )
+    if plan is not None:
+        extract = extract_map_reference(decompose(plan))
+        lp = np.full((n, d), np.nan)
+        lp[extract.assigned_sources] = nu.points[extract.assigned_targets]
+        err = np.linalg.norm(y_pred - lp, axis=1)
+        disp = lp - mu.points
+        dn = np.linalg.norm(disp, axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosine = -np.einsum("ij,ij->i", grads, disp) / (gnorm * dn)
+        result.lp_targets = lp
+        result.pred_error = err
+        result.direction_cosine = cosine
+    return result

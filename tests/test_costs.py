@@ -134,6 +134,70 @@ class TestInvDeriv:
         assert back == pytest.approx(t, rel=1e-10, abs=1e-12)
 
 
+class TestInvDerivArray:
+    """The array inverse derivative against the scalar one, slope by slope."""
+
+    KINKED = PiecewiseConcaveCost([0.5, 1.5], [3.0, 1.0, 0.25])
+    # (slope, expected outcome, expected radius or None)
+    PROBES = {
+        "power": (PowerCost(0.3), [(0.3, "radius", 1.0), (1e-3, "radius", None),
+                                   (50.0, "radius", None)]),
+        "logshift": (LogShiftCost(2.0), [(0.5, "radius", 1.5), (2.0, "out", None),
+                                         (2.5, "out", None), (1.0, "radius", 0.5)]),
+        "piecewise": (KINKED, [
+            (3.0, "radius", 0.25),  # exact hit on the first segment: its midpoint
+            (1.0, "radius", 1.0),  # exact hit on the middle segment
+            (0.25, "out", None),  # exact hit on the unbounded last segment
+            (2.0, "gap", 0.5),  # inside the gap of the first kink
+            (0.5, "gap", 1.5),  # inside the gap of the second kink
+            (3.5, "out", None),  # above the largest slope
+            (0.1, "out", None),  # below the smallest slope
+        ]),
+    }
+
+    @staticmethod
+    def assert_matches_scalar(cost, slopes):
+        radii, gap, out = cost._inv_deriv(np.asarray(slopes, dtype=float))
+        for p, r, g, o in zip(slopes, radii, gap, out):
+            scalar = cost.inv_deriv(p)
+            assert bool(o) == isinstance(scalar, OutOfRange), p
+            assert bool(g) == isinstance(scalar, DerivativeGap), p
+            if o:
+                assert np.isnan(r)
+            else:
+                # bit for bit, not approximately
+                assert r == (scalar.point if g else scalar), p
+
+    @pytest.mark.parametrize("family", sorted(PROBES))
+    def test_probes(self, family):
+        cost, probes = self.PROBES[family]
+        slopes = [p for p, _, _ in probes]
+        self.assert_matches_scalar(cost, slopes)
+        radii, gap, out = cost._inv_deriv(np.array(slopes))
+        for (p, outcome, expected), r, g, o in zip(probes, radii, gap, out):
+            assert (outcome == "out") == o and (outcome == "gap") == g, p
+            if expected is not None:
+                assert r == pytest.approx(expected, rel=1e-12), p
+
+    def test_gap_scalar_carries_slopes(self):
+        assert self.KINKED.inv_deriv(0.5) == DerivativeGap(
+            point=1.5, left_slope=1.0, right_slope=0.25
+        )
+        out = self.KINKED.inv_deriv(0.1)
+        assert out == OutOfRange(slope=0.1, lo=0.25, hi=3.0)
+
+    @given(
+        family=st.sampled_from(sorted(PROBES)),
+        slopes=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+    )
+    def test_random_slopes(self, family, slopes):
+        self.assert_matches_scalar(self.PROBES[family][0], slopes)
+
+    def test_precondition(self):
+        with pytest.raises(ValueError):
+            self.KINKED._inv_deriv(np.array([1.0, 0.0]))
+
+
 class TestSubadditivity:
     def test_power_half_at_one_one(self):
         rep = check_strict_subadditivity(PowerCost(0.5), [(1.0, 1.0)])

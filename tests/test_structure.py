@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from concave_ot.costs import PiecewiseConcaveCost, PowerCost
+from concave_ot import structure
+from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
 from concave_ot.measures import DiscreteMeasure, three_segments, uniform_box
 from concave_ot.solver import DualPotentials, TransportPlan, solve_exact
 from concave_ot.structure import (
@@ -13,7 +16,12 @@ from concave_ot.structure import (
     verify_ccm,
     verify_stay_at_rest,
 )
-from support import lebesgue_grid_pair, overlapping_instance
+from support import (
+    extract_map_reference,
+    lebesgue_grid_pair,
+    overlapping_instance,
+    reconstruct_reference,
+)
 
 P05 = PowerCost(0.5)
 
@@ -158,6 +166,81 @@ class TestCcm:
             verify_ccm(plan, P05, max_cycle_len=5)
 
 
+def both_ccm_paths(monkeypatch, plan, **kwargs):
+    """verify_ccm on the one S x S matrix, then in row blocks of 7 entries."""
+    whole = verify_ccm(plan, P05, **kwargs)
+    S = plan.n_entries
+    with monkeypatch.context() as patch:
+        patch.setattr(structure, "_CCM_ENTRIES", 7 * S)
+        assert S * S > structure._CCM_ENTRIES  # the row-block path runs
+        blocks = verify_ccm(plan, P05, **kwargs)
+    return whole, blocks
+
+
+def permutation_plan(n, seed):
+    """Optimal one-to-one plan between two separated uniform clouds."""
+    mu = uniform_box(n, 2, seed=seed)
+    nu = uniform_box(n, 2, corner_lo=(2, 0), corner_hi=(3, 1), seed=seed + 1)
+    plan, _, _ = solve_exact(mu, nu, P05)
+    return plan
+
+
+def retarget(plan, entries, targets):
+    tgt = plan.tgt_idx.copy()
+    tgt[list(entries)] = targets
+    return TransportPlan(
+        source=plan.source, target=plan.target, src_idx=plan.src_idx,
+        tgt_idx=tgt, mass=plan.mass,
+    ).validate()
+
+
+class TestCcmPaths:
+    """The one-matrix path and the row-block path give the same report."""
+
+    def test_optimal_exhaustive(self, monkeypatch):
+        mu, nu = overlapping_instance(np.random.default_rng(7))
+        plan, _, _ = solve_exact(mu, nu, P05)
+        whole, blocks = both_ccm_paths(monkeypatch, plan, max_cycle_len=4, seed=3)
+        assert whole == blocks and whole.ok
+
+    def test_optimal_sampled(self, monkeypatch):
+        plan = permutation_plan(480, seed=20)
+        assert plan.n_entries > 450  # length-3 cycles are sampled
+        whole, blocks = both_ccm_paths(
+            monkeypatch, plan, max_cycle_len=4, sample_size=20_000, seed=5
+        )
+        assert whole == blocks and whole.ok
+
+    def test_shuffled_plan_worst_is_sampled(self, monkeypatch):
+        # every target reassigned at random: the worst cycle found is one of
+        # the sampled 4-cycles, so the report shows their gathered costs
+        plan = permutation_plan(480, seed=22)
+        shuffled = retarget(
+            plan, range(plan.n_entries), np.random.default_rng(0).permutation(plan.tgt_idx)
+        )
+        whole, blocks = both_ccm_paths(
+            monkeypatch, shuffled, max_cycle_len=4, sample_size=20_000
+        )
+        assert whole == blocks
+        assert len(whole.violating_cycle[0]) == 4
+
+    @pytest.mark.parametrize("n", [40, 480])
+    def test_planted_pair_swap(self, monkeypatch, n):
+        plan = permutation_plan(n, seed=22)
+        swapped = retarget(plan, (3, 17), plan.tgt_idx[[17, 3]])
+        whole, blocks = both_ccm_paths(monkeypatch, swapped, sample_size=20_000)
+        assert whole == blocks and not whole.ok
+
+    @pytest.mark.parametrize("n", [40, 480])
+    def test_planted_three_cycle(self, monkeypatch, n):
+        plan = permutation_plan(n, seed=24)
+        rotated = retarget(plan, (2, 11, 29), plan.tgt_idx[[11, 29, 2]])
+        whole, blocks = both_ccm_paths(
+            monkeypatch, rotated, max_cycle_len=3, sample_size=20_000
+        )
+        assert whole == blocks and not whole.ok
+
+
 class TestExtractMap:
     def test_permutation_plan_no_splits(self):
         mu = uniform_box(30, 2, seed=12)
@@ -182,6 +265,71 @@ class TestExtractMap:
         assert len(ex.assigned_sources) == 0
         assert all(len(s.targets) == 2 for s in ex.splits)
         assert plan.transport_cost(P05) == pytest.approx(1.0, abs=1e-15)
+
+
+@st.composite
+def split_plans(draw):
+    """Plans with tied masses, many split sources and diagonal-only sources.
+
+    The first ``shared`` atoms of ``mu`` are also atoms of ``nu``, so an
+    entry from one of them to its twin is diagonal.
+    """
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 25))
+    shared = draw(st.integers(0, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = DiscreteMeasure(rng.normal(size=(m, 2)), np.ones(m))
+    nu_pts = np.vstack([mu.points[:shared], rng.normal(size=(n - shared, 2))])
+    nu = DiscreteMeasure(nu_pts, np.ones(n))
+    twin = np.array(
+        [np.flatnonzero((nu.points == x).all(axis=1))[0] for x in mu.points[:shared]],
+        dtype=np.int64,
+    )
+    size = draw(st.integers(0, 120))
+    src = rng.integers(0, m, size)
+    tgt = rng.integers(0, n, size)
+    # a few sources send everything to their own diagonal atom
+    diag = (rng.random(m) < 0.3)[src] & (src < shared)
+    tgt[diag] = twin[src[diag]]
+    # tied masses, and masses under the split tolerance
+    mass = rng.choice([0.25, 0.25, 0.5, 1.0, 1e-10, 0.0], size)
+    return TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=mass)
+
+
+class TestExtractMapReference:
+    @settings(max_examples=150, deadline=None)
+    @given(plan=split_plans(), mass_tol=st.sampled_from([1e-9, 0.3]))
+    def test_matches_dict_loop(self, plan, mass_tol):
+        dec = decompose(plan)
+        got = extract_map(dec, mass_tol=mass_tol)
+        ref = extract_map_reference(dec, mass_tol=mass_tol)
+        np.testing.assert_array_equal(got.assigned_sources, ref.assigned_sources)
+        np.testing.assert_array_equal(got.assigned_targets, ref.assigned_targets)
+        assert got.assigned_sources.dtype == got.assigned_targets.dtype == np.int64
+        assert len(got.splits) == len(ref.splits)
+        for a, b in zip(got.splits, ref.splits):
+            assert a.source == b.source
+            np.testing.assert_array_equal(a.targets, b.targets)
+            np.testing.assert_array_equal(a.masses, b.masses)
+        # group and split totals are numpy sums, not Python's running sum
+        assert got.split_fraction == pytest.approx(ref.split_fraction, rel=1e-13, abs=0)
+
+    def test_tie_keeps_first_in_plan_order(self):
+        mu = DiscreteMeasure([[0.0]], [1.0])
+        nu = DiscreteMeasure([[1.0], [2.0], [3.0]], [1.0, 1.0, 1.0])
+        plan = TransportPlan(
+            source=mu, target=nu, src_idx=[0, 0, 0], tgt_idx=[2, 0, 1],
+            mass=[0.5, 0.5, 1e-12],
+        )
+        got = extract_map(decompose(plan), mass_tol=0.6)
+        np.testing.assert_array_equal(got.assigned_targets, [2])
+
+    def test_no_off_diagonal_entries(self):
+        mu = uniform_box(5, 2, seed=1)
+        plan, _, _ = solve_exact(mu, mu, P05)
+        got = extract_map(decompose(plan))
+        assert got.assigned_sources.dtype == np.int64 and got.assigned_sources.size == 0
+        assert got.splits == [] and got.split_fraction == 0.0
 
 
 class TestReconstruction:
@@ -231,6 +379,18 @@ class TestReconstruction:
         assert res.near_diagonal.all()
         np.testing.assert_array_equal(res.y_pred, cloud.points)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_gradients_do_not_warn(self):
+        # half the atoms sit on a flat potential; only moving atoms divide
+        cloud = uniform_box(60, 2, seed=6)
+        phi = np.maximum(cloud.points @ np.array([0.4, 0.0]) - 0.2, 0.0)
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        res = reconstruct_map_from_potential(
+            pots, cloud, DiscreteMeasure([[0.0, 0.0]], [1.0]), P05, k_neighbors=8
+        )
+        assert res.near_diagonal.any() and not res.near_diagonal.all()
+        np.testing.assert_array_equal(res.radii[res.near_diagonal], 0.0)
+
     def test_single_atom_rejected(self):
         tiny = DiscreteMeasure([[0.0, 0.0]], [1.0])
         pots = DualPotentials(phi=np.zeros(1), psi=np.zeros(1))
@@ -247,6 +407,81 @@ class TestReconstruction:
         assert np.median(err) <= 0.1
         cos = res.direction_cosine[~np.isnan(res.direction_cosine)]
         assert (cos >= 0.9).mean() >= 0.9
+
+
+RECON_COSTS = {
+    "power": PowerCost(0.4),
+    "logshift": LogShiftCost(4.0),
+    "piecewise": PiecewiseConcaveCost([0.5, 1.5], [3.0, 1.0, 0.25]),
+}
+# Gradient magnitudes for affine potentials: exact piecewise slope hits
+# (1.0 inside, 0.25 on the unbounded last segment), slopes inside a kink
+# gap (2.0, 0.5) and outside the slope range (5.0, 0.1).  None lies
+# within rounding of a boundary where the two fits could disagree.
+RECON_SLOPES = (1.0, 0.25, 2.0, 0.5, 5.0, 0.1)
+
+
+@st.composite
+def reconstruct_cases(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    k = draw(st.integers(d + 1, 10))
+    n = draw(st.integers(k + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    direction = rng.normal(size=d)
+    direction /= np.linalg.norm(direction)
+    if d == 2 and draw(st.booleans()):
+        # collinear atoms: every neighbourhood fit is rank-deficient
+        pts = rng.uniform(-1.0, 1.0, size=(n, 1)) * direction
+    else:
+        pts = rng.normal(size=(n, d))
+    mu = DiscreteMeasure(pts, np.full(n, 1.0 / n))
+    pts = mu.points  # in the measure's own atom order
+    slope = draw(st.sampled_from(RECON_SLOPES))
+    kind = draw(st.sampled_from(["random", "affine", "flat", "half flat"]))
+    if kind == "random":
+        phi = rng.normal(size=n)
+    elif kind == "flat":
+        phi = np.full(n, 0.75)
+    else:
+        phi = pts @ (slope * direction)
+        if kind == "half flat":
+            phi = np.maximum(phi, 0.0)
+    cost = RECON_COSTS[draw(st.sampled_from(sorted(RECON_COSTS)))]
+    return mu, phi, cost, k
+
+
+class TestReconstructionReference:
+    """The stacked fit and masked radii against the per-atom loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=reconstruct_cases())
+    def test_matches_loop(self, case):
+        mu, phi, cost, k = case
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        nu = DiscreteMeasure([np.full(mu.dim, 5.0)], [1.0])
+        got = reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=k)
+        ref = reconstruct_reference(pots, mu, nu, cost, k_neighbors=k)
+        for mask in ("near_diagonal", "gap_event", "out_of_range"):
+            np.testing.assert_array_equal(getattr(got, mask), getattr(ref, mask), mask)
+        scale = 1.0 + np.abs(ref.gradients).max()
+        np.testing.assert_allclose(got.gradients, ref.gradients, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(
+            got.fit_residual, ref.fit_residual, rtol=0, atol=1e-10 * (1.0 + np.abs(phi).max())
+        )
+        np.testing.assert_allclose(got.radii, ref.radii, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(got.y_pred, ref.y_pred, rtol=1e-8, atol=1e-10)
+
+    def test_matches_loop_with_plan(self):
+        mu = uniform_box(120, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=30)
+        nu = uniform_box(120, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=31)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, plan=plan)
+        ref = reconstruct_reference(pots, mu, nu, P05, plan=plan)
+        np.testing.assert_array_equal(got.lp_targets, ref.lp_targets)
+        np.testing.assert_allclose(got.pred_error, ref.pred_error, rtol=1e-10, atol=1e-13)
+        np.testing.assert_allclose(
+            got.direction_cosine, ref.direction_cosine, rtol=0, atol=1e-13
+        )
 
 
 class TestKinkEvents:
