@@ -18,8 +18,6 @@ from .costs import (
     cost_from_json,
     cost_matrix,
     cost_to_json,
-    semiconcavity_margin,
-    strict_triangle,
 )
 from .geometry import (
     Cone,

@@ -29,7 +29,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -250,16 +249,7 @@ def limit_plan_pair(n):
     return plan.validate()
 
 
-def _counterexample_case(args):
-    n, alpha = args
-    cost = PowerCost(alpha)
-    mu, nu = three_segments(n)
-    plan, _, obj = solve_exact(mu, nu, cost)
-    split = extract_map(decompose(plan)).split_fraction
-    return n, obj, split
-
-
-def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
+def run_counterexample(n_values, alpha, out_dir, seed=None):
     """Objective sweep on the three-segments instance vs its envelope.
 
     For each n the LP objective must lie in [f(1), f(1 + 1/n)] and the
@@ -271,16 +261,14 @@ def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
     if any(n < 1 for n in n_values):
         raise ValueError("all n must be >= 1")
     cost = PowerCost(alpha)
-    cases = [(n, alpha) for n in n_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_counterexample_case, cases))
-    else:
-        rows = [_counterexample_case(c) for c in cases]
+    objs, splits = [], []
+    for n in n_values:
+        plan, _, obj = solve_exact(*three_segments(n), cost)
+        objs.append(obj)
+        splits.append(extract_map(decompose(plan)).split_fraction)
     f1 = float(cost.value(1.0))
     lim_cost = float(limit_plan_pair(max(n_values)).transport_cost(cost))
-    ns, objs, splits = zip(*rows)
-    uppers = [float(cost.value(1.0 + 1.0 / n)) for n in ns]
+    uppers = [float(cost.value(1.0 + 1.0 / n)) for n in n_values]
     ok_env = all(f1 - 1e-12 <= obj <= upper + 1e-12 for obj, upper in zip(objs, uppers))
     monotone = all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
     out = Path(out_dir)
@@ -288,12 +276,12 @@ def run_counterexample(n_values, alpha, out_dir, seed=None, jobs=1):
     _write_table(
         out / "objective_vs_n.csv",
         ("n", "objective", "lower", "upper", "split_fraction"),
-        [ns, objs, [f1] * len(ns), uppers, splits],
+        [n_values, objs, [f1] * len(n_values), uppers, splits],
     )
     passed = ok_env and monotone and abs(lim_cost - f1) <= 1e-12
     report = ExperimentReport(
         experiment="counterexample",
-        parameters={"n": n_values, "alpha": alpha, "seed": seed, "jobs": jobs},
+        parameters={"n": n_values, "alpha": alpha, "seed": seed},
         metrics={
             "objectives": objs,
             "lower": f1,
@@ -534,7 +522,6 @@ def _build_parser():
     p = sub.add_parser("counterexample", help="three-segments sweep")
     p.add_argument("--n", required=True, help="comma list, e.g. 1,2,4,8")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
 
     p = sub.add_parser("translation", help="translation non-optimality experiment")
@@ -597,7 +584,7 @@ def _run(parser, args):
             report = run_decompose(args.plan, args.cost, args.out, tol=args.tol, seed=args.seed)
         elif args.command == "counterexample":
             ns = [int(v) for v in args.n.split(",") if v.strip()]
-            report = run_counterexample(ns, args.alpha, args.out, seed=args.seed, jobs=args.jobs)
+            report = run_counterexample(ns, args.alpha, args.out, seed=args.seed)
         elif args.command == "translation":
             e = [float(v) for v in args.e.split(",") if v.strip()]
             report = run_translation(args.n, e, args.alpha, args.out, seed=args.seed)

@@ -33,8 +33,6 @@ __all__ = [
     "OutOfRange",
     "SubadditivityReport",
     "check_strict_subadditivity",
-    "strict_triangle",
-    "semiconcavity_margin",
     "c_transform",
     "cost_matrix",
     "cost_to_json",
@@ -153,9 +151,6 @@ class ConcaveCost:
     def to_dict(self):
         raise NotImplementedError
 
-    def __call__(self, t):
-        return self.value(t)
-
 
 @dataclass(frozen=True)
 class PowerCost(ConcaveCost):
@@ -179,9 +174,13 @@ class PowerCost(ConcaveCost):
 
     def _inv_deriv(self, p):
         p = _as_positive(p, "p")
-        # alpha * t**(alpha-1) = p, slope range is all of (0, inf)
-        never = np.zeros(p.shape, dtype=bool)
-        return (p / self.alpha) ** (1.0 / (self.alpha - 1.0)), never, never
+        # alpha * t**(alpha-1) = p, slope range is all of (0, inf); only a
+        # NaN slope is out of range, and its radius is already NaN
+        radii = (p / self.alpha) ** (1.0 / (self.alpha - 1.0))
+        return radii, np.zeros(p.shape, dtype=bool), np.isnan(p)
+
+    def _slope_bounds(self):
+        return 0.0, np.inf
 
     def to_dict(self):
         return {"kind": "power", "alpha": self.alpha}
@@ -211,7 +210,7 @@ class LogShiftCost(ConcaveCost):
 
     def _inv_deriv(self, p):
         p = _as_positive(p, "p")
-        out = p >= self.a
+        out = ~(p < self.a)  # NaN is out of range too
         radii = np.where(out, np.nan, 1.0 / p - 1.0 / self.a)
         return radii, np.zeros(p.shape, dtype=bool), out
 
@@ -350,56 +349,6 @@ def check_strict_subadditivity(cost, samples):
         violations=int(np.count_nonzero(margin <= 0.0)),
         worst_pair=(float(s[k]), float(t[k])),
     )
-
-
-def strict_triangle(cost, x, y, z):
-    """Margin ``f(|x-y|) + f(|y-z|) - f(|x-z|)`` for a triple of points.
-
-    Positive for every concave increasing ``f`` with a strict slope drop;
-    the degenerate configurations ``x == y`` and ``y == z`` are rejected.
-    """
-    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
-    dxy = float(np.linalg.norm(x - y))
-    dyz = float(np.linalg.norm(y - z))
-    if dxy == 0.0 or dyz == 0.0:
-        raise ValueError("strict triangle margin needs x != y and y != z")
-    dxz = float(np.linalg.norm(x - z))
-    return float(cost.value(dxy) + cost.value(dyz) - cost.value(dxz))
-
-
-def semiconcavity_margin(cost, d0, probes):
-    """Worst second-difference margin of ``f(|x|) - 0.5*f'(d0)*|x|**2``.
-
-    Away from the ball of radius ``d0`` that function is concave, so every
-    second central difference ``(g(x+hv) - 2 g(x) + g(x-hv)) / h**2`` is
-    nonpositive up to rounding.  Each probe is a triple ``(x, v, h)`` with
-    ``v`` a unit vector; all three evaluated points must have norm >= d0.
-    Returns ``min_probes(-second_difference)``, so a negative return beyond
-    tolerance flags a violation.
-    """
-    d0 = float(_as_positive(d0, "d0"))
-    kappa = float(np.asarray(cost.deriv(d0, side="right")))
-
-    def g(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return cost.value(r) - 0.5 * kappa * r**2
-
-    worst = np.inf
-    for x, v, h in probes:
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = float(_as_positive(h, "h"))
-        pts = np.stack([x, x + h * v, x - h * v])
-        r = np.linalg.norm(pts, axis=-1)
-        if np.any(r < d0):
-            raise ValueError(
-                f"probe point with norm {r.min():.6g} lies inside the excluded ball"
-                f" of radius {d0:.6g}"
-            )
-        vals = g(pts)
-        second_diff = (vals[1] + vals[2] - 2.0 * vals[0]) / h**2
-        worst = min(worst, -second_diff)
-    return float(worst)
 
 
 def c_transform(values, cost, from_support, to_support):

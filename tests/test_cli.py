@@ -262,13 +262,15 @@ class TestCounterexampleCommand:
         for alpha in (0.3, 0.5, 0.8):
             assert plan.transport_cost(PowerCost(alpha)) == pytest.approx(1.0, abs=1e-15)
 
-    def test_jobs_parallel_same_result(self, tmp_path):
-        out1, out2 = tmp_path / "s", tmp_path / "p"
-        main(["counterexample", "--n", "1,2", "--out", str(out1)])
-        main(["counterexample", "--n", "1,2", "--jobs", "2", "--out", str(out2)])
-        m1 = read_report(out1)["metrics"]
-        m2 = read_report(out2)["metrics"]
-        assert m1["objectives"] == m2["objectives"]
+    def test_serial_only_parameters(self, tmp_path):
+        # the sweep runs in one process: there is no --jobs option and the
+        # report records no worker count
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexample", "--n", "1,2", "--jobs", "2", "--out", str(tmp_path / "p")])
+        assert exc.value.code == 2
+        out = tmp_path / "s"
+        assert main(["counterexample", "--n", "1,2", "--out", str(out)]) == 0
+        assert sorted(read_report(out)["parameters"]) == ["alpha", "n", "seed"]
 
     def test_bad_n_exit_2(self, tmp_path):
         assert main(["counterexample", "--n", "0", "--out", str(tmp_path / "o")]) == 2

@@ -17,8 +17,6 @@ from concave_ot.costs import (
     cost_from_json,
     cost_matrix,
     cost_to_json,
-    semiconcavity_margin,
-    strict_triangle,
 )
 from concave_ot.measures import DiscreteMeasure
 
@@ -141,9 +139,10 @@ class TestInvDerivArray:
     # (slope, expected outcome, expected radius or None)
     PROBES = {
         "power": (PowerCost(0.3), [(0.3, "radius", 1.0), (1e-3, "radius", None),
-                                   (50.0, "radius", None)]),
+                                   (50.0, "radius", None), (math.nan, "out", None)]),
         "logshift": (LogShiftCost(2.0), [(0.5, "radius", 1.5), (2.0, "out", None),
-                                         (2.5, "out", None), (1.0, "radius", 0.5)]),
+                                         (2.5, "out", None), (1.0, "radius", 0.5),
+                                         (math.nan, "out", None)]),
         "piecewise": (KINKED, [
             (3.0, "radius", 0.25),  # exact hit on the first segment: its midpoint
             (1.0, "radius", 1.0),  # exact hit on the middle segment
@@ -152,6 +151,7 @@ class TestInvDerivArray:
             (0.5, "gap", 1.5),  # inside the gap of the second kink
             (3.5, "out", None),  # above the largest slope
             (0.1, "out", None),  # below the smallest slope
+            (math.nan, "out", None),
         ]),
     }
 
@@ -233,68 +233,6 @@ class TestSubadditivity:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_strict_subadditivity(PW, [(0.0, 1.0)])
-
-
-class TestStrictTriangle:
-    def test_collinear(self):
-        m = strict_triangle(PowerCost(0.5), [0.0], [1.0], [2.0])
-        assert m == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-14)
-
-    def test_x_equals_z(self):
-        m = strict_triangle(PowerCost(0.5), [0.0, 0.0], [3.0, 4.0], [0.0, 0.0])
-        assert m == pytest.approx(2.0 * 5.0**0.5, rel=1e-14)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            strict_triangle(PW, [0.0], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            strict_triangle(PW, [0.0], [1.0], [1.0])
-
-    @given(
-        cost=smooth_costs(),
-        pts=st.lists(st.floats(-5, 5), min_size=9, max_size=9),
-    )
-    def test_random_triples_positive(self, cost, pts):
-        x, y, z = np.asarray(pts).reshape(3, 3)
-        # keep the probe well-scaled: at subnormal separations the margin
-        # underflows even though it is positive in exact arithmetic
-        if np.linalg.norm(x - y) < 1e-9 or np.linalg.norm(y - z) < 1e-9:
-            return
-        assert strict_triangle(cost, x, y, z) > 0.0
-
-
-class TestSemiconcavity:
-    def test_radial_probe_matches_second_derivative(self):
-        # g'' along the axis at t=2 is -0.25 * 2**-1.5 - 0.5
-        worst = semiconcavity_margin(
-            PowerCost(0.5), 1.0, [((2.0, 0.0), (1.0, 0.0), 0.01)]
-        )
-        assert worst == pytest.approx(0.25 * 2.0**-1.5 + 0.5, abs=1e-4)
-
-    def test_boundary_tangential_within_tol(self):
-        worst = semiconcavity_margin(
-            PowerCost(0.5), 1.0, [((1.0, 0.0), (0.0, 1.0), 0.01)]
-        )
-        # exact tangential second derivative vanishes at the boundary radius;
-        # the central difference picks up the (negative) fourth-order term
-        assert worst >= -1e-8
-        assert worst == pytest.approx(1.875e-5, rel=1e-2)
-
-    def test_probe_grid_all_nonpositive(self):
-        rng = np.random.default_rng(11)
-        probes = []
-        for _ in range(200):
-            x = rng.normal(size=3)
-            x *= rng.uniform(1.5, 4.0) / np.linalg.norm(x)
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            probes.append((x, v, 1e-3))
-        for cost in (PowerCost(0.5), LogShiftCost(1.0), PW):
-            assert semiconcavity_margin(cost, 1.0, probes) >= -1e-8
-
-    def test_out_of_domain_probe(self):
-        with pytest.raises(ValueError, match="excluded ball"):
-            semiconcavity_margin(PowerCost(0.5), 1.0, [((1.0, 0.0), (1.0, 0.0), 0.5)])
 
 
 class TestCTransform:
