@@ -18,6 +18,7 @@ experiments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .measures import DiscreteMeasure, _jsonable, meet
+from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
 
 __all__ = [
@@ -120,9 +121,6 @@ class StayAtRestReport:
     def ok(self):
         return self.diag_matches_meet and self.off_marginals_singular
 
-    def to_dict(self):
-        return _jsonable(self)
-
 
 def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     """Check the stay-at-rest structure of a (presumed optimal) plan.
@@ -164,9 +162,6 @@ class CcmReport:
     def ok(self):
         return self.violating_cycle is None
 
-    def to_dict(self):
-        return _jsonable(self)
-
 
 # Largest number of cost entries verify_ccm holds at once.  Up to this
 # many support pairs it evaluates the whole S x S matrix once and reads
@@ -177,11 +172,16 @@ _CCM_ENTRIES = 4_000_000
 def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
     """Search support cycles whose reassignment would lower the cost.
 
-    Length-2 cycles (pair swaps) are checked exhaustively; length-3
-    cycles exhaustively up to 450 support entries and by seeded sampling
-    beyond; length-4 cycles by seeded sampling.  ``worst_violation`` is
-    the largest value of sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i)))
-    observed; for an optimal plan it stays below ``tol``.
+    Length-2 cycles (pair swaps) are all checked.  For each longer
+    length L up to ``max_cycle_len``, every directed cycle of L distinct
+    entries is checked, once and led by its least entry, when there are
+    at most ``sample_size`` of them; otherwise ``sample_size`` ordered
+    tuples are drawn with seed ``seed + L - 3`` and each is checked as
+    one cycle.  ``worst_violation`` is the largest value of
+    sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i))) observed; for an optimal
+    plan it stays below ``tol``.  ``violating_cycle`` lists the entries
+    of the worst cycle and, in the same order, the entries whose
+    targets they would take.
 
     When the S x S cost matrix of the S support entries fits in
     ``_CCM_ENTRIES`` entries it is evaluated once: the pair swaps read it
@@ -191,6 +191,8 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     S = plan.n_entries
     xs = plan.source.points[plan.src_idx]
     ys = plan.target.points[plan.tgt_idx]
@@ -235,27 +237,16 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             k = lo + int(k_rel)
             note(float(V[k_rel, l]), (k, int(l)), (int(l), k))
 
-    if max_cycle_len >= 3 and S >= 3:
-        if S <= 450:
-            A = C if C is not None else cost.value(cdist(xs, ys))
-            for p in range(S - 2):
-                rest = np.arange(p + 1, S)
-                q, r = np.meshgrid(rest, rest, indexing="ij")
-                keep = q < r
-                q, r = q[keep], r[keep]
-                tot = base[p] + base[q] + base[r]
-                v1 = tot - (A[p, q] + A[q, r] + A[r, p])
-                v2 = tot - (A[p, r] + A[r, q] + A[q, p])
-                checked += 2 * len(q)
-                for v in (v1, v2):
-                    t = int(np.argmax(v)) if len(v) else -1
-                    if t >= 0 and float(v[t]) > worst:
-                        perm = (q[t], r[t], p) if v is v1 else (r[t], p, q[t])
-                        note(float(v[t]), (p, int(q[t]), int(r[t])), perm)
+    for length in range(3, min(max_cycle_len, S) + 1):
+        if math.comb(S, length) * math.factorial(length - 1) <= sample_size:
+            tuples = _all_cycles(S, length)
         else:
-            checked += _sampled_cycles(base, pair_cost, 3, sample_size, seed, note)
-    if max_cycle_len >= 4 and S >= 4:
-        checked += _sampled_cycles(base, pair_cost, 4, sample_size, seed + 1, note)
+            tuples = _sampled_cycles(S, length, sample_size, seed + length - 3)
+        rotated = np.roll(tuples, -1, axis=1)
+        v = base[tuples].sum(axis=1) - pair_cost(tuples, rotated).sum(axis=1)
+        t = int(np.argmax(v))
+        note(float(v[t]), tuples[t].tolist(), rotated[t].tolist())
+        checked += len(tuples)
 
     return CcmReport(
         cycles_checked=checked,
@@ -264,9 +255,16 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     )
 
 
-def _sampled_cycles(base, pair_cost, length, sample_size, seed, note):
-    """Seeded sample of ordered index tuples checked against one rotation."""
-    S = len(base)
+def _all_cycles(S, length):
+    """Every directed cycle of ``length`` distinct entries, led by its least."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(S), length))
+    combos = np.fromiter(flat, dtype=np.intp).reshape(-1, length)
+    orders = [(0, *rest) for rest in itertools.permutations(range(1, length))]
+    return combos[:, orders].reshape(-1, length)
+
+
+def _sampled_cycles(S, length, sample_size, seed):
+    """Seeded sample of ordered tuples of ``length`` distinct entries."""
     rng = np.random.default_rng(seed)
     tuples = []
     need = sample_size
@@ -279,12 +277,7 @@ def _sampled_cycles(base, pair_cost, length, sample_size, seed, note):
         cand = cand[distinct]
         tuples.append(cand[:need])
         need -= len(cand[:need])
-    tuples = np.vstack(tuples)
-    rotated = np.roll(tuples, -1, axis=1)
-    v = base[tuples].sum(axis=1) - pair_cost(tuples, rotated).sum(axis=1)
-    t = int(np.argmax(v))
-    note(float(v[t]), tuple(tuples[t]), tuple(rotated[t]))
-    return len(tuples)
+    return np.vstack(tuples)
 
 
 @dataclass(frozen=True)
@@ -304,9 +297,6 @@ class MapExtract:
     assigned_targets: np.ndarray  # matching target atom indices
     splits: list
     split_fraction: float
-
-    def to_dict(self):
-        return _jsonable(self)
 
 
 def extract_map(decomp, mass_tol=1e-9):

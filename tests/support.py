@@ -9,6 +9,9 @@ HiGHS, independent code that scales to a few hundred atoms.  The
 isotropy reference scans every atom for every cone.  The map references
 are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
+The cyclical-monotonicity reference checks 3-cycles with the per-entry
+loop that ``structure.verify_ccm`` replaces with enumerated cycles, and
+4-cycles by brute force over permutations.
 """
 
 import warnings
@@ -17,11 +20,13 @@ from itertools import combinations, permutations
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure
 from concave_ot.structure import (
+    CcmReport,
     MapExtract,
     ReconstructionResult,
     SplitSource,
@@ -367,3 +372,68 @@ def reconstruct_reference(
         result.pred_error = err
         result.direction_cosine = cosine
     return result
+
+
+def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
+    """``structure.verify_ccm`` with every cycle checked, as loops.
+
+    Pair swaps are scanned on the whole cost matrix.  3-cycles go through
+    a loop over the least entry p that pairs it with every q < r after
+    it, in both directions.  4-cycles are every permutation of four
+    entries that starts with its least one.  Slow; keep S small.
+    """
+    S = plan.n_entries
+    xs = plan.source.points[plan.src_idx]
+    ys = plan.target.points[plan.tgt_idx]
+    base = cost.value(np.linalg.norm(xs - ys, axis=1))
+    A = cost.value(cdist(xs, ys))
+    worst = -np.inf
+    witness = None
+    checked = 0
+
+    def note(value, entries, permuted):
+        nonlocal worst, witness
+        if value > worst:
+            worst = value
+            if value > tol:
+                witness = (tuple(entries), tuple(permuted))
+
+    if S >= 2:
+        V = base[:, None] + base[None, :]
+        V -= A
+        V -= A.T
+        V[np.arange(S), np.arange(S)] = -np.inf
+        k, l = np.unravel_index(np.argmax(V), V.shape)
+        checked += S * S - S
+        note(float(V[k, l]), (int(k), int(l)), (int(l), int(k)))
+
+    if max_cycle_len >= 3 and S >= 3:
+        for p in range(S - 2):
+            rest = np.arange(p + 1, S)
+            q, r = np.meshgrid(rest, rest, indexing="ij")
+            keep = q < r
+            q, r = q[keep], r[keep]
+            tot = base[p] + base[q] + base[r]
+            v1 = tot - (A[p, q] + A[q, r] + A[r, p])
+            v2 = tot - (A[p, r] + A[r, q] + A[q, p])
+            checked += 2 * len(q)
+            for v in (v1, v2):
+                t = int(np.argmax(v)) if len(v) else -1
+                if t >= 0 and float(v[t]) > worst:
+                    perm = (q[t], r[t], p) if v is v1 else (r[t], p, q[t])
+                    note(float(v[t]), (p, int(q[t]), int(r[t])), perm)
+
+    if max_cycle_len >= 4:
+        b, c = base.tolist(), A.tolist()
+        for t in permutations(range(S), 4):
+            if t[0] == min(t):
+                i, j, k, l = t
+                v = (b[i] + b[j] + b[k] + b[l]) - (c[i][j] + c[j][k] + c[k][l] + c[l][i])
+                checked += 1
+                note(v, t, (j, k, l, i))
+
+    return CcmReport(
+        cycles_checked=checked,
+        worst_violation=float(worst) if checked else 0.0,
+        violating_cycle=witness,
+    )

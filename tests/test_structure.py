@@ -21,6 +21,7 @@ from support import (
     lebesgue_grid_pair,
     overlapping_instance,
     reconstruct_reference,
+    verify_ccm_reference,
 )
 
 P05 = PowerCost(0.5)
@@ -165,6 +166,13 @@ class TestCcm:
         with pytest.raises(ValueError):
             verify_ccm(plan, P05, max_cycle_len=5)
 
+    @pytest.mark.parametrize("n", [12, 480])
+    @pytest.mark.parametrize("sample_size", [0, -5])
+    def test_sample_size_below_one_rejected(self, n, sample_size):
+        plan = permutation_plan(n, seed=20)
+        with pytest.raises(ValueError, match="sample_size"):
+            verify_ccm(plan, P05, sample_size=sample_size)
+
 
 def both_ccm_paths(monkeypatch, plan, **kwargs):
     """verify_ccm on the one S x S matrix, then in row blocks of 7 entries."""
@@ -194,8 +202,93 @@ def retarget(plan, entries, targets):
     ).validate()
 
 
+@st.composite
+def small_plans(draw):
+    """Plans of at most 20 entries: optimal, or with a planted cycle.
+
+    Uniform weights give permutation plans, into which the targets of up
+    to four entries are rotated; other weights give optimal plans with
+    split sources.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = draw(st.booleans())
+    n = draw(st.integers(2, 20 if uniform else 10))
+    shared = draw(st.integers(0, n // 2))
+    mu_w, nu_w = (np.ones(n), np.ones(n)) if uniform else rng.uniform(0.5, 1.5, (2, n))
+    mu = DiscreteMeasure(rng.normal(size=(n, 2)), mu_w)
+    nu_pts = np.vstack([mu.points[:shared], rng.normal(size=(n - shared, 2))])
+    nu = DiscreteMeasure(nu_pts, nu_w * mu_w.sum() / nu_w.sum())
+    plan, _, _ = solve_exact(mu, nu, P05)
+    planted = draw(st.integers(0, min(4, plan.n_entries))) if uniform else 0
+    if planted >= 2:
+        entries = rng.choice(plan.n_entries, planted, replace=False)
+        plan = retarget(plan, entries, plan.tgt_idx[np.roll(entries, -1)])
+    return plan
+
+
+def assert_matches_reference(got, want):
+    """Same count, worst value to the last bits, and the same witness
+    read as a map from each entry to the entry whose target it takes."""
+    assert got.cycles_checked == want.cycles_checked
+    w = want.worst_violation
+    assert abs(got.worst_violation - w) <= 1e-12 * (1 + abs(w))
+    got_map, want_map = (
+        r.violating_cycle and dict(zip(*r.violating_cycle)) for r in (got, want)
+    )
+    assert got_map == want_map
+
+
+class TestCcmCycles:
+    """Each length checks all its cycles up to ``sample_size`` of them, else a sample."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(plan=small_plans(), length=st.sampled_from([3, 4]))
+    def test_matches_reference(self, plan, length):
+        assert plan.n_entries <= 20  # every cycle is enumerated
+        got = verify_ccm(plan, P05, max_cycle_len=length)
+        assert_matches_reference(got, verify_ccm_reference(plan, P05, max_cycle_len=length))
+
+    def test_sample_size_boundary(self):
+        plan = permutation_plan(12, seed=24)
+        rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
+        every = verify_ccm(rotated, P05, max_cycle_len=3, sample_size=440)
+        assert_matches_reference(every, verify_ccm_reference(rotated, P05, max_cycle_len=3))
+        assert every.cycles_checked == 132 + 440
+        sampled = verify_ccm(rotated, P05, max_cycle_len=3, sample_size=439)
+        assert sampled.cycles_checked == 132 + 439
+
+    def test_sampled_above_sample_size(self):
+        plan = permutation_plan(300, seed=20)
+        S = plan.n_entries
+        rep = verify_ccm(plan, P05, max_cycle_len=3, sample_size=20_000)
+        assert rep.cycles_checked == S * (S - 1) + 20_000
+        assert rep.ok
+
+    def test_all_four_cycles_of_four_entries(self):
+        plan = permutation_plan(4, seed=20)
+        rep = verify_ccm(plan, P05, max_cycle_len=4)
+        assert rep.cycles_checked == 12 + 8 + 6  # pairs, 3-cycles, 4-cycles
+
+    def test_witness_entries_are_ints(self):
+        mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[0.3], [1.5]], [0.5, 0.5])
+        crossed = TransportPlan(
+            source=mu, target=nu, src_idx=[0, 1], tgt_idx=[1, 0], mass=[0.5, 0.5]
+        ).validate()
+        plan = permutation_plan(12, seed=24)
+        rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
+        plan = permutation_plan(40, seed=22)
+        shuffled = retarget(
+            plan, range(plan.n_entries), np.random.default_rng(0).permutation(plan.tgt_idx)
+        )
+        for bad, length, cycle_len in ((crossed, 2, 2), (rotated, 3, 3), (shuffled, 4, 4)):
+            entries, permuted = verify_ccm(bad, P05, max_cycle_len=length).violating_cycle
+            assert len(entries) == cycle_len
+            assert all(type(e) is int for e in entries + permuted)
+
+
 class TestCcmPaths:
-    """The one-matrix path and the row-block path give the same report."""
+    """The one-matrix and row-block paths agree on enumerated and sampled cycles."""
 
     def test_optimal_exhaustive(self, monkeypatch):
         mu, nu = overlapping_instance(np.random.default_rng(7))
@@ -205,7 +298,7 @@ class TestCcmPaths:
 
     def test_optimal_sampled(self, monkeypatch):
         plan = permutation_plan(480, seed=20)
-        assert plan.n_entries > 450  # length-3 cycles are sampled
+        assert plan.n_entries > 450  # more 3-cycles than sample_size: sampled
         whole, blocks = both_ccm_paths(
             monkeypatch, plan, max_cycle_len=4, sample_size=20_000, seed=5
         )
