@@ -1,5 +1,5 @@
-/* Network simplex kernel of concave_ot.solver: the starting tree and the
- * pivot loop.
+/* Network simplex kernel of concave_ot.solver: the starting tree, the
+ * pivot loop, and the Euclidean distances the cost matrices are made of.
  *
  * starting_tree is a port of solver._least_cost_basis and of the one-DFS
  * thread build of solver._python_start; pivot_loop is a port of
@@ -15,8 +15,11 @@
  * flow, reduced cost and potential is computed by the same
  * floating-point operations in the same order; built with
  * -ffp-contract=off (no fused multiply-add), both paths return the same
- * bits.  solver._compiled_kernel builds this file with the system cc and
- * calls both entry points through ctypes.  Node arrays are indexed by
+ * bits.  distances sums the squared coordinate differences in order from
+ * 0.0 and takes the square root, as scipy's cdist and the numpy
+ * reference costs._numpy_distances do, with the same bits.
+ * solver._compiled_kernel builds this file with the system cc and calls
+ * the three entry points through ctypes.  Node arrays are indexed by
  * node (sources 0..m-1, targets m..m+n-1) and filled or updated in place;
  * all state lives in the caller's arrays or in memory allocated per call,
  * so concurrent calls are safe.
@@ -581,6 +584,26 @@ int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
                 v = next[v];
                 pi[v] += d;
             }
+        }
+    }
+}
+
+/* ---- distances ------------------------------------------------------ */
+
+/* out[i*n + j] = |x_i - y_j| for the m rows of x and the n rows of y,
+ * all of d coordinates and row-major. */
+void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *out)
+{
+    for (i64 i = 0; i < m; i++) {
+        const double *xi = x + i * d;
+        for (i64 j = 0; j < n; j++) {
+            const double *yj = y + j * d;
+            double s = 0.0;
+            for (i64 k = 0; k < d; k++) {
+                double t = xi[k] - yj[k];
+                s += t * t;
+            }
+            out[i * n + j] = sqrt(s);
         }
     }
 }

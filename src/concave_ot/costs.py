@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "ConcaveCost",
@@ -67,7 +66,8 @@ class OutOfRange:
 
 
 def _as_nonneg(t, what="t"):
-    t = np.asarray(t, dtype=float)
+    """A float copy of ``t``, checked ``>= 0``."""
+    t = np.array(t, dtype=float)
     if np.any(t < 0):
         raise ValueError(f"{what} must be >= 0, got minimum {t.min()!r}")
     return t
@@ -101,6 +101,14 @@ class ConcaveCost:
 
     def value(self, t):
         """Evaluate ``f(t)`` for scalar or array ``t >= 0``."""
+        return self._value_in_place(_as_nonneg(t))[()]
+
+    def _value_in_place(self, t):
+        """Overwrite the float array ``t >= 0`` with ``f(t)`` and return it.
+
+        Each family writes its formula here once; :meth:`value` runs it on
+        a copy and :func:`cost_matrix` on the distances it just computed.
+        """
         raise NotImplementedError
 
     def deriv(self, t, side="right"):
@@ -163,9 +171,9 @@ class PowerCost(ConcaveCost):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
-    def value(self, t):
-        t = _as_nonneg(t)
-        return t**self.alpha
+    def _value_in_place(self, t):
+        t **= self.alpha
+        return t
 
     def deriv(self, t, side="right"):
         _check_side(side)
@@ -199,9 +207,9 @@ class LogShiftCost(ConcaveCost):
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
 
-    def value(self, t):
-        t = _as_nonneg(t)
-        return np.log1p(self.a * t)
+    def _value_in_place(self, t):
+        t *= self.a
+        return np.log1p(t, out=t)
 
     def deriv(self, t, side="right"):
         _check_side(side)
@@ -257,10 +265,12 @@ class PiecewiseConcaveCost(ConcaveCost):
             np.searchsorted(self._knots, t, side="right") - 1, len(self.slopes) - 1
         )
 
-    def value(self, t):
-        t = _as_nonneg(t)
+    def _value_in_place(self, t):
         seg = self._segment(t)
-        return self._values[seg] + self.slopes[seg] * (t - self._knots[seg])
+        t -= self._knots[seg]
+        t *= self.slopes[seg]
+        t += self._values[seg]
+        return t
 
     def deriv(self, t, side="right"):
         _check_side(side)
@@ -364,7 +374,7 @@ def c_transform(values, cost, from_support, to_support):
     values = np.asarray(values, dtype=float)
     if values.shape != (from_support.shape[0],):
         raise ValueError("values must have one entry per atom of from_support")
-    mat = cost.value(cdist(from_support, to_support))
+    mat = _pair_costs(cost, from_support, to_support)
     return (mat - values[:, None]).min(axis=0)
 
 
@@ -372,7 +382,52 @@ def cost_matrix(mu, nu, cost):
     """Dense matrix ``f(|x_i - y_j|)`` between the atoms of two measures."""
     if len(mu) == 0 or len(nu) == 0:
         raise ValueError("cost_matrix needs nonempty measures")
-    return cost.value(cdist(mu.points, nu.points))
+    return _pair_costs(cost, mu.points, nu.points)
+
+
+def _pair_costs(cost, x, y):
+    """The matrix ``f(|x_i - y_j|)`` over the rows of ``x`` and ``y``.
+
+    The three families evaluate ``f`` in place on the distance matrix, so
+    one m x n array is alive, not two.  A cost that defines its own
+    ``value`` (a subclass overriding it, or any object with a ``value``
+    method) is called on the distances.
+    """
+    dist = _distances(x, y)
+    if type(cost).value is ConcaveCost.value:
+        return cost._value_in_place(dist)
+    return cost.value(dist)
+
+
+def _distances(x, y):
+    """Euclidean distances between the rows of ``x`` and of ``y``, (m, n).
+
+    The compiled kernel of :mod:`concave_ot.solver` computes them when it
+    could be built, else :func:`_numpy_distances`.  Both sum the squared
+    coordinate differences in order from 0.0 and take the square root,
+    so both return the bits of ``scipy.spatial.distance.cdist``.
+    """
+    from . import solver  # solver imports this module: look it up at call time
+
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
+    kernel = solver._compiled_kernel()
+    return kernel.distances(x, y) if kernel else _numpy_distances(x, y)
+
+
+def _numpy_distances(x, y):
+    """The numpy reference for ``distances`` in ``_pivot.c``, filled one
+    coordinate at a time; it runs when the kernel cannot be built.  Like
+    ``cdist``, it returns inf for a distance that overflows, silently."""
+    out = np.zeros((len(x), len(y)))
+    with np.errstate(over="ignore"):
+        for k in range(x.shape[1]):
+            t = np.subtract.outer(x[:, k], y[:, k])
+            t *= t
+            out += t
+    return np.sqrt(out, out=out)
 
 
 def cost_to_json(cost):

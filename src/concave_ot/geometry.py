@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.stats import norm, qmc
 
 from .measures import _jsonable
 
@@ -123,6 +121,8 @@ def direction_grid(dim, count):
     if dim == 2:
         ang = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(ang), np.sin(ang)])
+    from scipy.stats import norm, qmc
+
     halton = qmc.Halton(d=dim, scramble=False)
     halton.fast_forward(1)  # skip the origin sample
     pts = halton.random(count)
@@ -133,6 +133,8 @@ def direction_grid(dim, count):
 
 def resolution_scale(measure):
     """Median nearest-neighbor distance of the support."""
+    from scipy.spatial import cKDTree
+
     return _resolution(cKDTree(measure.points))
 
 
@@ -202,6 +204,8 @@ def isotropy_audit(
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {d}")
+    from scipy.spatial import cKDTree
+
     pts = measure.points
     tree = cKDTree(pts)
     res = _resolution(tree)

@@ -34,7 +34,9 @@ The start and the pivot loop run in C: ``_pivot.c`` ports
 surgery, potential update; ``pivot_loop``).  The compiled start takes
 arcs in the same (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
-place, so it copies no part of the cost matrix.  The first exact solve
+place, so it copies no part of the cost matrix.  The same library
+computes the Euclidean distances each cost matrix is made of
+(``distances``, called by ``costs._distances``).  The first cost matrix
 of a process loads the kernel with ctypes, compiling it first with the
 system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
 ``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
@@ -42,8 +44,9 @@ and the compiler command, so each version compiles once).
 ``-ffp-contract=off`` forbids fused multiply-adds, so every
 floating-point operation rounds as numpy's and Python's do, and both
 paths return the same basis, tree, pivots, flows and potentials bit for
-bit.  If compiling or loading fails, a RuntimeWarning says so once and
-the Python start and loop run, with the same results at Python speed.
+bit; the distances are those of scipy's ``cdist``, bit for bit.  If
+compiling or loading fails, a RuntimeWarning says so once and the
+Python start and loop and numpy distances run, with the same results.
 No option selects the path.
 """
 
@@ -725,7 +728,8 @@ def _build_pivot_kernel(cache_dir):
 
 class _CompiledKernel:
     """ctypes binding of ``_pivot.c``: :meth:`start` is called like
-    :func:`_python_start` and :meth:`pivot_loop` like :func:`_pivot_loop`."""
+    :func:`_python_start`, :meth:`pivot_loop` like :func:`_pivot_loop` and
+    :meth:`distances` like :func:`costs._numpy_distances`."""
 
     def __init__(self, path):
         self.path = path
@@ -749,6 +753,9 @@ class _CompiledKernel:
             ctypes.POINTER(i64),
         ]
         self._loop.restype = ctypes.c_int
+        self._distances = self._lib.distances
+        self._distances.argtypes = [i64, i64, i64, costs, costs, floats]
+        self._distances.restype = None
 
     def start(self, a, b, C):
         m, n = len(a), len(b)
@@ -773,6 +780,15 @@ class _CompiledKernel:
             raise _not_spanning()
         return start
 
+    def distances(self, x, y):
+        """The (m, n) Euclidean distances between the rows of the float
+        arrays ``x`` and ``y``, like :func:`costs._numpy_distances`."""
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+            raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
+        out = np.empty((len(x), len(y)))
+        self._distances(len(x), len(y), x.shape[1], x, y, out)
+        return out
+
     def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
         m = num_nodes - n
@@ -796,13 +812,14 @@ class _CompiledKernel:
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled start and pivot loop, built and loaded on first use;
-    None if that fails.
+    """The compiled start, pivot loop and distances, built and loaded on
+    first use; None if that fails.
 
     On failure (no ``cc``, a compile error, an unwritable cache) a
     RuntimeWarning says why, once per process, and the exact solver runs
     :func:`_python_start` and :func:`_pivot_loop`, with the same results
-    at Python speed.
+    at Python speed; distances come from :func:`costs._numpy_distances`,
+    with the same bits.
     """
     try:
         return _CompiledKernel(_build_pivot_kernel(_KERNEL_CACHE))
@@ -810,7 +827,8 @@ def _compiled_kernel():
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         warnings.warn(
             f"cannot build the compiled kernel ({exc}{': ' + stderr if stderr else ''});"
-            " the exact solver runs its Python start and pivot loop, 10 to 20 times slower",
+            " the exact solver runs its Python start and pivot loop, 10 to 20 times slower,"
+            " and distances fall back to numpy",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
+from .costs import _pair_costs
 from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
 
@@ -197,7 +196,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     xs = plan.source.points[plan.src_idx]
     ys = plan.target.points[plan.tgt_idx]
     base = cost.value(np.linalg.norm(xs - ys, axis=1))
-    C = cost.value(cdist(xs, ys)) if S * S <= _CCM_ENTRIES else None
+    C = _pair_costs(cost, xs, ys) if S * S <= _CCM_ENTRIES else None
 
     if C is not None:
         def pair_cost(i, j):  # c(x_i, y_j) for index arrays of one shape
@@ -224,8 +223,8 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         if C is not None:
             A, Bt = C, C.T
         else:
-            A = cost.value(cdist(xs[lo:hi], ys))  # c(x_k, y_l) for k in block
-            Bt = cost.value(cdist(xs, ys[lo:hi])).T  # c(x_l, y_k) for k in block
+            A = _pair_costs(cost, xs[lo:hi], ys)  # c(x_k, y_l) for k in block
+            Bt = _pair_costs(cost, xs, ys[lo:hi]).T  # c(x_l, y_k) for k in block
         V = base[lo:hi, None] + base[None, :]
         V -= A
         V -= Bt
@@ -385,6 +384,8 @@ def reconstruct_map_from_potential(
     phi = np.asarray(potentials.phi, dtype=float)
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")
+
+    from scipy.spatial import cKDTree
 
     tree = cKDTree(mu.points)
     _, nb = tree.query(mu.points, k=k + 1)

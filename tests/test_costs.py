@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from concave_ot import costs, solver
 from concave_ot.costs import (
     DerivativeGap,
     LogShiftCost,
@@ -303,6 +305,95 @@ class TestCostMatrix:
         mu = DiscreteMeasure([[0.0]], [1.0])
         with pytest.raises(ValueError):
             cost_matrix(DiscreteMeasure.empty(1), mu, PowerCost(0.5))
+
+
+def _distance_cases():
+    """Point sets for the bit-equality tests: d = 1..5, coordinates from
+    1e-8 to 1e8, target atoms shared with the source, and one-atom sides."""
+    rng = np.random.default_rng(14)
+    cases = []
+    for d in range(1, 6):
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            for m, n in ((1, 17), (23, 1), (31, 29)):
+                x = rng.normal(size=(m, d)) * scale
+                y = rng.normal(size=(n, d)) * scale + scale
+                k = min(m, n) // 2
+                y[:k] = x[:k]  # coincident atoms: distance 0
+                cases.append((x, y))
+    return cases
+
+
+DISTANCE_CASES = _distance_cases()
+BIT_COSTS = [
+    PowerCost(0.5), PowerCost(1 / 3), LogShiftCost(2.0), LogShiftCost(7.3),
+    PiecewiseConcaveCost([1e-6, 1.0, 1e4], [5.0, 2.0, 0.5, 0.1]),
+]
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def distance_path(request, monkeypatch):
+    """The kernel's distances, or the numpy reference in their place."""
+    if request.param == "compiled":
+        if solver._compiled_kernel() is None:
+            pytest.skip("the compiled kernel could not be built")
+    else:
+        monkeypatch.setattr(solver, "_compiled_kernel", lambda: None)
+    return request.param
+
+
+class TestCostMatrixBits:
+    """Distances and costs are those of ``cost.value(cdist(...))``, bit
+    for bit, whether the compiled kernel or numpy computes the distances."""
+
+    @pytest.mark.parametrize("cost", BIT_COSTS, ids=repr)
+    def test_cost_matrix_matches_cdist(self, distance_path, cost):
+        for x, y in DISTANCE_CASES:
+            mu = DiscreteMeasure(x, np.full(len(x), 1.0 / len(x)))
+            nu = DiscreteMeasure(y, np.full(len(y), 1.0 / len(y)))
+            want = cost.value(cdist(mu.points, nu.points))
+            assert np.array_equal(cost_matrix(mu, nu, cost), want)
+
+    def test_c_transform_matches_cdist(self, distance_path):
+        for x, y in DISTANCE_CASES:
+            values = np.linspace(0.0, 1.0, len(x))
+            want = (PW.value(cdist(x, y)) - values[:, None]).min(axis=0)
+            assert np.array_equal(c_transform(values, PW, x, y), want)
+
+    def test_duplicate_points_and_overflow(self, distance_path):
+        x = np.array([[0.0, 1.0], [0.0, 1.0], [-1e308, 0.0], [2.0, -3.0]])
+        y = np.array([[0.0, 1.0], [1e308, 0.0], [0.0, 1.0]])
+        got = costs._distances(x, y)
+        assert got.tobytes() == cdist(x, y).tobytes()
+        assert got[2, 1] == math.inf and got[0, 0] == 0.0
+
+    def test_mismatched_dimensions_rejected(self, distance_path):
+        with pytest.raises(ValueError, match="do not match"):
+            costs._distances(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("cost", BIT_COSTS, ids=repr)
+    def test_value_formula_in_place(self, cost):
+        # each family's formula as an expression that allocates its result
+        t = np.concatenate([[0.0, 5e-324], np.geomspace(1e-300, 1e300, 20_001)])
+        if isinstance(cost, PowerCost):
+            expected = t**cost.alpha
+        elif isinstance(cost, LogShiftCost):
+            expected = np.log1p(cost.a * t)
+        else:
+            seg = cost._segment(t)
+            expected = cost._values[seg] + cost.slopes[seg] * (t - cost._knots[seg])
+        got = cost.value(t)
+        assert got.tobytes() == expected.tobytes()
+        assert type(cost.value(2.0)) is np.float64
+        assert t[2] == 1e-300  # value worked on a copy
+
+    def test_overridden_value_is_called(self):
+        class Doubled(PowerCost):
+            def value(self, t):
+                return 2.0 * super().value(t)
+
+        mu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[4.0]], [1.0])
+        assert cost_matrix(mu, nu, Doubled(0.5)).tolist() == [[4.0], [2.0 * 3.0**0.5]]
 
 
 class TestSerialization:

@@ -147,6 +147,17 @@ class TestDirectionGrid:
         np.testing.assert_array_equal(U1, U2)
         np.testing.assert_allclose(np.linalg.norm(U1, axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dim, count", [(3, 16), (4, 32)])
+    def test_halton_grid_bits(self, dim, count):
+        # the Gaussian-mapped Halton points, computed here from scipy.stats
+        from scipy.stats import norm, qmc
+
+        halton = qmc.Halton(d=dim, scramble=False)
+        halton.fast_forward(1)
+        g = norm.ppf(np.clip(halton.random(count), 1e-12, 1.0 - 1e-12))
+        want = g / np.linalg.norm(g, axis=1, keepdims=True)
+        assert direction_grid(dim, count).tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             direction_grid(0, 4)

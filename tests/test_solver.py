@@ -1,14 +1,21 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_ot import solver
-from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
+from concave_ot import costs, solver
+from concave_ot.costs import (
+    LogShiftCost, PiecewiseConcaveCost, PowerCost, _numpy_distances, cost_matrix,
+)
 from concave_ot.measures import DiscreteMeasure, three_segments, translate, uniform_box
 from concave_ot.solver import (
     MARGINAL_TOL,
@@ -430,26 +437,90 @@ class TestCompiledStart:
 def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader):
     mu, nu = random_instance(np.random.default_rng(3), 30, 25, 2)
     expected = solve_exact(mu, nu, P05)
+    expected_costs = cost_matrix(mu, nu, P05)
     monkeypatch.setattr(solver, "_KERNEL_CACHE", tmp_path)
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
-    python_starts = []
+    python_starts, numpy_distances = [], []
 
     def recording_start(a, b, C):
         python_starts.append((len(a), len(b)))
         return _python_start(a, b, C)
 
+    def recording_distances(x, y):
+        numpy_distances.append((len(x), len(y)))
+        return _numpy_distances(x, y)
+
     monkeypatch.setattr(solver, "_python_start", recording_start)
+    monkeypatch.setattr(costs, "_numpy_distances", recording_distances)
     _compiled_kernel.cache_clear()
-    with pytest.warns(RuntimeWarning, match="runs its Python start and pivot loop"):
+    with pytest.warns(RuntimeWarning, match="runs its Python start and pivot loop") as caught:
         plan, pots, obj = solve_exact(mu, nu, P05)
+    assert "distances fall back to numpy" in str(caught[0].message)
     assert _compiled_kernel() is None
     assert python_starts == [(30, 25)]
+    assert numpy_distances == [(30, 25)]
+    assert cost_matrix(mu, nu, P05).tobytes() == expected_costs.tobytes()
     assert obj == expected.objective
     for got, want in ((plan.src_idx, expected.plan.src_idx), (plan.tgt_idx, expected.plan.tgt_idx),
                       (plan.mass, expected.plan.mass), (pots.phi, expected.potentials.phi),
                       (pots.psi, expected.potentials.psi)):
         assert got.tobytes() == want.tobytes()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_map_regime_seed_0_pinned(monkeypatch):
+    # the separated n = 1000 clouds of the benchmark's map_regime workload
+    mu = uniform_box(1000, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=10)
+    nu = uniform_box(1000, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11)
+    pivots = []
+    inner = solver._network_simplex
+
+    def counting(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(solver, "_network_simplex", counting)
+    plan, pots, obj = solve_exact(mu, nu, P05)
+    assert obj == 2.051390006533048
+    assert pivots == [15_233]
+    assert certify(plan, pots, P05).ok
+
+
+STARTUP_SCRIPT = textwrap.dedent("""
+    import sys
+
+    import concave_ot.cli  # noqa: F401
+    from concave_ot import (
+        PowerCost, certify, decompose, extract_map, reconstruct_map_from_potential, solve_exact,
+        uniform_box, verify_ccm, verify_stay_at_rest,
+    )
+
+    def scipy_modules():
+        return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+    mu = uniform_box(12, 2, seed=0)
+    nu = uniform_box(12, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=1)
+    cost = PowerCost(0.5)
+    plan, pots, _ = solve_exact(mu, nu, cost)
+    assert certify(plan, pots, cost).ok
+    assert verify_stay_at_rest(mu, nu, plan).ok
+    assert verify_ccm(plan, cost).ok
+    extract_map(decompose(plan))
+    assert scipy_modules() == [], scipy_modules()
+    reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8)
+    assert "scipy.spatial" in sys.modules and "scipy.stats" not in sys.modules, scipy_modules()
+""")
+
+
+def test_exact_pipeline_loads_no_scipy():
+    """Solving and auditing a plan loads no scipy module; rebuilding the
+    map loads the kd-tree of scipy.spatial, and still not scipy.stats."""
+    src = Path(solver.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestDuality:
