@@ -1,5 +1,7 @@
-/* Network simplex kernel of concave_ot.solver: the starting tree, the
- * pivot loop, and the Euclidean distances the cost matrices are made of.
+/* Compiled kernel of concave_ot: the network simplex of solver (the
+ * starting tree and the pivot loop), the Euclidean distances the cost
+ * matrices are made of, and the scorers of two audits, verify_ccm in
+ * structure and certify in solver.
  *
  * starting_tree is a port of solver._least_cost_basis and of the one-DFS
  * thread build of solver._python_start; pivot_loop is a port of
@@ -18,8 +20,19 @@
  * bits.  distances sums the squared coordinate differences in order from
  * 0.0 and takes the square root, as scipy's cdist and the numpy
  * reference costs._numpy_distances do, with the same bits.
+ *
+ * The audit scorers read each cost matrix once and allocate no m x n
+ * array.  pair_scores scores the pair swaps of a row block of support
+ * entries and cycle_scores a block of cycles, as the numpy references
+ * structure._numpy_pair_scores and structure._numpy_cycle_scores do;
+ * certify_maxima returns the two maxima of solver._numpy_certify_maxima.
+ * Each computes every value by the same operations in the same order as
+ * its reference and returns numpy's first argmax (the first NaN if there
+ * is one) or numpy's NaN-propagating max, so the reports keep their
+ * bits.
+ *
  * solver._compiled_kernel builds this file with the system cc and calls
- * the three entry points through ctypes.  Node arrays are indexed by
+ * the six entry points through ctypes.  Node arrays are indexed by
  * node (sources 0..m-1, targets m..m+n-1) and filled or updated in place;
  * all state lives in the caller's arrays or in memory allocated per call,
  * so concurrent calls are safe.
@@ -606,4 +619,153 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *ou
             out[i * n + j] = sqrt(s);
         }
     }
+}
+
+/* ---- audit scorers -------------------------------------------------- */
+
+enum { TILE = 64 };
+
+/* V[k][l] of pair_scores: the pair swap of support entries lo+k and l. */
+static double pair_swap(i64 S, i64 lo, i64 h, const double *base, const double *a,
+                        const double *bt, i64 k, i64 l)
+{
+    if (l == lo + k)
+        return -INFINITY;
+    return ((base[lo + k] + base[l]) - a[k * S + l]) - bt[l * h + k];
+}
+
+/* Pair swaps of the support entries lo..lo+h-1 with all S entries, as
+ * the h x S row-major array V[k][l] = ((base[lo+k] + base[l]) - a[k][l])
+ * - bt[l][k], where a (h x S) holds c(x_{lo+k}, y_l), bt (S x h) holds
+ * c(x_l, y_{lo+k}), and V[k][lo+k] = -inf.  Writes np.argmax(V), the first greatest value or
+ * else the first NaN, to *at and V there to *best.  A first pass keeps
+ * the greatest value of each row in rowmax[0..h-1] (NaN if the row has
+ * one), reading TILE x TILE tiles so that the rows of a and the columns
+ * of bt stay in cache; a second scans the first row that holds the
+ * answer. */
+void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
+                 const double *bt, double *rowmax, double *best, i64 *at)
+{
+    for (i64 k = 0; k < h; k++)
+        rowmax[k] = -INFINITY;
+    for (i64 k0 = 0; k0 < h; k0 += TILE) {
+        i64 k1 = k0 + TILE < h ? k0 + TILE : h;
+        for (i64 l0 = 0; l0 < S; l0 += TILE) {
+            i64 l1 = l0 + TILE < S ? l0 + TILE : S;
+            for (i64 k = k0; k < k1; k++) {
+                /* two running maxima, so that the comparisons do not wait
+                 * on each other; max is exact, so their order does not
+                 * matter */
+                double m0 = rowmax[k], m1 = -INFINITY;
+                int bad = m0 != m0;
+                i64 l = l0;
+                for (; l + 2 <= l1; l += 2) {
+                    double v0 = pair_swap(S, lo, h, base, a, bt, k, l);
+                    double v1 = pair_swap(S, lo, h, base, a, bt, k, l + 1);
+                    bad |= (v0 != v0) | (v1 != v1);
+                    m0 = v0 > m0 ? v0 : m0;
+                    m1 = v1 > m1 ? v1 : m1;
+                }
+                if (l < l1) {
+                    double v0 = pair_swap(S, lo, h, base, a, bt, k, l);
+                    bad |= v0 != v0;
+                    m0 = v0 > m0 ? v0 : m0;
+                }
+                rowmax[k] = bad ? NAN : m1 > m0 ? m1 : m0;
+            }
+        }
+    }
+    /* the first row with a NaN, else the first row with the greatest value */
+    i64 top_k = 0;
+    double top = -INFINITY;
+    for (i64 k = 0; k < h; k++) {
+        if (rowmax[k] != rowmax[k]) {
+            top_k = k, top = NAN;
+            break;
+        }
+        if (rowmax[k] > top)
+            top_k = k, top = rowmax[k];
+    }
+    for (i64 l = 0; l < S; l++) {
+        double v = pair_swap(S, lo, h, base, a, bt, top_k, l);
+        if (top != top ? v != v : v == top) {
+            *best = v;
+            *at = top_k * S + l;
+            return;
+        }
+    }
+}
+
+enum { PREFETCH = 16 };
+
+/* Cycles of len entries, the rows t of `cycles` (count x len): scores
+ * in order the first `limit` rows whose entries are distinct, skipping
+ * the others, by (sum of base[t_i]) - (sum of c(x_{t_i}, y_{t_{i+1}})),
+ * i + 1 taken mod len, each sum taken left to right from its first term
+ * as numpy's sum(axis=1) does.  The costs are read from the S x S matrix
+ * `cost`, or, if gathered, from cost[c * len + i] for step i of row c.
+ * Writes np.argmax of the scores, as a row of `cycles`, to *at (-1 if
+ * none) and its score to *best; returns the number of rows scored. */
+i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double *base,
+                 const double *cost, i64 S, int gathered, double *best, i64 *at)
+{
+    double top = -INFINITY;
+    i64 top_at = -1, scored = 0;
+    for (i64 c = 0; c < count && scored < limit; c++) {
+        const i64 *t = cycles + c * len;
+        if (!gathered && c + PREFETCH < count) {
+            /* the matrix reads are random: ask for those of a later row */
+            const i64 *u = t + PREFETCH * len;
+            for (i64 i = 0; i < len - 1; i++)
+                __builtin_prefetch(cost + u[i] * S + u[i + 1]);
+            __builtin_prefetch(cost + u[len - 1] * S + u[0]);
+        }
+        int distinct = 1;
+        for (i64 s = 0; s < len; s++)
+            for (i64 u = s + 1; u < len; u++)
+                distinct &= t[s] != t[u];
+        if (!distinct)
+            continue;
+        double sb = base[t[0]], sc;
+        for (i64 i = 1; i < len; i++)
+            sb += base[t[i]];
+        if (gathered) {
+            sc = cost[c * len];
+            for (i64 i = 1; i < len; i++)
+                sc += cost[c * len + i];
+        } else {
+            sc = cost[t[0] * S + t[1]];
+            for (i64 i = 1; i < len - 1; i++)
+                sc += cost[t[i] * S + t[i + 1]];
+            sc += cost[t[len - 1] * S + t[0]];
+        }
+        double v = sb - sc;
+        /* the first score, then a greater one, then the first NaN */
+        if (scored++ == 0 || v > top || (v != v && top == top))
+            top = v, top_at = c;
+    }
+    *best = top;
+    *at = top_at;
+    return scored;
+}
+
+/* Over the m x n costs C: out[0] = max |C_ij| from 0.0 and out[1] = max
+ * ((phi_i + psi_j) - C_ij) from -inf, each NaN if one of its terms is,
+ * as numpy's max is. */
+void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const double *C,
+                    double *out)
+{
+    double top = 0.0, viol = -INFINITY;
+    int nan = 0;
+    for (i64 i = 0; i < m; i++) {
+        const double *c = C + i * n, phi_i = phi[i];
+        for (i64 j = 0; j < n; j++) {
+            double a = fabs(c[j]), v = (phi_i + psi[j]) - c[j];
+            nan |= (a != a) | (v != v) << 1;
+            top = a > top ? a : top;
+            viol = v > viol ? v : viol;
+        }
+    }
+    out[0] = nan & 1 ? NAN : top;
+    out[1] = nan & 2 ? NAN : viol;
 }

@@ -36,7 +36,11 @@ arcs in the same (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
 place, so it copies no part of the cost matrix.  The same library
 computes the Euclidean distances each cost matrix is made of
-(``distances``, called by ``costs._distances``).  The first cost matrix
+(``distances``, called by ``costs._distances``), and scores two audits
+in one pass over a cost matrix, with no m x n temporary: the pair swaps
+and cycles of ``structure.verify_ccm`` (``pair_scores``,
+``cycle_scores``) and the two maxima of :func:`certify`
+(``certify_maxima``).  The first cost matrix
 of a process loads the kernel with ctypes, compiling it first with the
 system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
 ``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
@@ -44,10 +48,11 @@ and the compiler command, so each version compiles once).
 ``-ffp-contract=off`` forbids fused multiply-adds, so every
 floating-point operation rounds as numpy's and Python's do, and both
 paths return the same basis, tree, pivots, flows and potentials bit for
-bit; the distances are those of scipy's ``cdist``, bit for bit.  If
-compiling or loading fails, a RuntimeWarning says so once and the
-Python start and loop and numpy distances run, with the same results.
-No option selects the path.
+bit; the distances are those of scipy's ``cdist``, bit for bit, and
+the audits return the reports of their numpy expressions, bit for bit.
+If compiling or loading fails, a RuntimeWarning says so once and the
+Python start and loop, numpy distances and the numpy audit expressions
+run, with the same results.  No option selects the path.
 """
 
 from __future__ import annotations
@@ -728,8 +733,12 @@ def _build_pivot_kernel(cache_dir):
 
 class _CompiledKernel:
     """ctypes binding of ``_pivot.c``: :meth:`start` is called like
-    :func:`_python_start`, :meth:`pivot_loop` like :func:`_pivot_loop` and
-    :meth:`distances` like :func:`costs._numpy_distances`."""
+    :func:`_python_start`, :meth:`pivot_loop` like :func:`_pivot_loop`,
+    :meth:`distances` like :func:`costs._numpy_distances`,
+    :meth:`pair_scores` and :meth:`cycle_scores` like
+    :func:`structure._numpy_pair_scores` and
+    :func:`structure._numpy_cycle_scores`, and :meth:`certify_maxima`
+    like :func:`_numpy_certify_maxima`."""
 
     def __init__(self, path):
         self.path = path
@@ -756,6 +765,19 @@ class _CompiledKernel:
         self._distances = self._lib.distances
         self._distances.argtypes = [i64, i64, i64, costs, costs, floats]
         self._distances.restype = None
+        out = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(i64)
+        self._pair_scores = self._lib.pair_scores
+        self._pair_scores.argtypes = [i64, i64, i64, costs, costs, costs, floats, *out]
+        self._pair_scores.restype = None
+        self._cycle_scores = self._lib.cycle_scores
+        self._cycle_scores.argtypes = [
+            i64, i64, i64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), costs, costs,
+            i64, ctypes.c_int, *out,
+        ]
+        self._cycle_scores.restype = i64
+        self._certify_maxima = self._lib.certify_maxima
+        self._certify_maxima.argtypes = [i64, i64, costs, costs, costs, floats]
+        self._certify_maxima.restype = None
 
     def start(self, a, b, C):
         m, n = len(a), len(b)
@@ -789,6 +811,46 @@ class _CompiledKernel:
         self._distances(len(x), len(y), x.shape[1], x, y, out)
         return out
 
+    def pair_scores(self, base, lo, A, B):
+        """np.argmax over the pair swaps of entries lo..lo+len(A)-1, like
+        :func:`structure._numpy_pair_scores`: (value, k, l)."""
+        h, S = A.shape
+        if len(base) != S or B.shape != (S, h) or not 0 <= lo <= S - h:
+            raise ValueError("pair-swap blocks do not match the support")
+        best, at = ctypes.c_double(), ctypes.c_int64()
+        self._pair_scores(S, lo, h, base, A, B, np.empty(h), ctypes.byref(best), ctypes.byref(at))
+        k, l = divmod(at.value, S)
+        return best.value, lo + k, l
+
+    def cycle_scores(self, cycles, limit, base, costs, gathered=False):
+        """Scores the first ``limit`` rows of ``cycles`` without a repeated
+        entry, like :func:`structure._numpy_cycle_scores`: (rows scored,
+        np.argmax value, its row or None).  ``costs`` is the S x S matrix,
+        or, if ``gathered``, the cost of each step of each row."""
+        count, length = cycles.shape
+        S = len(base)
+        shape = cycles.shape if gathered else (S, S)
+        if costs.shape != shape or (count and not 0 <= cycles.min() <= cycles.max() < S):
+            raise ValueError("cycles do not match the support")
+        best, at = ctypes.c_double(), ctypes.c_int64()
+        scored = self._cycle_scores(
+            count, length, limit, cycles, base, costs, S, gathered,
+            ctypes.byref(best), ctypes.byref(at),
+        )
+        return scored, best.value, cycles[at.value] if at.value >= 0 else None
+
+    def certify_maxima(self, phi, psi, C):
+        """(max |C_ij|, max (phi_i + psi_j) - C_ij), each NaN if a term is,
+        like :func:`_numpy_certify_maxima`."""
+        m, n = C.shape
+        if phi.shape != (m,) or psi.shape != (n,):
+            raise ValueError("potential shapes do not match the cost matrix")
+        if not C.size:
+            raise ValueError("an empty cost matrix has no maximum")
+        out = np.empty(2)
+        self._certify_maxima(m, n, phi, psi, C, out)
+        return float(out[0]), float(out[1])
+
     def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
         m = num_nodes - n
@@ -812,14 +874,15 @@ class _CompiledKernel:
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled start, pivot loop and distances, built and loaded on
-    first use; None if that fails.
+    """The compiled start, pivot loop, distances and audit scorers, built
+    and loaded on first use; None if that fails.
 
     On failure (no ``cc``, a compile error, an unwritable cache) a
     RuntimeWarning says why, once per process, and the exact solver runs
     :func:`_python_start` and :func:`_pivot_loop`, with the same results
     at Python speed; distances come from :func:`costs._numpy_distances`,
-    with the same bits.
+    and ``verify_ccm`` and :func:`certify` score with their numpy
+    expressions, with the same bits.
     """
     try:
         return _CompiledKernel(_build_pivot_kernel(_KERNEL_CACHE))
@@ -828,7 +891,7 @@ def _compiled_kernel():
         warnings.warn(
             f"cannot build the compiled kernel ({exc}{': ' + stderr if stderr else ''});"
             " the exact solver runs its Python start and pivot loop, 10 to 20 times slower,"
-            " and distances fall back to numpy",
+            " and distances fall back to numpy, as do the scores of verify_ccm and certify",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -843,15 +906,21 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
     primal minus dual objective.  Both checks allow
     ``tol * max(1, max|C|)``, recorded as ``tolerance``: potentials carry
     rounding relative to the costs, as the solver's pricing tolerance does.
+
+    The compiled kernel takes max|C| and the largest phi_i + psi_j - c_ij
+    in one pass over the cost matrix (``certify_maxima``); when it cannot
+    be built, :func:`_numpy_certify_maxima` does, with the same bits.  A
+    NaN potential makes the largest violation NaN, so ``feasible_dual``
+    is False.
     """
     mu, nu = plan.source, plan.target
     phi, psi = potentials.phi, potentials.psi
     if phi.shape != (len(mu),) or psi.shape != (len(nu),):
         raise ValueError("potential shapes do not match the plan's measures")
     C = cost_matrix(mu, nu, cost)
-    tol = tol * max(1.0, float(np.abs(C).max(initial=0.0)))
-    viol = (phi[:, None] + psi[None, :]) - C
-    max_viol = float(viol.max())
+    kernel = _compiled_kernel()
+    max_cost, max_viol = (kernel.certify_maxima if kernel else _numpy_certify_maxima)(phi, psi, C)
+    tol = tol * max(1.0, max_cost)
     if plan.n_entries:
         slack = np.abs(
             phi[plan.src_idx] + psi[plan.tgt_idx] - C[plan.src_idx, plan.tgt_idx]
@@ -869,6 +938,12 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
         max_slack_residual=max_slack,
         tolerance=tol,
     )
+
+
+def _numpy_certify_maxima(phi, psi, C):
+    """The numpy reference for ``certify_maxima`` in ``_pivot.c``; it runs
+    when the kernel cannot be built."""
+    return float(np.abs(C).max(initial=0.0)), float(((phi[:, None] + psi[None, :]) - C).max())
 
 
 def save_plan(plan, basepath, objective=None, gap=None):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .costs import _pair_costs
 from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
@@ -166,6 +167,8 @@ class CcmReport:
 # many support pairs it evaluates the whole S x S matrix once and reads
 # every cycle from it; beyond, it rebuilds row blocks of that size.
 _CCM_ENTRIES = 4_000_000
+# Largest number of enumerated cycles verify_ccm holds at once.
+_CCM_CYCLES = 65_536
 
 
 def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
@@ -186,7 +189,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     ``_CCM_ENTRIES`` entries it is evaluated once: the pair swaps read it
     and its transpose, and the cycles gather from it.  Larger supports
     are checked in row blocks that recompute their costs; both ways give
-    the same report.
+    the same report.  Enumerated cycles are scored ``_CCM_CYCLES`` at a
+    time.  The compiled kernel of :mod:`concave_ot.solver` scores the
+    pair swaps (``pair_scores``) and the cycles (``cycle_scores``) in one
+    pass over the costs; when it cannot be built,
+    :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores` do, with
+    the same report bit for bit.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
@@ -197,6 +205,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     ys = plan.target.points[plan.tgt_idx]
     base = cost.value(np.linalg.norm(xs - ys, axis=1))
     C = _pair_costs(cost, xs, ys) if S * S <= _CCM_ENTRIES else None
+    kernel = solver._compiled_kernel()
 
     if C is not None:
         def pair_cost(i, j):  # c(x_i, y_j) for index arrays of one shape
@@ -217,35 +226,45 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
                 witness = (tuple(entries), tuple(permuted))
 
     # length 2: all ordered pairs, in row blocks when the matrix is too big
+    pair_scores = kernel.pair_scores if kernel else _numpy_pair_scores
     chunk = max(S, 1) if C is not None else max(1, _CCM_ENTRIES // S)
     for lo in range(0, S, chunk):
         hi = min(lo + chunk, S)
         if C is not None:
-            A, Bt = C, C.T
+            A = B = C
         else:
             A = _pair_costs(cost, xs[lo:hi], ys)  # c(x_k, y_l) for k in block
-            Bt = _pair_costs(cost, xs, ys[lo:hi]).T  # c(x_l, y_k) for k in block
-        V = base[lo:hi, None] + base[None, :]
-        V -= A
-        V -= Bt
-        idx = np.arange(lo, hi)
-        V[idx - lo, idx] = -np.inf  # k == l is not a cycle
-        k_rel, l = np.unravel_index(np.argmax(V), V.shape)
-        checked += (hi - lo) * S - (hi - lo)
-        if V[k_rel, l] > worst:
-            k = lo + int(k_rel)
-            note(float(V[k_rel, l]), (k, int(l)), (int(l), k))
+            B = _pair_costs(cost, xs, ys[lo:hi])  # c(x_l, y_k) for k in block
+        value, k, l = pair_scores(base, lo, A, B)
+        checked += (hi - lo) * (S - 1)
+        note(value, (k, l), (l, k))
+
+    def score(cycles, limit):
+        """Scores the first ``limit`` rows of ``cycles`` without a repeated
+        entry into (best, cycle), numpy's argmax over all blocks of one
+        length; returns how many it scored."""
+        nonlocal best, cycle, checked
+        if kernel is None:
+            scored, value, row = _numpy_cycle_scores(cycles, limit, base, pair_cost)
+        elif C is not None:
+            scored, value, row = kernel.cycle_scores(cycles, limit, base, C)
+        else:
+            costs = pair_cost(cycles, np.roll(cycles, -1, axis=1))
+            scored, value, row = kernel.cycle_scores(cycles, limit, base, costs, gathered=True)
+        checked += scored
+        # an earlier block keeps ties, and the first NaN stays
+        if value > best or (value != value and best == best):
+            best, cycle = value, row
+        return scored
 
     for length in range(3, min(max_cycle_len, S) + 1):
+        best, cycle = -math.inf, None
         if math.comb(S, length) * math.factorial(length - 1) <= sample_size:
-            tuples = _all_cycles(S, length)
+            _all_cycles(S, length, score)
         else:
-            tuples = _sampled_cycles(S, length, sample_size, seed + length - 3)
-        rotated = np.roll(tuples, -1, axis=1)
-        v = base[tuples].sum(axis=1) - pair_cost(tuples, rotated).sum(axis=1)
-        t = int(np.argmax(v))
-        note(float(v[t]), tuples[t].tolist(), rotated[t].tolist())
-        checked += len(tuples)
+            _sampled_cycles(S, length, sample_size, seed + length - 3, score)
+        if cycle is not None:
+            note(best, cycle.tolist(), np.roll(cycle, -1).tolist())
 
     return CcmReport(
         cycles_checked=checked,
@@ -254,29 +273,66 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     )
 
 
-def _all_cycles(S, length):
-    """Every directed cycle of ``length`` distinct entries, led by its least."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(S), length))
-    combos = np.fromiter(flat, dtype=np.intp).reshape(-1, length)
+def _numpy_pair_scores(base, lo, A, B):
+    """The numpy reference for ``pair_scores`` in ``_pivot.c``; it runs
+    when the kernel cannot be built.  Over the pair swaps
+    ((b_k + b_l) - c(x_k, y_l)) - c(x_l, y_k) of the entries k of the
+    block lo..lo+len(A)-1 with every entry l != k, where A[k - lo, l] and
+    B[l, k - lo] hold the two costs (A is B is the whole matrix when the
+    block is all entries), returns np.argmax as (value, k, l)."""
+    h = len(A)
+    V = base[lo:lo + h, None] + base[None, :]
+    V -= A
+    V -= B.T
+    idx = np.arange(h)
+    V[idx, lo + idx] = -np.inf  # k == l is not a cycle
+    k, l = np.unravel_index(np.argmax(V), V.shape)
+    return float(V[k, l]), lo + int(k), int(l)
+
+
+def _numpy_cycle_scores(cycles, limit, base, pair_cost):
+    """The numpy reference for ``cycle_scores`` in ``_pivot.c``; it runs
+    when the kernel cannot be built.  Scores the first ``limit`` rows of
+    ``cycles`` without a repeated entry; returns (rows scored, np.argmax
+    value, its row or None)."""
+    length = cycles.shape[1]
+    distinct = np.ones(len(cycles), dtype=bool)
+    for s in range(length):
+        for t in range(s + 1, length):
+            distinct &= cycles[:, s] != cycles[:, t]
+    cycles = cycles[distinct][:limit]
+    if not len(cycles):
+        return 0, -math.inf, None
+    rotated = np.roll(cycles, -1, axis=1)
+    v = base[cycles].sum(axis=1) - pair_cost(cycles, rotated).sum(axis=1)
+    t = int(np.argmax(v))
+    return len(cycles), float(v[t]), cycles[t]
+
+
+def _all_cycles(S, length, score):
+    """Scores every directed cycle of ``length`` distinct entries, led by
+    its least, in blocks of ``_CCM_CYCLES // (length - 1)!`` combinations
+    (at least one), each giving its ``(length - 1)!`` cycles."""
     orders = [(0, *rest) for rest in itertools.permutations(range(1, length))]
-    return combos[:, orders].reshape(-1, length)
+    combos = itertools.combinations(range(S), length)
+    per_block = max(1, _CCM_CYCLES // len(orders))
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, per_block))
+        block = np.fromiter(flat, dtype=np.int64).reshape(-1, length)
+        if not len(block):
+            return
+        block = block[:, orders].reshape(-1, length)
+        score(block, len(block))
 
 
-def _sampled_cycles(S, length, sample_size, seed):
-    """Seeded sample of ordered tuples of ``length`` distinct entries."""
+def _sampled_cycles(S, length, sample_size, seed, score):
+    """Scores a seeded sample of ``sample_size`` ordered tuples of
+    ``length`` distinct entries: each draw of candidates goes to
+    ``score(candidates, need)``, which returns how many it took."""
     rng = np.random.default_rng(seed)
-    tuples = []
     need = sample_size
     while need > 0:
-        cand = rng.integers(0, S, size=(int(need * 1.3) + 8, length))
-        distinct = np.ones(len(cand), dtype=bool)
-        for s in range(length):
-            for t in range(s + 1, length):
-                distinct &= cand[:, s] != cand[:, t]
-        cand = cand[distinct]
-        tuples.append(cand[:need])
-        need -= len(cand[:need])
-    return np.vstack(tuples)
+        need -= score(rng.integers(0, S, size=(int(need * 1.3) + 8, length)), need)
 
 
 @dataclass(frozen=True)

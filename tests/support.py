@@ -11,17 +11,21 @@ are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
 The cyclical-monotonicity reference checks 3-cycles with the per-entry
 loop that ``structure.verify_ccm`` replaces with enumerated cycles, and
-4-cycles by brute force over permutations.
+4-cycles by brute force over permutations.  ``on_both_kernel_paths``
+runs an audit through the compiled kernel and through its numpy
+fallback and asserts the two reports are equal.
 """
 
 import warnings
 from itertools import combinations, permutations
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+from concave_ot import solver
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure
@@ -32,6 +36,17 @@ from concave_ot.structure import (
     SplitSource,
     decompose,
 )
+
+
+def on_both_kernel_paths(audit, *args, **kwargs):
+    """``audit(*args, **kwargs)`` scored by the compiled kernel, then by
+    the numpy expressions that replace it when it cannot be built; asserts
+    that the two reports are equal and returns the first."""
+    got = audit(*args, **kwargs)
+    with mock.patch.object(solver, "_compiled_kernel", lambda: None):
+        want = audit(*args, **kwargs)
+    assert got == want
+    return got
 
 
 def random_instance(rng, m, n, d, uniform_weights=False):

@@ -17,8 +17,10 @@ from concave_ot.costs import (
     LogShiftCost, PiecewiseConcaveCost, PowerCost, _numpy_distances, cost_matrix,
 )
 from concave_ot.measures import DiscreteMeasure, three_segments, translate, uniform_box
+from concave_ot.structure import CcmReport, verify_ccm
 from concave_ot.solver import (
     MARGINAL_TOL,
+    Certificate,
     DualPotentials,
     SolverError,
     TransportPlan,
@@ -28,7 +30,6 @@ from concave_ot.solver import (
     _network_simplex,
     _pivot_loop,
     _python_start,
-    certify,
     load_plan,
     save_plan,
     save_potentials,
@@ -39,10 +40,17 @@ from support import (
     basis_enumeration_oracle,
     lebesgue_grid_pair,
     linprog_oracle,
+    on_both_kernel_paths,
     random_instance,
 )
 
 P05 = PowerCost(0.5)
+
+
+def certify(plan, potentials, cost, **kwargs):
+    """``solver.certify``, with its maxima taken by the compiled kernel and
+    by numpy, with the same certificate."""
+    return on_both_kernel_paths(solver.certify, plan, potentials, cost, **kwargs)
 
 
 class ScaledCost:
@@ -455,7 +463,9 @@ def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader
     _compiled_kernel.cache_clear()
     with pytest.warns(RuntimeWarning, match="runs its Python start and pivot loop") as caught:
         plan, pots, obj = solve_exact(mu, nu, P05)
-    assert "distances fall back to numpy" in str(caught[0].message)
+    assert str(caught[0].message).endswith(
+        "distances fall back to numpy, as do the scores of verify_ccm and certify"
+    )
     assert _compiled_kernel() is None
     assert python_starts == [(30, 25)]
     assert numpy_distances == [(30, 25)]
@@ -484,7 +494,16 @@ def test_map_regime_seed_0_pinned(monkeypatch):
     plan, pots, obj = solve_exact(mu, nu, P05)
     assert obj == 2.051390006533048
     assert pivots == [15_233]
-    assert certify(plan, pots, P05).ok
+    assert certify(plan, pots, P05) == Certificate(
+        feasible_dual=True,
+        slack_ok=True,
+        gap=0.0,
+        max_feasibility_violation=3.552713678800501e-15,
+        max_slack_residual=3.552713678800501e-15,
+        tolerance=2.3624917840420882e-09,
+    )
+    ccm = on_both_kernel_paths(verify_ccm, plan, P05, max_cycle_len=3, seed=0)
+    assert ccm == CcmReport(1_099_000, -3.3788566833337086e-08, None)
 
 
 STARTUP_SCRIPT = textwrap.dedent("""
@@ -573,6 +592,41 @@ class TestDuality:
         cert = certify(plan, DualPotentials(np.zeros(8), np.zeros(8)), P05)
         assert cert.feasible_dual  # costs are nonnegative
         assert not cert.slack_ok  # generic instance has no zero-cost support
+
+    def test_nan_potentials_fail_feasibility(self, monkeypatch):
+        # as solve_with_meet writes for atoms without residual mass
+        mu, nu = random_instance(np.random.default_rng(4), 9, 7, 2)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+        pots.phi[4] = np.nan
+        certs = [solver.certify(plan, pots, P05)]
+        monkeypatch.setattr(solver, "_compiled_kernel", lambda: None)
+        certs.append(solver.certify(plan, pots, P05))
+        for cert in certs:
+            assert not cert.feasible_dual
+            assert math.isnan(cert.max_feasibility_violation)
+            assert cert.tolerance == certs[0].tolerance
+        assert repr(certs[0]) == repr(certs[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kernel_maxima_match_numpy(self, seed):
+        kernel = _compiled_kernel()
+        if kernel is None:
+            pytest.skip("the compiled kernel could not be built")
+        rng = np.random.default_rng(seed)
+        m, n = (int(k) for k in rng.integers(1, 40, 2))
+        phi, psi = rng.normal(size=m), rng.normal(size=n)
+        C = rng.exponential(size=(m, n))
+        if seed == 1:
+            C[rng.integers(0, m), rng.integers(0, n)] = np.nan
+        if seed == 2:
+            psi[rng.integers(0, n)] = np.nan
+        if seed == 3:
+            C[rng.integers(0, m), rng.integers(0, n)] = np.inf
+        if seed == 4:
+            C = -C  # |C| is not C
+        got = kernel.certify_maxima(phi, psi, C)
+        want = solver._numpy_certify_maxima(phi, psi, C)
+        assert repr(got) == repr(want)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)

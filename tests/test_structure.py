@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_ot import structure
+from concave_ot import solver, structure
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
 from concave_ot.measures import DiscreteMeasure, three_segments, uniform_box
 from concave_ot.solver import DualPotentials, TransportPlan, solve_exact
@@ -13,18 +15,24 @@ from concave_ot.structure import (
     extract_map,
     reconstruct_map_from_potential,
     translation_mass,
-    verify_ccm,
     verify_stay_at_rest,
 )
 from support import (
     extract_map_reference,
     lebesgue_grid_pair,
+    on_both_kernel_paths,
     overlapping_instance,
     reconstruct_reference,
     verify_ccm_reference,
 )
 
 P05 = PowerCost(0.5)
+
+
+def verify_ccm(plan, cost, **kwargs):
+    """``structure.verify_ccm``, scored by the compiled kernel and by numpy
+    with the same report."""
+    return on_both_kernel_paths(structure.verify_ccm, plan, cost, **kwargs)
 
 
 def limit_plan(n):
@@ -332,6 +340,154 @@ class TestCcmPaths:
             monkeypatch, rotated, max_cycle_len=3, sample_size=20_000
         )
         assert whole == blocks and not whole.ok
+
+
+def compiled_kernel():
+    kernel = solver._compiled_kernel()
+    if kernel is None:
+        pytest.skip("the compiled kernel could not be built")
+    return kernel
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestAuditScorers:
+    """The kernel's scorers return numpy's argmax, the first of tied values
+    or else the first NaN, and verify_ccm the same report on both paths."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_scores_match_numpy(self, seed):
+        kernel = compiled_kernel()
+        rng = np.random.default_rng(seed)
+        S = int(rng.integers(1, 150))
+        # small integers: every value is exact and many tie
+        base = rng.integers(0, 4, S).astype(float)
+        C = rng.integers(0, 4, (S, S)).astype(float)
+        if seed % 4 == 1:
+            C[rng.integers(0, S, 3), rng.integers(0, S, 3)] = np.nan
+        if seed % 4 == 2:
+            base[rng.integers(0, S)] = np.inf  # inf - inf is NaN
+        if seed % 4 == 3:
+            C[:] = np.inf  # every value is -inf or NaN
+        blocks = [(0, S, C, C)] + [
+            (lo, min(lo + 7, S), np.ascontiguousarray(C[lo:lo + 7]),
+             np.ascontiguousarray(C[:, lo:lo + 7]))
+            for lo in range(0, S, 7)
+        ]
+        for lo, hi, A, B in blocks:
+            with np.errstate(invalid="ignore"):
+                want = structure._numpy_pair_scores(base, lo, A, B)
+            got = kernel.pair_scores(base, lo, A, B)
+            assert got[1:] == want[1:] and same_float(got[0], want[0])
+            assert lo <= got[1] < hi
+
+    @pytest.mark.parametrize("gathered", [False, True])
+    @pytest.mark.parametrize("length", [3, 4])
+    def test_cycle_scores_match_numpy(self, length, gathered):
+        kernel = compiled_kernel()
+        rng = np.random.default_rng(length)
+        S = 9
+        for bad in ("none", "cost", "base"):
+            base = rng.integers(0, 4, S).astype(float)
+            C = rng.integers(0, 4, (S, S)).astype(float)
+            if bad == "cost":
+                C[rng.integers(0, S, 2), rng.integers(0, S, 2)] = np.nan
+            if bad == "base":
+                base[3] = np.nan
+            # rows with a repeated entry are skipped
+            cycles = rng.integers(0, S, (300, length))
+
+            def pair_cost(i, j):
+                return np.take(C, i * S + j)
+
+            costs = pair_cost(cycles, np.roll(cycles, -1, axis=1)) if gathered else C
+            for limit in (1, 40, 300, 10**6):
+                want = structure._numpy_cycle_scores(cycles, limit, base, pair_cost)
+                got = kernel.cycle_scores(cycles, limit, base, costs, gathered=gathered)
+                assert got[0] == want[0] and same_float(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+
+    def test_tied_pair_swaps_first_wins(self, monkeypatch):
+        # six entries from atom 0 to atom 1 and six back: 72 pair swaps
+        # tie for the worst value, and numpy's first is (0, 6)
+        mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+        nu = DiscreteMeasure([[0.0, 1.0], [1.0, 1.0]], [0.5, 0.5])
+        src = np.repeat([0, 1], 6)
+        crossed = TransportPlan(
+            source=mu, target=nu, src_idx=src, tgt_idx=1 - src, mass=np.full(12, 1 / 12)
+        ).validate()
+        whole, blocks = both_ccm_paths(monkeypatch, crossed, max_cycle_len=2)
+        assert whole == blocks
+        assert whole.violating_cycle == ((0, 6), (6, 0))
+        b = P05.value(np.sqrt(2.0))
+        assert whole.worst_violation == (b + b - 1.0) - 1.0
+        # the cycles of each length tie too, and the longest win by rounding
+        for length in (3, 4):
+            whole, blocks = both_ccm_paths(monkeypatch, crossed, max_cycle_len=length)
+            assert whole == blocks and len(whole.violating_cycle[0]) == length
+
+    @pytest.mark.parametrize("length", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_small_supports_and_every_length(self, monkeypatch, n, length):
+        plan = permutation_plan(n, seed=22)
+        shuffled = retarget(
+            plan, range(plan.n_entries), np.random.default_rng(1).permutation(plan.tgt_idx)
+        )
+        S = shuffled.n_entries
+        assert S == n
+        kwargs = dict(max_cycle_len=length, sample_size=20_000)
+        whole = verify_ccm(shuffled, P05, **kwargs)
+        monkeypatch.setattr(structure, "_CCM_ENTRIES", S * S - 1)  # row blocks
+        assert whole == verify_ccm(shuffled, P05, **kwargs)
+        if S == 1:
+            assert whole == structure.CcmReport(0, 0.0, None)
+        if S == 2:
+            assert whole.cycles_checked == 2
+
+    @pytest.mark.parametrize("length", [3, 4])
+    def test_enumerated_cycles_in_blocks(self, monkeypatch, length):
+        plan = permutation_plan(12, seed=24)
+        rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
+        whole = verify_ccm(rotated, P05, max_cycle_len=length)
+        sizes = []
+        numpy_scores = structure._numpy_cycle_scores
+
+        def recording(cycles, limit, base, pair_cost):
+            sizes.append(len(cycles))
+            return numpy_scores(cycles, limit, base, pair_cost)
+
+        monkeypatch.setattr(structure, "_numpy_cycle_scores", recording)
+        monkeypatch.setattr(structure, "_CCM_CYCLES", 7)
+        split = verify_ccm(rotated, P05, max_cycle_len=length)
+        assert split == whole
+        assert_matches_reference(split, verify_ccm_reference(rotated, P05, max_cycle_len=length))
+        assert max(sizes) <= 7 and sum(sizes) == whole.cycles_checked - 132
+
+    def test_nan_in_a_later_cycle_block(self, monkeypatch):
+        # entry 3 runs between coordinates near 1e308, so each cost it
+        # enters overflows to inf and each pair swap or cycle through it
+        # is NaN (inf - inf); the cycles of entries 0, 1, 2 are finite and
+        # come first.  numpy's argmax over a length is its first NaN, which
+        # notes nothing, however the cycles are split into blocks.
+        xs = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e308, 0.0]]
+        ys = [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [-1e308, 1.0]]
+        mu, nu = DiscreteMeasure(xs, np.ones(4)), DiscreteMeasure(ys, np.ones(4))
+
+        def atoms(measure, points):
+            return [int(np.flatnonzero((measure.points == q).all(axis=1))[0]) for q in points]
+
+        plan = TransportPlan(
+            source=mu, target=nu, src_idx=atoms(mu, xs), tgt_idx=atoms(nu, ys), mass=np.ones(4)
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            whole = verify_ccm(plan, P05, max_cycle_len=4)
+            monkeypatch.setattr(structure, "_CCM_CYCLES", 2)  # one combination per block
+            assert verify_ccm(plan, P05, max_cycle_len=4) == whole
+            monkeypatch.setattr(structure, "_CCM_ENTRIES", 15)
+            assert verify_ccm(plan, P05, max_cycle_len=4) == whole
+        assert whole == structure.CcmReport(12 + 8 + 6, -math.inf, None)
 
 
 class TestExtractMap:
