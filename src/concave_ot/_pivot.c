@@ -703,17 +703,16 @@ enum { PREFETCH = 16 };
  * the others, by (sum of base[t_i]) - (sum of c(x_{t_i}, y_{t_{i+1}})),
  * i + 1 taken mod len, each sum taken left to right from its first term
  * as numpy's sum(axis=1) does.  The costs are read from the S x S matrix
- * `cost`, or, if gathered, from cost[c * len + i] for step i of row c.
- * Writes np.argmax of the scores, as a row of `cycles`, to *at (-1 if
+ * `cost`.  Writes np.argmax of the scores, as a row of `cycles`, to *at (-1 if
  * none) and its score to *best; returns the number of rows scored. */
 i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double *base,
-                 const double *cost, i64 S, int gathered, double *best, i64 *at)
+                 const double *cost, i64 S, double *best, i64 *at)
 {
     double top = -INFINITY;
     i64 top_at = -1, scored = 0;
     for (i64 c = 0; c < count && scored < limit; c++) {
         const i64 *t = cycles + c * len;
-        if (!gathered && c + PREFETCH < count) {
+        if (c + PREFETCH < count) {
             /* the matrix reads are random: ask for those of a later row */
             const i64 *u = t + PREFETCH * len;
             for (i64 i = 0; i < len - 1; i++)
@@ -726,19 +725,12 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double 
                 distinct &= t[s] != t[u];
         if (!distinct)
             continue;
-        double sb = base[t[0]], sc;
+        double sb = base[t[0]], sc = cost[t[0] * S + t[1]];
         for (i64 i = 1; i < len; i++)
             sb += base[t[i]];
-        if (gathered) {
-            sc = cost[c * len];
-            for (i64 i = 1; i < len; i++)
-                sc += cost[c * len + i];
-        } else {
-            sc = cost[t[0] * S + t[1]];
-            for (i64 i = 1; i < len - 1; i++)
-                sc += cost[t[i] * S + t[i + 1]];
-            sc += cost[t[len - 1] * S + t[0]];
-        }
+        for (i64 i = 1; i < len - 1; i++)
+            sc += cost[t[i] * S + t[i + 1]];
+        sc += cost[t[len - 1] * S + t[0]];
         double v = sb - sc;
         /* the first score, then a greater one, then the first NaN */
         if (scored++ == 0 || v > top || (v != v && top == top))

@@ -772,7 +772,7 @@ class _CompiledKernel:
         self._cycle_scores = self._lib.cycle_scores
         self._cycle_scores.argtypes = [
             i64, i64, i64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), costs, costs,
-            i64, ctypes.c_int, *out,
+            i64, *out,
         ]
         self._cycle_scores.restype = i64
         self._certify_maxima = self._lib.certify_maxima
@@ -814,6 +814,7 @@ class _CompiledKernel:
     def pair_scores(self, base, lo, A, B):
         """np.argmax over the pair swaps of entries lo..lo+len(A)-1, like
         :func:`structure._numpy_pair_scores`: (value, k, l)."""
+        base, A, B = (np.ascontiguousarray(x, dtype=float) for x in (base, A, B))
         h, S = A.shape
         if len(base) != S or B.shape != (S, h) or not 0 <= lo <= S - h:
             raise ValueError("pair-swap blocks do not match the support")
@@ -822,26 +823,27 @@ class _CompiledKernel:
         k, l = divmod(at.value, S)
         return best.value, lo + k, l
 
-    def cycle_scores(self, cycles, limit, base, costs, gathered=False):
+    def cycle_scores(self, cycles, limit, base, C):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, like :func:`structure._numpy_cycle_scores`: (rows scored,
-        np.argmax value, its row or None).  ``costs`` is the S x S matrix,
-        or, if ``gathered``, the cost of each step of each row."""
+        entry, like :func:`structure._numpy_cycle_scores`, with costs read
+        from the S x S matrix ``C``: (rows scored, np.argmax value, its row
+        or None)."""
+        cycles = np.ascontiguousarray(cycles, dtype=np.int64)
+        base, C = (np.ascontiguousarray(x, dtype=float) for x in (base, C))
         count, length = cycles.shape
         S = len(base)
-        shape = cycles.shape if gathered else (S, S)
-        if costs.shape != shape or (count and not 0 <= cycles.min() <= cycles.max() < S):
+        if C.shape != (S, S) or (count and not 0 <= cycles.min() <= cycles.max() < S):
             raise ValueError("cycles do not match the support")
         best, at = ctypes.c_double(), ctypes.c_int64()
         scored = self._cycle_scores(
-            count, length, limit, cycles, base, costs, S, gathered,
-            ctypes.byref(best), ctypes.byref(at),
+            count, length, limit, cycles, base, C, S, ctypes.byref(best), ctypes.byref(at)
         )
         return scored, best.value, cycles[at.value] if at.value >= 0 else None
 
     def certify_maxima(self, phi, psi, C):
         """(max |C_ij|, max (phi_i + psi_j) - C_ij), each NaN if a term is,
         like :func:`_numpy_certify_maxima`."""
+        phi, psi, C = (np.ascontiguousarray(x, dtype=float) for x in (phi, psi, C))
         m, n = C.shape
         if phi.shape != (m,) or psi.shape != (n,):
             raise ValueError("potential shapes do not match the cost matrix")

@@ -191,10 +191,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     are checked in row blocks that recompute their costs; both ways give
     the same report.  Enumerated cycles are scored ``_CCM_CYCLES`` at a
     time.  The compiled kernel of :mod:`concave_ot.solver` scores the
-    pair swaps (``pair_scores``) and the cycles (``cycle_scores``) in one
-    pass over the costs; when it cannot be built,
-    :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores` do, with
-    the same report bit for bit.
+    pair swaps (``pair_scores``) and, from the whole matrix, the cycles
+    (``cycle_scores``) in one pass over the costs.  In row blocks the
+    cycles are scored by :func:`_numpy_cycle_scores`, which computes
+    costs only for the rows it keeps; when the kernel cannot be built,
+    :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores` score
+    everything, with the same report bit for bit.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
@@ -203,8 +205,10 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     S = plan.n_entries
     xs = plan.source.points[plan.src_idx]
     ys = plan.target.points[plan.tgt_idx]
-    base = cost.value(np.linalg.norm(xs - ys, axis=1))
-    C = _pair_costs(cost, xs, ys) if S * S <= _CCM_ENTRIES else None
+    # in float64 whatever a cost's own ``value`` returns, so that the
+    # kernel and the numpy scorers compute alike
+    base = np.asarray(cost.value(np.linalg.norm(xs - ys, axis=1)), dtype=float)
+    C = np.asarray(_pair_costs(cost, xs, ys), dtype=float) if S * S <= _CCM_ENTRIES else None
     kernel = solver._compiled_kernel()
 
     if C is not None:
@@ -212,7 +216,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             return np.take(C, i * S + j)
     else:
         def pair_cost(i, j):
-            return cost.value(np.linalg.norm(xs[i] - ys[j], axis=-1))
+            return np.asarray(cost.value(np.linalg.norm(xs[i] - ys[j], axis=-1)), dtype=float)
 
     worst = -math.inf
     witness = None
@@ -233,8 +237,8 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         if C is not None:
             A = B = C
         else:
-            A = _pair_costs(cost, xs[lo:hi], ys)  # c(x_k, y_l) for k in block
-            B = _pair_costs(cost, xs, ys[lo:hi])  # c(x_l, y_k) for k in block
+            A = np.asarray(_pair_costs(cost, xs[lo:hi], ys), dtype=float)  # c(x_k, y_l), k in block
+            B = np.asarray(_pair_costs(cost, xs, ys[lo:hi]), dtype=float)  # c(x_l, y_k), k in block
         value, k, l = pair_scores(base, lo, A, B)
         checked += (hi - lo) * (S - 1)
         note(value, (k, l), (l, k))
@@ -244,13 +248,10 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         entry into (best, cycle), numpy's argmax over all blocks of one
         length; returns how many it scored."""
         nonlocal best, cycle, checked
-        if kernel is None:
-            scored, value, row = _numpy_cycle_scores(cycles, limit, base, pair_cost)
-        elif C is not None:
+        if kernel is not None and C is not None:
             scored, value, row = kernel.cycle_scores(cycles, limit, base, C)
         else:
-            costs = pair_cost(cycles, np.roll(cycles, -1, axis=1))
-            scored, value, row = kernel.cycle_scores(cycles, limit, base, costs, gathered=True)
+            scored, value, row = _numpy_cycle_scores(cycles, limit, base, pair_cost)
         checked += scored
         # an earlier block keeps ties, and the first NaN stays
         if value > best or (value != value and best == best):
@@ -292,9 +293,10 @@ def _numpy_pair_scores(base, lo, A, B):
 
 def _numpy_cycle_scores(cycles, limit, base, pair_cost):
     """The numpy reference for ``cycle_scores`` in ``_pivot.c``; it runs
-    when the kernel cannot be built.  Scores the first ``limit`` rows of
-    ``cycles`` without a repeated entry; returns (rows scored, np.argmax
-    value, its row or None)."""
+    when the kernel cannot be built, and for row blocks, where
+    ``pair_cost`` computes the costs of the kept rows only.  Scores the
+    first ``limit`` rows of ``cycles`` without a repeated entry; returns
+    (rows scored, np.argmax value, its row or None)."""
     length = cycles.shape[1]
     distinct = np.ones(len(cycles), dtype=bool)
     for s in range(length):

@@ -383,9 +383,8 @@ class TestAuditScorers:
             assert got[1:] == want[1:] and same_float(got[0], want[0])
             assert lo <= got[1] < hi
 
-    @pytest.mark.parametrize("gathered", [False, True])
     @pytest.mark.parametrize("length", [3, 4])
-    def test_cycle_scores_match_numpy(self, length, gathered):
+    def test_cycle_scores_match_numpy(self, length):
         kernel = compiled_kernel()
         rng = np.random.default_rng(length)
         S = 9
@@ -402,12 +401,35 @@ class TestAuditScorers:
             def pair_cost(i, j):
                 return np.take(C, i * S + j)
 
-            costs = pair_cost(cycles, np.roll(cycles, -1, axis=1)) if gathered else C
             for limit in (1, 40, 300, 10**6):
                 want = structure._numpy_cycle_scores(cycles, limit, base, pair_cost)
-                got = kernel.cycle_scores(cycles, limit, base, costs, gathered=gathered)
+                got = kernel.cycle_scores(cycles, limit, base, C)
                 assert got[0] == want[0] and same_float(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize(
+        "layout", [lambda v: v.astype(np.float32), np.asfortranarray], ids=["float32", "fortran"]
+    )
+    def test_duck_typed_cost_arrays(self, monkeypatch, layout):
+        # a cost with its own value may return float32 or a Fortran-ordered
+        # matrix; both paths audit it in float64, in one report
+        class Duck:
+            def value(self, r):
+                return layout(np.asarray(P05.value(r)))
+
+        duck = Duck()
+        mu = uniform_box(12, 2, seed=24)
+        nu = uniform_box(12, 2, corner_lo=(2, 0), corner_hi=(3, 1), seed=25)
+        plan, pots, _ = solve_exact(mu, nu, duck)
+        rotated = retarget(plan, (1, 4, 7), plan.tgt_idx[[4, 7, 1]])
+        for length in (2, 3, 4):
+            whole = verify_ccm(rotated, duck, max_cycle_len=length)
+            with monkeypatch.context() as patch:
+                patch.setattr(structure, "_CCM_ENTRIES", 7 * rotated.n_entries)
+                assert verify_ccm(rotated, duck, max_cycle_len=length) == whole
+            assert not whole.ok
+        cert = on_both_kernel_paths(solver.certify, plan, pots, duck)
+        assert cert.feasible_dual and cert.slack_ok
 
     def test_tied_pair_swaps_first_wins(self, monkeypatch):
         # six entries from atom 0 to atom 1 and six back: 72 pair swaps
