@@ -21,11 +21,13 @@
  * 0.0 and takes the square root, as scipy's cdist and the numpy
  * reference costs._numpy_distances do, with the same bits.
  *
- * The audit scorers read each cost matrix once and allocate no m x n
- * array.  pair_scores scores the pair swaps of a row block of support
- * entries and cycle_scores a block of cycles, as the numpy references
- * structure._numpy_pair_scores and structure._numpy_cycle_scores do;
- * certify_maxima returns the two maxima of solver._numpy_certify_maxima.
+ * The audit scorers read the plan's m x n cost matrix in place and
+ * allocate no array of that size.  pair_scores scores the pair swaps of
+ * all support entries and cycle_scores a block of cycles, reading the
+ * cost of entry i's source atom and entry j's target atom at
+ * C[src_i][tgt_j], as the numpy references structure._numpy_pair_scores
+ * and structure._numpy_cycle_scores do; certify_maxima returns the two
+ * maxima of solver._numpy_certify_maxima.
  * Each computes every value by the same operations in the same order as
  * its reference and returns numpy's first argmax (the first NaN if there
  * is one) or numpy's NaN-propagating max, so the reports keep their
@@ -625,34 +627,69 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *ou
 
 enum { TILE = 64 };
 
-/* V[k][l] of pair_scores: the pair swap of support entries lo+k and l. */
-static double pair_swap(i64 S, i64 lo, i64 h, const double *base, const double *a,
-                        const double *bt, i64 k, i64 l)
+/* A plan's support read from its row-major m x n costs C: support entry
+ * k runs from source atom src[k] to target atom tgt[k]. */
+typedef struct {
+    i64 n;
+    const i64 *src, *tgt;
+    const double *C;
+} Support;
+
+/* c(x_i, y_j) for support entries i and j: the cost from the source atom
+ * of entry i to the target atom of entry j. */
+static double entry_cost(const Support *s, i64 i, i64 j)
 {
-    if (l == lo + k)
-        return -INFINITY;
-    return ((base[lo + k] + base[l]) - a[k * S + l]) - bt[l * h + k];
+    return s->C[s->src[i] * s->n + s->tgt[j]];
 }
 
-/* Pair swaps of the support entries lo..lo+h-1 with all S entries, as
- * the h x S row-major array V[k][l] = ((base[lo+k] + base[l]) - a[k][l])
- * - bt[l][k], where a (h x S) holds c(x_{lo+k}, y_l), bt (S x h) holds
- * c(x_l, y_{lo+k}), and V[k][lo+k] = -inf.  Writes np.argmax(V), the first greatest value or
- * else the first NaN, to *at and V there to *best.  A first pass keeps
- * the greatest value of each row in rowmax[0..h-1] (NaN if the row has
- * one), reading TILE x TILE tiles so that the rows of a and the columns
- * of bt stay in cache; a second scans the first row that holds the
- * answer. */
-void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
-                 const double *bt, double *rowmax, double *best, i64 *at)
+/* What pair_swap reads of support entry k, taken once per row of V (the
+ * compiler does not hoist these loads out of the row's loop by itself):
+ * its index, base cost b_k, row of C (the costs from its source atom)
+ * and target atom. */
+typedef struct {
+    i64 k;
+    double b;
+    const double *row;
+    i64 tgt;
+} Entry;
+
+static Entry entry(const Support *s, const double *base, i64 k)
 {
-    for (i64 k = 0; k < h; k++)
+    return (Entry){k, base[k], s->C + s->src[k] * s->n, s->tgt[k]};
+}
+
+/* V[k][l] of pair_scores: the pair swap of support entries k and l,
+ * ((b_k + b_l) - c(x_k, y_l)) - c(x_l, y_k). */
+static double pair_swap(const Support *s, const double *base, const Entry *e, i64 l)
+{
+    if (l == e->k)
+        return -INFINITY;
+    return ((e->b + base[l]) - e->row[s->tgt[l]]) - s->C[s->src[l] * s->n + e->tgt];
+}
+
+/* Pair swaps of the S support entries, as the S x S array
+ * V[k][l] = ((b_k + b_l) - C[src_k][tgt_l]) - C[src_l][tgt_k] with
+ * b_k = C[src_k][tgt_k] and V[k][k] = -inf.  Writes np.argmax(V), the
+ * first greatest value or else the first NaN, as (k, l) to at[0..1] and
+ * V there to *best.  work holds 2 S doubles: the b_k, then each row's
+ * greatest value (NaN if the row has one), which a first pass finds
+ * over TILE x TILE tiles of V; a second scans the first row that holds
+ * the answer. */
+void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
+                 double *work, double *best, i64 *at)
+{
+    const Support sup = {n, src, tgt, C};
+    double *base = work, *rowmax = work + S;
+    for (i64 k = 0; k < S; k++) {
+        base[k] = entry_cost(&sup, k, k);
         rowmax[k] = -INFINITY;
-    for (i64 k0 = 0; k0 < h; k0 += TILE) {
-        i64 k1 = k0 + TILE < h ? k0 + TILE : h;
+    }
+    for (i64 k0 = 0; k0 < S; k0 += TILE) {
+        i64 k1 = k0 + TILE < S ? k0 + TILE : S;
         for (i64 l0 = 0; l0 < S; l0 += TILE) {
             i64 l1 = l0 + TILE < S ? l0 + TILE : S;
             for (i64 k = k0; k < k1; k++) {
+                const Entry e = entry(&sup, base, k);
                 /* two running maxima, so that the comparisons do not wait
                  * on each other; max is exact, so their order does not
                  * matter */
@@ -660,14 +697,14 @@ void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
                 int bad = m0 != m0;
                 i64 l = l0;
                 for (; l + 2 <= l1; l += 2) {
-                    double v0 = pair_swap(S, lo, h, base, a, bt, k, l);
-                    double v1 = pair_swap(S, lo, h, base, a, bt, k, l + 1);
+                    double v0 = pair_swap(&sup, base, &e, l);
+                    double v1 = pair_swap(&sup, base, &e, l + 1);
                     bad |= (v0 != v0) | (v1 != v1);
                     m0 = v0 > m0 ? v0 : m0;
                     m1 = v1 > m1 ? v1 : m1;
                 }
                 if (l < l1) {
-                    double v0 = pair_swap(S, lo, h, base, a, bt, k, l);
+                    double v0 = pair_swap(&sup, base, &e, l);
                     bad |= v0 != v0;
                     m0 = v0 > m0 ? v0 : m0;
                 }
@@ -678,7 +715,7 @@ void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
     /* the first row with a NaN, else the first row with the greatest value */
     i64 top_k = 0;
     double top = -INFINITY;
-    for (i64 k = 0; k < h; k++) {
+    for (i64 k = 0; k < S; k++) {
         if (rowmax[k] != rowmax[k]) {
             top_k = k, top = NAN;
             break;
@@ -686,11 +723,14 @@ void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
         if (rowmax[k] > top)
             top_k = k, top = rowmax[k];
     }
+    *best = -INFINITY;
+    at[0] = at[1] = 0;
+    const Entry e = entry(&sup, base, top_k);
     for (i64 l = 0; l < S; l++) {
-        double v = pair_swap(S, lo, h, base, a, bt, top_k, l);
+        double v = pair_swap(&sup, base, &e, l);
         if (top != top ? v != v : v == top) {
             *best = v;
-            *at = top_k * S + l;
+            at[0] = top_k, at[1] = l;
             return;
         }
     }
@@ -698,16 +738,18 @@ void pair_scores(i64 S, i64 lo, i64 h, const double *base, const double *a,
 
 enum { PREFETCH = 16 };
 
-/* Cycles of len entries, the rows t of `cycles` (count x len): scores
- * in order the first `limit` rows whose entries are distinct, skipping
- * the others, by (sum of base[t_i]) - (sum of c(x_{t_i}, y_{t_{i+1}})),
+/* Cycles of len support entries, the rows t of `cycles` (count x len):
+ * scores in order the first `limit` rows whose entries are distinct,
+ * skipping the others, by (sum of c(t_i, t_i)) - (sum of c(t_i, t_{i+1})),
  * i + 1 taken mod len, each sum taken left to right from its first term
- * as numpy's sum(axis=1) does.  The costs are read from the S x S matrix
- * `cost`.  Writes np.argmax of the scores, as a row of `cycles`, to *at (-1 if
- * none) and its score to *best; returns the number of rows scored. */
-i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double *base,
-                 const double *cost, i64 S, double *best, i64 *at)
+ * as numpy's sum(axis=1) does; entries index src and tgt as in
+ * pair_scores.  Writes np.argmax of the scores, as a row of `cycles`, to
+ * *at (-1 if none) and its score to *best; returns the number of rows
+ * scored. */
+i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const i64 *src,
+                 const i64 *tgt, const double *C, double *best, i64 *at)
 {
+    const Support sup = {n, src, tgt, C};
     double top = -INFINITY;
     i64 top_at = -1, scored = 0;
     for (i64 c = 0; c < count && scored < limit; c++) {
@@ -715,9 +757,10 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double 
         if (c + PREFETCH < count) {
             /* the matrix reads are random: ask for those of a later row */
             const i64 *u = t + PREFETCH * len;
-            for (i64 i = 0; i < len - 1; i++)
-                __builtin_prefetch(cost + u[i] * S + u[i + 1]);
-            __builtin_prefetch(cost + u[len - 1] * S + u[0]);
+            for (i64 i = 0; i < len; i++) {
+                __builtin_prefetch(C + src[u[i]] * n + tgt[u[i]]);
+                __builtin_prefetch(C + src[u[i]] * n + tgt[u[i + 1 < len ? i + 1 : 0]]);
+            }
         }
         int distinct = 1;
         for (i64 s = 0; s < len; s++)
@@ -725,12 +768,12 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, const double 
                 distinct &= t[s] != t[u];
         if (!distinct)
             continue;
-        double sb = base[t[0]], sc = cost[t[0] * S + t[1]];
+        double sb = entry_cost(&sup, t[0], t[0]), sc = entry_cost(&sup, t[0], t[1]);
         for (i64 i = 1; i < len; i++)
-            sb += base[t[i]];
+            sb += entry_cost(&sup, t[i], t[i]);
         for (i64 i = 1; i < len - 1; i++)
-            sc += cost[t[i] * S + t[i + 1]];
-        sc += cost[t[len - 1] * S + t[0]];
+            sc += entry_cost(&sup, t[i], t[i + 1]);
+        sc += entry_cost(&sup, t[len - 1], t[0]);
         double v = sb - sc;
         /* the first score, then a greater one, then the first NaN */
         if (scored++ == 0 || v > top || (v != v && top == top))

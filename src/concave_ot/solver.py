@@ -149,7 +149,13 @@ class TransportPlan:
         return self.target.points[self.tgt_idx] - self.source.points[self.src_idx]
 
     def distances(self):
-        return np.linalg.norm(self.displacements(), axis=1)
+        """Per-entry |y_j - x_i|, rounded as the cost matrices' distances
+        are: squares summed one coordinate at a time, then the root."""
+        out = np.zeros(self.n_entries)
+        with np.errstate(over="ignore"):  # an overflow gives inf, silently
+            for t in self.displacements().T:
+                out += t * t
+        return np.sqrt(out, out=out)
 
     def transport_cost(self, cost):
         if self.n_entries == 0:
@@ -235,14 +241,7 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     """
     _check_pair(mu, nu)
     m, n = len(mu), len(nu)
-    if m * n > MAX_DENSE_ENTRIES:
-        cap = f"{MAX_DENSE_ENTRIES:.0e}".replace("e+0", "e")
-        raise SolverError(
-            f"the {m}x{n} cost matrix needs {8 * m * n:,} bytes, over the dense cap of"
-            f" {cap} entries ({8 * MAX_DENSE_ENTRIES // 10**6} MB);"
-            " solve a smaller or subsampled instance"
-        )
-    C = cost_matrix(mu, nu, cost)
+    C = _dense_cost_matrix(mu, nu, cost)
     finite = np.isfinite(C)
     if not finite.all():
         i, j = divmod(int(np.argmin(finite)), n)
@@ -265,6 +264,21 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     potentials = DualPotentials(phi=pi[:m], psi=-pi[m:])
     objective = plan.transport_cost(cost)
     return ExactSolution(plan, potentials, objective)
+
+
+def _dense_cost_matrix(mu, nu, cost):
+    """The contiguous float64 ``cost_matrix`` that :func:`solve_exact`,
+    :func:`certify` and ``verify_ccm`` read; over the dense cap,
+    :class:`SolverError` before it is built."""
+    m, n = len(mu), len(nu)
+    if m * n > MAX_DENSE_ENTRIES:
+        cap = f"{MAX_DENSE_ENTRIES:.0e}".replace("e+0", "e")
+        raise SolverError(
+            f"the {m}x{n} cost matrix needs {8 * m * n:,} bytes, over the dense cap of"
+            f" {cap} entries ({8 * MAX_DENSE_ENTRIES // 10**6} MB);"
+            " solve a smaller or subsampled instance"
+        )
+    return np.ascontiguousarray(cost_matrix(mu, nu, cost), dtype=float)
 
 
 def solve_with_meet(mu, nu, cost, no_meet=False):
@@ -731,6 +745,18 @@ def _build_pivot_kernel(cache_dir):
     return path
 
 
+def _support(src, tgt, C):
+    """A support's atom indices and its m x n costs as the kernel reads
+    them; raises ValueError if an index falls outside ``C``."""
+    src, tgt = (np.ascontiguousarray(x, dtype=np.int64) for x in (src, tgt))
+    C = np.ascontiguousarray(C, dtype=float)
+    if C.ndim != 2 or src.ndim != 1 or src.shape != tgt.shape or len(src) and not (
+        0 <= src.min() <= src.max() < C.shape[0] and 0 <= tgt.min() <= tgt.max() < C.shape[1]
+    ):
+        raise ValueError("support indices do not match the cost matrix")
+    return src, tgt, C
+
+
 class _CompiledKernel:
     """ctypes binding of ``_pivot.c``: :meth:`start` is called like
     :func:`_python_start`, :meth:`pivot_loop` like :func:`_pivot_loop`,
@@ -766,14 +792,14 @@ class _CompiledKernel:
         self._distances.argtypes = [i64, i64, i64, costs, costs, floats]
         self._distances.restype = None
         out = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(i64)
+        index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
         self._pair_scores = self._lib.pair_scores
-        self._pair_scores.argtypes = [i64, i64, i64, costs, costs, costs, floats, *out]
+        self._pair_scores.argtypes = [
+            i64, i64, index, index, costs, floats, ctypes.POINTER(ctypes.c_double), ints,
+        ]
         self._pair_scores.restype = None
         self._cycle_scores = self._lib.cycle_scores
-        self._cycle_scores.argtypes = [
-            i64, i64, i64, np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), costs, costs,
-            i64, *out,
-        ]
+        self._cycle_scores.argtypes = [i64, i64, i64, index, i64, index, index, costs, *out]
         self._cycle_scores.restype = i64
         self._certify_maxima = self._lib.certify_maxima
         self._certify_maxima.argtypes = [i64, i64, costs, costs, costs, floats]
@@ -811,32 +837,28 @@ class _CompiledKernel:
         self._distances(len(x), len(y), x.shape[1], x, y, out)
         return out
 
-    def pair_scores(self, base, lo, A, B):
-        """np.argmax over the pair swaps of entries lo..lo+len(A)-1, like
-        :func:`structure._numpy_pair_scores`: (value, k, l)."""
-        base, A, B = (np.ascontiguousarray(x, dtype=float) for x in (base, A, B))
-        h, S = A.shape
-        if len(base) != S or B.shape != (S, h) or not 0 <= lo <= S - h:
-            raise ValueError("pair-swap blocks do not match the support")
-        best, at = ctypes.c_double(), ctypes.c_int64()
-        self._pair_scores(S, lo, h, base, A, B, np.empty(h), ctypes.byref(best), ctypes.byref(at))
-        k, l = divmod(at.value, S)
-        return best.value, lo + k, l
+    def pair_scores(self, src, tgt, C):
+        """np.argmax over the pair swaps of the support entries ``src`` ->
+        ``tgt``, like :func:`structure._numpy_pair_scores`: (value, k, l)."""
+        src, tgt, C = _support(src, tgt, C)
+        S = len(src)
+        best, at = ctypes.c_double(), np.zeros(2, dtype=np.int64)
+        self._pair_scores(S, C.shape[1], src, tgt, C, np.empty(2 * S), ctypes.byref(best), at)
+        return best.value, int(at[0]), int(at[1])
 
-    def cycle_scores(self, cycles, limit, base, C):
+    def cycle_scores(self, cycles, limit, src, tgt, C):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, like :func:`structure._numpy_cycle_scores`, with costs read
-        from the S x S matrix ``C``: (rows scored, np.argmax value, its row
-        or None)."""
+        entry, like :func:`structure._numpy_cycle_scores`: (rows scored,
+        np.argmax value, its row or None)."""
+        src, tgt, C = _support(src, tgt, C)
         cycles = np.ascontiguousarray(cycles, dtype=np.int64)
-        base, C = (np.ascontiguousarray(x, dtype=float) for x in (base, C))
         count, length = cycles.shape
-        S = len(base)
-        if C.shape != (S, S) or (count and not 0 <= cycles.min() <= cycles.max() < S):
+        if count and not 0 <= cycles.min() <= cycles.max() < len(src):
             raise ValueError("cycles do not match the support")
         best, at = ctypes.c_double(), ctypes.c_int64()
         scored = self._cycle_scores(
-            count, length, limit, cycles, base, C, S, ctypes.byref(best), ctypes.byref(at)
+            count, length, limit, cycles, C.shape[1], src, tgt, C, ctypes.byref(best),
+            ctypes.byref(at),
         )
         return scored, best.value, cycles[at.value] if at.value >= 0 else None
 
@@ -913,13 +935,14 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
     in one pass over the cost matrix (``certify_maxima``); when it cannot
     be built, :func:`_numpy_certify_maxima` does, with the same bits.  A
     NaN potential makes the largest violation NaN, so ``feasible_dual``
-    is False.
+    is False.  Like :func:`solve_exact`, it raises :class:`SolverError`
+    when the cost matrix has more than ``MAX_DENSE_ENTRIES`` entries.
     """
     mu, nu = plan.source, plan.target
     phi, psi = potentials.phi, potentials.psi
     if phi.shape != (len(mu),) or psi.shape != (len(nu),):
         raise ValueError("potential shapes do not match the plan's measures")
-    C = cost_matrix(mu, nu, cost)
+    C = _dense_cost_matrix(mu, nu, cost)
     kernel = _compiled_kernel()
     max_cost, max_viol = (kernel.certify_maxima if kernel else _numpy_certify_maxima)(phi, psi, C)
     tol = tol * max(1.0, max_cost)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .costs import _pair_costs
 from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
 
@@ -163,10 +162,6 @@ class CcmReport:
         return self.violating_cycle is None
 
 
-# Largest number of cost entries verify_ccm holds at once.  Up to this
-# many support pairs it evaluates the whole S x S matrix once and reads
-# every cycle from it; beyond, it rebuilds row blocks of that size.
-_CCM_ENTRIES = 4_000_000
 # Largest number of enumerated cycles verify_ccm holds at once.
 _CCM_CYCLES = 65_536
 
@@ -185,42 +180,34 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     of the worst cycle and, in the same order, the entries whose
     targets they would take.
 
-    When the S x S cost matrix of the S support entries fits in
-    ``_CCM_ENTRIES`` entries it is evaluated once: the pair swaps read it
-    and its transpose, and the cycles gather from it.  Larger supports
-    are checked in row blocks that recompute their costs; both ways give
-    the same report.  Enumerated cycles are scored ``_CCM_CYCLES`` at a
-    time.  The compiled kernel of :mod:`concave_ot.solver` scores the
-    pair swaps (``pair_scores``) and, from the whole matrix, the cycles
-    (``cycle_scores``) in one pass over the costs.  In row blocks the
-    cycles are scored by :func:`_numpy_cycle_scores`, which computes
-    costs only for the rows it keeps; when the kernel cannot be built,
-    :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores` score
-    everything, with the same report bit for bit.
+    Every cost is read by index from the plan's m x n cost matrix C,
+    built once: entry k runs from source atom src_k to target atom
+    tgt_k, so the cost of entry k's source and entry l's target is
+    C[src_k, tgt_l].  Since every atom has an entry, S >= max(m, n) and
+    C is never larger than the S x S matrix of the support.  Like
+    :func:`solver.solve_exact`, this raises :class:`solver.SolverError`
+    when C has more than ``MAX_DENSE_ENTRIES`` entries.  Enumerated
+    cycles are scored ``_CCM_CYCLES`` at a time.  The compiled kernel of
+    :mod:`concave_ot.solver` scores the pair swaps (``pair_scores``) and
+    the cycles (``cycle_scores``), reading C in place; when it cannot be
+    built, :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores`
+    score them, with the same report bit for bit.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
     if sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     S = plan.n_entries
-    xs = plan.source.points[plan.src_idx]
-    ys = plan.target.points[plan.tgt_idx]
-    # in float64 whatever a cost's own ``value`` returns, so that the
-    # kernel and the numpy scorers compute alike
-    base = np.asarray(cost.value(np.linalg.norm(xs - ys, axis=1)), dtype=float)
-    C = np.asarray(_pair_costs(cost, xs, ys), dtype=float) if S * S <= _CCM_ENTRIES else None
+    if S < 2:  # no cycle
+        return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)
+    src, tgt = plan.src_idx, plan.tgt_idx
+    C = solver._dense_cost_matrix(plan.source, plan.target, cost)
     kernel = solver._compiled_kernel()
-
-    if C is not None:
-        def pair_cost(i, j):  # c(x_i, y_j) for index arrays of one shape
-            return np.take(C, i * S + j)
-    else:
-        def pair_cost(i, j):
-            return np.asarray(cost.value(np.linalg.norm(xs[i] - ys[j], axis=-1)), dtype=float)
+    pair_scores = kernel.pair_scores if kernel else _numpy_pair_scores
+    cycle_scores = kernel.cycle_scores if kernel else _numpy_cycle_scores
 
     worst = -math.inf
     witness = None
-    checked = 0
 
     def note(value, entries, permuted):
         nonlocal worst, witness
@@ -229,29 +216,16 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             if value > tol:
                 witness = (tuple(entries), tuple(permuted))
 
-    # length 2: all ordered pairs, in row blocks when the matrix is too big
-    pair_scores = kernel.pair_scores if kernel else _numpy_pair_scores
-    chunk = max(S, 1) if C is not None else max(1, _CCM_ENTRIES // S)
-    for lo in range(0, S, chunk):
-        hi = min(lo + chunk, S)
-        if C is not None:
-            A = B = C
-        else:
-            A = np.asarray(_pair_costs(cost, xs[lo:hi], ys), dtype=float)  # c(x_k, y_l), k in block
-            B = np.asarray(_pair_costs(cost, xs, ys[lo:hi]), dtype=float)  # c(x_l, y_k), k in block
-        value, k, l = pair_scores(base, lo, A, B)
-        checked += (hi - lo) * (S - 1)
-        note(value, (k, l), (l, k))
+    value, k, l = pair_scores(src, tgt, C)
+    checked = S * (S - 1)
+    note(value, (k, l), (l, k))
 
     def score(cycles, limit):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
         entry into (best, cycle), numpy's argmax over all blocks of one
         length; returns how many it scored."""
         nonlocal best, cycle, checked
-        if kernel is not None and C is not None:
-            scored, value, row = kernel.cycle_scores(cycles, limit, base, C)
-        else:
-            scored, value, row = _numpy_cycle_scores(cycles, limit, base, pair_cost)
+        scored, value, row = cycle_scores(cycles, limit, src, tgt, C)
         checked += scored
         # an earlier block keeps ties, and the first NaN stays
         if value > best or (value != value and best == best):
@@ -268,35 +242,36 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             note(best, cycle.tolist(), np.roll(cycle, -1).tolist())
 
     return CcmReport(
-        cycles_checked=checked,
-        worst_violation=float(worst) if checked else 0.0,
-        violating_cycle=witness,
+        cycles_checked=checked, worst_violation=float(worst), violating_cycle=witness
     )
 
 
-def _numpy_pair_scores(base, lo, A, B):
+def _numpy_pair_scores(src, tgt, C):
     """The numpy reference for ``pair_scores`` in ``_pivot.c``; it runs
     when the kernel cannot be built.  Over the pair swaps
-    ((b_k + b_l) - c(x_k, y_l)) - c(x_l, y_k) of the entries k of the
-    block lo..lo+len(A)-1 with every entry l != k, where A[k - lo, l] and
-    B[l, k - lo] hold the two costs (A is B is the whole matrix when the
-    block is all entries), returns np.argmax as (value, k, l)."""
-    h = len(A)
-    V = base[lo:lo + h, None] + base[None, :]
-    V -= A
-    V -= B.T
-    idx = np.arange(h)
-    V[idx, lo + idx] = -np.inf  # k == l is not a cycle
-    k, l = np.unravel_index(np.argmax(V), V.shape)
-    return float(V[k, l]), lo + int(k), int(l)
+    ((b_k + b_l) - C[src_k, tgt_l]) - C[src_l, tgt_k] of the support
+    entries k != l, with b = C[src, tgt], returns np.argmax as
+    (value, k, l): one row k at a time, the first row with a NaN or else
+    the first with the greatest value, then np.argmax within it."""
+    base = C[src, tgt]
+    best, at = -math.inf, (0, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(len(src)):
+            v = (base[k] + base) - C[src[k], tgt] - C[src, tgt[k]]
+            v[k] = -np.inf  # k == l is not a cycle
+            l = int(np.argmax(v))
+            if v[l] > best or v[l] != v[l]:
+                best, at = float(v[l]), (k, l)
+                if best != best:
+                    break
+    return best, *at
 
 
-def _numpy_cycle_scores(cycles, limit, base, pair_cost):
+def _numpy_cycle_scores(cycles, limit, src, tgt, C):
     """The numpy reference for ``cycle_scores`` in ``_pivot.c``; it runs
-    when the kernel cannot be built, and for row blocks, where
-    ``pair_cost`` computes the costs of the kept rows only.  Scores the
-    first ``limit`` rows of ``cycles`` without a repeated entry; returns
-    (rows scored, np.argmax value, its row or None)."""
+    when the kernel cannot be built.  Scores the first ``limit`` rows of
+    ``cycles`` without a repeated entry; returns (rows scored, np.argmax
+    value, its row or None)."""
     length = cycles.shape[1]
     distinct = np.ones(len(cycles), dtype=bool)
     for s in range(length):
@@ -306,7 +281,8 @@ def _numpy_cycle_scores(cycles, limit, base, pair_cost):
     if not len(cycles):
         return 0, -math.inf, None
     rotated = np.roll(cycles, -1, axis=1)
-    v = base[cycles].sum(axis=1) - pair_cost(cycles, rotated).sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
     t = int(np.argmax(v))
     return len(cycles), float(v[t]), cycles[t]
 

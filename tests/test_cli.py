@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from concave_ot import solver
 from concave_ot.cli import limit_plan_pair, main, solve_with_meet
 from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
@@ -227,6 +228,16 @@ class TestDecomposeCommand:
         report = read_report(out)
         assert report["metrics"]["off_diagonal_mass"] == 0.0
         assert report["metrics"]["diag_matches_meet"] is True
+
+    def test_plan_over_dense_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        # verify_ccm reads the plan's m x n cost matrix, under solve's cap
+        _, json_path = save_plan(limit_plan_pair(2), tmp_path / "plan")
+        monkeypatch.setattr(solver, "MAX_DENSE_ENTRIES", 7)
+        out = tmp_path / "dec"
+        assert main(["decompose", "--plan", str(json_path), "--cost", COST,
+                     "--out", str(out)]) == 3
+        assert "over the dense cap of 7e0 entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_plan_exit_2(self, tmp_path):
         assert main(["decompose", "--plan", str(tmp_path / "nope.json"),

@@ -478,6 +478,19 @@ def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("d", [8, 9, 17])
+def test_plan_distances_round_as_the_cost_matrix(d):
+    # numpy's norm sums 8 or more squares pairwise; the plan's distances,
+    # hence transport_cost and the certificate's gap, take the rounding of
+    # the distances every cost matrix is made of
+    mu, nu = random_instance(np.random.default_rng(d), 60, 50, d)
+    src, tgt = np.divmod(np.arange(60 * 50), 50)
+    plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=np.ones(3000))
+    want = costs._distances(mu.points, nu.points)[src, tgt]
+    assert plan.distances().tobytes() == want.tobytes()
+    assert plan.distances().tobytes() == _numpy_distances(mu.points, nu.points).ravel().tobytes()
+
+
 def test_map_regime_seed_0_pinned(monkeypatch):
     # the separated n = 1000 clouds of the benchmark's map_regime workload
     mu = uniform_box(1000, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=10)
@@ -682,6 +695,26 @@ class TestValidation:
             solve_exact(mu, nu, P05)
         assert "5e7 entries (400 MB)" in str(err.value)
         assert "smaller or subsampled instance" in str(err.value)
+
+    def test_one_dense_cap_before_allocating(self, monkeypatch):
+        # solve_exact, certify and verify_ccm read the same m x n matrix,
+        # and each refuses it over the cap before building it
+        mu, nu = random_instance(np.random.default_rng(2), 6, 5, 2)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+
+        def no_matrix(*args):
+            raise AssertionError("the cost matrix was built")
+
+        monkeypatch.setattr(solver, "MAX_DENSE_ENTRIES", 29)
+        monkeypatch.setattr(solver, "cost_matrix", no_matrix)
+        for run in (
+            lambda: solve_exact(mu, nu, P05),
+            lambda: solver.certify(plan, pots, P05),
+            lambda: verify_ccm(plan, P05),
+        ):
+            with pytest.raises(SolverError, match=r"^the 6x5 cost matrix needs 240 bytes, over"
+                               r" the dense cap of 3e1 entries \(0 MB\);"):
+                run()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_cost_rejected(self, bad):

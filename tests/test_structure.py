@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from support import (
     lebesgue_grid_pair,
     on_both_kernel_paths,
     overlapping_instance,
+    random_instance,
     reconstruct_reference,
     verify_ccm_reference,
 )
@@ -182,17 +185,6 @@ class TestCcm:
             verify_ccm(plan, P05, sample_size=sample_size)
 
 
-def both_ccm_paths(monkeypatch, plan, **kwargs):
-    """verify_ccm on the one S x S matrix, then in row blocks of 7 entries."""
-    whole = verify_ccm(plan, P05, **kwargs)
-    S = plan.n_entries
-    with monkeypatch.context() as patch:
-        patch.setattr(structure, "_CCM_ENTRIES", 7 * S)
-        assert S * S > structure._CCM_ENTRIES  # the row-block path runs
-        blocks = verify_ccm(plan, P05, **kwargs)
-    return whole, blocks
-
-
 def permutation_plan(n, seed):
     """Optimal one-to-one plan between two separated uniform clouds."""
     mu = uniform_box(n, 2, seed=seed)
@@ -296,50 +288,41 @@ class TestCcmCycles:
 
 
 class TestCcmPaths:
-    """The one-matrix and row-block paths agree on enumerated and sampled cycles."""
+    """The compiled scorers and their numpy twins give one report on
+    enumerated and sampled cycles (the module's ``verify_ccm`` runs both
+    and asserts that they agree)."""
 
-    def test_optimal_exhaustive(self, monkeypatch):
+    def test_optimal_exhaustive(self):
         mu, nu = overlapping_instance(np.random.default_rng(7))
         plan, _, _ = solve_exact(mu, nu, P05)
-        whole, blocks = both_ccm_paths(monkeypatch, plan, max_cycle_len=4, seed=3)
-        assert whole == blocks and whole.ok
+        assert verify_ccm(plan, P05, max_cycle_len=4, seed=3).ok
 
-    def test_optimal_sampled(self, monkeypatch):
+    def test_optimal_sampled(self):
         plan = permutation_plan(480, seed=20)
         assert plan.n_entries > 450  # more 3-cycles than sample_size: sampled
-        whole, blocks = both_ccm_paths(
-            monkeypatch, plan, max_cycle_len=4, sample_size=20_000, seed=5
-        )
-        assert whole == blocks and whole.ok
+        assert verify_ccm(plan, P05, max_cycle_len=4, sample_size=20_000, seed=5).ok
 
-    def test_shuffled_plan_worst_is_sampled(self, monkeypatch):
+    def test_shuffled_plan_worst_is_sampled(self):
         # every target reassigned at random: the worst cycle found is one of
         # the sampled 4-cycles, so the report shows their gathered costs
         plan = permutation_plan(480, seed=22)
         shuffled = retarget(
             plan, range(plan.n_entries), np.random.default_rng(0).permutation(plan.tgt_idx)
         )
-        whole, blocks = both_ccm_paths(
-            monkeypatch, shuffled, max_cycle_len=4, sample_size=20_000
-        )
-        assert whole == blocks
-        assert len(whole.violating_cycle[0]) == 4
+        rep = verify_ccm(shuffled, P05, max_cycle_len=4, sample_size=20_000)
+        assert len(rep.violating_cycle[0]) == 4
 
     @pytest.mark.parametrize("n", [40, 480])
-    def test_planted_pair_swap(self, monkeypatch, n):
+    def test_planted_pair_swap(self, n):
         plan = permutation_plan(n, seed=22)
         swapped = retarget(plan, (3, 17), plan.tgt_idx[[17, 3]])
-        whole, blocks = both_ccm_paths(monkeypatch, swapped, sample_size=20_000)
-        assert whole == blocks and not whole.ok
+        assert not verify_ccm(swapped, P05, sample_size=20_000).ok
 
     @pytest.mark.parametrize("n", [40, 480])
-    def test_planted_three_cycle(self, monkeypatch, n):
+    def test_planted_three_cycle(self, n):
         plan = permutation_plan(n, seed=24)
         rotated = retarget(plan, (2, 11, 29), plan.tgt_idx[[11, 29, 2]])
-        whole, blocks = both_ccm_paths(
-            monkeypatch, rotated, max_cycle_len=3, sample_size=20_000
-        )
-        assert whole == blocks and not whole.ok
+        assert not verify_ccm(rotated, P05, max_cycle_len=3, sample_size=20_000).ok
 
 
 def compiled_kernel():
@@ -362,55 +345,60 @@ class TestAuditScorers:
         kernel = compiled_kernel()
         rng = np.random.default_rng(seed)
         S = int(rng.integers(1, 150))
-        # small integers: every value is exact and many tie
-        base = rng.integers(0, 4, S).astype(float)
-        C = rng.integers(0, 4, (S, S)).astype(float)
+        m, n = (int(rng.integers(1, 40)) for _ in range(2))
+        # small integers: every value is exact and many tie; atoms repeat
+        # across entries, and m != n as a rule
+        src, tgt = rng.integers(0, m, S), rng.integers(0, n, S)
+        C = rng.integers(0, 4, (m, n)).astype(float)
         if seed % 4 == 1:
-            C[rng.integers(0, S, 3), rng.integers(0, S, 3)] = np.nan
+            C[rng.integers(0, m, 3), rng.integers(0, n, 3)] = np.nan
         if seed % 4 == 2:
-            base[rng.integers(0, S)] = np.inf  # inf - inf is NaN
+            k = rng.integers(0, S)
+            C[src[k], tgt[k]] = np.inf  # b_k = inf, and inf - inf is NaN
         if seed % 4 == 3:
             C[:] = np.inf  # every value is -inf or NaN
-        blocks = [(0, S, C, C)] + [
-            (lo, min(lo + 7, S), np.ascontiguousarray(C[lo:lo + 7]),
-             np.ascontiguousarray(C[:, lo:lo + 7]))
-            for lo in range(0, S, 7)
-        ]
-        for lo, hi, A, B in blocks:
-            with np.errstate(invalid="ignore"):
-                want = structure._numpy_pair_scores(base, lo, A, B)
-            got = kernel.pair_scores(base, lo, A, B)
-            assert got[1:] == want[1:] and same_float(got[0], want[0])
-            assert lo <= got[1] < hi
+        want = structure._numpy_pair_scores(src, tgt, C)
+        got = kernel.pair_scores(src, tgt, C)
+        assert got[1:] == want[1:] and same_float(got[0], want[0])
+        assert all(type(e) is int for e in got[1:] + want[1:])
 
     @pytest.mark.parametrize("length", [3, 4])
     def test_cycle_scores_match_numpy(self, length):
         kernel = compiled_kernel()
         rng = np.random.default_rng(length)
-        S = 9
+        S, m, n = 9, 4, 6
         for bad in ("none", "cost", "base"):
-            base = rng.integers(0, 4, S).astype(float)
-            C = rng.integers(0, 4, (S, S)).astype(float)
+            src, tgt = rng.integers(0, m, S), rng.integers(0, n, S)
+            C = rng.integers(0, 4, (m, n)).astype(float)
             if bad == "cost":
-                C[rng.integers(0, S, 2), rng.integers(0, S, 2)] = np.nan
+                C[rng.integers(0, m, 2), rng.integers(0, n, 2)] = np.nan
             if bad == "base":
-                base[3] = np.nan
+                C[src[3], tgt[3]] = np.nan
             # rows with a repeated entry are skipped
             cycles = rng.integers(0, S, (300, length))
-
-            def pair_cost(i, j):
-                return np.take(C, i * S + j)
-
             for limit in (1, 40, 300, 10**6):
-                want = structure._numpy_cycle_scores(cycles, limit, base, pair_cost)
-                got = kernel.cycle_scores(cycles, limit, base, C)
+                want = structure._numpy_cycle_scores(cycles, limit, src, tgt, C)
+                got = kernel.cycle_scores(cycles, limit, src, tgt, C)
                 assert got[0] == want[0] and same_float(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
+
+    def test_scorers_reject_indices_outside_the_costs(self):
+        kernel = compiled_kernel()
+        C = np.zeros((3, 4))
+        for src, tgt in (([0, 3], [0, 1]), ([0, 1], [4, 1]), ([-1, 0], [0, 1]), ([0], [0, 1])):
+            with pytest.raises(ValueError, match="support indices"):
+                kernel.pair_scores(np.array(src), np.array(tgt), C)
+            with pytest.raises(ValueError, match="support indices"):
+                kernel.cycle_scores(np.zeros((1, 3), dtype=np.int64), 1, np.array(src),
+                                    np.array(tgt), C)
+        with pytest.raises(ValueError, match="cycles do not match"):
+            kernel.cycle_scores(np.array([[0, 1, 2]]), 1, np.zeros(2, np.int64),
+                                np.zeros(2, np.int64), C)
 
     @pytest.mark.parametrize(
         "layout", [lambda v: v.astype(np.float32), np.asfortranarray], ids=["float32", "fortran"]
     )
-    def test_duck_typed_cost_arrays(self, monkeypatch, layout):
+    def test_duck_typed_cost_arrays(self, layout):
         # a cost with its own value may return float32 or a Fortran-ordered
         # matrix; both paths audit it in float64, in one report
         class Duck:
@@ -423,15 +411,11 @@ class TestAuditScorers:
         plan, pots, _ = solve_exact(mu, nu, duck)
         rotated = retarget(plan, (1, 4, 7), plan.tgt_idx[[4, 7, 1]])
         for length in (2, 3, 4):
-            whole = verify_ccm(rotated, duck, max_cycle_len=length)
-            with monkeypatch.context() as patch:
-                patch.setattr(structure, "_CCM_ENTRIES", 7 * rotated.n_entries)
-                assert verify_ccm(rotated, duck, max_cycle_len=length) == whole
-            assert not whole.ok
+            assert not verify_ccm(rotated, duck, max_cycle_len=length).ok
         cert = on_both_kernel_paths(solver.certify, plan, pots, duck)
         assert cert.feasible_dual and cert.slack_ok
 
-    def test_tied_pair_swaps_first_wins(self, monkeypatch):
+    def test_tied_pair_swaps_first_wins(self):
         # six entries from atom 0 to atom 1 and six back: 72 pair swaps
         # tie for the worst value, and numpy's first is (0, 6)
         mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
@@ -440,19 +424,17 @@ class TestAuditScorers:
         crossed = TransportPlan(
             source=mu, target=nu, src_idx=src, tgt_idx=1 - src, mass=np.full(12, 1 / 12)
         ).validate()
-        whole, blocks = both_ccm_paths(monkeypatch, crossed, max_cycle_len=2)
-        assert whole == blocks
-        assert whole.violating_cycle == ((0, 6), (6, 0))
+        rep = verify_ccm(crossed, P05, max_cycle_len=2)
+        assert rep.violating_cycle == ((0, 6), (6, 0))
         b = P05.value(np.sqrt(2.0))
-        assert whole.worst_violation == (b + b - 1.0) - 1.0
+        assert rep.worst_violation == (b + b - 1.0) - 1.0
         # the cycles of each length tie too, and the longest win by rounding
         for length in (3, 4):
-            whole, blocks = both_ccm_paths(monkeypatch, crossed, max_cycle_len=length)
-            assert whole == blocks and len(whole.violating_cycle[0]) == length
+            assert len(verify_ccm(crossed, P05, max_cycle_len=length).violating_cycle[0]) == length
 
     @pytest.mark.parametrize("length", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 40])
-    def test_small_supports_and_every_length(self, monkeypatch, n, length):
+    def test_small_supports_and_every_length(self, n, length):
         plan = permutation_plan(n, seed=22)
         shuffled = retarget(
             plan, range(plan.n_entries), np.random.default_rng(1).permutation(plan.tgt_idx)
@@ -461,8 +443,6 @@ class TestAuditScorers:
         assert S == n
         kwargs = dict(max_cycle_len=length, sample_size=20_000)
         whole = verify_ccm(shuffled, P05, **kwargs)
-        monkeypatch.setattr(structure, "_CCM_ENTRIES", S * S - 1)  # row blocks
-        assert whole == verify_ccm(shuffled, P05, **kwargs)
         if S == 1:
             assert whole == structure.CcmReport(0, 0.0, None)
         if S == 2:
@@ -476,9 +456,9 @@ class TestAuditScorers:
         sizes = []
         numpy_scores = structure._numpy_cycle_scores
 
-        def recording(cycles, limit, base, pair_cost):
+        def recording(cycles, *args):
             sizes.append(len(cycles))
-            return numpy_scores(cycles, limit, base, pair_cost)
+            return numpy_scores(cycles, *args)
 
         monkeypatch.setattr(structure, "_numpy_cycle_scores", recording)
         monkeypatch.setattr(structure, "_CCM_CYCLES", 7)
@@ -492,7 +472,8 @@ class TestAuditScorers:
         # enters overflows to inf and each pair swap or cycle through it
         # is NaN (inf - inf); the cycles of entries 0, 1, 2 are finite and
         # come first.  numpy's argmax over a length is its first NaN, which
-        # notes nothing, however the cycles are split into blocks.
+        # notes nothing, however the cycles are split into blocks.  Neither
+        # path warns, so the audit runs with warnings as errors.
         xs = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e308, 0.0]]
         ys = [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [-1e308, 1.0]]
         mu, nu = DiscreteMeasure(xs, np.ones(4)), DiscreteMeasure(ys, np.ones(4))
@@ -503,13 +484,28 @@ class TestAuditScorers:
         plan = TransportPlan(
             source=mu, target=nu, src_idx=atoms(mu, xs), tgt_idx=atoms(nu, ys), mass=np.ones(4)
         )
-        with np.errstate(invalid="ignore", over="ignore"):
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
             whole = verify_ccm(plan, P05, max_cycle_len=4)
             monkeypatch.setattr(structure, "_CCM_CYCLES", 2)  # one combination per block
             assert verify_ccm(plan, P05, max_cycle_len=4) == whole
-            monkeypatch.setattr(structure, "_CCM_ENTRIES", 15)
-            assert verify_ccm(plan, P05, max_cycle_len=4) == whole
         assert whole == structure.CcmReport(12 + 8 + 6, -math.inf, None)
+
+    def test_no_support_sized_matrix(self):
+        # a plan with split sources has S = m + n - 1 entries, so its S x S
+        # matrix would be about four times the m x n one the kernel reads
+        compiled_kernel()
+        mu, nu = random_instance(np.random.default_rng(5), 300, 260, 2)
+        plan, _, _ = solve_exact(mu, nu, P05)
+        S = plan.n_entries
+        assert S == 300 + 260 - 1
+        tracemalloc.start()
+        try:
+            structure.verify_ccm(plan, P05, max_cycle_len=3, sample_size=2_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 300 * 260 * 8 < peak < S * S * 8
 
 
 class TestExtractMap:
