@@ -3,12 +3,15 @@
  * matrices are made of, and the scorers of two audits, verify_ccm in
  * structure and certify in solver.
  *
- * starting_tree is a port of solver._least_cost_basis and of the one-DFS
- * thread build of solver._python_start; pivot_loop is a port of
- * solver._pivot_loop.  The Python functions stay as the reference.  The
- * start takes arcs in the same global (cost, arc id) order, merging
- * sorted runs of each row's cheapest arcs read in place from the cost
- * matrix, and crosses lines out by the same (remainder, epsilon) rule.
+ * starting_tree is a port of the Python least-cost basis
+ * (_least_cost_basis) and one-DFS thread build (_python_start), and
+ * pivot_loop of the Python loop (_pivot_loop); these and the numpy
+ * references of the other entry points live in tests/support.py, where
+ * ReferenceKernel serves them under the names of the six entry points,
+ * and the tests require the same bits from both.  The start takes arcs
+ * in the same global (cost, arc id) order, merging sorted runs of each
+ * row's cheapest arcs read in place from the cost matrix, and crosses
+ * lines out by the same (remainder, epsilon) rule.
  * In the loop, block pricing with Dantzig's rule inside a block, the
  * two-walk leaving rule, remove_edge / make_root / add_edge on the
  * thread, and the subtree potential update follow the reference line for
@@ -16,28 +19,29 @@
  * least reduced cost, then the first arc that has it).  Every remainder,
  * flow, reduced cost and potential is computed by the same
  * floating-point operations in the same order; built with
- * -ffp-contract=off (no fused multiply-add), both paths return the same
- * bits.  distances sums the squared coordinate differences in order from
+ * -ffp-contract=off (no fused multiply-add), the kernel and its
+ * reference return the same bits.  distances sums the squared coordinate differences in order from
  * 0.0 and takes the square root, as scipy's cdist and the numpy
- * reference costs._numpy_distances do, with the same bits.
+ * reference _numpy_distances do, with the same bits.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
  * all support entries and cycle_scores a block of cycles, reading the
  * cost of entry i's source atom and entry j's target atom at
- * C[src_i][tgt_j], as the numpy references structure._numpy_pair_scores
- * and structure._numpy_cycle_scores do; certify_maxima returns the two
- * maxima of solver._numpy_certify_maxima.
+ * C[src_i][tgt_j], as the numpy references _numpy_pair_scores and
+ * _numpy_cycle_scores do; certify_maxima returns the two maxima of
+ * _numpy_certify_maxima.
  * Each computes every value by the same operations in the same order as
  * its reference and returns numpy's first argmax (the first NaN if there
  * is one) or numpy's NaN-propagating max, so the reports keep their
  * bits.
  *
  * solver._compiled_kernel builds this file with the system cc and calls
- * the six entry points through ctypes.  Node arrays are indexed by
- * node (sources 0..m-1, targets m..m+n-1) and filled or updated in place;
- * all state lives in the caller's arrays or in memory allocated per call,
- * so concurrent calls are safe.
+ * the six entry points through ctypes; there is no other path, so
+ * without a compiler every solve raises solver.SolverError.  Node
+ * arrays are indexed by node (sources 0..m-1, targets m..m+n-1) and
+ * filled or updated in place; all state lives in the caller's arrays or
+ * in memory allocated per call, so concurrent calls are safe.
  */
 #include <math.h>
 #include <stdint.h>
@@ -217,7 +221,7 @@ static void next_head(Scan *s, i64 i)
     heap_replace_top(&s->rows, s->run[i][k]);
 }
 
-/* solver._least_cost_basis: the m+n-1 arcs (in arcs[], flows[]) taken by
+/* _least_cost_basis: the m+n-1 arcs (in arcs[], flows[]) taken by
  * scanning arcs in (cost, arc id) order and crossing out one line per
  * arc by the (remainder, epsilon) rule. */
 static int least_cost_basis(i64 m, i64 n, const double *a, const double *b,
@@ -296,7 +300,7 @@ done:
     return status;
 }
 
-/* solver._python_start after the basis: one DFS from source 0 over the
+/* _python_start after the basis: one DFS from source 0 over the
  * basis arcs (adjacency in the order taken) sets parent, parc, flow and
  * pi; its pop order is the thread, and a reverse pass over the thread
  * gives size, last, next and prev. */
@@ -365,7 +369,7 @@ done:
 }
 
 /* The least-cost basis (arcs[], flows[]: m+n-1 entries in the order
- * taken) and the tree it spans, as solver._python_start builds them.
+ * taken) and the tree it spans, as _python_start builds them.
  * Returns OPTIMAL, NO_MEMORY or NOT_SPANNING. */
 int starting_tree(i64 m, i64 n, const double *a, const double *b, const double *cost,
                   i64 *arcs, double *flows, i64 *parent, i64 *parc, double *flow,
@@ -567,7 +571,7 @@ int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
         i64 p_ent = arc / n, q_ent = m + arc % n;
         double c_ent = cost[arc];
 
-        /* As in solver._pivot_loop: "<=" on the q side, then "<" on the
+        /* As in _pivot_loop: "<=" on the q side, then "<" on the
          * p side, picks the last blocking arc in cycle order. */
         i64 apex = find_apex(&t, p_ent, q_ent);
         double theta = INFINITY;

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -83,7 +82,6 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_SEED_ENV = "CONCAVE_OT_SEED"
 GAP_PASS = 1e-8
 
 _log = logging.getLogger("concave_ot")
@@ -138,15 +136,8 @@ def _finish(report, out_dir):
     return report
 
 
-def _resolve_seed(seed):
-    if seed is not None:
-        return int(seed)
-    return int(os.environ.get(DEFAULT_SEED_ENV, "0"))
-
-
-def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None, seed=None):
+def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None, seed=0):
     """Solve one instance from files; writes plan, potentials, certificate."""
-    seed = _resolve_seed(seed)
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
@@ -186,9 +177,8 @@ def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None
     return _finish(report, out)
 
 
-def run_decompose(plan_path, cost_spec, out_dir, tol=1e-9, seed=None):
+def run_decompose(plan_path, cost_spec, out_dir, tol=1e-9, seed=0):
     """Audit a saved plan: decomposition, stay-at-rest, cyclical monotonicity."""
-    seed = _resolve_seed(seed)
     cost = cost_from_json(cost_spec)
     plan, header = load_plan(plan_path)
     plan.validate()
@@ -249,14 +239,13 @@ def limit_plan_pair(n):
     return plan.validate()
 
 
-def run_counterexample(n_values, alpha, out_dir, seed=None):
+def run_counterexample(n_values, alpha, out_dir, seed=0):
     """Objective sweep on the three-segments instance vs its envelope.
 
     For each n the LP objective must lie in [f(1), f(1 + 1/n)] and the
     sequence must be non-increasing; the analytic half/half limit plan
     costs exactly f(1).
     """
-    seed = _resolve_seed(seed)
     n_values = [int(n) for n in n_values]
     if any(n < 1 for n in n_values):
         raise ValueError("all n must be >= 1")
@@ -295,14 +284,13 @@ def run_counterexample(n_values, alpha, out_dir, seed=None):
     return _finish(report, out)
 
 
-def run_translation(n, e, alpha, out_dir, seed=None, tol=0.02):
+def run_translation(n, e, alpha, out_dir, seed=0, tol=0.02):
     """Concave vs quadratic transport of a cloud onto its translate.
 
     The quadratic control reproduces the translation (objective |e|^2,
     translation mass 1); the concave cost must beat the translation
     strictly and spread displacements away from e.
     """
-    seed = _resolve_seed(seed)
     e = np.asarray(e, dtype=float)
     if np.linalg.norm(e) == 0.0:
         raise ValueError("translation vector e must be nonzero")
@@ -368,9 +356,8 @@ def _parse_generator(spec):
     return name, kwargs
 
 
-def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sample=500):
+def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sample=500):
     """Cone-positivity audit with the default direction/opening/radius grid."""
-    seed = _resolve_seed(seed)
     if (measure_path is None) == (generator is None):
         raise ValueError("need exactly one of measure_path or generator")
     _check_point_sample(point_sample)
@@ -427,7 +414,7 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=None, point_sa
     return _finish(report, out)
 
 
-def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=None):
+def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0):
     """Solve, then rebuild targets from the potential and compare to the LP.
 
     Overlapping inputs are reduced to their mutually singular residuals
@@ -435,7 +422,6 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=No
     optimal plans; the ``source`` column of ``reconstruction.csv`` still
     indexes the atoms of ``--mu``.
     """
-    seed = _resolve_seed(seed)
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
@@ -502,7 +488,7 @@ def _build_parser():
 
     def common(p):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve one instance from measure files")
     p.add_argument("--mu", required=True)

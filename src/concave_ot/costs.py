@@ -402,10 +402,11 @@ def _pair_costs(cost, x, y):
 def _distances(x, y):
     """Euclidean distances between the rows of ``x`` and of ``y``, (m, n).
 
-    The compiled kernel of :mod:`concave_ot.solver` computes them when it
-    could be built, else :func:`_numpy_distances`.  Both sum the squared
-    coordinate differences in order from 0.0 and take the square root,
-    so both return the bits of ``scipy.spatial.distance.cdist``.
+    The compiled kernel of :mod:`concave_ot.solver` computes them: it
+    sums the squared coordinate differences in order from 0.0 and takes
+    the square root, so it returns the bits of
+    ``scipy.spatial.distance.cdist``.  Raises ``solver.SolverError`` if
+    the kernel cannot be built.
     """
     from . import solver  # solver imports this module: look it up at call time
 
@@ -413,21 +414,7 @@ def _distances(x, y):
     y = np.ascontiguousarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
         raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
-    kernel = solver._compiled_kernel()
-    return kernel.distances(x, y) if kernel else _numpy_distances(x, y)
-
-
-def _numpy_distances(x, y):
-    """The numpy reference for ``distances`` in ``_pivot.c``, filled one
-    coordinate at a time; it runs when the kernel cannot be built.  Like
-    ``cdist``, it returns inf for a distance that overflows, silently."""
-    out = np.zeros((len(x), len(y)))
-    with np.errstate(over="ignore"):
-        for k in range(x.shape[1]):
-            t = np.subtract.outer(x[:, k], y[:, k])
-            t *= t
-            out += t
-    return np.sqrt(out, out=out)
+    return solver._compiled_kernel().distances(x, y)
 
 
 def cost_to_json(cost):

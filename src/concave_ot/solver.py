@@ -28,11 +28,10 @@ instances.  Two walks up the tree find it, from the entering arc's
 target end to the apex with ``<=`` and then from its source end with
 ``<``; the same two walks push the flow change.
 
-The start and the pivot loop run in C: ``_pivot.c`` ports
-``_least_cost_basis`` and the thread build of ``_python_start``
-(``starting_tree``), and ``_pivot_loop`` (pricing, leaving arc, tree
-surgery, potential update; ``pivot_loop``).  The compiled start takes
-arcs in the same (cost, arc id) order from sorted runs of each row's
+The start and the pivot loop run in C, in ``_pivot.c``: the least-cost
+basis and its threaded tree (``starting_tree``), and pricing, leaving
+arc, tree surgery and potential update (``pivot_loop``).  The start
+takes arcs in (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
 place, so it copies no part of the cost matrix.  The same library
 computes the Euclidean distances each cost matrix is made of
@@ -46,13 +45,12 @@ system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
 ``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
 and the compiler command, so each version compiles once).
 ``-ffp-contract=off`` forbids fused multiply-adds, so every
-floating-point operation rounds as numpy's and Python's do, and both
-paths return the same basis, tree, pivots, flows and potentials bit for
-bit; the distances are those of scipy's ``cdist``, bit for bit, and
-the audits return the reports of their numpy expressions, bit for bit.
-If compiling or loading fails, a RuntimeWarning says so once and the
-Python start and loop, numpy distances and the numpy audit expressions
-run, with the same results.  No option selects the path.
+floating-point operation rounds as numpy's and Python's do: the kernel
+returns the bits of the Python and numpy code it ports, which the test
+suite keeps as its reference, and its distances are those of scipy's
+``cdist``, bit for bit.  The kernel is required: if it cannot be
+compiled or loaded, every solve, cost matrix and audit raises
+:class:`SolverError`, naming the compiler command and its error.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ import math
 import os
 import subprocess
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -98,9 +95,10 @@ MAX_DENSE_ENTRIES = 50_000_000
 
 
 class SolverError(RuntimeError):
-    """Solver failure: an instance over the dense cap, a cost matrix with
-    non-finite entries (NaN, or inf from an overflowing distance), or an
-    exhausted pivot budget."""
+    """Solver failure: a compiled kernel that cannot be built or loaded,
+    an instance over the dense cap, a cost matrix with non-finite entries
+    (NaN, or inf from an overflowing distance), or an exhausted pivot
+    budget."""
 
 
 @dataclass
@@ -124,8 +122,8 @@ class TransportPlan:
         self.mass = np.asarray(self.mass, dtype=float).ravel()
         if not (len(self.src_idx) == len(self.tgt_idx) == len(self.mass)):
             raise ValueError("entry arrays must have equal length")
-        if np.any(self.mass < 0):
-            raise ValueError("entry masses must be >= 0")
+        if not np.all((self.mass >= 0) & (self.mass < np.inf)):  # NaN fails both
+            raise ValueError("entry masses must be finite and >= 0")
         if len(self.src_idx) and (
             self.src_idx.min() < 0
             or self.src_idx.max() >= len(self.source)
@@ -236,19 +234,12 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     potentials are normalized so phi vanishes at the first source atom.
     Ties between optimal vertices resolve by pivot order, so which
     optimal plan is returned is not canonical; only the objective is.
-    Raises :class:`SolverError` above ``MAX_DENSE_ENTRIES`` cost entries,
-    on a non-finite cost entry, or when the pivot budget runs out.
+    Raises :class:`SolverError` where :func:`_dense_cost_matrix` does, or
+    when the pivot budget runs out.
     """
     _check_pair(mu, nu)
     m, n = len(mu), len(nu)
     C = _dense_cost_matrix(mu, nu, cost)
-    finite = np.isfinite(C)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), n)
-        raise SolverError(
-            f"non-finite cost matrix entries: {C.size - np.count_nonzero(finite)} of"
-            f" {m}x{n}, the first at (i, j) = ({i}, {j}): {C[i, j]}"
-        )
     flows_by_node, parc, pi, pivots = _network_simplex(
         mu.weights, nu.weights, C, pivot_budget=pivot_budget
     )
@@ -268,8 +259,13 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
 
 def _dense_cost_matrix(mu, nu, cost):
     """The contiguous float64 ``cost_matrix`` that :func:`solve_exact`,
-    :func:`certify` and ``verify_ccm`` read; over the dense cap,
-    :class:`SolverError` before it is built."""
+    :func:`certify` and ``verify_ccm`` read.
+
+    Raises :class:`SolverError` over the dense cap, before the matrix is
+    built; on a non-finite entry (NaN, or inf from an overflowing
+    distance), which no plan can be priced or audited with; and when the
+    compiled kernel that computes the distances cannot be built.
+    """
     m, n = len(mu), len(nu)
     if m * n > MAX_DENSE_ENTRIES:
         cap = f"{MAX_DENSE_ENTRIES:.0e}".replace("e+0", "e")
@@ -278,7 +274,15 @@ def _dense_cost_matrix(mu, nu, cost):
             f" {cap} entries ({8 * MAX_DENSE_ENTRIES // 10**6} MB);"
             " solve a smaller or subsampled instance"
         )
-    return np.ascontiguousarray(cost_matrix(mu, nu, cost), dtype=float)
+    C = np.ascontiguousarray(cost_matrix(mu, nu, cost), dtype=float)
+    finite = np.isfinite(C)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), n)
+        raise SolverError(
+            f"non-finite cost matrix entries: {C.size - np.count_nonzero(finite)} of"
+            f" {m}x{n}, the first at (i, j) = ({i}, {j}): {C[i, j]}"
+        )
+    return C
 
 
 def solve_with_meet(mu, nu, cost, no_meet=False):
@@ -320,66 +324,6 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     return plan, DualPotentials(phi=phi, psi=psi), obj, cert, True
 
 
-def _least_cost_basis(a, b, C):
-    """Least-cost (matrix-minimum) basic feasible solution: m+n-1 tree arcs.
-
-    Line u is source u (u < m) or target u - m.  Arcs are scanned by
-    increasing cost, ties by arc id; an arc whose two lines are both
-    alive is taken with the smaller remainder as its flow, and exactly
-    that line is crossed out (both at the last step), so the arcs form a
-    spanning tree.  Returns (arc ids, flows) in the order taken.
-
-    Each remainder carries an integer epsilon part, the perturbation of
-    Ahuja, Magnanti and Orlin: +1 for sources 1..m-1, -(m+n-1) for source
-    0 and -1 for every target.  Comparing (remainder, epsilon) pairs
-    lexicographically builds the basic solution of the perturbed
-    problem, in which an arc's epsilon part is +-(size of its child's
-    subtree) and never 0.  So every arc's perturbed flow is positive, and
-    with the tree hung from source 0 every zero-flow arc has its source
-    as the child: the tree is strongly feasible.
-    """
-    m, n = C.shape
-    rest = np.asarray(a, dtype=float).tolist() + np.asarray(b, dtype=float).tolist()
-    eps = [-(m + n - 1)] + [1] * (m - 1) + [-1] * n
-    alive = [True] * (m + n)
-    left_rows, left_cols = m, n
-    arcs, flows = [], []
-    while True:
-        rows = np.flatnonzero(alive[:m])
-        cols = np.flatnonzero(alive[m:])
-        # The cheapest 4(rows + cols) arcs among the alive lines, sorted
-        # by (cost, arc id).  Once they are scanned, every arc left
-        # between alive lines costs more than the threshold, so the next
-        # round picks up on the alive submatrix.
-        sub = (C if len(rows) == m and len(cols) == n else C[np.ix_(rows, cols)]).ravel()
-        k = min(4 * (len(rows) + len(cols)), sub.size)
-        cand = np.flatnonzero(sub <= np.partition(sub, k - 1)[k - 1])
-        cand = cand[np.argsort(sub[cand], kind="stable")]
-        for i, j in zip(rows[cand // len(cols)].tolist(), cols[cand % len(cols)].tolist()):
-            u = m + j
-            if not (alive[i] and alive[u]):
-                continue
-            arcs.append(i * n + j)
-            if left_rows == 1 and left_cols == 1:
-                flows.append(max(min(rest[i], rest[u]), 0.0))
-                return np.array(arcs, dtype=np.int64), np.array(flows)
-            # The last row (column) stays until the last step; with exact
-            # arithmetic the lexicographic rule already keeps it.
-            if left_cols == 1 or (
-                left_rows > 1 and (rest[i], eps[i]) < (rest[u], eps[u])
-            ):
-                out, keep = i, u
-                left_rows -= 1
-            else:
-                out, keep = u, i
-                left_cols -= 1
-            f = max(rest[out], 0.0)
-            flows.append(f)
-            alive[out] = False
-            rest[keep] -= f
-            eps[keep] -= eps[out]
-
-
 class _Tree(NamedTuple):
     """Spanning-tree basis of the network simplex, plus what pricing reads.
 
@@ -405,7 +349,7 @@ class _Tree(NamedTuple):
     pi: np.ndarray
 
 
-# the node arrays the Python pivot loop works on as lists
+# the node arrays of a _Tree besides pi
 _TREE_LISTS = ("parent", "parc", "flow", "size", "last", "next_", "prev_")
 
 
@@ -415,18 +359,16 @@ def _network_simplex(a, b, C, pivot_budget=None):
     Returns per-node flows on the arcs to parents, the arc ids, node
     potentials pi (pi[root]=0), and the pivot count; node and arc ids are
     those of :class:`_Tree`.  Reduced costs are c_ij - pi[i] + pi[m+j].
-    The compiled kernel builds the start and runs the pivot loop when it
-    could be built, else :func:`_python_start` and :func:`_pivot_loop`
-    do; both return the same bits.  The default budget of 1000 pivots
-    per node is over 100 times the most seen (about 9, on separated
-    clouds), so a loop that cannot finish fails in seconds.
+    The compiled kernel builds the start and runs the pivot loop.  The
+    default budget of 1000 pivots per node is over 100 times the most
+    seen (about 9, on separated clouds), so a loop that cannot finish
+    fails in seconds.
     """
     kernel = _compiled_kernel()
-    start, loop = (kernel.start, kernel.pivot_loop) if kernel else (_python_start, _pivot_loop)
-    tree = start(a, b, C).tree
+    tree = kernel.start(a, b, C).tree
     if pivot_budget is None:
         pivot_budget = 1000 * len(tree.pi)
-    pivots = loop(tree, pivot_budget)
+    pivots = kernel.pivot_loop(tree, pivot_budget)
     return tree.flow[1:], tree.parc[1:], tree.pi, pivots
 
 
@@ -445,72 +387,6 @@ def _flat_costs(C):
     return cflat, OPT_TOL_SCALE * max(cflat.max(), 1e-300)
 
 
-def _python_start(a, b, C):
-    """:func:`_least_cost_basis` and its tree, rooted and threaded in one DFS.
-
-    The Python reference for ``starting_tree`` in ``_pivot.c``, which must
-    reproduce it bit for bit; it also runs when that kernel cannot be built.
-    """
-    m, n = len(a), len(b)
-    num_nodes = m + n
-    cflat, opt_tol = _flat_costs(C)
-    arcs0, flows0 = _least_cost_basis(a, b, cflat.reshape(m, n))
-    adj = [[] for _ in range(num_nodes)]
-    for arc, fl in zip(arcs0.tolist(), flows0.tolist()):
-        u = arc // n
-        v = m + arc % n
-        adj[u].append((v, arc, fl))
-        adj[v].append((u, arc, fl))
-
-    # One DFS from the root (source 0).  In a tree the only neighbour
-    # already seen is the parent, so the pop order is a preorder: it is
-    # the thread.  Potentials follow from the tree equalities, pi[0] = 0.
-    parent = [-1] * num_nodes
-    parc = [0] * num_nodes  # arc id to parent (child-indexed)
-    parc_flow = [0.0] * num_nodes
-    pi = np.zeros(num_nodes)
-    thread = []
-    seen = [False] * num_nodes
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        thread.append(u)
-        for v, arc, fl in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                parc[v] = arc
-                parc_flow[v] = fl
-                pi[v] = pi[u] - cflat[arc] if v >= m else pi[u] + cflat[arc]
-                stack.append(v)
-    if len(thread) != num_nodes:
-        raise _not_spanning()
-
-    # next_/prev_ cycle through the thread; a subtree is a contiguous run
-    # of it, so one reverse pass gives size[v] and last[v], its final node.
-    size = [1] * num_nodes
-    last = [0] * num_nodes
-    next_ = [0] * num_nodes
-    prev_ = [0] * num_nodes
-    for t in range(num_nodes - 1, -1, -1):
-        v = thread[t]
-        last[v] = thread[t + size[v] - 1]
-        if t:
-            size[parent[v]] += size[v]
-        next_[v] = thread[(t + 1) % num_nodes]
-        prev_[v] = thread[t - 1]
-
-    def ints(x):
-        return np.array(x, dtype=np.int64)
-
-    return _Start(arcs0, flows0, _Tree(
-        cost=cflat, n=n, opt_tol=opt_tol,
-        parent=ints(parent), parc=ints(parc), flow=np.array(parc_flow, dtype=float),
-        size=ints(size), last=ints(last), next_=ints(next_), prev_=ints(prev_), pi=pi,
-    ))
-
-
 def _pricing_block(num_arcs):
     return int(math.ceil(math.sqrt(num_arcs)))
 
@@ -525,194 +401,6 @@ def _no_leaving_arc():
 
 def _not_spanning():
     return SolverError("initial basis is not spanning (internal error)")
-
-
-def _pivot_loop(tree, pivot_budget):
-    """Pivot ``tree`` to optimality in place; returns the pivot count.
-
-    The Python reference for the compiled loop in ``_pivot.c``, which
-    must reproduce it bit for bit; it also runs when that loop cannot be
-    built.
-    """
-    cflat, n, opt_tol, pi = tree.cost, tree.n, tree.opt_tol, tree.pi
-    num_nodes = len(pi)
-    m = num_nodes - n
-    num_arcs = m * n
-    parent, parc, parc_flow, size, last, next_, prev_ = (
-        getattr(tree, name).tolist() for name in _TREE_LISTS
-    )
-
-    # --- pricing -------------------------------------------------------
-    block = _pricing_block(num_arcs)
-    n_blocks = (num_arcs + block - 1) // block
-    f_ptr = 0
-    # Arc lo + t has source lo // n + (lo % n + t) // n and target node
-    # m + (lo % n + t) % n, for t < block: two periodic index arrays,
-    # sliced per block, stand in for per-arc index arrays of length m*n.
-    i_cyc = np.arange(n + block, dtype=np.int64) // n
-    jn_cyc = m + np.arange(n + block, dtype=np.int64) % n
-
-    def find_entering():
-        nonlocal f_ptr
-        misses = 0
-        while misses < n_blocks:
-            lo = f_ptr
-            hi = min(lo + block, num_arcs)
-            f_ptr = hi % num_arcs
-            i0, off = divmod(lo, n)
-            end = off + hi - lo
-            rc = cflat[lo:hi] - pi[i_cyc[off:end] + i0] + pi[jn_cyc[off:end]]
-            t = int(np.argmin(rc))
-            if rc[t] < -opt_tol:
-                return lo + t
-            misses += 1
-        return -1
-
-    # --- tree surgery (child-indexed arcs move with their child) -------
-    def find_apex(p, q):
-        sp, sq = size[p], size[q]
-        while True:
-            while sp < sq:
-                p = parent[p]
-                sp = size[p]
-            while sp > sq:
-                q = parent[q]
-                sq = size[q]
-            if sp == sq:
-                if p != q:
-                    p = parent[p]
-                    sp = size[p]
-                    q = parent[q]
-                    sq = size[q]
-                else:
-                    return p
-
-    def subtree(v):
-        yield v
-        stop = last[v]
-        while v != stop:
-            v = next_[v]
-            yield v
-
-    def remove_edge(s, t):
-        # detach subtree rooted at t (parent[t] == s)
-        size_t = size[t]
-        prev_t = prev_[t]
-        last_t = last[t]
-        next_last_t = next_[last_t]
-        parent[t] = -1
-        next_[prev_t] = next_last_t
-        prev_[next_last_t] = prev_t
-        next_[last_t] = t
-        prev_[t] = last_t
-        while s != -1:
-            size[s] -= size_t
-            if last[s] == last_t:
-                last[s] = prev_t
-            s = parent[s]
-
-    def make_root(q):
-        ancestors = []
-        v = q
-        while v != -1:
-            ancestors.append(v)
-            v = parent[v]
-        ancestors.reverse()
-        for p, w in zip(ancestors, ancestors[1:]):
-            size_p = size[p]
-            last_p = last[p]
-            prev_w = prev_[w]
-            last_w = last[w]
-            next_last_w = next_[last_w]
-            parent[p] = w
-            parent[w] = -1
-            parc[p] = parc[w]
-            parc_flow[p] = parc_flow[w]
-            size[p] = size_p - size[w]
-            size[w] = size_p
-            next_[prev_w] = next_last_w
-            prev_[next_last_w] = prev_w
-            next_[last_w] = w
-            prev_[w] = last_w
-            if last_p == last_w:
-                last[p] = prev_w
-                last_p = prev_w
-            prev_[p] = last_w
-            next_[last_w] = p
-            next_[last_p] = w
-            prev_[w] = last_p
-            last[w] = last_p
-
-    def add_edge(arc, p, q, flow):
-        # attach the tree rooted at q under p via the given arc
-        last_p = last[p]
-        next_last_p = next_[last_p]
-        size_q = size[q]
-        last_q = last[q]
-        parent[q] = p
-        parc[q] = arc
-        parc_flow[q] = flow
-        next_[last_p] = q
-        prev_[q] = last_p
-        prev_[next_last_p] = last_q
-        next_[last_q] = next_last_p
-        while p != -1:
-            size[p] += size_q
-            if last[p] == last_p:
-                last[p] = last_q
-            p = parent[p]
-
-    # --- pivot loop ------------------------------------------------------
-    pivots = 0
-    while True:
-        arc = find_entering()
-        if arc < 0:
-            break
-        pivots += 1
-        if pivots > pivot_budget:
-            raise _budget_exhausted(pivot_budget)
-        p_ent = arc // n
-        q_ent = m + arc % n
-        c_ent = cflat[arc]
-
-        # The cycle runs apex -> p_ent -> q_ent -> apex.  Walking each side
-        # up from its entering end, an arc carries flow against the cycle
-        # (and blocks) if its child is a target on the q side or a source
-        # on the p side.  "<=" on the q side, then "<" on the p side, picks
-        # the last blocking arc in cycle order.  Removing it cuts off the
-        # side it lies on, which re-hangs below the other entering end.
-        apex = find_apex(p_ent, q_ent)
-        theta = math.inf
-        t_leave = -1  # child endpoint of the leaving arc
-        v = q_ent
-        while v != apex:
-            if v >= m and parc_flow[v] <= theta:
-                theta, t_leave, p_att, q_att = parc_flow[v], v, p_ent, q_ent
-            v = parent[v]
-        v = p_ent
-        while v != apex:
-            if v < m and parc_flow[v] < theta:
-                theta, t_leave, p_att, q_att = parc_flow[v], v, q_ent, p_ent
-            v = parent[v]
-        if t_leave < 0:
-            raise _no_leaving_arc()
-        if theta > 0.0:
-            for v, step in ((q_ent, theta), (p_ent, -theta)):
-                while v != apex:
-                    parc_flow[v] += -step if v >= m else step
-                    v = parent[v]
-
-        remove_edge(parent[t_leave], t_leave)
-        make_root(q_att)
-        add_edge(arc, p_att, q_att, theta)
-        d = pi[p_att] - c_ent - pi[q_att] if q_att >= m else pi[p_att] + c_ent - pi[q_att]
-        if d != 0.0:
-            for w in subtree(q_att):
-                pi[w] += d
-
-    for name, values in zip(_TREE_LISTS, (parent, parc, parc_flow, size, last, next_, prev_)):
-        getattr(tree, name)[:] = values
-    return pivots
 
 
 _PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
@@ -758,13 +446,9 @@ def _support(src, tgt, C):
 
 
 class _CompiledKernel:
-    """ctypes binding of ``_pivot.c``: :meth:`start` is called like
-    :func:`_python_start`, :meth:`pivot_loop` like :func:`_pivot_loop`,
-    :meth:`distances` like :func:`costs._numpy_distances`,
-    :meth:`pair_scores` and :meth:`cycle_scores` like
-    :func:`structure._numpy_pair_scores` and
-    :func:`structure._numpy_cycle_scores`, and :meth:`certify_maxima`
-    like :func:`_numpy_certify_maxima`."""
+    """ctypes binding of the six entry points of ``_pivot.c``.  Each
+    method returns the bits of the Python or numpy code the C ports,
+    which the test suite keeps as its reference."""
 
     def __init__(self, path):
         self.path = path
@@ -830,7 +514,8 @@ class _CompiledKernel:
 
     def distances(self, x, y):
         """The (m, n) Euclidean distances between the rows of the float
-        arrays ``x`` and ``y``, like :func:`costs._numpy_distances`."""
+        arrays ``x`` and ``y``, the bits of scipy's ``cdist``: inf where
+        a distance overflows."""
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
             raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
         out = np.empty((len(x), len(y)))
@@ -838,8 +523,10 @@ class _CompiledKernel:
         return out
 
     def pair_scores(self, src, tgt, C):
-        """np.argmax over the pair swaps of the support entries ``src`` ->
-        ``tgt``, like :func:`structure._numpy_pair_scores`: (value, k, l)."""
+        """np.argmax over the pair swaps ((b_k + b_l) - C[src_k, tgt_l])
+        - C[src_l, tgt_k] of the support entries k != l, with
+        b = C[src, tgt], as (value, k, l): the first NaN, or else the
+        first pair with the greatest value, rows k before columns l."""
         src, tgt, C = _support(src, tgt, C)
         S = len(src)
         best, at = ctypes.c_double(), np.zeros(2, dtype=np.int64)
@@ -848,7 +535,8 @@ class _CompiledKernel:
 
     def cycle_scores(self, cycles, limit, src, tgt, C):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, like :func:`structure._numpy_cycle_scores`: (rows scored,
+        entry, each the sum of its entries' costs minus that with every
+        entry's target taken from the next; returns (rows scored,
         np.argmax value, its row or None)."""
         src, tgt, C = _support(src, tgt, C)
         cycles = np.ascontiguousarray(cycles, dtype=np.int64)
@@ -863,8 +551,8 @@ class _CompiledKernel:
         return scored, best.value, cycles[at.value] if at.value >= 0 else None
 
     def certify_maxima(self, phi, psi, C):
-        """(max |C_ij|, max (phi_i + psi_j) - C_ij), each NaN if a term is,
-        like :func:`_numpy_certify_maxima`."""
+        """(max |C_ij|, max (phi_i + psi_j) - C_ij), each NaN if a term
+        is, as numpy's max returns them."""
         phi, psi, C = (np.ascontiguousarray(x, dtype=float) for x in (phi, psi, C))
         m, n = C.shape
         if phi.shape != (m,) or psi.shape != (n,):
@@ -899,27 +587,20 @@ class _CompiledKernel:
 @functools.cache
 def _compiled_kernel():
     """The compiled start, pivot loop, distances and audit scorers, built
-    and loaded on first use; None if that fails.
+    and loaded on first use.
 
-    On failure (no ``cc``, a compile error, an unwritable cache) a
-    RuntimeWarning says why, once per process, and the exact solver runs
-    :func:`_python_start` and :func:`_pivot_loop`, with the same results
-    at Python speed; distances come from :func:`costs._numpy_distances`,
-    and ``verify_ccm`` and :func:`certify` score with their numpy
-    expressions, with the same bits.
+    If that fails (no ``cc``, a compile error, an unwritable cache), it
+    raises :class:`SolverError` naming the compiler command and its
+    error; nothing is cached, so the next call tries again.
     """
     try:
         return _CompiledKernel(_build_pivot_kernel(_KERNEL_CACHE))
     except (OSError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        warnings.warn(
-            f"cannot build the compiled kernel ({exc}{': ' + stderr if stderr else ''});"
-            " the exact solver runs its Python start and pivot loop, 10 to 20 times slower,"
-            " and distances fall back to numpy, as do the scores of verify_ccm and certify",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        raise SolverError(
+            f"cannot build the compiled kernel with `{' '.join(_CC)}`:"
+            f" {exc}{': ' + stderr if stderr else ''}"
+        ) from exc
 
 
 def certify(plan, potentials, cost, tol=MARGINAL_TOL):
@@ -932,19 +613,18 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
     rounding relative to the costs, as the solver's pricing tolerance does.
 
     The compiled kernel takes max|C| and the largest phi_i + psi_j - c_ij
-    in one pass over the cost matrix (``certify_maxima``); when it cannot
-    be built, :func:`_numpy_certify_maxima` does, with the same bits.  A
-    NaN potential makes the largest violation NaN, so ``feasible_dual``
-    is False.  Like :func:`solve_exact`, it raises :class:`SolverError`
-    when the cost matrix has more than ``MAX_DENSE_ENTRIES`` entries.
+    in one pass over the cost matrix (``certify_maxima``).  A NaN
+    potential makes the largest violation NaN, so ``feasible_dual`` is
+    False.  Like :func:`solve_exact`, it raises :class:`SolverError` where
+    :func:`_dense_cost_matrix` does: over ``MAX_DENSE_ENTRIES`` cost
+    entries, or on a non-finite one.
     """
     mu, nu = plan.source, plan.target
     phi, psi = potentials.phi, potentials.psi
     if phi.shape != (len(mu),) or psi.shape != (len(nu),):
         raise ValueError("potential shapes do not match the plan's measures")
     C = _dense_cost_matrix(mu, nu, cost)
-    kernel = _compiled_kernel()
-    max_cost, max_viol = (kernel.certify_maxima if kernel else _numpy_certify_maxima)(phi, psi, C)
+    max_cost, max_viol = _compiled_kernel().certify_maxima(phi, psi, C)
     tol = tol * max(1.0, max_cost)
     if plan.n_entries:
         slack = np.abs(
@@ -963,12 +643,6 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
         max_slack_residual=max_slack,
         tolerance=tol,
     )
-
-
-def _numpy_certify_maxima(phi, psi, C):
-    """The numpy reference for ``certify_maxima`` in ``_pivot.c``; it runs
-    when the kernel cannot be built."""
-    return float(np.abs(C).max(initial=0.0)), float(((phi[:, None] + psi[None, :]) - C).max())
 
 
 def save_plan(plan, basepath, objective=None, gap=None):
@@ -1023,4 +697,3 @@ def save_potentials(potentials, basepath):
     for path, vec in zip(paths, (potentials.phi, potentials.psi)):
         _write_table(path, ("index", "value"), [np.arange(len(vec)), vec])
     return paths
-

@@ -186,12 +186,11 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     C[src_k, tgt_l].  Since every atom has an entry, S >= max(m, n) and
     C is never larger than the S x S matrix of the support.  Like
     :func:`solver.solve_exact`, this raises :class:`solver.SolverError`
-    when C has more than ``MAX_DENSE_ENTRIES`` entries.  Enumerated
-    cycles are scored ``_CCM_CYCLES`` at a time.  The compiled kernel of
-    :mod:`concave_ot.solver` scores the pair swaps (``pair_scores``) and
-    the cycles (``cycle_scores``), reading C in place; when it cannot be
-    built, :func:`_numpy_pair_scores` and :func:`_numpy_cycle_scores`
-    score them, with the same report bit for bit.
+    when C has more than ``MAX_DENSE_ENTRIES`` entries or a non-finite
+    one.  Enumerated cycles are scored ``_CCM_CYCLES`` at a time.  The
+    compiled kernel of :mod:`concave_ot.solver` scores the pair swaps
+    (``pair_scores``) and the cycles (``cycle_scores``), reading C in
+    place.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
@@ -203,8 +202,6 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     src, tgt = plan.src_idx, plan.tgt_idx
     C = solver._dense_cost_matrix(plan.source, plan.target, cost)
     kernel = solver._compiled_kernel()
-    pair_scores = kernel.pair_scores if kernel else _numpy_pair_scores
-    cycle_scores = kernel.cycle_scores if kernel else _numpy_cycle_scores
 
     worst = -math.inf
     witness = None
@@ -216,7 +213,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
             if value > tol:
                 witness = (tuple(entries), tuple(permuted))
 
-    value, k, l = pair_scores(src, tgt, C)
+    value, k, l = kernel.pair_scores(src, tgt, C)
     checked = S * (S - 1)
     note(value, (k, l), (l, k))
 
@@ -225,7 +222,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         entry into (best, cycle), numpy's argmax over all blocks of one
         length; returns how many it scored."""
         nonlocal best, cycle, checked
-        scored, value, row = cycle_scores(cycles, limit, src, tgt, C)
+        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C)
         checked += scored
         # an earlier block keeps ties, and the first NaN stays
         if value > best or (value != value and best == best):
@@ -244,47 +241,6 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     return CcmReport(
         cycles_checked=checked, worst_violation=float(worst), violating_cycle=witness
     )
-
-
-def _numpy_pair_scores(src, tgt, C):
-    """The numpy reference for ``pair_scores`` in ``_pivot.c``; it runs
-    when the kernel cannot be built.  Over the pair swaps
-    ((b_k + b_l) - C[src_k, tgt_l]) - C[src_l, tgt_k] of the support
-    entries k != l, with b = C[src, tgt], returns np.argmax as
-    (value, k, l): one row k at a time, the first row with a NaN or else
-    the first with the greatest value, then np.argmax within it."""
-    base = C[src, tgt]
-    best, at = -math.inf, (0, 0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(len(src)):
-            v = (base[k] + base) - C[src[k], tgt] - C[src, tgt[k]]
-            v[k] = -np.inf  # k == l is not a cycle
-            l = int(np.argmax(v))
-            if v[l] > best or v[l] != v[l]:
-                best, at = float(v[l]), (k, l)
-                if best != best:
-                    break
-    return best, *at
-
-
-def _numpy_cycle_scores(cycles, limit, src, tgt, C):
-    """The numpy reference for ``cycle_scores`` in ``_pivot.c``; it runs
-    when the kernel cannot be built.  Scores the first ``limit`` rows of
-    ``cycles`` without a repeated entry; returns (rows scored, np.argmax
-    value, its row or None)."""
-    length = cycles.shape[1]
-    distinct = np.ones(len(cycles), dtype=bool)
-    for s in range(length):
-        for t in range(s + 1, length):
-            distinct &= cycles[:, s] != cycles[:, t]
-    cycles = cycles[distinct][:limit]
-    if not len(cycles):
-        return 0, -math.inf, None
-    rotated = np.roll(cycles, -1, axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
-    t = int(np.argmax(v))
-    return len(cycles), float(v[t]), cycles[t]
 
 
 def _all_cycles(S, length, score):

@@ -11,11 +11,15 @@ are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
 The cyclical-monotonicity reference checks 3-cycles with the per-entry
 loop that ``structure.verify_ccm`` replaces with enumerated cycles, and
-4-cycles by brute force over permutations.  ``on_both_kernel_paths``
-runs an audit through the compiled kernel and through its numpy
-fallback and asserts the two reports are equal.
+4-cycles by brute force over permutations.
+
+``ReferenceKernel`` is the Python and numpy code that the compiled
+kernel ``_pivot.c`` ports, entry point for entry point, and must match
+bit for bit; ``on_both_kernel_paths`` runs an audit on each of the two
+and asserts that the reports are equal.
 """
 
+import math
 import warnings
 from itertools import combinations, permutations
 from unittest import mock
@@ -29,6 +33,16 @@ from concave_ot import solver
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure
+from concave_ot.solver import (
+    _TREE_LISTS,
+    _budget_exhausted,
+    _flat_costs,
+    _no_leaving_arc,
+    _not_spanning,
+    _pricing_block,
+    _Start,
+    _Tree,
+)
 from concave_ot.structure import (
     CcmReport,
     MapExtract,
@@ -40,13 +54,27 @@ from concave_ot.structure import (
 
 def on_both_kernel_paths(audit, *args, **kwargs):
     """``audit(*args, **kwargs)`` scored by the compiled kernel, then by
-    the numpy expressions that replace it when it cannot be built; asserts
-    that the two reports are equal and returns the first."""
+    :class:`ReferenceKernel`; asserts that the two reports are equal and
+    returns the first."""
     got = audit(*args, **kwargs)
-    with mock.patch.object(solver, "_compiled_kernel", lambda: None):
+    with mock.patch.object(solver, "_compiled_kernel", ReferenceKernel):
         want = audit(*args, **kwargs)
     assert got == want
     return got
+
+
+def record_kernel_calls(monkeypatch, name, note):
+    """Wraps the compiled kernel's method ``name`` so that each call
+    appends ``note(*args)`` to the list returned, then runs it."""
+    inner = getattr(solver._CompiledKernel, name)
+    notes = []
+
+    def recording(self, *args):
+        notes.append(note(*args))
+        return inner(self, *args)
+
+    monkeypatch.setattr(solver._CompiledKernel, name, recording)
+    return notes
 
 
 def random_instance(rng, m, n, d, uniform_weights=False):
@@ -452,3 +480,402 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
         worst_violation=float(worst) if checked else 0.0,
         violating_cycle=witness,
     )
+
+
+# --- the references of the compiled kernel ---------------------------------
+
+
+class ReferenceKernel:
+    """The six entry points of the compiled kernel, as the Python and numpy
+    code that ``_pivot.c`` ports; called with the same arguments, each
+    returns the same bits.  Patching ``solver._compiled_kernel`` with this
+    class runs the solver, the cost matrices and the audits on it."""
+
+    def start(self, a, b, C):
+        return _python_start(a, b, C)
+
+    def pivot_loop(self, tree, pivot_budget):
+        return _pivot_loop(tree, pivot_budget)
+
+    def distances(self, x, y):
+        return _numpy_distances(x, y)
+
+    def pair_scores(self, src, tgt, C):
+        return _numpy_pair_scores(src, tgt, C)
+
+    def cycle_scores(self, cycles, limit, src, tgt, C):
+        return _numpy_cycle_scores(cycles, limit, src, tgt, C)
+
+    def certify_maxima(self, phi, psi, C):
+        return _numpy_certify_maxima(phi, psi, C)
+
+
+def _least_cost_basis(a, b, C):
+    """Least-cost (matrix-minimum) basic feasible solution: m+n-1 tree arcs.
+
+    Line u is source u (u < m) or target u - m.  Arcs are scanned by
+    increasing cost, ties by arc id; an arc whose two lines are both
+    alive is taken with the smaller remainder as its flow, and exactly
+    that line is crossed out (both at the last step), so the arcs form a
+    spanning tree.  Returns (arc ids, flows) in the order taken.
+
+    Each remainder carries an integer epsilon part, the perturbation of
+    Ahuja, Magnanti and Orlin: +1 for sources 1..m-1, -(m+n-1) for source
+    0 and -1 for every target.  Comparing (remainder, epsilon) pairs
+    lexicographically builds the basic solution of the perturbed
+    problem, in which an arc's epsilon part is +-(size of its child's
+    subtree) and never 0.  So every arc's perturbed flow is positive, and
+    with the tree hung from source 0 every zero-flow arc has its source
+    as the child: the tree is strongly feasible.
+    """
+    m, n = C.shape
+    rest = np.asarray(a, dtype=float).tolist() + np.asarray(b, dtype=float).tolist()
+    eps = [-(m + n - 1)] + [1] * (m - 1) + [-1] * n
+    alive = [True] * (m + n)
+    left_rows, left_cols = m, n
+    arcs, flows = [], []
+    while True:
+        rows = np.flatnonzero(alive[:m])
+        cols = np.flatnonzero(alive[m:])
+        # The cheapest 4(rows + cols) arcs among the alive lines, sorted
+        # by (cost, arc id).  Once they are scanned, every arc left
+        # between alive lines costs more than the threshold, so the next
+        # round picks up on the alive submatrix.
+        sub = (C if len(rows) == m and len(cols) == n else C[np.ix_(rows, cols)]).ravel()
+        k = min(4 * (len(rows) + len(cols)), sub.size)
+        cand = np.flatnonzero(sub <= np.partition(sub, k - 1)[k - 1])
+        cand = cand[np.argsort(sub[cand], kind="stable")]
+        for i, j in zip(rows[cand // len(cols)].tolist(), cols[cand % len(cols)].tolist()):
+            u = m + j
+            if not (alive[i] and alive[u]):
+                continue
+            arcs.append(i * n + j)
+            if left_rows == 1 and left_cols == 1:
+                flows.append(max(min(rest[i], rest[u]), 0.0))
+                return np.array(arcs, dtype=np.int64), np.array(flows)
+            # The last row (column) stays until the last step; with exact
+            # arithmetic the lexicographic rule already keeps it.
+            if left_cols == 1 or (
+                left_rows > 1 and (rest[i], eps[i]) < (rest[u], eps[u])
+            ):
+                out, keep = i, u
+                left_rows -= 1
+            else:
+                out, keep = u, i
+                left_cols -= 1
+            f = max(rest[out], 0.0)
+            flows.append(f)
+            alive[out] = False
+            rest[keep] -= f
+            eps[keep] -= eps[out]
+
+
+def _python_start(a, b, C):
+    """:func:`_least_cost_basis` and its tree, rooted and threaded in one DFS.
+
+    The Python reference for ``starting_tree`` in ``_pivot.c``, which must
+    reproduce it bit for bit.
+    """
+    m, n = len(a), len(b)
+    num_nodes = m + n
+    cflat, opt_tol = _flat_costs(C)
+    arcs0, flows0 = _least_cost_basis(a, b, cflat.reshape(m, n))
+    adj = [[] for _ in range(num_nodes)]
+    for arc, fl in zip(arcs0.tolist(), flows0.tolist()):
+        u = arc // n
+        v = m + arc % n
+        adj[u].append((v, arc, fl))
+        adj[v].append((u, arc, fl))
+
+    # One DFS from the root (source 0).  In a tree the only neighbour
+    # already seen is the parent, so the pop order is a preorder: it is
+    # the thread.  Potentials follow from the tree equalities, pi[0] = 0.
+    parent = [-1] * num_nodes
+    parc = [0] * num_nodes  # arc id to parent (child-indexed)
+    parc_flow = [0.0] * num_nodes
+    pi = np.zeros(num_nodes)
+    thread = []
+    seen = [False] * num_nodes
+    seen[0] = True
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        thread.append(u)
+        for v, arc, fl in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parent[v] = u
+                parc[v] = arc
+                parc_flow[v] = fl
+                pi[v] = pi[u] - cflat[arc] if v >= m else pi[u] + cflat[arc]
+                stack.append(v)
+    if len(thread) != num_nodes:
+        raise _not_spanning()
+
+    # next_/prev_ cycle through the thread; a subtree is a contiguous run
+    # of it, so one reverse pass gives size[v] and last[v], its final node.
+    size = [1] * num_nodes
+    last = [0] * num_nodes
+    next_ = [0] * num_nodes
+    prev_ = [0] * num_nodes
+    for t in range(num_nodes - 1, -1, -1):
+        v = thread[t]
+        last[v] = thread[t + size[v] - 1]
+        if t:
+            size[parent[v]] += size[v]
+        next_[v] = thread[(t + 1) % num_nodes]
+        prev_[v] = thread[t - 1]
+
+    def ints(x):
+        return np.array(x, dtype=np.int64)
+
+    return _Start(arcs0, flows0, _Tree(
+        cost=cflat, n=n, opt_tol=opt_tol,
+        parent=ints(parent), parc=ints(parc), flow=np.array(parc_flow, dtype=float),
+        size=ints(size), last=ints(last), next_=ints(next_), prev_=ints(prev_), pi=pi,
+    ))
+
+
+def _pivot_loop(tree, pivot_budget):
+    """Pivot ``tree`` to optimality in place; returns the pivot count.
+
+    The Python reference for the compiled loop in ``_pivot.c``, which
+    must reproduce it bit for bit.
+    """
+    cflat, n, opt_tol, pi = tree.cost, tree.n, tree.opt_tol, tree.pi
+    num_nodes = len(pi)
+    m = num_nodes - n
+    num_arcs = m * n
+    parent, parc, parc_flow, size, last, next_, prev_ = (
+        getattr(tree, name).tolist() for name in _TREE_LISTS
+    )
+
+    # --- pricing -------------------------------------------------------
+    block = _pricing_block(num_arcs)
+    n_blocks = (num_arcs + block - 1) // block
+    f_ptr = 0
+    # Arc lo + t has source lo // n + (lo % n + t) // n and target node
+    # m + (lo % n + t) % n, for t < block: two periodic index arrays,
+    # sliced per block, stand in for per-arc index arrays of length m*n.
+    i_cyc = np.arange(n + block, dtype=np.int64) // n
+    jn_cyc = m + np.arange(n + block, dtype=np.int64) % n
+
+    def find_entering():
+        nonlocal f_ptr
+        misses = 0
+        while misses < n_blocks:
+            lo = f_ptr
+            hi = min(lo + block, num_arcs)
+            f_ptr = hi % num_arcs
+            i0, off = divmod(lo, n)
+            end = off + hi - lo
+            rc = cflat[lo:hi] - pi[i_cyc[off:end] + i0] + pi[jn_cyc[off:end]]
+            t = int(np.argmin(rc))
+            if rc[t] < -opt_tol:
+                return lo + t
+            misses += 1
+        return -1
+
+    # --- tree surgery (child-indexed arcs move with their child) -------
+    def find_apex(p, q):
+        sp, sq = size[p], size[q]
+        while True:
+            while sp < sq:
+                p = parent[p]
+                sp = size[p]
+            while sp > sq:
+                q = parent[q]
+                sq = size[q]
+            if sp == sq:
+                if p != q:
+                    p = parent[p]
+                    sp = size[p]
+                    q = parent[q]
+                    sq = size[q]
+                else:
+                    return p
+
+    def subtree(v):
+        yield v
+        stop = last[v]
+        while v != stop:
+            v = next_[v]
+            yield v
+
+    def remove_edge(s, t):
+        # detach subtree rooted at t (parent[t] == s)
+        size_t = size[t]
+        prev_t = prev_[t]
+        last_t = last[t]
+        next_last_t = next_[last_t]
+        parent[t] = -1
+        next_[prev_t] = next_last_t
+        prev_[next_last_t] = prev_t
+        next_[last_t] = t
+        prev_[t] = last_t
+        while s != -1:
+            size[s] -= size_t
+            if last[s] == last_t:
+                last[s] = prev_t
+            s = parent[s]
+
+    def make_root(q):
+        ancestors = []
+        v = q
+        while v != -1:
+            ancestors.append(v)
+            v = parent[v]
+        ancestors.reverse()
+        for p, w in zip(ancestors, ancestors[1:]):
+            size_p = size[p]
+            last_p = last[p]
+            prev_w = prev_[w]
+            last_w = last[w]
+            next_last_w = next_[last_w]
+            parent[p] = w
+            parent[w] = -1
+            parc[p] = parc[w]
+            parc_flow[p] = parc_flow[w]
+            size[p] = size_p - size[w]
+            size[w] = size_p
+            next_[prev_w] = next_last_w
+            prev_[next_last_w] = prev_w
+            next_[last_w] = w
+            prev_[w] = last_w
+            if last_p == last_w:
+                last[p] = prev_w
+                last_p = prev_w
+            prev_[p] = last_w
+            next_[last_w] = p
+            next_[last_p] = w
+            prev_[w] = last_p
+            last[w] = last_p
+
+    def add_edge(arc, p, q, flow):
+        # attach the tree rooted at q under p via the given arc
+        last_p = last[p]
+        next_last_p = next_[last_p]
+        size_q = size[q]
+        last_q = last[q]
+        parent[q] = p
+        parc[q] = arc
+        parc_flow[q] = flow
+        next_[last_p] = q
+        prev_[q] = last_p
+        prev_[next_last_p] = last_q
+        next_[last_q] = next_last_p
+        while p != -1:
+            size[p] += size_q
+            if last[p] == last_p:
+                last[p] = last_q
+            p = parent[p]
+
+    # --- pivot loop ------------------------------------------------------
+    pivots = 0
+    while True:
+        arc = find_entering()
+        if arc < 0:
+            break
+        pivots += 1
+        if pivots > pivot_budget:
+            raise _budget_exhausted(pivot_budget)
+        p_ent = arc // n
+        q_ent = m + arc % n
+        c_ent = cflat[arc]
+
+        # The cycle runs apex -> p_ent -> q_ent -> apex.  Walking each side
+        # up from its entering end, an arc carries flow against the cycle
+        # (and blocks) if its child is a target on the q side or a source
+        # on the p side.  "<=" on the q side, then "<" on the p side, picks
+        # the last blocking arc in cycle order.  Removing it cuts off the
+        # side it lies on, which re-hangs below the other entering end.
+        apex = find_apex(p_ent, q_ent)
+        theta = math.inf
+        t_leave = -1  # child endpoint of the leaving arc
+        v = q_ent
+        while v != apex:
+            if v >= m and parc_flow[v] <= theta:
+                theta, t_leave, p_att, q_att = parc_flow[v], v, p_ent, q_ent
+            v = parent[v]
+        v = p_ent
+        while v != apex:
+            if v < m and parc_flow[v] < theta:
+                theta, t_leave, p_att, q_att = parc_flow[v], v, q_ent, p_ent
+            v = parent[v]
+        if t_leave < 0:
+            raise _no_leaving_arc()
+        if theta > 0.0:
+            for v, step in ((q_ent, theta), (p_ent, -theta)):
+                while v != apex:
+                    parc_flow[v] += -step if v >= m else step
+                    v = parent[v]
+
+        remove_edge(parent[t_leave], t_leave)
+        make_root(q_att)
+        add_edge(arc, p_att, q_att, theta)
+        d = pi[p_att] - c_ent - pi[q_att] if q_att >= m else pi[p_att] + c_ent - pi[q_att]
+        if d != 0.0:
+            for w in subtree(q_att):
+                pi[w] += d
+
+    for name, values in zip(_TREE_LISTS, (parent, parc, parc_flow, size, last, next_, prev_)):
+        getattr(tree, name)[:] = values
+    return pivots
+
+
+def _numpy_distances(x, y):
+    """The numpy reference for ``distances`` in ``_pivot.c``, filled one
+    coordinate at a time.  Like ``cdist``, it returns inf for a distance that overflows, silently."""
+    out = np.zeros((len(x), len(y)))
+    with np.errstate(over="ignore"):
+        for k in range(x.shape[1]):
+            t = np.subtract.outer(x[:, k], y[:, k])
+            t *= t
+            out += t
+    return np.sqrt(out, out=out)
+
+
+def _numpy_pair_scores(src, tgt, C):
+    """The numpy reference for ``pair_scores`` in ``_pivot.c``.  Over the
+    pair swaps
+    ((b_k + b_l) - C[src_k, tgt_l]) - C[src_l, tgt_k] of the support
+    entries k != l, with b = C[src, tgt], returns np.argmax as
+    (value, k, l): one row k at a time, the first row with a NaN or else
+    the first with the greatest value, then np.argmax within it."""
+    base = C[src, tgt]
+    best, at = -math.inf, (0, 0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(len(src)):
+            v = (base[k] + base) - C[src[k], tgt] - C[src, tgt[k]]
+            v[k] = -np.inf  # k == l is not a cycle
+            l = int(np.argmax(v))
+            if v[l] > best or v[l] != v[l]:
+                best, at = float(v[l]), (k, l)
+                if best != best:
+                    break
+    return best, *at
+
+
+def _numpy_cycle_scores(cycles, limit, src, tgt, C):
+    """The numpy reference for ``cycle_scores`` in ``_pivot.c``.  Scores
+    the first ``limit`` rows of
+    ``cycles`` without a repeated entry; returns (rows scored, np.argmax
+    value, its row or None)."""
+    length = cycles.shape[1]
+    distinct = np.ones(len(cycles), dtype=bool)
+    for s in range(length):
+        for t in range(s + 1, length):
+            distinct &= cycles[:, s] != cycles[:, t]
+    cycles = cycles[distinct][:limit]
+    if not len(cycles):
+        return 0, -math.inf, None
+    rotated = np.roll(cycles, -1, axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
+    t = int(np.argmax(v))
+    return len(cycles), float(v[t]), cycles[t]
+
+
+def _numpy_certify_maxima(phi, psi, C):
+    """The numpy reference for ``certify_maxima`` in ``_pivot.c``."""
+    return float(np.abs(C).max(initial=0.0)), float(((phi[:, None] + psi[None, :]) - C).max())

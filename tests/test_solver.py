@@ -1,7 +1,7 @@
 import json
 import math
 import os
-import shutil
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from concave_ot import costs, solver
-from concave_ot.costs import (
-    LogShiftCost, PiecewiseConcaveCost, PowerCost, _numpy_distances, cost_matrix,
+from concave_ot.cli import main
+from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
+from concave_ot.measures import (
+    DiscreteMeasure, save_measure, three_segments, translate, uniform_box,
 )
-from concave_ot.measures import DiscreteMeasure, three_segments, translate, uniform_box
 from concave_ot.structure import CcmReport, verify_ccm
 from concave_ot.solver import (
     MARGINAL_TOL,
@@ -26,22 +27,22 @@ from concave_ot.solver import (
     TransportPlan,
     _build_pivot_kernel,
     _compiled_kernel,
-    _least_cost_basis,
     _network_simplex,
-    _pivot_loop,
-    _python_start,
     load_plan,
     save_plan,
     save_potentials,
     solve_exact,
 )
 from support import (
+    ReferenceKernel,
+    _least_cost_basis,
     assignment_oracle,
     basis_enumeration_oracle,
     lebesgue_grid_pair,
     linprog_oracle,
     on_both_kernel_paths,
     random_instance,
+    record_kernel_calls,
 )
 
 P05 = PowerCost(0.5)
@@ -49,7 +50,7 @@ P05 = PowerCost(0.5)
 
 def certify(plan, potentials, cost, **kwargs):
     """``solver.certify``, with its maxima taken by the compiled kernel and
-    by numpy, with the same certificate."""
+    by its numpy reference, with the same certificate."""
     return on_both_kernel_paths(solver.certify, plan, potentials, cost, **kwargs)
 
 
@@ -299,9 +300,6 @@ class TestLinprogOracle:
         assert certify(plan, pots, cost).ok
 
 
-requires_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-
-
 def _copy(tree):
     return tree._replace(**{
         k: v.copy() for k, v in tree._asdict().items() if isinstance(v, np.ndarray)
@@ -311,9 +309,9 @@ def _copy(tree):
 def _run_both_loops(mu, nu, cost, pivot_budget=10**9):
     """(pivots, flow bytes, arc-id bytes, pi bytes) from the Python loop
     and from the compiled one, each run on a copy of the same start."""
-    tree = _python_start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
+    tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
     out = []
-    for loop in (_pivot_loop, _compiled_kernel().pivot_loop):
+    for loop in (ReferenceKernel().pivot_loop, _compiled_kernel().pivot_loop):
         t = _copy(tree)
         pivots = loop(t, pivot_budget)
         out.append((pivots, t.flow[1:].tobytes(), t.parc[1:].tobytes(), t.pi.tobytes()))
@@ -324,7 +322,7 @@ def _both_starts(a, b, C):
     """The Python and the compiled start of the same instance, each as
     the bytes of the arc ids, the flows and every array of the tree."""
     out = []
-    for start in (_python_start, _compiled_kernel().start):
+    for start in (ReferenceKernel().start, _compiled_kernel().start):
         arcs, flows, tree = start(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                                   np.asarray(C, dtype=float))
         out.append({
@@ -341,7 +339,6 @@ def fresh_kernel_loader():
     _compiled_kernel.cache_clear()
 
 
-@requires_cc
 class TestCompiledPivotLoop:
     """The C pivot loop is a port of the Python one: from the same tree
     it must make the same pivots and return the same bits."""
@@ -362,22 +359,20 @@ class TestCompiledPivotLoop:
 
     def test_same_pivot_budget_error(self):
         mu, nu = random_instance(np.random.default_rng(6), 10, 10, 2)
-        tree = _python_start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
+        tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
         messages = []
-        for loop in (_pivot_loop, _compiled_kernel().pivot_loop):
+        for loop in (ReferenceKernel().pivot_loop, _compiled_kernel().pivot_loop):
             with pytest.raises(SolverError, match="pivot budget") as err:
                 loop(_copy(tree), 1)
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "pivot budget 1 exhausted (numeric degeneracy?)"
 
     def test_solver_runs_the_compiled_loop(self, monkeypatch):
-        # with a compiler at hand, a solve at Python speed is a failure
-        def python_loop(tree, pivot_budget):
-            raise AssertionError("the Python pivot loop ran")
-
-        monkeypatch.setattr(solver, "_pivot_loop", python_loop)
-        _, _, obj = solve_exact(*three_segments(16), P05)
+        nodes = record_kernel_calls(monkeypatch, "pivot_loop", lambda tree, _: len(tree.pi))
+        mu, nu = three_segments(16)
+        _, _, obj = solve_exact(mu, nu, P05)
         assert obj == 1.0000610295691101
+        assert nodes == [len(mu) + len(nu)]
 
     def test_compiled_once_per_cache(self, tmp_path, monkeypatch):
         path = _build_pivot_kernel(tmp_path)
@@ -415,7 +410,6 @@ START_INSTANCES = [
 ]
 
 
-@requires_cc
 class TestCompiledStart:
     """The C start is a port of the Python one: on the same instance it
     must take the same arcs with the same flows and build the same tree,
@@ -434,48 +428,33 @@ class TestCompiledStart:
         assert compiled == python
 
     def test_solver_runs_the_compiled_start(self, monkeypatch):
-        def python_start(a, b, C):
-            raise AssertionError("the Python start ran")
-
-        monkeypatch.setattr(solver, "_python_start", python_start)
-        _, _, obj = solve_exact(*three_segments(16), P05)
+        nodes = record_kernel_calls(monkeypatch, "start", lambda a, b, C: len(a) + len(b))
+        mu, nu = three_segments(16)
+        _, _, obj = solve_exact(mu, nu, P05)
         assert obj == 1.0000610295691101
+        assert nodes == [len(mu) + len(nu)]
 
 
-def test_python_loop_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader):
+def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loader, capsys):
+    # no compiler and no cached kernel: every solve, cost matrix and audit
+    # needs the kernel, and fails naming the compiler command
     mu, nu = random_instance(np.random.default_rng(3), 30, 25, 2)
-    expected = solve_exact(mu, nu, P05)
-    expected_costs = cost_matrix(mu, nu, P05)
-    monkeypatch.setattr(solver, "_KERNEL_CACHE", tmp_path)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(solver, "_KERNEL_CACHE", cache)
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
-    python_starts, numpy_distances = [], []
-
-    def recording_start(a, b, C):
-        python_starts.append((len(a), len(b)))
-        return _python_start(a, b, C)
-
-    def recording_distances(x, y):
-        numpy_distances.append((len(x), len(y)))
-        return _numpy_distances(x, y)
-
-    monkeypatch.setattr(solver, "_python_start", recording_start)
-    monkeypatch.setattr(costs, "_numpy_distances", recording_distances)
-    _compiled_kernel.cache_clear()
-    with pytest.warns(RuntimeWarning, match="runs its Python start and pivot loop") as caught:
-        plan, pots, obj = solve_exact(mu, nu, P05)
-    assert str(caught[0].message).endswith(
-        "distances fall back to numpy, as do the scores of verify_ccm and certify"
-    )
-    assert _compiled_kernel() is None
-    assert python_starts == [(30, 25)]
-    assert numpy_distances == [(30, 25)]
-    assert cost_matrix(mu, nu, P05).tobytes() == expected_costs.tobytes()
-    assert obj == expected.objective
-    for got, want in ((plan.src_idx, expected.plan.src_idx), (plan.tgt_idx, expected.plan.tgt_idx),
-                      (plan.mass, expected.plan.mass), (pots.phi, expected.potentials.phi),
-                      (pots.psi, expected.potentials.psi)):
-        assert got.tobytes() == want.tobytes()
-    assert list(tmp_path.iterdir()) == []
+    message = ("cannot build the compiled kernel with"
+               " `no-such-cc -O2 -ffp-contract=off -shared -fPIC`: ")
+    for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05)):
+        with pytest.raises(SolverError, match=f"^{re.escape(message)}.*no-such-cc"):
+            run()
+    mu_path, nu_path, out = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "out"
+    save_measure(mu, mu_path)
+    save_measure(nu, nu_path)
+    assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                 "--cost", '{"kind":"power","alpha":0.5}', "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"solver error: {message}")
+    assert not out.exists()
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("d", [8, 9, 17])
@@ -488,7 +467,8 @@ def test_plan_distances_round_as_the_cost_matrix(d):
     plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=np.ones(3000))
     want = costs._distances(mu.points, nu.points)[src, tgt]
     assert plan.distances().tobytes() == want.tobytes()
-    assert plan.distances().tobytes() == _numpy_distances(mu.points, nu.points).ravel().tobytes()
+    reference = ReferenceKernel().distances(mu.points, nu.points)
+    assert plan.distances().tobytes() == reference.ravel().tobytes()
 
 
 def test_map_regime_seed_0_pinned(monkeypatch):
@@ -612,7 +592,7 @@ class TestDuality:
         plan, pots, _ = solve_exact(mu, nu, P05)
         pots.phi[4] = np.nan
         certs = [solver.certify(plan, pots, P05)]
-        monkeypatch.setattr(solver, "_compiled_kernel", lambda: None)
+        monkeypatch.setattr(solver, "_compiled_kernel", ReferenceKernel)
         certs.append(solver.certify(plan, pots, P05))
         for cert in certs:
             assert not cert.feasible_dual
@@ -622,9 +602,6 @@ class TestDuality:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_kernel_maxima_match_numpy(self, seed):
-        kernel = _compiled_kernel()
-        if kernel is None:
-            pytest.skip("the compiled kernel could not be built")
         rng = np.random.default_rng(seed)
         m, n = (int(k) for k in rng.integers(1, 40, 2))
         phi, psi = rng.normal(size=m), rng.normal(size=n)
@@ -637,8 +614,8 @@ class TestDuality:
             C[rng.integers(0, m), rng.integers(0, n)] = np.inf
         if seed == 4:
             C = -C  # |C| is not C
-        got = kernel.certify_maxima(phi, psi, C)
-        want = solver._numpy_certify_maxima(phi, psi, C)
+        got = _compiled_kernel().certify_maxima(phi, psi, C)
+        want = ReferenceKernel().certify_maxima(phi, psi, C)
         assert repr(got) == repr(want)
 
     def test_shape_mismatch(self):
@@ -733,22 +710,24 @@ class TestValidation:
 
     def test_overflowing_distance_rejected(self):
         # finite coordinates whose distances overflow to inf (both do, as
-        # the distance squares the 1e308 coordinate differences)
+        # the distance squares the 1e308 coordinate differences); no plan
+        # can be priced on them, so the audits refuse them too
         mu = DiscreteMeasure([[-1e308, 0.0], [0.0, 0.0]], [0.5, 0.5])
         nu = DiscreteMeasure([[1e308, 0.0]], [1.0])
-        with pytest.raises(SolverError, match=r"^non-finite cost matrix entries: 2 of 2x1,"
-                           r" the first at \(i, j\) = \(0, 0\): inf$"):
-            solve_exact(mu, nu, P05)
+        plan = TransportPlan(source=mu, target=nu, src_idx=[0, 1], tgt_idx=[0, 0],
+                             mass=[0.5, 0.5])
+        pots = DualPotentials(phi=np.zeros(2), psi=np.zeros(1))
+        for run in (
+            lambda: solve_exact(mu, nu, P05),
+            lambda: solver.certify(plan, pots, P05),
+            lambda: verify_ccm(plan, P05),
+        ):
+            with pytest.raises(SolverError, match=r"^non-finite cost matrix entries: 2 of 2x1,"
+                               r" the first at \(i, j\) = \(0, 0\): inf$"):
+                run()
 
     def test_default_pivot_budget_is_linear(self, monkeypatch):
-        budgets = []
-
-        def recording_loop(tree, pivot_budget):
-            budgets.append(pivot_budget)
-            return _pivot_loop(tree, pivot_budget)
-
-        monkeypatch.setattr(solver, "_compiled_kernel", lambda: None)
-        monkeypatch.setattr(solver, "_pivot_loop", recording_loop)
+        budgets = record_kernel_calls(monkeypatch, "pivot_loop", lambda _, budget: budget)
         mu, nu = random_instance(np.random.default_rng(7), 7, 9, 2)
         _network_simplex(mu.weights, nu.weights, cost_matrix(mu, nu, P05))
         assert budgets == [16_000]
@@ -767,9 +746,11 @@ class TestValidation:
             plan.validate()
 
     def test_plan_rejects_negative_mass(self):
+        # a NaN mass fails no comparison with 0, and would pass validate
         mu = DiscreteMeasure([[0.0]], [1.0])
-        with pytest.raises(ValueError):
-            TransportPlan(source=mu, target=mu, src_idx=[0], tgt_idx=[0], mass=[-0.1])
+        for mass in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="entry masses must be finite and >= 0"):
+                TransportPlan(source=mu, target=mu, src_idx=[0], tgt_idx=[0], mass=[mass])
 
 
 class TestExport:

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +19,14 @@ from concave_ot.structure import (
     verify_stay_at_rest,
 )
 from support import (
+    ReferenceKernel,
     extract_map_reference,
     lebesgue_grid_pair,
     on_both_kernel_paths,
     overlapping_instance,
     random_instance,
     reconstruct_reference,
+    record_kernel_calls,
     verify_ccm_reference,
 )
 
@@ -33,8 +34,8 @@ P05 = PowerCost(0.5)
 
 
 def verify_ccm(plan, cost, **kwargs):
-    """``structure.verify_ccm``, scored by the compiled kernel and by numpy
-    with the same report."""
+    """``structure.verify_ccm``, scored by the compiled kernel and by its
+    numpy reference with the same report."""
     return on_both_kernel_paths(structure.verify_ccm, plan, cost, **kwargs)
 
 
@@ -288,7 +289,7 @@ class TestCcmCycles:
 
 
 class TestCcmPaths:
-    """The compiled scorers and their numpy twins give one report on
+    """The compiled scorers and their numpy references give one report on
     enumerated and sampled cycles (the module's ``verify_ccm`` runs both
     and asserts that they agree)."""
 
@@ -325,24 +326,18 @@ class TestCcmPaths:
         assert not verify_ccm(rotated, P05, max_cycle_len=3, sample_size=20_000).ok
 
 
-def compiled_kernel():
-    kernel = solver._compiled_kernel()
-    if kernel is None:
-        pytest.skip("the compiled kernel could not be built")
-    return kernel
-
-
 def same_float(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
 class TestAuditScorers:
     """The kernel's scorers return numpy's argmax, the first of tied values
-    or else the first NaN, and verify_ccm the same report on both paths."""
+    or else the first NaN, and verify_ccm the same report on the kernel and
+    on its reference."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pair_scores_match_numpy(self, seed):
-        kernel = compiled_kernel()
+        kernel = solver._compiled_kernel()
         rng = np.random.default_rng(seed)
         S = int(rng.integers(1, 150))
         m, n = (int(rng.integers(1, 40)) for _ in range(2))
@@ -357,14 +352,14 @@ class TestAuditScorers:
             C[src[k], tgt[k]] = np.inf  # b_k = inf, and inf - inf is NaN
         if seed % 4 == 3:
             C[:] = np.inf  # every value is -inf or NaN
-        want = structure._numpy_pair_scores(src, tgt, C)
+        want = ReferenceKernel().pair_scores(src, tgt, C)
         got = kernel.pair_scores(src, tgt, C)
         assert got[1:] == want[1:] and same_float(got[0], want[0])
         assert all(type(e) is int for e in got[1:] + want[1:])
 
     @pytest.mark.parametrize("length", [3, 4])
     def test_cycle_scores_match_numpy(self, length):
-        kernel = compiled_kernel()
+        kernel = solver._compiled_kernel()
         rng = np.random.default_rng(length)
         S, m, n = 9, 4, 6
         for bad in ("none", "cost", "base"):
@@ -377,13 +372,13 @@ class TestAuditScorers:
             # rows with a repeated entry are skipped
             cycles = rng.integers(0, S, (300, length))
             for limit in (1, 40, 300, 10**6):
-                want = structure._numpy_cycle_scores(cycles, limit, src, tgt, C)
+                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C)
                 got = kernel.cycle_scores(cycles, limit, src, tgt, C)
                 assert got[0] == want[0] and same_float(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
 
     def test_scorers_reject_indices_outside_the_costs(self):
-        kernel = compiled_kernel()
+        kernel = solver._compiled_kernel()
         C = np.zeros((3, 4))
         for src, tgt in (([0, 3], [0, 1]), ([0, 1], [4, 1]), ([-1, 0], [0, 1]), ([0], [0, 1])):
             with pytest.raises(ValueError, match="support indices"):
@@ -400,7 +395,7 @@ class TestAuditScorers:
     )
     def test_duck_typed_cost_arrays(self, layout):
         # a cost with its own value may return float32 or a Fortran-ordered
-        # matrix; both paths audit it in float64, in one report
+        # matrix; the kernel and its reference audit it in float64, in one report
         class Duck:
             def value(self, r):
                 return layout(np.asarray(P05.value(r)))
@@ -453,27 +448,18 @@ class TestAuditScorers:
         plan = permutation_plan(12, seed=24)
         rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
         whole = verify_ccm(rotated, P05, max_cycle_len=length)
-        sizes = []
-        numpy_scores = structure._numpy_cycle_scores
-
-        def recording(cycles, *args):
-            sizes.append(len(cycles))
-            return numpy_scores(cycles, *args)
-
-        monkeypatch.setattr(structure, "_numpy_cycle_scores", recording)
+        sizes = record_kernel_calls(monkeypatch, "cycle_scores", lambda cycles, *_: len(cycles))
         monkeypatch.setattr(structure, "_CCM_CYCLES", 7)
         split = verify_ccm(rotated, P05, max_cycle_len=length)
         assert split == whole
         assert_matches_reference(split, verify_ccm_reference(rotated, P05, max_cycle_len=length))
         assert max(sizes) <= 7 and sum(sizes) == whole.cycles_checked - 132
 
-    def test_nan_in_a_later_cycle_block(self, monkeypatch):
+    def test_nan_in_a_later_cycle_block(self):
         # entry 3 runs between coordinates near 1e308, so each cost it
-        # enters overflows to inf and each pair swap or cycle through it
-        # is NaN (inf - inf); the cycles of entries 0, 1, 2 are finite and
-        # come first.  numpy's argmax over a length is its first NaN, which
-        # notes nothing, however the cycles are split into blocks.  Neither
-        # path warns, so the audit runs with warnings as errors.
+        # enters overflows to inf, and each pair swap or cycle through it
+        # would be NaN (inf - inf) and hide the scores of the others: the
+        # audit refuses the cost matrix before scoring any cycle
         xs = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1e308, 0.0]]
         ys = [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [-1e308, 1.0]]
         mu, nu = DiscreteMeasure(xs, np.ones(4)), DiscreteMeasure(ys, np.ones(4))
@@ -484,17 +470,12 @@ class TestAuditScorers:
         plan = TransportPlan(
             source=mu, target=nu, src_idx=atoms(mu, xs), tgt_idx=atoms(nu, ys), mass=np.ones(4)
         )
-        with warnings.catch_warnings(), np.errstate(all="warn"):
-            warnings.simplefilter("error")
-            whole = verify_ccm(plan, P05, max_cycle_len=4)
-            monkeypatch.setattr(structure, "_CCM_CYCLES", 2)  # one combination per block
-            assert verify_ccm(plan, P05, max_cycle_len=4) == whole
-        assert whole == structure.CcmReport(12 + 8 + 6, -math.inf, None)
+        with pytest.raises(solver.SolverError, match="^non-finite cost matrix entries: 7 of 4x4,"):
+            verify_ccm(plan, P05, max_cycle_len=4)
 
     def test_no_support_sized_matrix(self):
         # a plan with split sources has S = m + n - 1 entries, so its S x S
         # matrix would be about four times the m x n one the kernel reads
-        compiled_kernel()
         mu, nu = random_instance(np.random.default_rng(5), 300, 260, 2)
         plan, _, _ = solve_exact(mu, nu, P05)
         S = plan.n_entries
