@@ -247,8 +247,8 @@ def run_counterexample(n_values, alpha, out_dir, seed=0):
     costs exactly f(1).
     """
     n_values = [int(n) for n in n_values]
-    if any(n < 1 for n in n_values):
-        raise ValueError("all n must be >= 1")
+    if not n_values or min(n_values) < 1:
+        raise ValueError("all n must be >= 1" if n_values else "n must list at least one value")
     cost = PowerCost(alpha)
     objs, splits = [], []
     for n in n_values:

@@ -406,14 +406,12 @@ def _distances(x, y):
     sums the squared coordinate differences in order from 0.0 and takes
     the square root, so it returns the bits of
     ``scipy.spatial.distance.cdist``.  Raises ``solver.SolverError`` if
-    the kernel cannot be built.
+    the kernel cannot be built, ``ValueError`` if the shapes do not match.
     """
     from . import solver  # solver imports this module: look it up at call time
 
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
     return solver._compiled_kernel().distances(x, y)
 
 

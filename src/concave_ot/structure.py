@@ -13,7 +13,8 @@ This module provides the decomposition, report-style verifiers for the
 stay-at-rest property and cyclical monotonicity of the support, map
 extraction with split-source accounting, gradient-based map
 reconstruction, and the kink/translation diagnostics used by the
-experiments.
+experiments.  Both verifiers read the plan by atom index: its masses
+binned per atom, and each cost from its m x n cost matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .measures import DiscreteMeasure, meet
+from .measures import DiscreteMeasure, _meet_weights
 from .solver import TransportPlan
 
 __all__ = [
@@ -50,8 +51,6 @@ def _marginal(measure, idx, mass):
     """Sub-marginal of a measure carried by the given (idx, mass) entries."""
     w = np.bincount(idx, weights=mass, minlength=len(measure))
     keep = w > 0
-    if not keep.any():
-        return DiscreteMeasure.empty(measure.dim)
     return DiscreteMeasure(measure.points[keep], w[keep], dim=measure.dim)
 
 
@@ -63,7 +62,6 @@ class PlanDecomposition:
     diagonal: TransportPlan
     off_diagonal: TransportPlan
     diag_source_marginal: DiscreteMeasure
-    diag_target_marginal: DiscreteMeasure
     off_source_marginal: DiscreteMeasure
     off_target_marginal: DiscreteMeasure
 
@@ -76,15 +74,14 @@ class PlanDecomposition:
         return float(self.off_diagonal.mass.sum())
 
 
+def _on_diagonal(plan):
+    """Mask of the entries whose source and target points are equal."""
+    return np.all(plan.source.points[plan.src_idx] == plan.target.points[plan.tgt_idx], axis=1)
+
+
 def decompose(plan):
     """Partition entries by exact point equality of source and target."""
-    if plan.n_entries:
-        on_diag = np.all(
-            plan.source.points[plan.src_idx] == plan.target.points[plan.tgt_idx],
-            axis=1,
-        )
-    else:
-        on_diag = np.zeros(0, dtype=bool)
+    on_diag = _on_diagonal(plan)
 
     def sub(mask):
         return TransportPlan(
@@ -101,7 +98,6 @@ def decompose(plan):
         diagonal=diag,
         off_diagonal=off,
         diag_source_marginal=_marginal(plan.source, diag.src_idx, diag.mass),
-        diag_target_marginal=_marginal(plan.target, diag.tgt_idx, diag.mass),
         off_source_marginal=_marginal(plan.source, off.src_idx, off.mass),
         off_target_marginal=_marginal(plan.target, off.tgt_idx, off.mass),
     )
@@ -129,21 +125,27 @@ def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     ``off_marginals_singular`` holds when no atom carries more than
     ``tol`` off-diagonal mass as both a source and a target.  Report
     only: the caller is responsible for the plan being optimal for a
-    strictly concave increasing cost.
+    strictly concave increasing cost.  ``mu`` and ``nu`` must equal the
+    plan's source and target (else ``ValueError``): one atom matching
+    pairs them, and the plan's masses are binned per atom.
     """
-    dec = decompose(plan)
-    common = meet(mu, nu).common
-    # meet residuals are the positive parts of the atomwise difference
-    diff = meet(dec.diag_source_marginal, common)
-    residuals = np.concatenate([diff.mu_residual.weights, diff.nu_residual.weights])
-    max_dev = float(residuals.max(initial=0.0))
-    off = meet(dec.off_source_marginal, dec.off_target_marginal)
-    shared = float(off.common.weights.max(initial=0.0))
+    if mu != plan.source or nu != plan.target:
+        raise ValueError("mu and nu must be the plan's source and target")
+    i, j, common, _, _ = _meet_weights(mu, nu)
+    on_diag = _on_diagonal(plan)
+    off = ~on_diag
+    deviation = np.zeros(len(mu))  # common minus diagonal mass, per source atom
+    deviation[i] = common
+    deviation -= np.bincount(plan.src_idx[on_diag], weights=plan.mass[on_diag], minlength=len(mu))
+    max_dev = float(np.abs(deviation).max(initial=0.0))
+    off_src = np.bincount(plan.src_idx[off], weights=plan.mass[off], minlength=len(mu))
+    off_tgt = np.bincount(plan.tgt_idx[off], weights=plan.mass[off], minlength=len(nu))
+    shared = float(np.minimum(off_src[i], off_tgt[j]).max(initial=0.0))
     return StayAtRestReport(
         diag_matches_meet=max_dev <= tol,
         off_marginals_singular=shared <= tol,
-        diag_mass=dec.diagonal_mass,
-        meet_mass=common.total_mass,
+        diag_mass=float(plan.mass[on_diag].sum()),
+        meet_mass=float(common.sum()),
         max_diag_deviation=max_dev,
         max_shared_off_mass=shared,
     )

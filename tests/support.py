@@ -9,9 +9,11 @@ HiGHS, independent code that scales to a few hundred atoms.  The
 isotropy reference scans every atom for every cone.  The map references
 are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
-The cyclical-monotonicity reference checks 3-cycles with the per-entry
-loop that ``structure.verify_ccm`` replaces with enumerated cycles, and
-4-cycles by brute force over permutations.
+The stay-at-rest reference audits a plan through its decomposition and
+lattice meets of measures, where ``structure.verify_stay_at_rest``
+reads atom indices.  The cyclical-monotonicity reference checks 3-cycles
+with the per-entry loop that ``structure.verify_ccm`` replaces with
+enumerated cycles, and 4-cycles by brute force over permutations.
 
 ``ReferenceKernel`` is the Python and numpy code that the compiled
 kernel ``_pivot.c`` ports, entry point for entry point, and must match
@@ -32,7 +34,7 @@ from scipy.spatial.distance import cdist
 from concave_ot import solver
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
-from concave_ot.measures import DiscreteMeasure
+from concave_ot.measures import DiscreteMeasure, meet
 from concave_ot.solver import (
     _TREE_LISTS,
     _budget_exhausted,
@@ -48,6 +50,7 @@ from concave_ot.structure import (
     MapExtract,
     ReconstructionResult,
     SplitSource,
+    StayAtRestReport,
     decompose,
 )
 
@@ -417,6 +420,27 @@ def reconstruct_reference(
     return result
 
 
+def verify_stay_at_rest_reference(mu, nu, plan, tol=1e-9):
+    """``structure.verify_stay_at_rest`` through measures: the plan's
+    decomposition, then three lattice meets of its marginals."""
+    dec = decompose(plan)
+    common = meet(mu, nu).common
+    # meet residuals are the positive parts of the atomwise difference
+    diff = meet(dec.diag_source_marginal, common)
+    residuals = np.concatenate([diff.mu_residual.weights, diff.nu_residual.weights])
+    max_dev = float(residuals.max(initial=0.0))
+    off = meet(dec.off_source_marginal, dec.off_target_marginal)
+    shared = float(off.common.weights.max(initial=0.0))
+    return StayAtRestReport(
+        diag_matches_meet=max_dev <= tol,
+        off_marginals_singular=shared <= tol,
+        diag_mass=dec.diagonal_mass,
+        meet_mass=common.total_mass,
+        max_diag_deviation=max_dev,
+        max_shared_off_mass=shared,
+    )
+
+
 def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
     """``structure.verify_ccm`` with every cycle checked, as loops.
 
@@ -498,6 +522,9 @@ class ReferenceKernel:
         return _pivot_loop(tree, pivot_budget)
 
     def distances(self, x, y):
+        # the shape check of _CompiledKernel.distances, which wraps the C code
+        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+            raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
         return _numpy_distances(x, y)
 
     def pair_scores(self, src, tgt, C):

@@ -298,6 +298,12 @@ class TestCounterexampleCommand:
     def test_bad_n_exit_2(self, tmp_path):
         assert main(["counterexample", "--n", "0", "--out", str(tmp_path / "o")]) == 2
 
+    def test_empty_n_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["counterexample", "--n", ",", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n must list at least one value\n"
+        assert not out.exists()
+
 
 class TestTranslationCommand:
     def test_small_instance(self, tmp_path):

@@ -18,7 +18,7 @@ from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost
 from concave_ot.measures import (
     DiscreteMeasure, save_measure, three_segments, translate, uniform_box,
 )
-from concave_ot.structure import CcmReport, verify_ccm
+from concave_ot.structure import CcmReport, StayAtRestReport, verify_ccm, verify_stay_at_rest
 from concave_ot.solver import (
     MARGINAL_TOL,
     Certificate,
@@ -43,6 +43,7 @@ from support import (
     on_both_kernel_paths,
     random_instance,
     record_kernel_calls,
+    verify_stay_at_rest_reference,
 )
 
 P05 = PowerCost(0.5)
@@ -497,6 +498,9 @@ def test_map_regime_seed_0_pinned(monkeypatch):
     )
     ccm = on_both_kernel_paths(verify_ccm, plan, P05, max_cycle_len=3, seed=0)
     assert ccm == CcmReport(1_099_000, -3.3788566833337086e-08, None)
+    rest = verify_stay_at_rest(mu, nu, plan)
+    assert rest == StayAtRestReport(True, True, 0.0, 0.0, 0.0, 0.0)
+    assert repr(rest) == repr(verify_stay_at_rest_reference(mu, nu, plan))
 
 
 STARTUP_SCRIPT = textwrap.dedent("""

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from concave_ot import solver, structure
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
-from concave_ot.measures import DiscreteMeasure, three_segments, uniform_box
-from concave_ot.solver import DualPotentials, TransportPlan, solve_exact
+from concave_ot.measures import DiscreteMeasure, _meet_weights, three_segments, uniform_box
+from concave_ot.solver import DualPotentials, TransportPlan, solve_exact, solve_with_meet
 from concave_ot.structure import (
     decompose,
     detect_kink_events,
@@ -28,6 +28,7 @@ from support import (
     reconstruct_reference,
     record_kernel_calls,
     verify_ccm_reference,
+    verify_stay_at_rest_reference,
 )
 
 P05 = PowerCost(0.5)
@@ -121,6 +122,89 @@ class TestStayAtRest:
         rep = verify_stay_at_rest(mu, nu, plan)
         assert not rep.diag_matches_meet
         assert not rep.off_marginals_singular  # atom 0 is both source and target
+
+    def test_foreign_measures_rejected(self):
+        mu, nu = overlapping_instance(np.random.default_rng(5))
+        plan, _, _ = solve_exact(mu, nu, P05)
+        other = DiscreteMeasure(mu.points, mu.weights[::-1])
+        for args in ((other, nu), (mu, other), (nu, mu)):
+            with pytest.raises(ValueError, match="must be the plan's source and target"):
+                verify_stay_at_rest(*args, plan)
+        # equal measures built apart are the plan's own
+        copy = DiscreteMeasure(nu.points[::-1], nu.weights[::-1])
+        assert verify_stay_at_rest(mu, copy, plan) == verify_stay_at_rest(mu, nu, plan)
+
+    def test_one_atom_matching_and_no_measure_built(self, monkeypatch):
+        mu, nu = overlapping_instance(np.random.default_rng(6))
+        plan, _, _, _, _ = solve_with_meet(mu, nu, P05)
+        unique, inner_unique = [], np.unique
+        built, inner_init = [], DiscreteMeasure.__init__
+
+        def counting_unique(*args, **kwargs):
+            unique.append(1)
+            return inner_unique(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            inner_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
+        monkeypatch.setattr(structure, "decompose", None)
+        rep = verify_stay_at_rest(mu, nu, plan)
+        assert (len(unique), len(built)) == (1, 0)
+        assert rep.ok and rep.diag_mass == rep.meet_mass > 0.0
+
+
+def _stay_at_rest_plans(rng, d):
+    """Plans on one seeded overlapping pair in dimension ``d``: the
+    optimal plan, the same entries shuffled, the presolved plan of
+    ``solve_with_meet``, the optimal plan with masses nudged by up to
+    1e-3 and repeated entries of mass up to 1e-4 (zero for some), and a
+    random plan whose entries repeat, include diagonal pairs and have
+    masses of zero or of a common weight."""
+    shared, extra_mu, extra_nu = rng.integers(0, 7, size=3)
+    if shared + extra_mu == 0 or shared + extra_nu == 0:
+        shared = 1
+    mu, nu = overlapping_instance(rng, shared, extra_mu, extra_nu, d)
+    plan, _, _ = solve_exact(mu, nu, P05)
+    order = rng.permutation(plan.n_entries)
+    shuffled = TransportPlan(source=mu, target=nu, src_idx=plan.src_idx[order],
+                             tgt_idx=plan.tgt_idx[order], mass=plan.mass[order])
+    again = rng.integers(0, plan.n_entries, plan.n_entries)
+    extra = rng.uniform(0.0, 1e-4, len(again)) * (rng.random(len(again)) < 0.8)
+    nudged = TransportPlan(
+        source=mu, target=nu,
+        src_idx=np.concatenate([plan.src_idx, plan.src_idx[again]]),
+        tgt_idx=np.concatenate([plan.tgt_idx, plan.tgt_idx[again]]),
+        mass=np.concatenate([plan.mass * rng.uniform(0.999, 1.001, plan.n_entries), extra]),
+    )
+    k = int(rng.integers(1, 3 * (len(mu) + len(nu))))
+    src, tgt = rng.integers(0, len(mu), k), rng.integers(0, len(nu), k)
+    mass = rng.uniform(0.0, 2.0 / k, k)
+    i, j, common, _, _ = _meet_weights(mu, nu)
+    if len(i):  # some entries on the diagonal, some of them repeated
+        pick = rng.integers(0, len(i), k)
+        diag = rng.random(k) < 0.5
+        src[diag], tgt[diag] = i[pick[diag]], j[pick[diag]]
+        exact = diag & (rng.random(k) < 0.5)
+        mass[exact] = common[pick[exact]]
+    mass[rng.random(k) < 0.2] = 0.0
+    random_plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=mass)
+    return mu, nu, [plan, shuffled, solve_with_meet(mu, nu, P05)[0], nudged, random_plan]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_stay_at_rest_matches_meet_reference(d):
+    # 4 x 30 pairs x 5 plans x 2 tolerances = 1,200 audits, each report
+    # identical to the meet-based reference's in every bit
+    rng = np.random.default_rng(100 + d)
+    for _ in range(30):
+        mu, nu, plans = _stay_at_rest_plans(rng, d)
+        for plan in plans:
+            for tol in (1e-9, 1e-2):
+                got = verify_stay_at_rest(mu, nu, plan, tol=tol)
+                assert repr(got) == repr(verify_stay_at_rest_reference(mu, nu, plan, tol=tol))
 
 
 class TestCcm:
