@@ -14,27 +14,34 @@
  * lines out by the same (remainder, epsilon) rule.
  * In the loop, block pricing with Dantzig's rule inside a block, the
  * two-walk leaving rule, remove_edge / make_root / add_edge on the
- * thread, and the subtree potential update follow the reference line for
- * line, except that pricing finds np.argmin's arc in two passes (the
- * least reduced cost, then the first arc that has it).  Every remainder,
- * flow, reduced cost and potential is computed by the same
- * floating-point operations in the same order; built with
+ * thread, and the subtree potential update follow the reference, with
+ * two shortcuts that leave every pivot and every array the same:
+ * - pricing finds np.argmin's arc in two passes: the least reduced cost
+ *   of the block, CHUNK arcs at a time, noting the first chunk that
+ *   lowers it, then the first arc of that chunk that has it;
+ * - the walks of remove_edge and add_edge that update size and last stop
+ *   at the pivot cycle's apex.  The subtree cut off below the apex comes
+ *   back below it, so no size above the apex changes, and last changes
+ *   only on the ancestors whose subtree ended where the apex's did: one
+ *   walk up from the apex sets those.
+ * Every remainder, flow, reduced cost and potential is computed by the
+ * same floating-point operations in the same order; built with
  * -ffp-contract=off (no fused multiply-add), the kernel and its
- * reference return the same bits.  distances sums the squared coordinate differences in order from
- * 0.0 and takes the square root, as scipy's cdist and the numpy
- * reference _numpy_distances do, with the same bits.
+ * reference return the same bits.  distances sums the squared coordinate
+ * differences in order from 0.0 and takes the square root, as scipy's
+ * cdist and the numpy reference _numpy_distances do, with the same bits.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
  * all support entries and cycle_scores a block of cycles, reading the
  * cost of entry i's source atom and entry j's target atom at
- * C[src_i][tgt_j], as the numpy references _numpy_pair_scores and
- * _numpy_cycle_scores do; certify_maxima returns the two maxima of
- * _numpy_certify_maxima.
- * Each computes every value by the same operations in the same order as
- * its reference and returns numpy's first argmax (the first NaN if there
- * is one) or numpy's NaN-propagating max, so the reports keep their
- * bits.
+ * C[src_i][tgt_j] (cycle_scores reads each entry's own cost from the
+ * caller's base = C[src, tgt]), as the numpy references
+ * _numpy_pair_scores and _numpy_cycle_scores do; certify_maxima returns
+ * the two maxima of _numpy_certify_maxima.  Each computes every value by
+ * the same operations in the same order as its reference and returns
+ * numpy's first argmax (the first NaN if there is one) or numpy's
+ * NaN-propagating max, so the reports keep their bits.
  *
  * solver._compiled_kernel builds this file with the system cc and calls
  * the six entry points through ctypes; there is no other path, so
@@ -422,33 +429,45 @@ static double row_min(const Tree *t, i64 i, i64 j0, i64 j1, int *nan)
     return a2 < a0 ? a2 : a0;
 }
 
+enum { CHUNK = 64 };
+
 static i64 find_entering(Tree *t)
 {
-    const i64 m = t->m, n = t->n;
+    const i64 n = t->n;
     for (i64 misses = 0; misses < t->n_blocks; misses++) {
         i64 lo = t->f_ptr;
         i64 hi = lo + t->block < t->num_arcs ? lo + t->block : t->num_arcs;
         t->f_ptr = hi % t->num_arcs;
         /* np.argmin(rc) is the first arc with the block's least reduced
          * cost, or the first NaN, which never prices in.  Find that least
-         * value one row run at a time, then the first arc that has it. */
+         * value CHUNK arcs at a time, one row run of a chunk at a time,
+         * and note the first chunk that lowers it: the first arc that has
+         * the least value lies in that chunk. */
         double best_rc = INFINITY;
+        i64 best_lo = lo, i = lo / n, j = lo % n;
         int nan = 0;
-        for (i64 k = lo; k < hi;) {
-            i64 i = k / n, end = (i + 1) * n < hi ? (i + 1) * n : hi;
-            double rc = row_min(t, i, k - i * n, end - i * n, &nan);
-            best_rc = rc < best_rc ? rc : best_rc;
-            k = end;
+        for (i64 k = lo; k < hi; k += CHUNK) {
+            i64 left = hi - k < CHUNK ? hi - k : CHUNK;
+            double rc = INFINITY;
+            while (left) {
+                i64 run = n - j < left ? n - j : left;
+                double r = row_min(t, i, j, j + run, &nan);
+                rc = r < rc ? r : rc;
+                left -= run;
+                if ((j += run) == n)
+                    i++, j = 0;
+            }
+            if (rc < best_rc)
+                best_rc = rc, best_lo = k;
         }
         if (nan || !(best_rc < -t->opt_tol))
             continue;
-        for (i64 k = lo; k < hi;) {
-            i64 i = k / n, end = (i + 1) * n < hi ? (i + 1) * n : hi;
-            const double *c = t->cost + i * n, *pi_t = t->pi + m, pi_i = t->pi[i];
-            for (i64 j = k - i * n; j < end - i * n; j++)
-                if (c[j] - pi_i + pi_t[j] == best_rc)
-                    return i * n + j;
-            k = end;
+        i = best_lo / n, j = best_lo % n;
+        for (i64 k = best_lo; k < hi && k < best_lo + CHUNK; k++) {
+            if (t->cost[k] - t->pi[i] + t->pi[t->m + j] == best_rc)
+                return k;
+            if (++j == n)
+                i++, j = 0;
         }
     }
     return -1;
@@ -472,8 +491,9 @@ static i64 find_apex(const Tree *t, i64 p, i64 q)
     }
 }
 
-/* detach the subtree rooted at c (parent[c] == s) */
-static void remove_edge(Tree *t, i64 s, i64 c)
+/* detach the subtree rooted at c (parent[c] == s), updating size and
+ * last from s up to the apex, an ancestor of s */
+static void remove_edge(Tree *t, i64 s, i64 c, i64 apex)
 {
     i64 *parent = t->parent, *size = t->size, *last = t->last;
     i64 *next = t->next, *prev = t->prev;
@@ -484,10 +504,12 @@ static void remove_edge(Tree *t, i64 s, i64 c)
     prev[next_last_c] = prev_c;
     next[last_c] = c;
     prev[c] = last_c;
-    for (; s != -1; s = parent[s]) {
+    for (;; s = parent[s]) {
         size[s] -= size_c;
         if (last[s] == last_c)
             last[s] = prev_c;
+        if (s == apex)
+            return;
     }
 }
 
@@ -525,8 +547,9 @@ static void make_root(Tree *t, i64 q)
     }
 }
 
-/* attach the tree rooted at q under p via the given arc */
-static void add_edge(Tree *t, i64 arc, i64 p, i64 q, double f)
+/* attach the tree rooted at q under p via the given arc, updating size
+ * and last from p up to the apex, an ancestor of p */
+static void add_edge(Tree *t, i64 arc, i64 p, i64 q, double f, i64 apex)
 {
     i64 *parent = t->parent, *size = t->size, *last = t->last;
     i64 *next = t->next, *prev = t->prev;
@@ -539,10 +562,12 @@ static void add_edge(Tree *t, i64 arc, i64 p, i64 q, double f)
     prev[q] = last_p;
     prev[next_last_p] = last_q;
     next[last_q] = next_last_p;
-    for (; p != -1; p = parent[p]) {
+    for (;; p = parent[p]) {
         size[p] += size_q;
         if (last[p] == last_p)
             last[p] = last_q;
+        if (p == apex)
+            return;
     }
 }
 
@@ -591,9 +616,16 @@ int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
                 flow[v] += v >= m ? theta : -theta;
         }
 
-        remove_edge(&t, parent[t_leave], t_leave);
+        /* The subtree cut off below the apex comes back below it, so no
+         * size above the apex changes, and the last thread node changes
+         * only on the ancestors whose subtree ended where the apex's did. */
+        i64 apex_last = last[apex];
+        remove_edge(&t, parent[t_leave], t_leave, apex);
         make_root(&t, q_att);
-        add_edge(&t, arc, p_att, q_att, theta);
+        add_edge(&t, arc, p_att, q_att, theta, apex);
+        if (last[apex] != apex_last)
+            for (i64 v = parent[apex]; v != -1 && last[v] == apex_last; v = parent[v])
+                last[v] = last[apex];
         double d = q_att >= m ? pi[p_att] - c_ent - pi[q_att]
                               : pi[p_att] + c_ent - pi[q_att];
         if (d != 0.0) {
@@ -744,14 +776,15 @@ enum { PREFETCH = 16 };
 
 /* Cycles of len support entries, the rows t of `cycles` (count x len):
  * scores in order the first `limit` rows whose entries are distinct,
- * skipping the others, by (sum of c(t_i, t_i)) - (sum of c(t_i, t_{i+1})),
+ * skipping the others, by (sum of b_{t_i}) - (sum of c(t_i, t_{i+1})),
  * i + 1 taken mod len, each sum taken left to right from its first term
  * as numpy's sum(axis=1) does; entries index src and tgt as in
- * pair_scores.  Writes np.argmax of the scores, as a row of `cycles`, to
- * *at (-1 if none) and its score to *best; returns the number of rows
- * scored. */
+ * pair_scores, and base[k] = b_k = C[src_k][tgt_k] is the caller's, built
+ * once for all blocks of cycles.  Writes np.argmax of the scores, as a
+ * row of `cycles`, to *at (-1 if none) and its score to *best; returns
+ * the number of rows scored. */
 i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const i64 *src,
-                 const i64 *tgt, const double *C, double *best, i64 *at)
+                 const i64 *tgt, const double *C, const double *base, double *best, i64 *at)
 {
     const Support sup = {n, src, tgt, C};
     double top = -INFINITY;
@@ -761,10 +794,8 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
         if (c + PREFETCH < count) {
             /* the matrix reads are random: ask for those of a later row */
             const i64 *u = t + PREFETCH * len;
-            for (i64 i = 0; i < len; i++) {
-                __builtin_prefetch(C + src[u[i]] * n + tgt[u[i]]);
+            for (i64 i = 0; i < len; i++)
                 __builtin_prefetch(C + src[u[i]] * n + tgt[u[i + 1 < len ? i + 1 : 0]]);
-            }
         }
         int distinct = 1;
         for (i64 s = 0; s < len; s++)
@@ -772,9 +803,9 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
                 distinct &= t[s] != t[u];
         if (!distinct)
             continue;
-        double sb = entry_cost(&sup, t[0], t[0]), sc = entry_cost(&sup, t[0], t[1]);
+        double sb = base[t[0]], sc = entry_cost(&sup, t[0], t[1]);
         for (i64 i = 1; i < len; i++)
-            sb += entry_cost(&sup, t[i], t[i]);
+            sb += base[t[i]];
         for (i64 i = 1; i < len - 1; i++)
             sc += entry_cost(&sup, t[i], t[i + 1]);
         sc += entry_cost(&sup, t[len - 1], t[0]);

@@ -33,7 +33,14 @@ basis and its threaded tree (``starting_tree``), and pricing, leaving
 arc, tree surgery and potential update (``pivot_loop``).  The start
 takes arcs in (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
-place, so it copies no part of the cost matrix.  The same library
+place, so it copies no part of the cost matrix.  The loop prices a
+block 64 arcs at a time and rescans only the first 64-arc chunk that
+lowered the block's least reduced cost for the arc that has it; its
+tree updates stop at the pivot cycle's apex, since the subtree cut off
+below the apex comes back below it: no size above the apex changes, and
+one walk up from the apex moves the last thread node of the ancestors
+whose subtree ended where the apex's did.  Both shortcuts keep every
+pivot and every array the same.  The same library
 computes the Euclidean distances each cost matrix is made of
 (``distances``, called by ``costs._distances``), and scores two audits
 in one pass over a cost matrix, with no m x n temporary: the pair swaps
@@ -483,7 +490,9 @@ class _CompiledKernel:
         ]
         self._pair_scores.restype = None
         self._cycle_scores = self._lib.cycle_scores
-        self._cycle_scores.argtypes = [i64, i64, i64, index, i64, index, index, costs, *out]
+        self._cycle_scores.argtypes = [
+            i64, i64, i64, index, i64, index, index, costs, costs, *out,
+        ]
         self._cycle_scores.restype = i64
         self._certify_maxima = self._lib.certify_maxima
         self._certify_maxima.argtypes = [i64, i64, costs, costs, costs, floats]
@@ -533,19 +542,23 @@ class _CompiledKernel:
         self._pair_scores(S, C.shape[1], src, tgt, C, np.empty(2 * S), ctypes.byref(best), at)
         return best.value, int(at[0]), int(at[1])
 
-    def cycle_scores(self, cycles, limit, src, tgt, C):
+    def cycle_scores(self, cycles, limit, src, tgt, C, base):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, each the sum of its entries' costs minus that with every
-        entry's target taken from the next; returns (rows scored,
-        np.argmax value, its row or None)."""
+        entry, each the sum of its entries' costs ``base`` (C[src, tgt],
+        built once by the caller) minus that with every entry's target
+        taken from the next; returns (rows scored, np.argmax value, its
+        row or None)."""
         src, tgt, C = _support(src, tgt, C)
+        base = np.ascontiguousarray(base, dtype=float)
+        if base.shape != src.shape:
+            raise ValueError("base costs do not match the support")
         cycles = np.ascontiguousarray(cycles, dtype=np.int64)
         count, length = cycles.shape
         if count and not 0 <= cycles.min() <= cycles.max() < len(src):
             raise ValueError("cycles do not match the support")
         best, at = ctypes.c_double(), ctypes.c_int64()
         scored = self._cycle_scores(
-            count, length, limit, cycles, C.shape[1], src, tgt, C, ctypes.byref(best),
+            count, length, limit, cycles, C.shape[1], src, tgt, C, base, ctypes.byref(best),
             ctypes.byref(at),
         )
         return scored, best.value, cycles[at.value] if at.value >= 0 else None

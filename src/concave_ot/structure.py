@@ -185,11 +185,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     Every cost is read by index from the plan's m x n cost matrix C,
     built once: entry k runs from source atom src_k to target atom
     tgt_k, so the cost of entry k's source and entry l's target is
-    C[src_k, tgt_l].  Since every atom has an entry, S >= max(m, n) and
-    C is never larger than the S x S matrix of the support.  Like
-    :func:`solver.solve_exact`, this raises :class:`solver.SolverError`
-    when C has more than ``MAX_DENSE_ENTRIES`` entries or a non-finite
-    one.  Enumerated cycles are scored ``_CCM_CYCLES`` at a time.  The
+    C[src_k, tgt_l]; the entries' own costs b = C[src, tgt] are gathered
+    once for all cycle blocks.  Since every atom has an entry,
+    S >= max(m, n) and C is never larger than the S x S matrix of the
+    support.  Like :func:`solver.solve_exact`, this raises
+    :class:`solver.SolverError` when C has more than
+    ``MAX_DENSE_ENTRIES`` entries or a non-finite one.  Enumerated cycles are scored ``_CCM_CYCLES`` at a time.  The
     compiled kernel of :mod:`concave_ot.solver` scores the pair swaps
     (``pair_scores``) and the cycles (``cycle_scores``), reading C in
     place.
@@ -203,6 +204,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)
     src, tgt = plan.src_idx, plan.tgt_idx
     C = solver._dense_cost_matrix(plan.source, plan.target, cost)
+    base = C[src, tgt]  # each entry's own cost, read by every cycle block
     kernel = solver._compiled_kernel()
 
     worst = -math.inf
@@ -224,7 +226,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         entry into (best, cycle), numpy's argmax over all blocks of one
         length; returns how many it scored."""
         nonlocal best, cycle, checked
-        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C)
+        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C, base)
         checked += scored
         # an earlier block keeps ties, and the first NaN stays
         if value > best or (value != value and best == best):
@@ -300,7 +302,18 @@ def extract_map(decomp, mass_tol=1e-9):
     carry.
     """
     off = decomp.off_diagonal
-    src, tgt, w = off.src_idx, off.tgt_idx, off.mass
+    return _map_of_entries(off.src_idx, off.tgt_idx, off.mass, mass_tol)
+
+
+def _off_diagonal_map(plan, mass_tol=1e-9):
+    """``extract_map(decompose(plan), mass_tol)``, with the off-diagonal
+    entries picked out by one mask: no sub-plans and no marginals."""
+    off = ~_on_diagonal(plan)
+    return _map_of_entries(plan.src_idx[off], plan.tgt_idx[off], plan.mass[off], mass_tol)
+
+
+def _map_of_entries(src, tgt, w, mass_tol):
+    """The :class:`MapExtract` of off-diagonal entries (src, tgt, w)."""
     # by source, then largest mass first; lexsort is stable, so the first
     # entry of each group is its first largest one in plan order
     order = np.lexsort((-w, src))
@@ -418,7 +431,7 @@ def reconstruct_map_from_potential(
         near_diagonal=near_diag,
     )
     if plan is not None:
-        extract = extract_map(decompose(plan))
+        extract = _off_diagonal_map(plan)
         lp = np.full((n, d), np.nan)
         lp[extract.assigned_sources] = nu.points[extract.assigned_targets]
         err = np.linalg.norm(y_pred - lp, axis=1)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from concave_ot import solver
+from concave_ot import cli, solver, structure
 from concave_ot.cli import limit_plan_pair, main, solve_with_meet
 from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
@@ -267,8 +267,17 @@ class TestDecomposeCommand:
         assert not out.exists()
 
 
+def no_decompose(monkeypatch):
+    """Makes a call of structure.decompose fail: the split fractions of
+    counterexample and reconstruct read the plan's off-diagonal entries
+    through one mask and build none of its marginal measures."""
+    monkeypatch.setattr(cli, "decompose", None)
+    monkeypatch.setattr(structure, "decompose", None)
+
+
 class TestCounterexampleCommand:
-    def test_envelope_and_monotonicity(self, tmp_path):
+    def test_envelope_and_monotonicity(self, tmp_path, monkeypatch):
+        no_decompose(monkeypatch)
         out = tmp_path / "ce"
         rc = main(["counterexample", "--n", "1,2,4", "--alpha", "0.5",
                    "--out", str(out)])
@@ -371,7 +380,8 @@ class TestIsotropyCommand:
 
 
 class TestReconstructCommand:
-    def test_separated_clouds(self, tmp_path):
+    def test_separated_clouds(self, tmp_path, monkeypatch):
+        no_decompose(monkeypatch)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_measure(uniform_box(300, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=7), a)
         save_measure(uniform_box(300, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=8), b)

@@ -308,14 +308,18 @@ def _copy(tree):
 
 
 def _run_both_loops(mu, nu, cost, pivot_budget=10**9):
-    """(pivots, flow bytes, arc-id bytes, pi bytes) from the Python loop
-    and from the compiled one, each run on a copy of the same start."""
+    """The pivot count and the bytes of every array of the tree (parent,
+    parc, flow, size, last, next_, prev_ and pi) from the Python loop and
+    from the compiled one, each run on a copy of the same start."""
     tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
     out = []
     for loop in (ReferenceKernel().pivot_loop, _compiled_kernel().pivot_loop):
         t = _copy(tree)
         pivots = loop(t, pivot_budget)
-        out.append((pivots, t.flow[1:].tobytes(), t.parc[1:].tobytes(), t.pi.tobytes()))
+        out.append({
+            "pivots": pivots,
+            **{name: getattr(t, name).tobytes() for name in (*solver._TREE_LISTS, "pi")},
+        })
     return out
 
 
@@ -331,6 +335,23 @@ def _both_starts(a, b, C):
             **{name: getattr(tree, name).tobytes() for name in ("cost", *solver._TREE_LISTS, "pi")},
         })
     return out
+
+
+# (pair, cost, pivots): pricing blocks of several 64-arc chunks.  The
+# 20 x 20 grids have 400 atoms a side, so a block of 400 arcs spans 7
+# chunks, and their lattice distances tie many reduced costs; the 100-arc
+# blocks of the 30 x 333 pair cross row ends.
+LOOP_INSTANCES = [
+    pytest.param(_unit_grid_pair(20, (2.0, 1.0)), PiecewiseConcaveCost([0.5, 1.5], [2, 1, 0.25]),
+                 1806, id="grid20_tied"),
+    pytest.param(
+        (
+            uniform_box(30, 2, seed=10),
+            uniform_box(333, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11),
+        ),
+        P05, 1149, id="separated_30x333",
+    ),
+]
 
 
 @pytest.fixture
@@ -351,6 +372,12 @@ class TestCompiledPivotLoop:
     def test_matches_python_loop(self, pair, cost):
         python, compiled = _run_both_loops(*pair, cost)
         assert compiled == python
+
+    @pytest.mark.parametrize("pair, cost, pivots", LOOP_INSTANCES)
+    def test_matches_python_loop_over_chunks(self, pair, cost, pivots):
+        python, compiled = _run_both_loops(*pair, cost)
+        assert compiled == python
+        assert python["pivots"] == pivots
 
     @settings(max_examples=100, deadline=None)
     @given(instance=st.one_of(lp_instances(), tie_heavy_instances()))

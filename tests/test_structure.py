@@ -456,8 +456,8 @@ class TestAuditScorers:
             # rows with a repeated entry are skipped
             cycles = rng.integers(0, S, (300, length))
             for limit in (1, 40, 300, 10**6):
-                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C)
-                got = kernel.cycle_scores(cycles, limit, src, tgt, C)
+                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C, C[src, tgt])
+                got = kernel.cycle_scores(cycles, limit, src, tgt, C, C[src, tgt])
                 assert got[0] == want[0] and same_float(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
 
@@ -469,10 +469,13 @@ class TestAuditScorers:
                 kernel.pair_scores(np.array(src), np.array(tgt), C)
             with pytest.raises(ValueError, match="support indices"):
                 kernel.cycle_scores(np.zeros((1, 3), dtype=np.int64), 1, np.array(src),
-                                    np.array(tgt), C)
+                                    np.array(tgt), C, np.zeros(len(src)))
         with pytest.raises(ValueError, match="cycles do not match"):
             kernel.cycle_scores(np.array([[0, 1, 2]]), 1, np.zeros(2, np.int64),
-                                np.zeros(2, np.int64), C)
+                                np.zeros(2, np.int64), C, np.zeros(2))
+        with pytest.raises(ValueError, match="base costs do not match"):
+            kernel.cycle_scores(np.array([[0, 1, 0]]), 1, np.zeros(2, np.int64),
+                                np.zeros(2, np.int64), C, np.zeros(3))
 
     @pytest.mark.parametrize(
         "layout", [lambda v: v.astype(np.float32), np.asfortranarray], ids=["float32", "fortran"]
@@ -599,6 +602,19 @@ class TestExtractMap:
         assert plan.transport_cost(P05) == pytest.approx(1.0, abs=1e-15)
 
 
+def assert_same_extract(got, want):
+    """Two :class:`MapExtract` with the same bits in every field."""
+    for name in ("assigned_sources", "assigned_targets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert len(got.splits) == len(want.splits)
+    for a, b in zip(got.splits, want.splits):
+        assert a.source == b.source
+        assert a.targets.tobytes() == b.targets.tobytes()
+        assert a.masses.tobytes() == b.masses.tobytes()
+    assert repr(got.split_fraction) == repr(want.split_fraction)
+
+
 @st.composite
 def split_plans(draw):
     """Plans with tied masses, many split sources and diagonal-only sources.
@@ -645,6 +661,13 @@ class TestExtractMapReference:
             np.testing.assert_array_equal(a.masses, b.masses)
         # group and split totals are numpy sums, not Python's running sum
         assert got.split_fraction == pytest.approx(ref.split_fraction, rel=1e-13, abs=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(plan=split_plans(), mass_tol=st.sampled_from([1e-9, 0.3]))
+    def test_off_diagonal_map_is_extract_of_decompose(self, plan, mass_tol):
+        got = structure._off_diagonal_map(plan, mass_tol=mass_tol)
+        want = extract_map(decompose(plan), mass_tol=mass_tol)
+        assert_same_extract(got, want)
 
     def test_tie_keeps_first_in_plan_order(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
@@ -803,12 +826,15 @@ class TestReconstructionReference:
         np.testing.assert_allclose(got.radii, ref.radii, rtol=1e-8, atol=0)
         np.testing.assert_allclose(got.y_pred, ref.y_pred, rtol=1e-8, atol=1e-10)
 
-    def test_matches_loop_with_plan(self):
+    def test_matches_loop_with_plan(self, monkeypatch):
         mu = uniform_box(120, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=30)
         nu = uniform_box(120, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=31)
         plan, pots, _ = solve_exact(mu, nu, P05)
-        got = reconstruct_map_from_potential(pots, mu, nu, P05, plan=plan)
         ref = reconstruct_reference(pots, mu, nu, P05, plan=plan)
+        # the plan's off-diagonal entries come from one mask, with none of
+        # the marginal measures that decompose builds
+        monkeypatch.setattr(structure, "decompose", None)
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, plan=plan)
         np.testing.assert_array_equal(got.lp_targets, ref.lp_targets)
         np.testing.assert_allclose(got.pred_error, ref.pred_error, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(
