@@ -17,19 +17,25 @@
  * thread, and the subtree potential update follow the reference, with
  * two shortcuts that leave every pivot and every array the same:
  * - pricing finds np.argmin's arc in two passes: the least reduced cost
- *   of the block, CHUNK arcs at a time, noting the first chunk that
- *   lowers it, then the first arc of that chunk that has it;
+ *   of the block, CHUNK arcs at a time in vectors of two doubles (the
+ *   lanes' minima and NaN counts merged at each row run's end), noting the
+ *   first chunk that lowers it, then the first arc of that chunk that has
+ *   it;
  * - the walks of remove_edge and add_edge that update size and last stop
  *   at the pivot cycle's apex.  The subtree cut off below the apex comes
  *   back below it, so no size above the apex changes, and last changes
  *   only on the ancestors whose subtree ended where the apex's did: one
  *   walk up from the apex sets those.
+ * The potential update walks the entering subtree's size along the
+ * thread and returns BROKEN_THREAD unless that walk ends at the subtree's
+ * last node, so a wrong last cannot make it run forever.
  * Every remainder, flow, reduced cost and potential is computed by the
- * same floating-point operations in the same order; built with
- * -ffp-contract=off (no fused multiply-add), the kernel and its
- * reference return the same bits.  distances sums the squared coordinate
- * differences in order from 0.0 and takes the square root, as scipy's
- * cdist and the numpy reference _numpy_distances do, with the same bits.
+ * same floating-point operations in the same order, in a vector lane or
+ * not; built with -ffp-contract=off (no fused multiply-add), the kernel
+ * and its reference return the same bits.  distances sums the squared
+ * coordinate differences in order from 0.0 and takes the square root, as
+ * scipy's cdist and the numpy reference _numpy_distances do, with the
+ * same bits.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
@@ -38,25 +44,32 @@
  * C[src_i][tgt_j] (cycle_scores reads each entry's own cost from the
  * caller's base = C[src, tgt]), as the numpy references
  * _numpy_pair_scores and _numpy_cycle_scores do; certify_maxima returns
- * the two maxima of _numpy_certify_maxima.  Each computes every value by
- * the same operations in the same order as its reference and returns
- * numpy's first argmax (the first NaN if there is one) or numpy's
- * NaN-propagating max, so the reports keep their bits.
+ * the two maxima of _numpy_certify_maxima, two lanes at a time.  Each
+ * computes every value by the same operations in the same order as its
+ * reference and returns numpy's first argmax (the first NaN if there is
+ * one) or numpy's NaN-propagating max, so the reports keep their bits.
  *
- * solver._compiled_kernel builds this file with the system cc and calls
- * the six entry points through ctypes; there is no other path, so
- * without a compiler every solve raises solver.SolverError.  Node
- * arrays are indexed by node (sources 0..m-1, targets m..m+n-1) and
- * filled or updated in place; all state lives in the caller's arrays or
- * in memory allocated per call, so concurrent calls are safe.
+ * The vectors are GCC / Clang vector extensions of 16 bytes, native on
+ * SSE2 and on NEON, so no target emulates them.  solver._compiled_kernel
+ * builds this file with the system cc and -march=native, so that the
+ * compiler uses the host's encodings, and calls the six entry points
+ * through ctypes; there is no other path, so without a compiler every
+ * solve raises solver.SolverError.  Node arrays are indexed by node
+ * (sources 0..m-1, targets m..m+n-1) and filled or updated in place; all
+ * state lives in the caller's arrays or in memory allocated per call, so
+ * concurrent calls are safe.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef int64_t i64;
 
-enum { OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2, NO_MEMORY = 3, NOT_SPANNING = 4 };
+enum {
+    OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2, NO_MEMORY = 3, NOT_SPANNING = 4,
+    BROKEN_THREAD = 5,
+};
 
 /* ---- starting tree -------------------------------------------------- */
 
@@ -388,6 +401,44 @@ int starting_tree(i64 m, i64 n, const double *a, const double *b, const double *
     return thread_tree(m, n, cost, arcs, flows, parent, parc, flow, size, last, next, prev, pi);
 }
 
+/* ---- two-double vectors --------------------------------------------- */
+
+/* 16 bytes, a register of both SSE2 and NEON.  Lane-wise arithmetic
+ * rounds as scalar arithmetic does, and v2_min / v2_max pick lane by lane
+ * what the scalar x < y ? x : y and x > y ? x : y pick. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef i64 v2i __attribute__((vector_size(16)));
+
+static v2d v2_load(const double *p)
+{
+    v2d x;
+    memcpy(&x, p, sizeof x); /* p need not be 16-byte aligned */
+    return x;
+}
+
+static v2d v2_select(v2i mask, v2d x, v2d y)
+{
+    return (v2d)(((v2i)x & mask) | ((v2i)y & ~mask));
+}
+
+static v2d v2_min(v2d x, v2d y)
+{
+    return v2_select((v2i)(x < y), x, y);
+}
+
+static v2d v2_max(v2d x, v2d y)
+{
+    return v2_select((v2i)(x > y), x, y);
+}
+
+/* -1 in the lanes that are NaN, else 0: subtracting it counts them.
+ * (Or-ing it in would be the same flag, but GCC compiles that to scalar
+ * code on SSE2.) */
+static v2i v2_isnan(v2d x)
+{
+    return (v2i)(x != x);
+}
+
 /* ---- pivot loop ----------------------------------------------------- */
 
 typedef struct {
@@ -399,25 +450,29 @@ typedef struct {
 } Tree;
 
 /* Least reduced cost c_ij - pi_i + pi[m+j] over targets j0..j1-1 of
- * source i, kept in four running minima so that the comparisons do not
- * wait on each other; min is exact, so their order does not matter.
- * Sets *nan if a reduced cost is NaN. */
+ * source i, kept in four running minima, the lanes of two vectors.  Eight
+ * reduced costs a step: two vectors are compared first, so that only one
+ * comparison a step waits on each running minimum; min is exact, so the
+ * order does not matter.  Sets *nan if a reduced cost is NaN. */
 static double row_min(const Tree *t, i64 i, i64 j0, i64 j1, int *nan)
 {
     const double *c = t->cost + i * t->n, *pi_t = t->pi + t->m;
     const double pi_i = t->pi[i];
-    double a0 = INFINITY, a1 = INFINITY, a2 = INFINITY, a3 = INFINITY;
-    int bad = 0;
+    const v2d pi_i2 = {pi_i, pi_i};
+    v2d a01 = {INFINITY, INFINITY}, a23 = a01;
+    v2i nans = {0, 0};
     i64 j = j0;
-    for (; j + 4 <= j1; j += 4) {
-        double r0 = c[j] - pi_i + pi_t[j], r1 = c[j + 1] - pi_i + pi_t[j + 1];
-        double r2 = c[j + 2] - pi_i + pi_t[j + 2], r3 = c[j + 3] - pi_i + pi_t[j + 3];
-        bad |= (r0 != r0) | (r1 != r1) | (r2 != r2) | (r3 != r3);
-        a0 = r0 < a0 ? r0 : a0;
-        a1 = r1 < a1 ? r1 : a1;
-        a2 = r2 < a2 ? r2 : a2;
-        a3 = r3 < a3 ? r3 : a3;
+    for (; j + 8 <= j1; j += 8) {
+        v2d r01 = v2_load(c + j) - pi_i2 + v2_load(pi_t + j);
+        v2d r23 = v2_load(c + j + 2) - pi_i2 + v2_load(pi_t + j + 2);
+        v2d r45 = v2_load(c + j + 4) - pi_i2 + v2_load(pi_t + j + 4);
+        v2d r67 = v2_load(c + j + 6) - pi_i2 + v2_load(pi_t + j + 6);
+        nans -= (v2_isnan(r01) + v2_isnan(r23)) + (v2_isnan(r45) + v2_isnan(r67));
+        a01 = v2_min(v2_min(r01, r45), a01);
+        a23 = v2_min(v2_min(r23, r67), a23);
     }
+    double a0 = a01[0], a1 = a01[1], a2 = a23[0], a3 = a23[1];
+    int bad = (nans[0] | nans[1]) != 0;
     for (; j < j1; j++) {
         double r = c[j] - pi_i + pi_t[j];
         bad |= r != r;
@@ -571,9 +626,9 @@ static void add_edge(Tree *t, i64 arc, i64 p, i64 q, double f, i64 apex)
     }
 }
 
-/* Pivots until no arc prices in; returns OPTIMAL, BUDGET_EXHAUSTED or
- * NO_LEAVING_ARC and stores the pivot count in *pivots.  `work` is
- * scratch space of m + n entries. */
+/* Pivots until no arc prices in; returns OPTIMAL, BUDGET_EXHAUSTED,
+ * NO_LEAVING_ARC or BROKEN_THREAD and stores the pivot count in *pivots.
+ * `work` is scratch space of m + n entries. */
 int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
                const double *cost, i64 *parent, i64 *parc, double *flow,
                i64 *size, i64 *last, i64 *next, i64 *prev, double *pi,
@@ -629,12 +684,17 @@ int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
         double d = q_att >= m ? pi[p_att] - c_ent - pi[q_att]
                               : pi[p_att] + c_ent - pi[q_att];
         if (d != 0.0) {
-            i64 v = q_att, stop = last[q_att];
+            /* the subtree of q_att is its size[q_att] thread nodes from
+             * q_att to last[q_att]; a thread broken by a wrong last would
+             * otherwise never reach last[q_att] */
+            i64 v = q_att;
             pi[v] += d;
-            while (v != stop) {
+            for (i64 k = 1; k < size[q_att]; k++) {
                 v = next[v];
                 pi[v] += d;
             }
+            if (v != last[q_att])
+                return BROKEN_THREAD;
         }
     }
 }
@@ -821,21 +881,41 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
 
 /* Over the m x n costs C: out[0] = max |C_ij| from 0.0 and out[1] = max
  * ((phi_i + psi_j) - C_ij) from -inf, each NaN if one of its terms is,
- * as numpy's max is. */
+ * as numpy's max is; a zero out[1] is +0.0.  Two lanes of a vector keep
+ * running maxima and NaN counts; max is exact, so their order does not
+ * matter, except for which zero wins, and adding 0.0 makes that +0.0. */
 void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const double *C,
                     double *out)
 {
+    const v2i abs_bits = {INT64_MAX, INT64_MAX};
+    v2d top2 = {0.0, 0.0}, viol2 = {-INFINITY, -INFINITY};
+    v2i nans_a = {0, 0}, nans_v = {0, 0};
     double top = 0.0, viol = -INFINITY;
     int nan = 0;
     for (i64 i = 0; i < m; i++) {
         const double *c = C + i * n, phi_i = phi[i];
-        for (i64 j = 0; j < n; j++) {
+        const v2d phi_i2 = {phi_i, phi_i};
+        i64 j = 0;
+        for (; j + 2 <= n; j += 2) {
+            v2d cj = v2_load(c + j);
+            v2d a = (v2d)((v2i)cj & abs_bits), v = (phi_i2 + v2_load(psi + j)) - cj;
+            nans_a -= v2_isnan(a);
+            nans_v -= v2_isnan(v);
+            top2 = v2_max(a, top2);
+            viol2 = v2_max(v, viol2);
+        }
+        for (; j < n; j++) {
             double a = fabs(c[j]), v = (phi_i + psi[j]) - c[j];
             nan |= (a != a) | (v != v) << 1;
             top = a > top ? a : top;
             viol = v > viol ? v : viol;
         }
     }
+    nan |= ((nans_a[0] | nans_a[1]) != 0) | ((nans_v[0] | nans_v[1]) != 0) << 1;
+    for (int k = 0; k < 2; k++) {
+        top = top2[k] > top ? top2[k] : top;
+        viol = viol2[k] > viol ? viol2[k] : viol;
+    }
     out[0] = nan & 1 ? NAN : top;
-    out[1] = nan & 2 ? NAN : viol;
+    out[1] = nan & 2 ? NAN : viol + 0.0;
 }

@@ -34,27 +34,32 @@ arc, tree surgery and potential update (``pivot_loop``).  The start
 takes arcs in (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
 place, so it copies no part of the cost matrix.  The loop prices a
-block 64 arcs at a time and rescans only the first 64-arc chunk that
-lowered the block's least reduced cost for the arc that has it; its
-tree updates stop at the pivot cycle's apex, since the subtree cut off
-below the apex comes back below it: no size above the apex changes, and
-one walk up from the apex moves the last thread node of the ancestors
-whose subtree ended where the apex's did.  Both shortcuts keep every
-pivot and every array the same.  The same library
+block 64 arcs at a time, in vectors of two doubles, and rescans only
+the first 64-arc chunk that lowered the block's least reduced cost for
+the arc that has it; its tree updates stop at the pivot cycle's apex,
+since the subtree cut off below the apex comes back below it: no size
+above the apex changes, and one walk up from the apex moves the last
+thread node of the ancestors whose subtree ended where the apex's did.
+Both shortcuts keep every pivot and every array the same.  The
+potential update walks exactly the entering subtree's size along the
+thread and raises :class:`SolverError` if that walk does not end at the
+subtree's last node.  The same library
 computes the Euclidean distances each cost matrix is made of
 (``distances``, called by ``costs._distances``), and scores two audits
 in one pass over a cost matrix, with no m x n temporary: the pair swaps
 and cycles of ``structure.verify_ccm`` (``pair_scores``,
 ``cycle_scores``) and the two maxima of :func:`certify`
-(``certify_maxima``).  The first cost matrix
-of a process loads the kernel with ctypes, compiling it first with the
-system ``cc -O2 -ffp-contract=off -shared -fPIC`` unless the package's
-``__pycache__`` holds ``_pivot.<hash>.so`` (the hash covers the source
-and the compiler command, so each version compiles once).
-``-ffp-contract=off`` forbids fused multiply-adds, so every
-floating-point operation rounds as numpy's and Python's do: the kernel
-returns the bits of the Python and numpy code it ports, which the test
-suite keeps as its reference, and its distances are those of scipy's
+(``certify_maxima``, also in vectors of two doubles).  The first cost
+matrix of a process loads the kernel with ctypes, compiling it first
+with the system ``cc -O2 -march=native -ffp-contract=off -shared -fPIC``
+unless the package's ``__pycache__`` holds ``_pivot.<hash>.so`` (the
+hash covers the source, the compiler command and the host CPU, so each
+version compiles once per CPU).  ``-march=native`` lets the compiler use
+the host's instruction encodings; ``-ffp-contract=off`` forbids fused
+multiply-adds, so every floating-point operation rounds as numpy's and
+Python's do, vector lanes included: the kernel returns the bits of the
+Python and numpy code it ports, which the test suite keeps as its
+reference, and its distances are those of scipy's
 ``cdist``, bit for bit.  The kernel is required: if it cannot be
 compiled or loaded, every solve, cost matrix and audit raises
 :class:`SolverError`, naming the compiler command and its error.
@@ -68,6 +73,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -410,21 +416,41 @@ def _not_spanning():
     return SolverError("initial basis is not spanning (internal error)")
 
 
+def _broken_thread():
+    return SolverError("the tree's thread no longer spans a subtree (internal error)")
+
+
 _PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
-_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CC = ("cc", "-O2", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
+
+
+@functools.cache
+def _host_cpu():
+    """What ``-march=native`` compiles for: the first line of /proc/cpuinfo
+    that lists the CPU's features on Linux, else ``platform.machine()``."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as info:
+            for line in info:
+                if line.startswith(("flags", "Features")):  # x86, Arm
+                    return line.strip()
+    except OSError:
+        pass
+    return platform.machine()
 
 
 def _build_pivot_kernel(cache_dir):
     """Path of the compiled ``_pivot.c`` in ``cache_dir``, compiled if absent.
 
-    The file name carries the sha256 of the source and the compiler
-    command, so each version is compiled once per cache directory.  The
-    compiler writes a temporary file that is then renamed into place, so
-    a concurrent process never loads a partial library.
+    The file name carries the sha256 of the source, the compiler command
+    and the host CPU, so each version is compiled once per cache directory
+    and CPU: a library built with ``-march=native`` on one CPU can hold
+    instructions that another lacks.  The compiler writes a temporary file
+    that is then renamed into place, so a concurrent process never loads a
+    partial library.
     """
     source = _PIVOT_SOURCE.read_bytes()
-    key = hashlib.sha256(source + "\0".join(_CC).encode()).hexdigest()[:16]
+    key = hashlib.sha256(source + "\0".join([*_CC, _host_cpu()]).encode()).hexdigest()[:16]
     path = Path(cache_dir) / f"_pivot.{key}.so"
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -594,6 +620,8 @@ class _CompiledKernel:
             raise _budget_exhausted(pivot_budget)
         if status == 2:
             raise _no_leaving_arc()
+        if status == 5:
+            raise _broken_thread()
         return pivots.value
 
 

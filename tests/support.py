@@ -904,5 +904,7 @@ def _numpy_cycle_scores(cycles, limit, src, tgt, C, base):
 
 
 def _numpy_certify_maxima(phi, psi, C):
-    """The numpy reference for ``certify_maxima`` in ``_pivot.c``."""
-    return float(np.abs(C).max(initial=0.0)), float(((phi[:, None] + psi[None, :]) - C).max())
+    """The numpy reference for ``certify_maxima`` in ``_pivot.c``; a zero
+    maximum is +0.0, whichever zero came first."""
+    viol = ((phi[:, None] + psi[None, :]) - C).max()
+    return float(np.abs(C).max(initial=0.0)), float(viol) + 0.0

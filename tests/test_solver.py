@@ -312,6 +312,11 @@ def _run_both_loops(mu, nu, cost, pivot_budget=10**9):
     parc, flow, size, last, next_, prev_ and pi) from the Python loop and
     from the compiled one, each run on a copy of the same start."""
     tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
+    return _both_loops(tree, pivot_budget)
+
+
+def _both_loops(tree, pivot_budget=10**9):
+    """:func:`_run_both_loops` from a given tree."""
     out = []
     for loop in (ReferenceKernel().pivot_loop, _compiled_kernel().pivot_loop):
         t = _copy(tree)
@@ -385,6 +390,35 @@ class TestCompiledPivotLoop:
         python, compiled = _run_both_loops(*instance)
         assert compiled == python
 
+    def test_nan_reduced_costs_match_python_loop(self):
+        # A NaN reduced cost never prices in, and a block that holds one is
+        # passed over.  NaN costs on lone arcs outside the start tree: the
+        # 34-arc blocks cross the ends of the 37-arc rows, so the arcs fall
+        # in either lane of a vector or in the scalar tail of a row's run,
+        # as does the last arc of a row.  A kernel that missed the NaNs of
+        # one lane, or of the tail, takes other pivots.
+        mu, nu = random_instance(np.random.default_rng(8), 30, 37, 2)
+        tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
+        n = tree.n
+        drawn = np.random.default_rng(0).choice(len(tree.cost), 10, replace=False)
+        arcs = np.setdiff1d([*drawn, 5 * n + n - 1, 20 * n + n - 1], tree.parc[1:])
+        assert len(arcs) == 12
+        finite = _both_loops(tree)[0]["pivots"]
+        tree.cost[arcs] = np.nan
+        python, compiled = _both_loops(tree)
+        assert compiled == python
+        assert python["pivots"] != finite
+
+    def test_broken_thread_raises(self):
+        # A last entry pointed outside its subtree breaks the thread once a
+        # pivot splices at it; the potential update, which walks a subtree
+        # along the thread, stops after the subtree's size and says so.
+        (mu, nu), cost = PINNED_PIVOTS[1].values[:2]
+        tree = _compiled_kernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, cost)).tree
+        tree.last[1] = tree.next_[tree.last[1]]
+        with pytest.raises(SolverError, match=r"^the tree's thread .* \(internal error\)$"):
+            _compiled_kernel().pivot_loop(tree, 10**9)
+
     def test_same_pivot_budget_error(self):
         mu, nu = random_instance(np.random.default_rng(6), 10, 10, 2)
         tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
@@ -403,14 +437,22 @@ class TestCompiledPivotLoop:
         assert nodes == [len(mu) + len(nu)]
 
     def test_compiled_once_per_cache(self, tmp_path, monkeypatch):
-        path = _build_pivot_kernel(tmp_path)
+        # -march=native builds for the host CPU, so each CPU gets its own
+        # library and no CPU loads one built for another
+        paths = {}
+        for cpu in ("flags\t: fpu sse2", "flags\t: fpu sse2 avx2"):
+            monkeypatch.setattr(solver, "_host_cpu", lambda cpu=cpu: cpu)
+            paths[cpu] = _build_pivot_kernel(tmp_path)
+        assert len(set(paths.values())) == 2
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("compiled a second time")
 
         monkeypatch.setattr(solver.subprocess, "run", no_compiler)
-        assert _build_pivot_kernel(tmp_path) == path
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        for cpu, path in paths.items():
+            monkeypatch.setattr(solver, "_host_cpu", lambda cpu=cpu: cpu)
+            assert _build_pivot_kernel(tmp_path) == path
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
 
 
 def _tied_costs(m, n):
@@ -471,7 +513,7 @@ def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loade
     monkeypatch.setattr(solver, "_KERNEL_CACHE", cache)
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
     message = ("cannot build the compiled kernel with"
-               " `no-such-cc -O2 -ffp-contract=off -shared -fPIC`: ")
+               " `no-such-cc -O2 -march=native -ffp-contract=off -shared -fPIC`: ")
     for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05)):
         with pytest.raises(SolverError, match=f"^{re.escape(message)}.*no-such-cc"):
             run()
@@ -566,6 +608,41 @@ def test_exact_pipeline_loads_no_scipy():
     assert run.returncode == 0, run.stderr
 
 
+def _maxima_instances(seed):
+    """(phi, psi, C) inputs of ``certify_maxima``: one drawn from an int
+    seed; zero maxima met as -0.0 and +0.0 in either order, in a vector
+    lane or the odd tail of a row; or NaN at each position of rows of odd
+    length, so in each lane of a vector and in the tail, as a cost (both
+    maxima NaN) or as a potential (the violation NaN)."""
+    if seed == "signed_zeros":
+        for psi in ([-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0, -0.0]):
+            yield np.array([-0.0]), np.array(psi), np.zeros((1, len(psi)))
+        return
+    if seed == "nan_lanes":
+        m, n = 3, 5
+        for i, j in np.ndindex(m, n):
+            phi, psi, C = np.linspace(-1, 1, m), np.linspace(0, 1, n), np.ones((m, n))
+            C[i, j] = np.nan
+            yield phi, psi, C
+            C[i, j] = 1.0
+            psi[j] = np.nan
+            yield phi, psi, C
+        return
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 40, 2))
+    phi, psi = rng.normal(size=m), rng.normal(size=n)
+    C = rng.exponential(size=(m, n))
+    if seed == 1:
+        C[rng.integers(0, m), rng.integers(0, n)] = np.nan
+    if seed == 2:
+        psi[rng.integers(0, n)] = np.nan
+    if seed == 3:
+        C[rng.integers(0, m), rng.integers(0, n)] = np.inf
+    if seed == 4:
+        C = -C  # |C| is not C
+    yield phi, psi, C
+
+
 class TestDuality:
     @pytest.mark.parametrize("seed", range(10))
     def test_certificate_on_solver_output(self, seed):
@@ -631,23 +708,14 @@ class TestDuality:
             assert cert.tolerance == certs[0].tolerance
         assert repr(certs[0]) == repr(certs[1])
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", [*range(6), "signed_zeros", "nan_lanes"])
     def test_kernel_maxima_match_numpy(self, seed):
-        rng = np.random.default_rng(seed)
-        m, n = (int(k) for k in rng.integers(1, 40, 2))
-        phi, psi = rng.normal(size=m), rng.normal(size=n)
-        C = rng.exponential(size=(m, n))
-        if seed == 1:
-            C[rng.integers(0, m), rng.integers(0, n)] = np.nan
-        if seed == 2:
-            psi[rng.integers(0, n)] = np.nan
-        if seed == 3:
-            C[rng.integers(0, m), rng.integers(0, n)] = np.inf
-        if seed == 4:
-            C = -C  # |C| is not C
-        got = _compiled_kernel().certify_maxima(phi, psi, C)
-        want = ReferenceKernel().certify_maxima(phi, psi, C)
-        assert repr(got) == repr(want)
+        for phi, psi, C in _maxima_instances(seed):
+            got = _compiled_kernel().certify_maxima(phi, psi, C)
+            want = ReferenceKernel().certify_maxima(phi, psi, C)
+            assert repr(got) == repr(want)
+            if seed == "signed_zeros":
+                assert repr(got) == "(0.0, 0.0)"
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
