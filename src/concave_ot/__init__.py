@@ -17,7 +17,6 @@ from .costs import (
     check_strict_subadditivity,
     cost_from_json,
     cost_matrix,
-    cost_to_json,
 )
 from .geometry import (
     Cone,
@@ -36,7 +35,6 @@ from .measures import (
     load_measure,
     match_atoms,
     meet,
-    mutually_singular,
     save_measure,
     snap,
     three_segments,

@@ -41,13 +41,13 @@
  * allocate no array of that size.  pair_scores scores the pair swaps of
  * all support entries and cycle_scores a block of cycles, reading the
  * cost of entry i's source atom and entry j's target atom at
- * C[src_i][tgt_j] (cycle_scores reads each entry's own cost from the
- * caller's base = C[src, tgt]), as the numpy references
- * _numpy_pair_scores and _numpy_cycle_scores do; certify_maxima returns
- * the two maxima of _numpy_certify_maxima, two lanes at a time.  Each
- * computes every value by the same operations in the same order as its
- * reference and returns numpy's first argmax (the first NaN if there is
- * one) or numpy's NaN-propagating max, so the reports keep their bits.
+ * C[src_i][tgt_j] (each entry's own cost at C[src_i][tgt_i]), as the
+ * numpy references _numpy_pair_scores and _numpy_cycle_scores do;
+ * certify_maxima returns the two maxima of _numpy_certify_maxima, two
+ * lanes at a time.  Each computes every value by the same operations in
+ * the same order as its reference and returns numpy's first argmax (the
+ * first NaN if there is one) or numpy's NaN-propagating max, so the
+ * reports keep their bits.
  *
  * The vectors are GCC / Clang vector extensions of 16 bytes, native on
  * SSE2 and on NEON, so no target emulates them.  solver._compiled_kernel
@@ -839,12 +839,11 @@ enum { PREFETCH = 16 };
  * skipping the others, by (sum of b_{t_i}) - (sum of c(t_i, t_{i+1})),
  * i + 1 taken mod len, each sum taken left to right from its first term
  * as numpy's sum(axis=1) does; entries index src and tgt as in
- * pair_scores, and base[k] = b_k = C[src_k][tgt_k] is the caller's, built
- * once for all blocks of cycles.  Writes np.argmax of the scores, as a
- * row of `cycles`, to *at (-1 if none) and its score to *best; returns
- * the number of rows scored. */
+ * pair_scores, and b_k = C[src_k][tgt_k] is entry k's own cost.  Writes
+ * np.argmax of the scores, as a row of `cycles`, to *at (-1 if none) and
+ * its score to *best; returns the number of rows scored. */
 i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const i64 *src,
-                 const i64 *tgt, const double *C, const double *base, double *best, i64 *at)
+                 const i64 *tgt, const double *C, double *best, i64 *at)
 {
     const Support sup = {n, src, tgt, C};
     double top = -INFINITY;
@@ -863,9 +862,9 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
                 distinct &= t[s] != t[u];
         if (!distinct)
             continue;
-        double sb = base[t[0]], sc = entry_cost(&sup, t[0], t[1]);
+        double sb = entry_cost(&sup, t[0], t[0]), sc = entry_cost(&sup, t[0], t[1]);
         for (i64 i = 1; i < len; i++)
-            sb += base[t[i]];
+            sb += entry_cost(&sup, t[i], t[i]);
         for (i64 i = 1; i < len - 1; i++)
             sc += entry_cost(&sup, t[i], t[i + 1]);
         sc += entry_cost(&sup, t[len - 1], t[0]);

@@ -60,7 +60,6 @@ from .solver import (
     solve_with_meet,
 )
 from .structure import (
-    _off_diagonal_map,
     decompose,
     detect_kink_events,
     extract_map,
@@ -255,7 +254,7 @@ def run_counterexample(n_values, alpha, out_dir, seed=0):
     for n in n_values:
         plan, _, obj = solve_exact(*three_segments(n), cost)
         objs.append(obj)
-        splits.append(_off_diagonal_map(plan).split_fraction)
+        splits.append(extract_map(decompose(plan)).split_fraction)
     f1 = float(cost.value(1.0))
     lim_cost = float(limit_plan_pair(max(n_values)).transport_cost(cost))
     uppers = [float(cost.value(1.0 + 1.0 / n)) for n in n_values]
@@ -439,7 +438,7 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan
     )
-    split = _off_diagonal_map(plan).split_fraction
+    split = extract_map(decompose(plan)).split_fraction
     res_nu = resolution_scale(nu)
     kinks = detect_kink_events(plan, cost, tol=res_nu)
     err = recon.pred_error[~np.isnan(recon.pred_error)]

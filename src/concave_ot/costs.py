@@ -34,7 +34,6 @@ __all__ = [
     "check_strict_subadditivity",
     "c_transform",
     "cost_matrix",
-    "cost_to_json",
     "cost_from_json",
 ]
 
@@ -413,11 +412,6 @@ def _distances(x, y):
     x = np.ascontiguousarray(x, dtype=float)
     y = np.ascontiguousarray(y, dtype=float)
     return solver._compiled_kernel().distances(x, y)
-
-
-def cost_to_json(cost):
-    """Serialize a cost spec as a JSON string."""
-    return json.dumps(cost.to_dict(), sort_keys=True)
 
 
 _KINDS = {cls.kind: cls for cls in (PowerCost, LogShiftCost, PiecewiseConcaveCost)}

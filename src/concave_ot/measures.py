@@ -31,7 +31,6 @@ __all__ = [
     "MeasureFormatError",
     "match_atoms",
     "meet",
-    "mutually_singular",
     "three_segments",
     "uniform_box",
     "translate",
@@ -213,11 +212,6 @@ def meet(mu, nu):
         mu_residual=DiscreteMeasure(mu.points, mu_rest, dim=d),
         nu_residual=DiscreteMeasure(nu.points, nu_rest, dim=d),
     )
-
-
-def mutually_singular(mu, nu):
-    """True iff no point carries positive weight under both measures."""
-    return len(match_atoms(mu, nu)[0]) == 0
 
 
 def three_segments(n):

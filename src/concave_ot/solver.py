@@ -517,7 +517,7 @@ class _CompiledKernel:
         self._pair_scores.restype = None
         self._cycle_scores = self._lib.cycle_scores
         self._cycle_scores.argtypes = [
-            i64, i64, i64, index, i64, index, index, costs, costs, *out,
+            i64, i64, i64, index, i64, index, index, costs, *out,
         ]
         self._cycle_scores.restype = i64
         self._certify_maxima = self._lib.certify_maxima
@@ -568,23 +568,19 @@ class _CompiledKernel:
         self._pair_scores(S, C.shape[1], src, tgt, C, np.empty(2 * S), ctypes.byref(best), at)
         return best.value, int(at[0]), int(at[1])
 
-    def cycle_scores(self, cycles, limit, src, tgt, C, base):
+    def cycle_scores(self, cycles, limit, src, tgt, C):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, each the sum of its entries' costs ``base`` (C[src, tgt],
-        built once by the caller) minus that with every entry's target
-        taken from the next; returns (rows scored, np.argmax value, its
-        row or None)."""
+        entry, each the sum of its entries' own costs C[src, tgt] minus
+        that with every entry's target taken from the next; returns (rows
+        scored, np.argmax value, its row or None)."""
         src, tgt, C = _support(src, tgt, C)
-        base = np.ascontiguousarray(base, dtype=float)
-        if base.shape != src.shape:
-            raise ValueError("base costs do not match the support")
         cycles = np.ascontiguousarray(cycles, dtype=np.int64)
         count, length = cycles.shape
         if count and not 0 <= cycles.min() <= cycles.max() < len(src):
             raise ValueError("cycles do not match the support")
         best, at = ctypes.c_double(), ctypes.c_int64()
         scored = self._cycle_scores(
-            count, length, limit, cycles, C.shape[1], src, tgt, C, base, ctypes.byref(best),
+            count, length, limit, cycles, C.shape[1], src, tgt, C, ctypes.byref(best),
             ctypes.byref(at),
         )
         return scored, best.value, cycles[at.value] if at.value >= 0 else None

@@ -56,14 +56,11 @@ def _marginal(measure, idx, mass):
 
 @dataclass
 class PlanDecomposition:
-    """Split of a plan into its diagonal and off-diagonal entries."""
+    """Split of a plan into its diagonal and off-diagonal entries.  The
+    marginal measures are built when read."""
 
-    plan: TransportPlan
     diagonal: TransportPlan
     off_diagonal: TransportPlan
-    diag_source_marginal: DiscreteMeasure
-    off_source_marginal: DiscreteMeasure
-    off_target_marginal: DiscreteMeasure
 
     @property
     def diagonal_mass(self):
@@ -73,15 +70,25 @@ class PlanDecomposition:
     def off_diagonal_mass(self):
         return float(self.off_diagonal.mass.sum())
 
+    @property
+    def diag_source_marginal(self):
+        diag = self.diagonal
+        return _marginal(diag.source, diag.src_idx, diag.mass)
 
-def _on_diagonal(plan):
-    """Mask of the entries whose source and target points are equal."""
-    return np.all(plan.source.points[plan.src_idx] == plan.target.points[plan.tgt_idx], axis=1)
+    @property
+    def off_source_marginal(self):
+        off = self.off_diagonal
+        return _marginal(off.source, off.src_idx, off.mass)
+
+    @property
+    def off_target_marginal(self):
+        off = self.off_diagonal
+        return _marginal(off.target, off.tgt_idx, off.mass)
 
 
 def decompose(plan):
     """Partition entries by exact point equality of source and target."""
-    on_diag = _on_diagonal(plan)
+    on_diag = np.all(plan.source.points[plan.src_idx] == plan.target.points[plan.tgt_idx], axis=1)
 
     def sub(mask):
         return TransportPlan(
@@ -92,15 +99,7 @@ def decompose(plan):
             mass=plan.mass[mask],
         )
 
-    diag, off = sub(on_diag), sub(~on_diag)
-    return PlanDecomposition(
-        plan=plan,
-        diagonal=diag,
-        off_diagonal=off,
-        diag_source_marginal=_marginal(plan.source, diag.src_idx, diag.mass),
-        off_source_marginal=_marginal(plan.source, off.src_idx, off.mass),
-        off_target_marginal=_marginal(plan.target, off.tgt_idx, off.mass),
-    )
+    return PlanDecomposition(diagonal=sub(on_diag), off_diagonal=sub(~on_diag))
 
 
 @dataclass
@@ -127,24 +126,25 @@ def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     only: the caller is responsible for the plan being optimal for a
     strictly concave increasing cost.  ``mu`` and ``nu`` must equal the
     plan's source and target (else ``ValueError``): one atom matching
-    pairs them, and the plan's masses are binned per atom.
+    pairs them, and the masses of the two sub-plans of
+    :func:`decompose` are binned per atom.
     """
     if mu != plan.source or nu != plan.target:
         raise ValueError("mu and nu must be the plan's source and target")
     i, j, common, _, _ = _meet_weights(mu, nu)
-    on_diag = _on_diagonal(plan)
-    off = ~on_diag
+    dec = decompose(plan)
+    diag, off = dec.diagonal, dec.off_diagonal
     deviation = np.zeros(len(mu))  # common minus diagonal mass, per source atom
     deviation[i] = common
-    deviation -= np.bincount(plan.src_idx[on_diag], weights=plan.mass[on_diag], minlength=len(mu))
+    deviation -= np.bincount(diag.src_idx, weights=diag.mass, minlength=len(mu))
     max_dev = float(np.abs(deviation).max(initial=0.0))
-    off_src = np.bincount(plan.src_idx[off], weights=plan.mass[off], minlength=len(mu))
-    off_tgt = np.bincount(plan.tgt_idx[off], weights=plan.mass[off], minlength=len(nu))
+    off_src = np.bincount(off.src_idx, weights=off.mass, minlength=len(mu))
+    off_tgt = np.bincount(off.tgt_idx, weights=off.mass, minlength=len(nu))
     shared = float(np.minimum(off_src[i], off_tgt[j]).max(initial=0.0))
     return StayAtRestReport(
         diag_matches_meet=max_dev <= tol,
         off_marginals_singular=shared <= tol,
-        diag_mass=float(plan.mass[on_diag].sum()),
+        diag_mass=dec.diagonal_mass,
         meet_mass=float(common.sum()),
         max_diag_deviation=max_dev,
         max_shared_off_mass=shared,
@@ -164,10 +164,6 @@ class CcmReport:
         return self.violating_cycle is None
 
 
-# Largest number of enumerated cycles verify_ccm holds at once.
-_CCM_CYCLES = 65_536
-
-
 def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
     """Search support cycles whose reassignment would lower the cost.
 
@@ -185,15 +181,13 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     Every cost is read by index from the plan's m x n cost matrix C,
     built once: entry k runs from source atom src_k to target atom
     tgt_k, so the cost of entry k's source and entry l's target is
-    C[src_k, tgt_l]; the entries' own costs b = C[src, tgt] are gathered
-    once for all cycle blocks.  Since every atom has an entry,
-    S >= max(m, n) and C is never larger than the S x S matrix of the
-    support.  Like :func:`solver.solve_exact`, this raises
-    :class:`solver.SolverError` when C has more than
-    ``MAX_DENSE_ENTRIES`` entries or a non-finite one.  Enumerated cycles are scored ``_CCM_CYCLES`` at a time.  The
-    compiled kernel of :mod:`concave_ot.solver` scores the pair swaps
-    (``pair_scores``) and the cycles (``cycle_scores``), reading C in
-    place.
+    C[src_k, tgt_l].  Since every atom has an entry, S >= max(m, n) and
+    C is never larger than the S x S matrix of the support.  Like
+    :func:`solver.solve_exact`, this raises :class:`solver.SolverError`
+    when C has more than ``MAX_DENSE_ENTRIES`` entries or a non-finite
+    one.  The compiled kernel of :mod:`concave_ot.solver` scores the
+    pair swaps (``pair_scores``) and the cycles (``cycle_scores``),
+    reading C in place.
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
@@ -204,7 +198,6 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)
     src, tgt = plan.src_idx, plan.tgt_idx
     C = solver._dense_cost_matrix(plan.source, plan.target, cost)
-    base = C[src, tgt]  # each entry's own cost, read by every cycle block
     kernel = solver._compiled_kernel()
 
     worst = -math.inf
@@ -223,12 +216,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
 
     def score(cycles, limit):
         """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry into (best, cycle), numpy's argmax over all blocks of one
+        entry into (best, cycle), numpy's argmax over all draws of one
         length; returns how many it scored."""
         nonlocal best, cycle, checked
-        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C, base)
+        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C)
         checked += scored
-        # an earlier block keeps ties, and the first NaN stays
+        # an earlier draw keeps ties, and the first NaN stays
         if value > best or (value != value and best == best):
             best, cycle = value, row
         return scored
@@ -236,7 +229,8 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     for length in range(3, min(max_cycle_len, S) + 1):
         best, cycle = -math.inf, None
         if math.comb(S, length) * math.factorial(length - 1) <= sample_size:
-            _all_cycles(S, length, score)
+            cycles = _all_cycles(S, length)
+            score(cycles, len(cycles))
         else:
             _sampled_cycles(S, length, sample_size, seed + length - 3, score)
         if cycle is not None:
@@ -247,20 +241,14 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     )
 
 
-def _all_cycles(S, length, score):
-    """Scores every directed cycle of ``length`` distinct entries, led by
-    its least, in blocks of ``_CCM_CYCLES // (length - 1)!`` combinations
-    (at least one), each giving its ``(length - 1)!`` cycles."""
+def _all_cycles(S, length):
+    """Every directed cycle of ``length`` distinct entries, led by its
+    least, as the rows of one array: each combination of entries gives
+    its ``(length - 1)!`` cycles."""
     orders = [(0, *rest) for rest in itertools.permutations(range(1, length))]
-    combos = itertools.combinations(range(S), length)
-    per_block = max(1, _CCM_CYCLES // len(orders))
-    while True:
-        flat = itertools.chain.from_iterable(itertools.islice(combos, per_block))
-        block = np.fromiter(flat, dtype=np.int64).reshape(-1, length)
-        if not len(block):
-            return
-        block = block[:, orders].reshape(-1, length)
-        score(block, len(block))
+    flat = itertools.chain.from_iterable(itertools.combinations(range(S), length))
+    combos = np.fromiter(flat, dtype=np.int64).reshape(-1, length)
+    return combos[:, orders].reshape(-1, length)
 
 
 def _sampled_cycles(S, length, sample_size, seed, score):
@@ -302,18 +290,7 @@ def extract_map(decomp, mass_tol=1e-9):
     carry.
     """
     off = decomp.off_diagonal
-    return _map_of_entries(off.src_idx, off.tgt_idx, off.mass, mass_tol)
-
-
-def _off_diagonal_map(plan, mass_tol=1e-9):
-    """``extract_map(decompose(plan), mass_tol)``, with the off-diagonal
-    entries picked out by one mask: no sub-plans and no marginals."""
-    off = ~_on_diagonal(plan)
-    return _map_of_entries(plan.src_idx[off], plan.tgt_idx[off], plan.mass[off], mass_tol)
-
-
-def _map_of_entries(src, tgt, w, mass_tol):
-    """The :class:`MapExtract` of off-diagonal entries (src, tgt, w)."""
+    src, tgt, w = off.src_idx, off.tgt_idx, off.mass
     # by source, then largest mass first; lexsort is stable, so the first
     # entry of each group is its first largest one in plan order
     order = np.lexsort((-w, src))
@@ -431,7 +408,7 @@ def reconstruct_map_from_potential(
         near_diagonal=near_diag,
     )
     if plan is not None:
-        extract = _off_diagonal_map(plan)
+        extract = extract_map(decompose(plan))
         lp = np.full((n, d), np.nan)
         lp[extract.assigned_sources] = nu.points[extract.assigned_targets]
         err = np.linalg.norm(y_pred - lp, axis=1)

@@ -530,8 +530,8 @@ class ReferenceKernel:
     def pair_scores(self, src, tgt, C):
         return _numpy_pair_scores(src, tgt, C)
 
-    def cycle_scores(self, cycles, limit, src, tgt, C, base):
-        return _numpy_cycle_scores(cycles, limit, src, tgt, C, base)
+    def cycle_scores(self, cycles, limit, src, tgt, C):
+        return _numpy_cycle_scores(cycles, limit, src, tgt, C)
 
     def certify_maxima(self, phi, psi, C):
         return _numpy_certify_maxima(phi, psi, C)
@@ -883,11 +883,11 @@ def _numpy_pair_scores(src, tgt, C):
     return best, *at
 
 
-def _numpy_cycle_scores(cycles, limit, src, tgt, C, base):
+def _numpy_cycle_scores(cycles, limit, src, tgt, C):
     """The numpy reference for ``cycle_scores`` in ``_pivot.c``.  Scores
     the first ``limit`` rows of ``cycles`` without a repeated entry, the
-    entries' own costs read from ``base`` = C[src, tgt]; returns (rows
-    scored, np.argmax value, its row or None)."""
+    entries' own costs read from C[src, tgt]; returns (rows scored,
+    np.argmax value, its row or None)."""
     length = cycles.shape[1]
     distinct = np.ones(len(cycles), dtype=bool)
     for s in range(length):
@@ -898,7 +898,7 @@ def _numpy_cycle_scores(cycles, limit, src, tgt, C, base):
         return 0, -math.inf, None
     rotated = np.roll(cycles, -1, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        v = base[cycles].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
+        v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
     t = int(np.argmax(v))
     return len(cycles), float(v[t]), cycles[t]
 

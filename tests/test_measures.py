@@ -11,7 +11,6 @@ from concave_ot.measures import (
     load_measure,
     match_atoms,
     meet,
-    mutually_singular,
     save_measure,
     three_segments,
     translate,
@@ -113,7 +112,7 @@ class TestMeet:
             1.0, abs=1e-12
         )
         # residuals are mutually singular
-        assert mutually_singular(dec.mu_residual, dec.nu_residual)
+        assert len(match_atoms(dec.mu_residual, dec.nu_residual)[0]) == 0
         # atomwise reconstruction of mu
         rebuilt = {tuple(p): w for p, w in zip(dec.common.points, dec.common.weights)}
         for p, w in zip(dec.mu_residual.points, dec.mu_residual.weights):
@@ -122,17 +121,6 @@ class TestMeet:
         assert set(rebuilt) == set(orig)
         for k in orig:
             assert rebuilt[k] == pytest.approx(orig[k], abs=1e-12)
-
-
-class TestMutuallySingular:
-    def test_disjoint(self):
-        assert mutually_singular(
-            DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[1.0]], [1.0])
-        )
-
-    def test_identical(self):
-        mu = DiscreteMeasure([[0.0]], [1.0])
-        assert not mutually_singular(mu, mu)
 
 
 # Few coordinate values (signed zeros included) and some zero weights give
@@ -325,7 +313,7 @@ class TestSnap:
         mu = DiscreteMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         nu = DiscreteMeasure([[1e-12, 0.0], [5.0, 5.0]], [0.5, 0.5])
         snapped = snap(mu, nu, tol=1e-9)
-        assert not mutually_singular(mu, snapped)
+        assert len(match_atoms(mu, snapped)[0]) == 1
         assert meet(mu, snapped).common.total_mass == pytest.approx(0.5)
         # the far atom is untouched
         assert (snapped.points == [5.0, 5.0]).all(axis=1).any()

@@ -26,7 +26,6 @@ from support import (
     overlapping_instance,
     random_instance,
     reconstruct_reference,
-    record_kernel_calls,
     verify_ccm_reference,
     verify_stay_at_rest_reference,
 )
@@ -87,6 +86,21 @@ class TestDecompose:
         assert dec.diagonal_mass + dec.off_diagonal_mass == pytest.approx(
             plan.mass.sum(), abs=1e-12
         )
+
+    def test_marginals_built_when_read(self, monkeypatch):
+        mu, nu = overlapping_instance(np.random.default_rng(4))
+        plan, _, _ = solve_exact(mu, nu, P05)
+        built, inner_init = [], DiscreteMeasure.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            inner_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
+        dec = decompose(plan)
+        assert len(built) == 0
+        assert dec.off_source_marginal.total_mass == pytest.approx(dec.off_diagonal_mass)
+        assert len(built) == 1
 
 
 class TestStayAtRest:
@@ -150,7 +164,6 @@ class TestStayAtRest:
 
         monkeypatch.setattr(np, "unique", counting_unique)
         monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
-        monkeypatch.setattr(structure, "decompose", None)
         rep = verify_stay_at_rest(mu, nu, plan)
         assert (len(unique), len(built)) == (1, 0)
         assert rep.ok and rep.diag_mass == rep.meet_mass > 0.0
@@ -456,8 +469,8 @@ class TestAuditScorers:
             # rows with a repeated entry are skipped
             cycles = rng.integers(0, S, (300, length))
             for limit in (1, 40, 300, 10**6):
-                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C, C[src, tgt])
-                got = kernel.cycle_scores(cycles, limit, src, tgt, C, C[src, tgt])
+                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C)
+                got = kernel.cycle_scores(cycles, limit, src, tgt, C)
                 assert got[0] == want[0] and same_float(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
 
@@ -469,13 +482,10 @@ class TestAuditScorers:
                 kernel.pair_scores(np.array(src), np.array(tgt), C)
             with pytest.raises(ValueError, match="support indices"):
                 kernel.cycle_scores(np.zeros((1, 3), dtype=np.int64), 1, np.array(src),
-                                    np.array(tgt), C, np.zeros(len(src)))
+                                    np.array(tgt), C)
         with pytest.raises(ValueError, match="cycles do not match"):
             kernel.cycle_scores(np.array([[0, 1, 2]]), 1, np.zeros(2, np.int64),
-                                np.zeros(2, np.int64), C, np.zeros(2))
-        with pytest.raises(ValueError, match="base costs do not match"):
-            kernel.cycle_scores(np.array([[0, 1, 0]]), 1, np.zeros(2, np.int64),
-                                np.zeros(2, np.int64), C, np.zeros(3))
+                                np.zeros(2, np.int64), C)
 
     @pytest.mark.parametrize(
         "layout", [lambda v: v.astype(np.float32), np.asfortranarray], ids=["float32", "fortran"]
@@ -529,18 +539,6 @@ class TestAuditScorers:
             assert whole == structure.CcmReport(0, 0.0, None)
         if S == 2:
             assert whole.cycles_checked == 2
-
-    @pytest.mark.parametrize("length", [3, 4])
-    def test_enumerated_cycles_in_blocks(self, monkeypatch, length):
-        plan = permutation_plan(12, seed=24)
-        rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
-        whole = verify_ccm(rotated, P05, max_cycle_len=length)
-        sizes = record_kernel_calls(monkeypatch, "cycle_scores", lambda cycles, *_: len(cycles))
-        monkeypatch.setattr(structure, "_CCM_CYCLES", 7)
-        split = verify_ccm(rotated, P05, max_cycle_len=length)
-        assert split == whole
-        assert_matches_reference(split, verify_ccm_reference(rotated, P05, max_cycle_len=length))
-        assert max(sizes) <= 7 and sum(sizes) == whole.cycles_checked - 132
 
     def test_nan_in_a_later_cycle_block(self):
         # entry 3 runs between coordinates near 1e308, so each cost it
@@ -602,19 +600,6 @@ class TestExtractMap:
         assert plan.transport_cost(P05) == pytest.approx(1.0, abs=1e-15)
 
 
-def assert_same_extract(got, want):
-    """Two :class:`MapExtract` with the same bits in every field."""
-    for name in ("assigned_sources", "assigned_targets"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert len(got.splits) == len(want.splits)
-    for a, b in zip(got.splits, want.splits):
-        assert a.source == b.source
-        assert a.targets.tobytes() == b.targets.tobytes()
-        assert a.masses.tobytes() == b.masses.tobytes()
-    assert repr(got.split_fraction) == repr(want.split_fraction)
-
-
 @st.composite
 def split_plans(draw):
     """Plans with tied masses, many split sources and diagonal-only sources.
@@ -661,13 +646,6 @@ class TestExtractMapReference:
             np.testing.assert_array_equal(a.masses, b.masses)
         # group and split totals are numpy sums, not Python's running sum
         assert got.split_fraction == pytest.approx(ref.split_fraction, rel=1e-13, abs=0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(plan=split_plans(), mass_tol=st.sampled_from([1e-9, 0.3]))
-    def test_off_diagonal_map_is_extract_of_decompose(self, plan, mass_tol):
-        got = structure._off_diagonal_map(plan, mass_tol=mass_tol)
-        want = extract_map(decompose(plan), mass_tol=mass_tol)
-        assert_same_extract(got, want)
 
     def test_tie_keeps_first_in_plan_order(self):
         mu = DiscreteMeasure([[0.0]], [1.0])
@@ -831,9 +809,9 @@ class TestReconstructionReference:
         nu = uniform_box(120, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=31)
         plan, pots, _ = solve_exact(mu, nu, P05)
         ref = reconstruct_reference(pots, mu, nu, P05, plan=plan)
-        # the plan's off-diagonal entries come from one mask, with none of
-        # the marginal measures that decompose builds
-        monkeypatch.setattr(structure, "decompose", None)
+        # the plan's off-diagonal entries come from decompose, with none
+        # of its marginal measures built
+        monkeypatch.setattr(structure, "_marginal", None)
         got = reconstruct_map_from_potential(pots, mu, nu, P05, plan=plan)
         np.testing.assert_array_equal(got.lp_targets, ref.lp_targets)
         np.testing.assert_allclose(got.pred_error, ref.pred_error, rtol=1e-10, atol=1e-13)
