@@ -179,6 +179,8 @@ def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None
 
 def run_decompose(plan_path, cost_spec, out_dir, tol=1e-9, seed=0):
     """Audit a saved plan: decomposition, stay-at-rest, cyclical monotonicity."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     cost = cost_from_json(cost_spec)
     plan, header = load_plan(plan_path)
     plan.validate()
@@ -498,23 +500,30 @@ def _build_parser():
     p.add_argument("--snap-tol", type=float, default=None,
                    help="merge nu-atoms onto mu-atoms closer than this before solving")
     common(p)
+    p.set_defaults(run=lambda a: run_solve(
+        a.mu, a.nu, a.cost, a.out, no_meet=a.no_meet, snap_tol=a.snap_tol, seed=a.seed))
 
     p = sub.add_parser("decompose", help="audit a saved plan")
     p.add_argument("--plan", required=True, help="plan .json header path")
     p.add_argument("--cost", required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     common(p)
+    p.set_defaults(run=lambda a: run_decompose(a.plan, a.cost, a.out, tol=a.tol, seed=a.seed))
 
     p = sub.add_parser("counterexample", help="three-segments sweep")
     p.add_argument("--n", required=True, help="comma list, e.g. 1,2,4,8")
     p.add_argument("--alpha", type=float, default=0.5)
     common(p)
+    p.set_defaults(run=lambda a: run_counterexample(
+        [int(v) for v in a.n.split(",") if v.strip()], a.alpha, a.out, seed=a.seed))
 
     p = sub.add_parser("translation", help="translation non-optimality experiment")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", required=True, help="comma vector, e.g. 1.0,0.0")
     p.add_argument("--alpha", type=float, default=0.5)
     common(p)
+    p.set_defaults(run=lambda a: run_translation(
+        a.n, [float(v) for v in a.e.split(",") if v.strip()], a.alpha, a.out, seed=a.seed))
 
     p = sub.add_parser("isotropy", help="cone-positivity audit")
     group = p.add_mutually_exclusive_group(required=True)
@@ -526,6 +535,9 @@ def _build_parser():
     )
     p.add_argument("--point-sample", type=int, default=500)
     common(p)
+    p.set_defaults(run=lambda a: run_isotropy(
+        a.out, measure_path=a.measure, generator=a.generator, seed=a.seed,
+        point_sample=a.point_sample))
 
     p = sub.add_parser("reconstruct", help="map reconstruction from potentials")
     p.add_argument("--mu", required=True)
@@ -533,6 +545,8 @@ def _build_parser():
     p.add_argument("--cost", required=True)
     p.add_argument("--k", type=int, default=8)
     common(p)
+    p.set_defaults(run=lambda a: run_reconstruct(
+        a.mu, a.nu, a.cost, a.out, k_neighbors=a.k, seed=a.seed))
     return parser
 
 
@@ -553,38 +567,15 @@ def main(argv=None):
     _log.addHandler(handler)
     propagate, _log.propagate = _log.propagate, False
     try:
-        return _run(parser, args)
+        return _run(args)
     finally:
         _log.removeHandler(handler)
         _log.propagate = propagate
 
 
-def _run(parser, args):
+def _run(args):
     try:
-        if args.command == "solve":
-            report = run_solve(
-                args.mu, args.nu, args.cost, args.out,
-                no_meet=args.no_meet, snap_tol=args.snap_tol, seed=args.seed,
-            )
-        elif args.command == "decompose":
-            report = run_decompose(args.plan, args.cost, args.out, tol=args.tol, seed=args.seed)
-        elif args.command == "counterexample":
-            ns = [int(v) for v in args.n.split(",") if v.strip()]
-            report = run_counterexample(ns, args.alpha, args.out, seed=args.seed)
-        elif args.command == "translation":
-            e = [float(v) for v in args.e.split(",") if v.strip()]
-            report = run_translation(args.n, e, args.alpha, args.out, seed=args.seed)
-        elif args.command == "isotropy":
-            report = run_isotropy(
-                args.out, measure_path=args.measure, generator=args.generator,
-                seed=args.seed, point_sample=args.point_sample,
-            )
-        elif args.command == "reconstruct":
-            report = run_reconstruct(
-                args.mu, args.nu, args.cost, args.out, k_neighbors=args.k, seed=args.seed
-            )
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        report = args.run(args)  # each subparser's entry, set in _build_parser
     except (MeasureFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,20 @@ Three families are provided:
 * :class:`LogShiftCost` -- ``log(1 + a*t)`` (smooth, bounded slope at 0).
 * :class:`PiecewiseConcaveCost` -- concave piecewise-linear with explicit
   kinks; the canonical non-differentiable test cost.
+
+A family is a frozen dataclass whose fields are its parameters: a
+``float`` field holds one finite number, a ``tuple`` field a list of
+them.  :class:`ConcaveCost` parses the fields, checks the arguments of
+:meth:`~ConcaveCost.deriv` and builds :meth:`~ConcaveCost.to_dict`; a
+family states only its own range in ``__post_init__`` and its formulas.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -79,24 +86,40 @@ def _as_positive(t, what="t"):
     return t
 
 
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _number(value, what):
+    """A finite real number as a float; strings and bools raise ValueError."""
+    if not _is_number(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _numbers(values, what):
-    """A list, tuple or array of real numbers as a float array.
+    """A list, tuple or array of finite real numbers as a tuple of floats.
 
     Strings and bools raise ValueError, where ``np.asarray(..., dtype=float)``
     would parse ``"1"`` and read ``True`` as 1.
     """
     items = values.tolist() if isinstance(values, np.ndarray) else values
-    if not isinstance(items, (list, tuple)) or not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items
-    ):
-        raise ValueError(f"{what} must be a list of numbers, got {values!r}")
-    return np.array(items, dtype=float)
+    if not isinstance(items, (list, tuple)) or not all(map(_is_number, items)):
+        raise ValueError(f"{what} must be a list of numbers, each finite, got {values!r}")
+    return tuple(float(v) for v in items)
 
 
 class ConcaveCost:
     """Base class: increasing concave ``f`` with ``f(0) = 0``."""
 
     kind = "abstract"
+
+    def __post_init__(self):
+        """Parses each field; a family's own ``__post_init__`` calls this first."""
+        for f in fields(self):
+            # annotations are strings under ``from __future__ import annotations``
+            parse = _number if f.type == "float" else _numbers
+            object.__setattr__(self, f.name, parse(getattr(self, f.name), f.name))
 
     def value(self, t):
         """Evaluate ``f(t)`` for scalar or array ``t >= 0``."""
@@ -112,6 +135,12 @@ class ConcaveCost:
 
     def deriv(self, t, side="right"):
         """One-sided derivative at ``t > 0``; sides agree off kinks."""
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return self._deriv(_as_positive(t), side)
+
+    def _deriv(self, t, side):
+        """:meth:`deriv` at the float array ``t > 0``."""
         raise NotImplementedError
 
     def inv_deriv(self, p):
@@ -156,7 +185,13 @@ class ConcaveCost:
         return np.empty(0)
 
     def to_dict(self):
-        raise NotImplementedError
+        """The JSON spec :func:`cost_from_json` reads back: ``kind`` and
+        the fields, tuples as lists."""
+        doc = {"kind": self.kind}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
 
 @dataclass(frozen=True)
@@ -167,6 +202,7 @@ class PowerCost(ConcaveCost):
     kind = "power"
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -174,9 +210,7 @@ class PowerCost(ConcaveCost):
         t **= self.alpha
         return t
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        t = _as_positive(t)
+    def _deriv(self, t, side):
         return self.alpha * t ** (self.alpha - 1.0)
 
     def _inv_deriv(self, p):
@@ -189,9 +223,6 @@ class PowerCost(ConcaveCost):
     def _slope_bounds(self):
         return 0.0, np.inf
 
-    def to_dict(self):
-        return {"kind": "power", "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
 class LogShiftCost(ConcaveCost):
@@ -201,8 +232,7 @@ class LogShiftCost(ConcaveCost):
     kind = "logshift"
 
     def __post_init__(self):
-        # a JSON integer such as {"a": 2} is recorded as 2.0; a string raises
-        object.__setattr__(self, "a", self.a + 0.0)
+        super().__post_init__()
         if not self.a > 0:
             raise ValueError(f"a must be positive, got {self.a}")
 
@@ -210,9 +240,7 @@ class LogShiftCost(ConcaveCost):
         t *= self.a
         return np.log1p(t, out=t)
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        t = _as_positive(t)
+    def _deriv(self, t, side):
         return self.a / (1.0 + self.a * t)
 
     def _inv_deriv(self, p):
@@ -224,10 +252,8 @@ class LogShiftCost(ConcaveCost):
     def _slope_bounds(self):
         return 0.0, self.a
 
-    def to_dict(self):
-        return {"kind": "logshift", "a": self.a}
 
-
+@dataclass(frozen=True)
 class PiecewiseConcaveCost(ConcaveCost):
     """Piecewise-linear concave cost with explicit kinks.
 
@@ -236,14 +262,16 @@ class PiecewiseConcaveCost(ConcaveCost):
     function is concave, strictly increasing, and continuous with
     ``f(0) = 0``.  Within a single linear segment the subadditivity margin
     degenerates to zero; it is strictly positive as soon as ``s + t``
-    crosses the first kink.
+    crosses the first kink.  Both are stored as tuples of floats.
     """
 
+    breakpoints: tuple
+    slopes: tuple
     kind = "piecewise"
 
-    def __init__(self, breakpoints, slopes):
-        bp = _numbers(breakpoints, "breakpoints")
-        sl = _numbers(slopes, "slopes")
+    def __post_init__(self):
+        super().__post_init__()
+        bp, sl = np.array(self.breakpoints), np.array(self.slopes)
         if len(sl) != len(bp) + 1:
             raise ValueError("need len(slopes) == len(breakpoints) + 1")
         if len(bp) == 0:
@@ -252,11 +280,13 @@ class PiecewiseConcaveCost(ConcaveCost):
             raise ValueError("breakpoints must be positive and strictly increasing")
         if np.any(sl <= 0) or np.any(np.diff(sl) >= 0):
             raise ValueError("slopes must be positive and strictly decreasing")
-        self.breakpoints = bp
-        self.slopes = sl
-        # knots[i] is the left end of segment i; values[i] = f(knots[i])
-        self._knots = np.concatenate([[0.0], bp])
-        self._values = np.concatenate([[0.0], np.cumsum(sl[:-1] * np.diff(self._knots))])
+        # arrays for the formulas, not fields: knots[i] is the left end of
+        # segment i, values[i] = f(knots[i])
+        knots = np.concatenate([[0.0], bp])
+        values = np.concatenate([[0.0], np.cumsum(sl[:-1] * np.diff(knots))])
+        object.__setattr__(self, "_slopes", sl)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_values", values)
 
     def _segment(self, t):
         # index of the segment containing t; kinks resolve to the right segment
@@ -267,22 +297,20 @@ class PiecewiseConcaveCost(ConcaveCost):
     def _value_in_place(self, t):
         seg = self._segment(t)
         t -= self._knots[seg]
-        t *= self.slopes[seg]
+        t *= self._slopes[seg]
         t += self._values[seg]
         return t
 
-    def deriv(self, t, side="right"):
-        _check_side(side)
-        t = _as_positive(t)
+    def _deriv(self, t, side):
         seg = self._segment(t)
         if side == "left":
             at_kink = np.isin(t, self.breakpoints)
             seg = np.where(at_kink, np.maximum(seg - 1, 0), seg)
-        return self.slopes[seg] + 0.0 * t  # broadcast to t's shape
+        return self._slopes[seg] + 0.0 * t  # broadcast to t's shape
 
     def _inv_deriv(self, p):
         p = _as_positive(p, "p")
-        sl = self.slopes
+        sl = self._slopes
         last = len(sl) - 1
         # exact slope hit: the radius is any point of the segment; report its
         # midpoint, except on the unbounded last segment where no finite
@@ -296,42 +324,14 @@ class PiecewiseConcaveCost(ConcaveCost):
         gap = ~out & ~hit
         kink = np.clip(np.searchsorted(-sl, -p, side="left") - 1, 0, last - 1)
         mid = 0.5 * (self._knots[:-1] + self._knots[1:])
-        radii = np.where(gap, self.breakpoints[kink], mid[np.minimum(seg, last - 1)])
+        radii = np.where(gap, self._knots[kink + 1], mid[np.minimum(seg, last - 1)])
         return np.where(out, np.nan, radii), gap, out
 
     def _slope_bounds(self):
-        return float(self.slopes[-1]), float(self.slopes[0])
+        return self.slopes[-1], self.slopes[0]
 
     def kinks(self):
-        return self.breakpoints.copy()
-
-    def to_dict(self):
-        return {
-            "kind": "piecewise",
-            "breakpoints": self.breakpoints.tolist(),
-            "slopes": self.slopes.tolist(),
-        }
-
-    def __repr__(self):
-        return (
-            f"PiecewiseConcaveCost(breakpoints={self.breakpoints.tolist()}, "
-            f"slopes={self.slopes.tolist()})"
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PiecewiseConcaveCost)
-            and np.array_equal(self.breakpoints, other.breakpoints)
-            and np.array_equal(self.slopes, other.slopes)
-        )
-
-    def __hash__(self):
-        return hash((self.breakpoints.tobytes(), self.slopes.tobytes()))
-
-
-def _check_side(side):
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        return np.array(self.breakpoints)
 
 
 @dataclass(frozen=True)

@@ -278,8 +278,8 @@ def snap(mu, nu, tol):
     from scipy.spatial import cKDTree
 
     _check_same_dim(mu, nu)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN too
+        raise ValueError(f"tol must be positive, got {tol}")
     if len(mu) == 0 or len(nu) == 0:
         return nu
     d, idx = cKDTree(mu.points).query(nu.points, k=1)

@@ -404,20 +404,17 @@ def _pricing_block(num_arcs):
     return int(math.ceil(math.sqrt(num_arcs)))
 
 
-def _budget_exhausted(pivot_budget):
-    return SolverError(f"pivot budget {pivot_budget} exhausted (numeric degeneracy?)")
+# the failing statuses of _pivot.c; NO_MEMORY (3) is a MemoryError instead
+_KERNEL_ERRORS = {
+    1: "pivot budget {budget} exhausted (numeric degeneracy?)",  # BUDGET_EXHAUSTED
+    2: "no leaving arc found (internal error)",  # NO_LEAVING_ARC
+    4: "initial basis is not spanning (internal error)",  # NOT_SPANNING
+    5: "the tree's thread no longer spans a subtree (internal error)",  # BROKEN_THREAD
+}
 
 
-def _no_leaving_arc():
-    return SolverError("no leaving arc found (internal error)")
-
-
-def _not_spanning():
-    return SolverError("initial basis is not spanning (internal error)")
-
-
-def _broken_thread():
-    return SolverError("the tree's thread no longer spans a subtree (internal error)")
+def _kernel_error(status, budget=None):
+    return SolverError(_KERNEL_ERRORS[status].format(budget=budget))
 
 
 _PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
@@ -543,8 +540,8 @@ class _CompiledKernel:
         )
         if status == 3:
             raise MemoryError("no memory for the starting tree")
-        if status == 4:
-            raise _not_spanning()
+        if status:
+            raise _kernel_error(status)
         return start
 
     def distances(self, x, y):
@@ -612,12 +609,8 @@ class _CompiledKernel:
             tree.next_, tree.prev_, tree.pi, np.empty(num_nodes, dtype=np.int64),
             ctypes.byref(pivots),
         )
-        if status == 1:
-            raise _budget_exhausted(pivot_budget)
-        if status == 2:
-            raise _no_leaving_arc()
-        if status == 5:
-            raise _broken_thread()
+        if status:
+            raise _kernel_error(status, pivot_budget)
         return pivots.value
 
 

@@ -193,6 +193,8 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
         raise ValueError("max_cycle_len must be in [2, 4]")
     if sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
+    if not tol >= 0:  # a NaN tol would record no witness
+        raise ValueError(f"tol must be >= 0, got {tol}")
     S = plan.n_entries
     if S < 2:  # no cycle
         return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)

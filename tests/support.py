@@ -37,10 +37,8 @@ from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure, meet
 from concave_ot.solver import (
     _TREE_LISTS,
-    _budget_exhausted,
     _flat_costs,
-    _no_leaving_arc,
-    _not_spanning,
+    _kernel_error,
     _pricing_block,
     _Start,
     _Tree,
@@ -637,7 +635,7 @@ def _python_start(a, b, C):
                 pi[v] = pi[u] - cflat[arc] if v >= m else pi[u] + cflat[arc]
                 stack.append(v)
     if len(thread) != num_nodes:
-        raise _not_spanning()
+        raise _kernel_error(4)  # NOT_SPANNING
 
     # next_/prev_ cycle through the thread; a subtree is a contiguous run
     # of it, so one reverse pass gives size[v] and last[v], its final node.
@@ -805,7 +803,7 @@ def _pivot_loop(tree, pivot_budget):
             break
         pivots += 1
         if pivots > pivot_budget:
-            raise _budget_exhausted(pivot_budget)
+            raise _kernel_error(1, pivot_budget)  # BUDGET_EXHAUSTED
         p_ent = arc // n
         q_ent = m + arc % n
         c_ent = cflat[arc]
@@ -830,7 +828,7 @@ def _pivot_loop(tree, pivot_budget):
                 theta, t_leave, p_att, q_att = parc_flow[v], v, q_ent, p_ent
             v = parent[v]
         if t_leave < 0:
-            raise _no_leaving_arc()
+            raise _kernel_error(2)  # NO_LEAVING_ARC
         if theta > 0.0:
             for v, step in ((q_ent, theta), (p_ent, -theta)):
                 while v != apex:

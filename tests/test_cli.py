@@ -84,12 +84,20 @@ class TestSolveCommand:
         ('{"kind":"power"}', "missing 1 required positional argument: 'alpha'"),
         ('{"kind":"piecewise","breakpoints":[1]}', "argument: 'slopes'"),
         ('{"kind":"power","alpha":0.5,"beta":1}', "unexpected keyword argument 'beta'"),
-        ('{"kind":"power","alpha":"0.5"}', "not supported between"),
-        ('{"kind":"logshift","a":"2"}', "cost 'logshift'"),
+        ('{"kind":"power","alpha":"0.5"}', "alpha must be a finite number"),
+        ('{"kind":"logshift","a":"2"}', "a must be a finite number"),
         ('{"kind":"piecewise","breakpoints":["1"],"slopes":["2",1]}',
          "breakpoints must be a list of numbers"),
+        # 1e999 parses as inf: an infinite or NaN breakpoint leaves the
+        # linear cost 2t, which the paper excludes
+        ('{"kind":"piecewise","breakpoints":[1e999],"slopes":[2,1]}',
+         "breakpoints must be a list of numbers, each finite"),
+        ('{"kind":"piecewise","breakpoints":[NaN],"slopes":[2,1]}',
+         "breakpoints must be a list of numbers, each finite"),
+        ('{"kind":"logshift","a":1e999}', "a must be a finite number"),
+        ('{"kind":"logshift","a":true}', "a must be a finite number"),
     ], ids=["missing", "piecewise-missing", "unknown-key", "string-alpha", "string-a",
-            "string-breakpoints"])
+            "string-breakpoints", "inf-breakpoint", "nan-breakpoint", "inf-a", "bool-a"])
     def test_bad_cost_parameters_exit_2(self, tmp_path, capsys, measure_files, spec, problem):
         mu_path, nu_path = measure_files
         out = tmp_path / "o"
@@ -252,6 +260,15 @@ class TestDecomposeCommand:
         assert main(["decompose", "--plan", str(json_path), "--cost", COST,
                      "--out", str(out)]) == 2
         assert "missing key 'mu'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
+        # checked before the plan is read: the plan path does not exist
+        out = tmp_path / "o"
+        assert main(["decompose", "--plan", str(tmp_path / "nope.json"), "--cost", COST,
+                     "--tol", tol, "--out", str(out)]) == 2
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_mass_exit_2(self, tmp_path, capsys):
@@ -490,6 +507,14 @@ class TestSnapFlag:
         assert m1["preprocessed_meet"] is False   # no exact overlap
         assert m2["preprocessed_meet"] is True    # snapping created one
         assert m2["objective"] < m1["objective"]
+
+    def test_nan_snap_tol_exit_2(self, tmp_path, capsys, measure_files):
+        mu_path, nu_path = measure_files
+        out = tmp_path / "o"
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path), "--cost", COST,
+                     "--snap-tol", "nan", "--out", str(out)]) == 2
+        assert "tol must be positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def key_paths(doc, prefix=""):

@@ -378,7 +378,7 @@ class TestCostMatrixBits:
             expected = np.log1p(cost.a * t)
         else:
             seg = cost._segment(t)
-            expected = cost._values[seg] + cost.slopes[seg] * (t - cost._knots[seg])
+            expected = cost._values[seg] + np.asarray(cost.slopes)[seg] * (t - cost._knots[seg])
         got = cost.value(t)
         assert got.tobytes() == expected.tobytes()
         assert type(cost.value(2.0)) is np.float64
@@ -400,7 +400,8 @@ class TestSerialization:
         [PowerCost(0.3), LogShiftCost(2.5), PiecewiseConcaveCost([0.5, 2.0], [3.0, 1.0, 0.2])],
     )
     def test_round_trip(self, cost):
-        assert cost_from_json(json.dumps(cost.to_dict())) == cost
+        back = cost_from_json(json.dumps(cost.to_dict()))
+        assert back == cost and hash(back) == hash(cost)
 
     def test_schema(self):
         assert PowerCost(0.5).to_dict() == {"kind": "power", "alpha": 0.5}
@@ -443,3 +444,15 @@ class TestConstruction:
             PiecewiseConcaveCost([1.0], [2.0, -0.5])  # negative slope
         with pytest.raises(ValueError):
             PiecewiseConcaveCost([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True],
+                             ids=["nan", "inf", "-inf", "true"])
+    @pytest.mark.parametrize("family", [
+        PowerCost,
+        LogShiftCost,
+        lambda x: PiecewiseConcaveCost([x], [2.0, 1.0]),
+        lambda x: PiecewiseConcaveCost([1.0], [x, 1.0]),
+    ], ids=["power-alpha", "logshift-a", "piecewise-breakpoint", "piecewise-slope"])
+    def test_non_finite_and_bool_parameters_rejected(self, family, bad):
+        with pytest.raises(ValueError, match="finite"):
+            family(bad)

@@ -282,6 +282,15 @@ class TestCcm:
         with pytest.raises(ValueError, match="sample_size"):
             verify_ccm(plan, P05, sample_size=sample_size)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # no value exceeds a NaN tol, so the planted cycle would go unreported
+        plan = permutation_plan(12, seed=24)
+        rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
+        assert not verify_ccm(rotated, P05).ok
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            verify_ccm(rotated, P05, tol=tol)
+
 
 def permutation_plan(n, seed):
     """Optimal one-to-one plan between two separated uniform clouds."""
