@@ -39,12 +39,11 @@ from .measures import (
     DiscreteMeasure,
     MeasureFormatError,
     _jsonable,
-    _meet_weights,
-    _residual_pair,
     _write_table,
     hyperplane_sample,
     load_measure,
     match_atoms,
+    meet,
     snap,
     three_segments,
     translate,
@@ -141,7 +140,7 @@ def run_solve(mu_path, nu_path, cost_spec, out_dir, no_meet=False, snap_tol=None
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
-    if snap_tol:
+    if snap_tol is not None:
         nu = snap(mu, nu, snap_tol)
     params = {
         "mu": str(mu_path),
@@ -419,23 +418,23 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
 def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0):
     """Solve, then rebuild targets from the potential and compare to the LP.
 
-    Overlapping inputs are reduced to their mutually singular residuals
-    first (with a warning), mirroring the diagonal/off-diagonal split of
-    optimal plans; the ``source`` column of ``reconstruction.csv`` still
-    indexes the atoms of ``--mu``.
+    Overlapping inputs are reduced to the mutually singular residuals of
+    their :func:`~concave_ot.measures.meet` first (with a warning),
+    mirroring the diagonal/off-diagonal split of optimal plans; the
+    ``source`` column of ``reconstruction.csv`` still indexes the atoms
+    of ``--mu``.  ``k_neighbors`` below d + 1 is an input error.
     """
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
     cost = cost_from_json(cost_spec)
-    i, _, _, mu_rest, nu_rest = _meet_weights(mu, nu)
+    split = meet(mu, nu)
     rows = np.arange(len(mu))
-    warned_overlap = len(i) > 0
+    warned_overlap = len(split.mu_idx) > 0
     if warned_overlap:
         _log.warning("measures share atoms; reconstructing on the residuals")
-        residuals = _residual_pair(mu, nu, mu_rest, nu_rest)
-        if residuals is None:
+        if not split.mu_rest.any() or not split.nu_rest.any():
             raise ValueError("measures coincide; nothing to reconstruct")
-        rows, _, mu, nu = residuals
+        rows, mu, nu = np.flatnonzero(split.mu_rest), split.mu_residual, split.nu_residual
     plan, pots, obj = solve_exact(mu, nu, cost)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan

@@ -7,7 +7,8 @@ the common part ``mu /\\ nu`` and the positive residuals -- use exact
 coordinate equality: the common mass between two measures is a
 measure-theoretic object, and fuzzy matching would silently change the
 problem.  Every exact match of atoms between two measures goes through
-:func:`match_atoms`.
+:func:`match_atoms`, and :func:`meet` is the one split of a pair into
+that common part and the residuals, its measures built when read.
 
 Also provides generators for the standard experiment instances (uniform
 boxes, hyperplane-supported samples, and the three-parallel-segments
@@ -118,24 +119,6 @@ class DiscreteMeasure:
             f"mass={self.total_mass:.6g})"
         )
 
-    def require_probability(self, tol=MASS_TOL):
-        deficit = self.total_mass - 1.0
-        if abs(deficit) > tol:
-            raise MeasureFormatError(
-                f"weights must sum to 1, got {self.total_mass!r} "
-                f"(deficit {-deficit:+.6g})"
-            )
-        return self
-
-
-@dataclass(frozen=True)
-class MassDecomposition:
-    """Split of a pair (mu, nu) into common part and positive residuals."""
-
-    common: DiscreteMeasure
-    mu_residual: DiscreteMeasure
-    nu_residual: DiscreteMeasure
-
 
 def _check_same_dim(mu, nu):
     if mu.dim != nu.dim:
@@ -162,40 +145,37 @@ def match_atoms(mu, nu):
     return i, j
 
 
-def _meet_weights(mu, nu):
-    """Atomwise meet on weight arrays: ``(i, j, common, mu_rest, nu_rest)``.
+@dataclass(frozen=True, eq=False)
+class MassDecomposition:
+    """Split of a pair (mu, nu) into common part and positive residuals.
 
-    Atom ``i[k]`` of mu and atom ``j[k]`` of nu coincide and share the
-    weight ``common[k]``; ``mu_rest`` and ``nu_rest`` hold the excess left
-    on every atom of each measure, zero where an atom is fully shared.
+    Atom ``mu_idx[k]`` of mu and atom ``nu_idx[k]`` of nu coincide and
+    share the weight ``shared[k]``; ``mu_rest`` and ``nu_rest`` hold the
+    excess left on every atom of each measure, zero where an atom is
+    fully shared.  Residual atom k is atom ``np.flatnonzero(mu_rest)[k]``
+    of mu (likewise for nu), as a subset of sorted, distinct atoms keeps
+    its order.  The measures are built when read.
     """
-    i, j = match_atoms(mu, nu)
-    common = np.minimum(mu.weights[i], nu.weights[j])
-    mu_rest = mu.weights.copy()
-    nu_rest = nu.weights.copy()
-    mu_rest[i] -= common
-    nu_rest[j] -= common
-    return i, j, common, mu_rest, nu_rest
 
+    mu: DiscreteMeasure
+    nu: DiscreteMeasure
+    mu_idx: np.ndarray
+    nu_idx: np.ndarray
+    shared: np.ndarray
+    mu_rest: np.ndarray
+    nu_rest: np.ndarray
 
-def _residual_pair(mu, nu, mu_rest, nu_rest):
-    """The residuals of :func:`_meet_weights` as two measures.
+    @property
+    def common(self):
+        return DiscreteMeasure(self.mu.points[self.mu_idx], self.shared, dim=self.mu.dim)
 
-    Returns ``(rows, cols, mu_r, nu_r)``: residual atom k is atom
-    ``rows[k]`` of mu (``cols[k]`` of nu), as a subset of sorted,
-    distinct atoms keeps its order in a new measure.  None if either
-    residual has no mass.
-    """
-    rows = np.flatnonzero(mu_rest > 0.0)
-    cols = np.flatnonzero(nu_rest > 0.0)
-    if len(rows) == 0 or len(cols) == 0:
-        return None
-    return (
-        rows,
-        cols,
-        DiscreteMeasure(mu.points[rows], mu_rest[rows], dim=mu.dim),
-        DiscreteMeasure(nu.points[cols], nu_rest[cols], dim=nu.dim),
-    )
+    @property
+    def mu_residual(self):
+        return DiscreteMeasure(self.mu.points, self.mu_rest, dim=self.mu.dim)
+
+    @property
+    def nu_residual(self):
+        return DiscreteMeasure(self.nu.points, self.nu_rest, dim=self.nu.dim)
 
 
 def meet(mu, nu):
@@ -205,13 +185,13 @@ def meet(mu, nu):
     minimum of the two weights; residuals keep the atomwise excess.  The
     two residuals never share an atom.
     """
-    i, _, common, mu_rest, nu_rest = _meet_weights(mu, nu)
-    d = mu.dim
-    return MassDecomposition(
-        common=DiscreteMeasure(mu.points[i], common, dim=d),
-        mu_residual=DiscreteMeasure(mu.points, mu_rest, dim=d),
-        nu_residual=DiscreteMeasure(nu.points, nu_rest, dim=d),
-    )
+    i, j = match_atoms(mu, nu)
+    shared = np.minimum(mu.weights[i], nu.weights[j])
+    mu_rest = mu.weights.copy()
+    nu_rest = nu.weights.copy()
+    mu_rest[i] -= shared
+    nu_rest[j] -= shared
+    return MassDecomposition(mu, nu, i, j, shared, mu_rest, nu_rest)
 
 
 def three_segments(n):
@@ -272,14 +252,17 @@ def snap(mu, nu, tol):
     Common mass is matched by exact coordinate equality, so atoms meant
     to coincide but separated by rounding never meet.  Snapping moves
     each nu-atom onto its nearest mu-atom when that atom is within
-    ``tol``; the returned measure merges any collisions.  Off by default
-    everywhere; opt in deliberately, since it changes the instance.
+    ``tol``, which must be finite and positive; the returned measure
+    merges any collisions.  Off by default everywhere; opt in
+    deliberately, since it changes the instance.
     """
     from scipy.spatial import cKDTree
 
     _check_same_dim(mu, nu)
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
+    if tol == np.inf:
+        raise ValueError(f"tol must be finite, got {tol}")
     if len(mu) == 0 or len(nu) == 0:
         return nu
     d, idx = cKDTree(mu.points).query(nu.points, k=1)
@@ -313,7 +296,7 @@ def save_measure(measure, path):
         raise MeasureFormatError(f"unsupported measure format {path.suffix!r}")
 
 
-def load_measure(path, require_probability=True):
+def load_measure(path):
     """Read a measure written by :func:`save_measure`; validates weights.
 
     CSV rows are ``x_1, ..., x_d, weight``; the JSON form is
@@ -339,8 +322,11 @@ def load_measure(path, require_probability=True):
         measure = _measure_from_dict(doc, path)
     else:
         raise MeasureFormatError(f"unsupported measure format {path.suffix!r}")
-    if require_probability:
-        measure.require_probability()
+    deficit = measure.total_mass - 1.0
+    if abs(deficit) > MASS_TOL:
+        raise MeasureFormatError(
+            f"weights must sum to 1, got {measure.total_mass!r} (deficit {-deficit:+.6g})"
+        )
     return measure
 
 

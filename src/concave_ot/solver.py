@@ -84,8 +84,7 @@ import numpy as np
 
 from .costs import cost_matrix
 from .measures import (
-    DiscreteMeasure, _jsonable, _measure_from_dict, _meet_weights, _read_table, _residual_pair,
-    _write_table,
+    DiscreteMeasure, _jsonable, _measure_from_dict, _read_table, _write_table, meet,
 )
 
 __all__ = [
@@ -308,21 +307,22 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     The potentials are indexed by atom, like the plan: an atom with
     residual mass carries its residual potential, and an atom without
     one NaN.  If either residual is empty the plan is diagonal with zero
-    potentials.  ``no_meet``, or no shared atom, solves the full problem.
+    potentials.  ``no_meet`` solves the full problem without matching
+    atoms; so does a pair with no shared atom.
     """
-    i, j, common, mu_rest, nu_rest = _meet_weights(mu, nu)
-    if no_meet or len(i) == 0:
+    split = None if no_meet else meet(mu, nu)
+    if split is None or len(split.mu_idx) == 0:
         plan, pots, obj = solve_exact(mu, nu, cost)
         return plan, pots, obj, certify(plan, pots, cost), False
-    residuals = _residual_pair(mu, nu, mu_rest, nu_rest)
-    if residuals is None:
+    i, j, common = split.mu_idx, split.nu_idx, split.shared
+    rows, cols = np.flatnonzero(split.mu_rest), np.flatnonzero(split.nu_rest)
+    if len(rows) == 0 or len(cols) == 0:
         plan = TransportPlan(
             source=mu, target=nu, src_idx=i, tgt_idx=j, mass=common
         ).validate()
         pots = DualPotentials(phi=np.zeros(len(mu)), psi=np.zeros(len(nu)))
         return plan, pots, 0.0, certify(plan, pots, cost), True
-    rows, cols, mu_r, nu_r = residuals
-    r_plan, pots, obj = solve_exact(mu_r, nu_r, cost)
+    r_plan, pots, obj = solve_exact(split.mu_residual, split.nu_residual, cost)
     cert = certify(r_plan, pots, cost)
     phi = np.full(len(mu), np.nan)
     psi = np.full(len(nu), np.nan)

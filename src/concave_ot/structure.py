@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import solver
-from .measures import DiscreteMeasure, _meet_weights
+from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
 
 __all__ = [
@@ -131,7 +131,8 @@ def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     """
     if mu != plan.source or nu != plan.target:
         raise ValueError("mu and nu must be the plan's source and target")
-    i, j, common, _, _ = _meet_weights(mu, nu)
+    split = meet(mu, nu)
+    i, j, common = split.mu_idx, split.nu_idx, split.shared
     dec = decompose(plan)
     diag, off = dec.diagonal, dec.off_diagonal
     deviation = np.zeros(len(mu))  # common minus diagonal mass, per source atom
@@ -347,7 +348,8 @@ def reconstruct_map_from_potential(
 
     The gradient at each source atom is estimated by an affine
     least-squares fit of the potential over the ``k`` nearest source
-    atoms; the inverse cost derivative converts its magnitude into a
+    atoms, where ``k_neighbors`` must be at least d + 1 (``ValueError``
+    otherwise); the inverse cost derivative converts its magnitude into a
     displacement radius (a kink's slope gap still pins the radius), and
     ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
     most ``grad_tol`` stay at rest (``near_diagonal``, radius 0).
@@ -359,7 +361,9 @@ def reconstruct_map_from_potential(
     moving atoms divide by their gradient norm.
     """
     d = mu.dim
-    k = max(int(k_neighbors), d + 1)
+    k = int(k_neighbors)
+    if k < d + 1:
+        raise ValueError(f"the affine gradient fit needs k >= d + 1 = {d + 1}, got k = {k}")
     n = len(mu)
     if n < k + 1:
         raise ValueError(

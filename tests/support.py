@@ -349,7 +349,7 @@ def reconstruct_reference(
     scalar ``cost.inv_deriv`` call.
     """
     d = mu.dim
-    k = max(int(k_neighbors), d + 1)
+    k = int(k_neighbors)
     n = len(mu)
     if n < k + 1:
         raise ValueError(

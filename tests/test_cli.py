@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from concave_ot import solver, structure
+from concave_ot import measures, solver, structure
 from concave_ot.cli import limit_plan_pair, main, solve_with_meet
 from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
@@ -181,6 +181,20 @@ class TestSolveCommand:
         from concave_ot import solver
 
         assert solve_with_meet is solver.solve_with_meet
+
+    def test_no_meet_matches_no_atoms(self, monkeypatch):
+        mu, nu = overlapping_instance(np.random.default_rng(5))
+        calls, inner = [], measures.match_atoms
+
+        def counting_match(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(measures, "match_atoms", counting_match)
+        solve_with_meet(mu, nu, PowerCost(0.5), no_meet=True)
+        assert len(calls) == 0
+        solve_with_meet(mu, nu, PowerCost(0.5))
+        assert len(calls) == 1
 
     def test_meet_preprocessing_matches_plain_lp(self, tmp_path):
         mu, nu = overlapping_instance(np.random.default_rng(5))
@@ -461,6 +475,15 @@ class TestReconstructCommand:
         source = np.loadtxt(out / "reconstruction.csv", delimiter=",", skiprows=1, usecols=0)
         assert source.tolist() == moving
 
+    @pytest.mark.parametrize("k", ["0", "2"])
+    def test_k_below_d_plus_one_exit_2(self, tmp_path, capsys, measure_files, k):
+        mu_path, nu_path = measure_files  # d = 2
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--k", k, "--out", str(out)]) == 2
+        assert f"needs k >= d + 1 = 3, got k = {k}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_atom_exit_2(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_measure(DiscreteMeasure([[0.0, 0.0]], [1.0]), a)
@@ -514,6 +537,19 @@ class TestSnapFlag:
         assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path), "--cost", COST,
                      "--snap-tol", "nan", "--out", str(out)]) == 2
         assert "tol must be positive, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol, problem", [
+        ("inf", "tol must be finite, got inf"),
+        ("0", "tol must be positive, got 0.0"),
+    ], ids=["inf", "zero"])
+    def test_infinite_or_zero_snap_tol_exit_2(self, tmp_path, capsys, measure_files,
+                                              tol, problem):
+        mu_path, nu_path = measure_files
+        out = tmp_path / "o"
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path), "--cost", COST,
+                     "--snap-tol", tol, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
         assert not out.exists()
 
 

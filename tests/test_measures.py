@@ -98,6 +98,33 @@ class TestMeet:
         with pytest.raises(ValueError):
             meet(DiscreteMeasure([[0.0]], [1.0]), DiscreteMeasure([[0.0, 0.0]], [1.0]))
 
+    def test_measures_built_when_read(self, monkeypatch):
+        mu, nu = small_overlapping_pair(3)
+        built, inner_init = [], DiscreteMeasure.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            inner_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
+        dec = meet(mu, nu)
+        assert len(built) == 0
+        for name in ("common", "mu_residual", "nu_residual"):
+            getattr(dec, name)
+            assert len(built) == 1, name
+            built.clear()
+
+    def test_weights_index_the_atoms(self):
+        mu = DiscreteMeasure([[0.0], [1.0], [3.0]], [0.25, 0.5, 0.25])
+        nu = DiscreteMeasure([[1.0], [2.0], [3.0]], [0.25, 0.5, 0.25])
+        dec = meet(mu, nu)
+        assert dec.mu_idx.tolist() == [1, 2] and dec.nu_idx.tolist() == [0, 2]
+        assert dec.shared.tolist() == [0.25, 0.25]
+        assert dec.mu_rest.tolist() == [0.25, 0.25, 0.0]
+        assert dec.nu_rest.tolist() == [0.0, 0.5, 0.0]
+        rows = np.flatnonzero(dec.mu_rest)
+        assert dec.mu_residual == DiscreteMeasure(mu.points[rows], dec.mu_rest[rows])
+
     @pytest.mark.parametrize("seed", range(25))
     def test_invariants_random(self, seed):
         mu, nu = small_overlapping_pair(seed)
@@ -299,12 +326,6 @@ class TestIO:
         with pytest.raises(MeasureFormatError):
             save_measure(uniform_box(2, 1, seed=0), tmp_path / "m.txt")
 
-    def test_subprobability_load_optout(self, tmp_path):
-        path = tmp_path / "sub.csv"
-        path.write_text("0.0,0.5\n")
-        m = load_measure(path, require_probability=False)
-        assert m.total_mass == 0.5
-
 
 class TestSnap:
     def test_moves_near_coincident_atoms(self):
@@ -331,3 +352,10 @@ class TestSnap:
         mu = DiscreteMeasure([[0.0]], [1.0])
         with pytest.raises(ValueError):
             snap(mu, mu, tol=0.0)
+
+    def test_rejects_infinite_tol(self):
+        from concave_ot.measures import snap
+
+        mu = DiscreteMeasure([[0.0]], [1.0])
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            snap(mu, mu, tol=np.inf)

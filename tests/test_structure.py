@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from concave_ot import solver, structure
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
-from concave_ot.measures import DiscreteMeasure, _meet_weights, three_segments, uniform_box
+from concave_ot.measures import DiscreteMeasure, meet, three_segments, uniform_box
 from concave_ot.solver import DualPotentials, TransportPlan, solve_exact, solve_with_meet
 from concave_ot.structure import (
     decompose,
@@ -195,7 +195,8 @@ def _stay_at_rest_plans(rng, d):
     k = int(rng.integers(1, 3 * (len(mu) + len(nu))))
     src, tgt = rng.integers(0, len(mu), k), rng.integers(0, len(nu), k)
     mass = rng.uniform(0.0, 2.0 / k, k)
-    i, j, common, _, _ = _meet_weights(mu, nu)
+    split = meet(mu, nu)
+    i, j, common = split.mu_idx, split.nu_idx, split.shared
     if len(i):  # some entries on the diagonal, some of them repeated
         pick = rng.integers(0, len(i), k)
         diag = rng.random(k) < 0.5
@@ -738,6 +739,16 @@ class TestReconstruction:
         pots = DualPotentials(phi=np.zeros(1), psi=np.zeros(1))
         with pytest.raises(ValueError, match="source atoms"):
             reconstruct_map_from_potential(pots, tiny, tiny, P05)
+
+    @pytest.mark.parametrize("d", [1, 2, 9])
+    def test_k_below_d_plus_one_rejected(self, d):
+        cloud = uniform_box(40, d, seed=0)
+        pots = DualPotentials(phi=np.zeros(40), psi=np.zeros(1))
+        for k in (-3, 0, d):
+            with pytest.raises(ValueError, match=f"k >= d \\+ 1 = {d + 1}, got k = {k}"):
+                reconstruct_map_from_potential(pots, cloud, cloud, P05, k_neighbors=k)
+        res = reconstruct_map_from_potential(pots, cloud, cloud, P05, k_neighbors=d + 1)
+        assert res.near_diagonal.all()
 
     def test_plan_diagnostics_on_separated_clouds(self):
         mu = uniform_box(400, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=7)
