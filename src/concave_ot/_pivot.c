@@ -1,13 +1,14 @@
 /* Compiled kernel of concave_ot: the network simplex of solver (the
  * starting tree and the pivot loop), the Euclidean distances the cost
- * matrices are made of, and the scorers of two audits, verify_ccm in
- * structure and certify in solver.
+ * matrices are made of, the scorers of two audits, verify_ccm in
+ * structure and certify in solver, and the cone scan of the isotropy
+ * audit in geometry.
  *
  * starting_tree is a port of the Python least-cost basis
  * (_least_cost_basis) and one-DFS thread build (_python_start), and
  * pivot_loop of the Python loop (_pivot_loop); these and the numpy
  * references of the other entry points live in tests/support.py, where
- * ReferenceKernel serves them under the names of the six entry points,
+ * ReferenceKernel serves them under the names of the seven entry points,
  * and the tests require the same bits from both.  The start takes arcs
  * in the same global (cost, arc id) order, merging sorted runs of each
  * row's cheapest arcs read in place from the cost matrix, and crosses
@@ -35,7 +36,9 @@
  * and its reference return the same bits.  distances sums the squared
  * coordinate differences in order from 0.0 and takes the square root, as
  * scipy's cdist and the numpy reference _numpy_distances do, with the
- * same bits.
+ * same bits.  cone_nearest sums each atom's r and dot products in order
+ * from 0.0, as its reference _numpy_cone_nearest does, and returns the
+ * nearest atom in each cone, the lanes of a vector being two directions.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
@@ -52,12 +55,12 @@
  * The vectors are GCC / Clang vector extensions of 16 bytes, native on
  * SSE2 and on NEON, so no target emulates them.  solver._compiled_kernel
  * builds this file with the system cc and -march=native, so that the
- * compiler uses the host's encodings, and calls the six entry points
+ * compiler uses the host's encodings, and calls the seven entry points
  * through ctypes; there is no other path, so without a compiler every
- * solve raises solver.SolverError.  Node arrays are indexed by node
- * (sources 0..m-1, targets m..m+n-1) and filled or updated in place; all
- * state lives in the caller's arrays or in memory allocated per call, so
- * concurrent calls are safe.
+ * solve, cost matrix and audit raises solver.SolverError.  Node arrays
+ * are indexed by node (sources 0..m-1, targets m..m+n-1) and filled or
+ * updated in place; all state lives in the caller's arrays or in memory
+ * allocated per call, so concurrent calls are safe.
  */
 #include <math.h>
 #include <stdint.h>
@@ -416,6 +419,11 @@ static v2d v2_load(const double *p)
     return x;
 }
 
+static void v2_store(double *p, v2d x)
+{
+    memcpy(p, &x, sizeof x);
+}
+
 static v2d v2_select(v2i mask, v2d x, v2d y)
 {
     return (v2d)(((v2i)x & mask) | ((v2i)y & ~mask));
@@ -715,6 +723,66 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *ou
                 s += t * t;
             }
             out[i * n + j] = sqrt(s);
+        }
+    }
+}
+
+/* ---- cone scan ------------------------------------------------------ */
+
+/* The nearest other atom in each cone of the isotropy audit.  Apex t, row
+ * t of the count x d array apex, is scanned over the atoms
+ * rows[offsets[t]] .. rows[offsets[t + 1] - 1], rows of the d-column
+ * array points.  For atom y and w = y - x, coordinate by coordinate,
+ * r = sqrt(w_0 w_0 + ... + w_{d-1} w_{d-1}) and, for direction j (column
+ * j of the d x ndir array dirs), w.u_j = w_0 u_0j + ... + w_{d-1} u_{d-1,j},
+ * each sum taken in order from 0.0.  y lies in cone (l, j) iff r > 0 and
+ * w.u_j >= (1 - deltas[l]) r: r = 0 (the apex itself, or a duplicate)
+ * never counts.  nearest[(t * nopen + l) * ndir + j] is the least such
+ * r, NaN if the cone holds none (not +inf, which a reader's r <= eps
+ * would take for a hit at eps = inf).  The directions go two lanes at a
+ * time; a lane takes r unless its cone already holds a nearer or equal
+ * atom.  work holds ndir doubles, one atom's dot products. */
+void cone_nearest(i64 count, i64 d, const double *apex, const i64 *offsets, const i64 *rows,
+                  const double *points, i64 ndir, const double *dirs, i64 nopen,
+                  const double *deltas, double *work, double *nearest)
+{
+    for (i64 t = 0; t < count; t++) {
+        const double *x = apex + t * d;
+        double *near = nearest + t * nopen * ndir;
+        for (i64 c = 0; c < nopen * ndir; c++)
+            near[c] = NAN;
+        for (i64 s = offsets[t]; s < offsets[t + 1]; s++) {
+            const double *y = points + rows[s] * d;
+            double sq = 0.0;
+            memset(work, 0, ndir * sizeof *work);
+            for (i64 k = 0; k < d; k++) {
+                const double w = y[k] - x[k], *u = dirs + k * ndir;
+                const v2d w2 = {w, w};
+                sq += w * w;
+                i64 j = 0;
+                for (; j + 2 <= ndir; j += 2)
+                    v2_store(work + j, v2_load(work + j) + w2 * v2_load(u + j));
+                for (; j < ndir; j++)
+                    work[j] += w * u[j];
+            }
+            const double r = sqrt(sq);
+            if (!(r > 0.0))
+                continue;
+            const v2d r2 = {r, r};
+            for (i64 l = 0; l < nopen; l++) {
+                const double edge = (1.0 - deltas[l]) * r;
+                const v2d edge2 = {edge, edge};
+                double *cone = near + l * ndir;
+                i64 j = 0;
+                for (; j + 2 <= ndir; j += 2) {
+                    v2d cur = v2_load(cone + j);
+                    v2i in = (v2i)(v2_load(work + j) >= edge2) & ~(v2i)(cur <= r2);
+                    v2_store(cone + j, v2_select(in, r2, cur));
+                }
+                for (; j < ndir; j++)
+                    if (work[j] >= edge && !(cone[j] <= r))
+                        cone[j] = r;
+            }
         }
     }
 }

@@ -59,6 +59,7 @@ from .solver import (
     solve_with_meet,
 )
 from .structure import (
+    _check_k_neighbors,
     decompose,
     detect_kink_events,
     extract_map,
@@ -426,6 +427,7 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
     """
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
+    _check_k_neighbors(k_neighbors, mu.dim)  # before the solve, not after it
     cost = cost_from_json(cost_spec)
     split = meet(mu, nu)
     rows = np.arange(len(mu))

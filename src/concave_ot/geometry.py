@@ -37,9 +37,10 @@ __all__ = [
 
 # Nearest atoms that settle each sampled apex before any exact rescan.
 _NEIGHBOURS = 64
-# Apices per batch of that first pass; bounds its (apex, neighbour,
-# direction) temporaries to about a megabyte whatever the sample size.
-_APEX_BATCH = 64
+# (apex, atom) pairs the rescan lists at once (3 MB of them), so that its
+# memory does not grow with the sample: a chunk of apices holds at most
+# this many pairs plus one apex's.
+_PAIRS = 2**17
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,12 @@ def isotropy_audit(
     in-cone distance of each direction answers every radius at once.
     The verdicts are those of a scan over all atoms, because an apex is
     rescanned over every atom within the largest radius whenever the
-    neighbours leave a cone empty yet do not reach past that radius.
+    neighbours leave a cone empty yet do not reach past that radius
+    (a pair query between the two trees lists those atoms).  Each scan
+    is one call of the compiled kernel's ``cone_nearest``, which sums
+    each atom's distance and dot products in order; the rescan is split
+    into chunks of apices only when it lists more than ``_PAIRS`` pairs.
+    Raises ``solver.SolverError`` if the kernel cannot be built.
     """
     _check_point_sample(point_sample)
     deltas = tuple(float(d) for d in deltas)
@@ -239,44 +245,29 @@ def isotropy_audit(
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     dist_boundary = np.minimum(X - lo, hi - X).min(axis=1)
 
-    def cone_hits(x, rows):
-        """hits[..., delta, eps, direction] of apices x over atoms rows.
+    from . import solver  # the kernel is looked up at call time, as costs._distances does
 
-        The nearest other atom in each cone, with the scan's own
-        expressions for w, r and the dot products, decides every
-        radius: the cell is hit iff that distance is <= eps.
-        """
-        w = pts[rows] - x
-        r = np.linalg.norm(w, axis=-1)
-        dots = w @ U.T
-        r_other = np.where(r > 0.0, r, np.nan)[..., None]
-        nearest = np.stack(
-            [
-                np.fmin.reduce(
-                    np.where(dots >= (1.0 - dl) * r[..., None], r_other, np.nan),
-                    axis=-2,
-                )
-                for dl in deltas
-            ],
-            axis=-2,
-        )
-        return nearest[..., None, :] <= eps_arr[:, None]
-
+    kernel = solver._compiled_kernel()
     k = min(_NEIGHBOURS, n)
     dk, near = (a.reshape(len(X), k) for a in tree.query(X, k=k))
-    hits = np.concatenate(
-        [
-            cone_hits(X[s : s + _APEX_BATCH, None, :], near[s : s + _APEX_BATCH])
-            for s in range(0, len(X), _APEX_BATCH)
-        ]
-    )
+    nearest = kernel.cone_nearest(pts, X, np.arange(0, near.size + 1, k), near.ravel(), U, deltas)
     # Atoms beyond the k nearest lie at tree distance >= the k-th one; the
     # margin covers rounding between the tree's distances and r.
     reach = eps_arr.max() * (1.0 + 1e-9)
     if k < n:
-        open_cone = ~hits.all(axis=(1, 2, 3))
-        for t in np.flatnonzero(open_cone & (dk[:, -1] <= reach)):
-            hits[t] = cone_hits(X[t], tree.query_ball_point(X[t], reach))
+        settled = (nearest <= eps_arr.min()).all(axis=(1, 2))
+        again = np.flatnonzero(~settled & (dk[:, -1] <= reach))
+        ends = np.cumsum(tree.query_ball_point(X[again], reach, return_length=True))
+        for chunk in np.split(again, np.flatnonzero(np.diff(ends // _PAIRS)) + 1):
+            # every (apex, atom) pair within reach, grouped by apex; the
+            # keys are narrowed so that the stable sort is a radix sort
+            pairs = cKDTree(X[chunk]).sparse_distance_matrix(tree, reach, output_type="ndarray")
+            apex = pairs["i"].astype(np.min_scalar_type(len(chunk)))
+            offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
+            np.cumsum(np.bincount(apex, minlength=len(chunk)), out=offsets[1:])
+            rows = pairs["j"][np.argsort(apex, kind="stable")]
+            nearest[chunk] = kernel.cone_nearest(pts, X[chunk], offsets, rows, U, deltas)
+    hits = nearest[..., None, :] <= eps_arr[:, None]
 
     misses = ~hits
     fail_counts = misses.sum(axis=(1, 2, 3))

@@ -49,8 +49,10 @@ computes the Euclidean distances each cost matrix is made of
 in one pass over a cost matrix, with no m x n temporary: the pair swaps
 and cycles of ``structure.verify_ccm`` (``pair_scores``,
 ``cycle_scores``) and the two maxima of :func:`certify`
-(``certify_maxima``, also in vectors of two doubles).  The first cost
-matrix of a process loads the kernel with ctypes, compiling it first
+(``certify_maxima``, also in vectors of two doubles); it also scans the
+cones of ``geometry.isotropy_audit`` (``cone_nearest``, two directions
+to a vector).  The first call of a process that needs the kernel
+loads it with ctypes, compiling it first
 with the system ``cc -O2 -march=native -ffp-contract=off -shared -fPIC``
 unless the package's ``__pycache__`` holds ``_pivot.<hash>.so`` (the
 hash covers the source, the compiler command and the host CPU, so each
@@ -476,7 +478,7 @@ def _support(src, tgt, C):
 
 
 class _CompiledKernel:
-    """ctypes binding of the six entry points of ``_pivot.c``.  Each
+    """ctypes binding of the seven entry points of ``_pivot.c``.  Each
     method returns the bits of the Python or numpy code the C ports,
     which the test suite keeps as its reference."""
 
@@ -520,6 +522,11 @@ class _CompiledKernel:
         self._certify_maxima = self._lib.certify_maxima
         self._certify_maxima.argtypes = [i64, i64, costs, costs, costs, floats]
         self._certify_maxima.restype = None
+        self._cone_nearest = self._lib.cone_nearest
+        self._cone_nearest.argtypes = [
+            i64, i64, costs, index, index, costs, i64, costs, i64, costs, floats, floats,
+        ]
+        self._cone_nearest.restype = None
 
     def start(self, a, b, C):
         m, n = len(a), len(b)
@@ -595,6 +602,35 @@ class _CompiledKernel:
         self._certify_maxima(m, n, phi, psi, C, out)
         return float(out[0]), float(out[1])
 
+    def cone_nearest(self, points, apices, offsets, rows, directions, deltas):
+        """nearest[t, l, j]: the least r > 0 from apex t to an atom
+        ``points[rows[offsets[t]:offsets[t + 1]]]`` in the cone of opening
+        ``deltas[l]`` around ``directions[j]``, NaN if the cone holds none;
+        r and the dot products are each summed in order."""
+        points, apices, directions, deltas = (
+            np.ascontiguousarray(x, dtype=float) for x in (points, apices, directions, deltas)
+        )
+        offsets, rows = (np.ascontiguousarray(x, dtype=np.int64) for x in (offsets, rows))
+        d = points.shape[-1]
+        if points.ndim != 2 or apices.shape[1:] != (d,) or directions.shape[1:] != (d,):
+            raise ValueError("points, apices and directions must have the same columns")
+        if (
+            offsets.shape != (len(apices) + 1,) or offsets[0] != 0
+            or offsets[-1] != len(rows) or (np.diff(offsets) < 0).any()
+        ):
+            raise ValueError("offsets must rise from 0 to the number of rows, one per apex")
+        if rows.ndim != 1 or len(rows) and not 0 <= rows.min() <= rows.max() < len(points):
+            raise ValueError("rows do not index the points")
+        if deltas.ndim != 1:
+            raise ValueError("deltas must be one-dimensional")
+        nearest = np.empty((len(apices), len(deltas), len(directions)))
+        self._cone_nearest(
+            len(apices), d, apices, offsets, rows, points, len(directions),
+            np.ascontiguousarray(directions.T), len(deltas), deltas, np.empty(len(directions)),
+            nearest,
+        )
+        return nearest
+
     def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
         m = num_nodes - n
@@ -616,8 +652,8 @@ class _CompiledKernel:
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled start, pivot loop, distances and audit scorers, built
-    and loaded on first use.
+    """The compiled start, pivot loop, distances, audit scorers and cone
+    scan, built and loaded on first use.
 
     If that fails (no ``cc``, a compile error, an unwritable cache), it
     raises :class:`SolverError` naming the compiler command and its

@@ -341,6 +341,15 @@ class ReconstructionResult:
         return int(self.gap_event.sum())
 
 
+def _check_k_neighbors(k_neighbors, d):
+    """``k_neighbors`` as an int, or ``ValueError`` below the d + 1 atoms
+    that an affine gradient fit in d dimensions needs."""
+    k = int(k_neighbors)
+    if k < d + 1:
+        raise ValueError(f"the affine gradient fit needs k >= d + 1 = {d + 1}, got k = {k}")
+    return k
+
+
 def reconstruct_map_from_potential(
     potentials, mu, nu, cost, k_neighbors=8, plan=None, grad_tol=1e-8
 ):
@@ -361,9 +370,7 @@ def reconstruct_map_from_potential(
     moving atoms divide by their gradient norm.
     """
     d = mu.dim
-    k = int(k_neighbors)
-    if k < d + 1:
-        raise ValueError(f"the affine gradient fit needs k >= d + 1 = {d + 1}, got k = {k}")
+    k = _check_k_neighbors(k_neighbors, d)
     n = len(mu)
     if n < k + 1:
         raise ValueError(

@@ -239,7 +239,10 @@ def isotropy_audit_reference(
 
     For each sampled apex this sweeps all n atoms once per (delta,
     epsilon) pair; ``geometry.isotropy_audit`` must return the same
-    report from its nearest-neighbour pass.  Slow; keep n small.
+    report from its nearest-neighbour pass.  Each atom's r and dot
+    products are those of the kernel's cone scan (``_cone_terms``), so a
+    tie at a cone's edge or at a radius is decided alike.  Slow; keep n
+    small.
     """
     res = resolution_scale(measure)
     if epsilons is None:
@@ -277,10 +280,8 @@ def isotropy_audit_reference(
     for t, i in enumerate(sample):
         x = pts[i]
         dist_boundary[t] = float(np.minimum(x - lo, hi - x).min())
-        w = pts - x
-        r = np.linalg.norm(w, axis=1)
+        r, dots = _cone_terms(pts - x, U)  # (n,), (n, directions)
         others = r > 0.0
-        dots = w @ U.T  # (n, directions)
         for dl in deltas:
             dir_ok = dots >= (1.0 - dl) * r[:, None]
             for ep in eps_arr:
@@ -508,7 +509,7 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
 
 
 class ReferenceKernel:
-    """The six entry points of the compiled kernel, as the Python and numpy
+    """The seven entry points of the compiled kernel, as the Python and numpy
     code that ``_pivot.c`` ports; called with the same arguments, each
     returns the same bits.  Patching ``solver._compiled_kernel`` with this
     class runs the solver, the cost matrices and the audits on it."""
@@ -533,6 +534,9 @@ class ReferenceKernel:
 
     def certify_maxima(self, phi, psi, C):
         return _numpy_certify_maxima(phi, psi, C)
+
+    def cone_nearest(self, points, apices, offsets, rows, directions, deltas):
+        return _numpy_cone_nearest(points, apices, offsets, rows, directions, deltas)
 
 
 def _least_cost_basis(a, b, C):
@@ -906,3 +910,32 @@ def _numpy_certify_maxima(phi, psi, C):
     maximum is +0.0, whichever zero came first."""
     viol = ((phi[:, None] + psi[None, :]) - C).max()
     return float(np.abs(C).max(initial=0.0)), float(viol) + 0.0
+
+
+def _cone_terms(w, U):
+    """r and the dot products of the rows of ``w`` with the directions
+    ``U``, each summed in order from 0.0 as ``cone_nearest`` in
+    ``_pivot.c`` sums them: no BLAS (which may fuse multiply-adds) and no
+    ``np.linalg.norm`` (which sums 8 or more squares pairwise)."""
+    r2 = np.zeros(len(w))
+    dots = np.zeros((len(w), len(U)))
+    for k in range(w.shape[1]):
+        r2 += w[:, k] * w[:, k]
+        dots += w[:, k, None] * U[:, k]
+    return np.sqrt(r2), dots
+
+
+def _numpy_cone_nearest(points, apices, offsets, rows, directions, deltas):
+    """The numpy reference for ``cone_nearest`` in ``_pivot.c``: for apex t
+    over the atoms ``points[rows[offsets[t]:offsets[t + 1]]]``, the least
+    r > 0 with dot >= (1 - delta) * r in each (delta, direction) cone,
+    NaN where there is none."""
+    nearest = np.full((len(apices), len(deltas), len(directions)), np.nan)
+    for t, x in enumerate(apices):
+        r, dots = _cone_terms(points[rows[offsets[t]:offsets[t + 1]]] - x, directions)
+        for l, dl in enumerate(deltas):
+            inside = (dots >= (1.0 - dl) * r[:, None]) & (r > 0.0)[:, None]
+            nearest[t, l] = np.fmin.reduce(
+                np.where(inside, r[:, None], np.nan), axis=0, initial=np.nan
+            )
+    return nearest

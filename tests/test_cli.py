@@ -484,6 +484,17 @@ class TestReconstructCommand:
         assert f"needs k >= d + 1 = 3, got k = {k}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_k_checked_before_the_solve(self, tmp_path, monkeypatch, measure_files):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_exact ran before --k was checked")
+
+        monkeypatch.setattr("concave_ot.cli.solve_exact", no_solve)
+        mu_path, nu_path = measure_files
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--k", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_single_atom_exit_2(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         save_measure(DiscreteMeasure([[0.0, 0.0]], [1.0]), a)

@@ -1,12 +1,14 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import isotropy_audit_reference
+from support import ReferenceKernel, _cone_terms, isotropy_audit_reference, record_kernel_calls
 
+from concave_ot import geometry, solver
 from concave_ot.geometry import (
     Cone,
     cone_contains,
@@ -328,3 +330,108 @@ class TestIsotropyAgainstReference:
         hp = hyperplane_sample(400, dim, seed=dim)
         got = isotropy_audit(hp, point_sample=60, seed=1)
         assert got.to_dict() == isotropy_audit_reference(hp, point_sample=60, seed=1).to_dict()
+
+
+def _cone_case(dim, kind, seed):
+    """Points, apices, CSR rows and directions for ``cone_nearest``.
+
+    Lattices repeat atoms, so an apex meets r = 0 at atoms other than
+    itself, and put atoms exactly on the edges of the axis cones: (3, 4)
+    from an apex has w.e_0 = 3 = (1 - 0.4) * 5 at r = 5, a radius many
+    atoms share.
+    Flat samples leave the normal cones empty.  Each apex scans a random
+    subset of the atoms, and the last scans none.  The number of
+    directions is odd, so the last, an axis, is scanned after the vector
+    lanes."""
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = rng.uniform(-3.0, 3.0, size=(150, dim))
+    else:
+        pts = rng.integers(-4, 5, size=(150, dim)).astype(float)
+        pts = np.vstack([pts, pts[:20]])  # duplicates in every dimension
+    if kind == "flat" and dim >= 2:
+        pts[:, -1] = 0.0
+    eye = np.eye(dim)
+    directions = np.vstack([direction_grid(dim, 3), eye, -eye])
+    apices = np.vstack([pts[rng.choice(len(pts), 30, replace=False)], pts[:1]])
+    chosen = [rng.choice(len(pts), rng.integers(1, len(pts)), replace=False) for _ in apices[1:]]
+    offsets = np.cumsum([0, *map(len, chosen), 0])
+    return pts, apices, offsets, np.concatenate(chosen), directions
+
+
+_CONE_DELTAS = (0.4, 0.2, 0.5, 1.0 - 1.0 / math.sqrt(2.0), 0.8)
+
+
+class TestConeNearest:
+    """The compiled cone scan returns the bytes of its numpy reference."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "flat", "cloud"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_same_bytes_as_reference(self, dim, kind):
+        case = _cone_case(dim, kind, seed=dim)
+        got = solver._compiled_kernel().cone_nearest(*case, _CONE_DELTAS)
+        want = ReferenceKernel().cone_nearest(*case, _CONE_DELTAS)
+        assert got.shape == (31, len(_CONE_DELTAS), len(case[-1]))
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[-1]).all()  # the apex that scans no atom
+        pts, apices, offsets, rows, directions = case
+        terms = [_cone_terms(pts[rows[a:b]] - x, directions)
+                 for x, a, b in zip(apices, offsets, offsets[1:])]
+        if kind != "cloud":
+            assert any((r == 0.0).any() for r, _ in terms)  # an apex, or a duplicate
+        if kind == "lattice" and dim >= 2:
+            assert any(((dots == (1.0 - 0.4) * r[:, None]) & (r > 0.0)[:, None]).any()
+                       for r, dots in terms)  # an atom exactly on a cone's edge
+        if kind == "flat" and dim >= 2:
+            assert np.isnan(got[:-1]).any()  # cones across the plane stay empty
+
+    def test_empty_cone_is_nan_and_apex_never_counts(self):
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        directions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        offsets, rows = np.array([0, 3]), np.arange(3)
+        got = solver._compiled_kernel().cone_nearest(pts, pts[:1], offsets, rows, directions,
+                                                     (0.4, 0.2))
+        # (3, 4) lies on the edge of the +x cone at delta 0.4, outside it at
+        # 0.2; the duplicate at r = 0 lies in no cone
+        nan = math.nan
+        np.testing.assert_array_equal(got[0], [[5.0, nan, 5.0], [nan, nan, 5.0]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_audit_on_both_kernel_paths(self, dim):
+        # a lattice and its hyperplane: radii that lattice atoms sit on, and
+        # eps = inf, which an empty cone must still miss
+        rng = np.random.default_rng(dim)
+        pts = rng.integers(0, 5, size=(120, dim)).astype(float)
+        if dim >= 2:
+            pts[:60, -1] = 0.0
+        measure = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+        kwargs = dict(directions=7, deltas=(0.4, 0.2), epsilons=(3.0, 5.0, math.inf),
+                      point_sample=40, seed=dim)
+        got = isotropy_audit(measure, **kwargs)
+        with mock.patch.object(solver, "_compiled_kernel", ReferenceKernel):
+            twin = isotropy_audit(measure, **kwargs)
+        want = isotropy_audit_reference(measure, **kwargs)
+        assert repr(got.to_dict()) == repr(twin.to_dict()) == repr(want.to_dict())
+
+    def test_rescan_in_chunks(self, monkeypatch):
+        # a flat sample leaves most apices open, and tiny chunks split the
+        # rescan's (apex, atom) pairs over many kernel calls: same report
+        hp = hyperplane_sample(300, 2, seed=4)
+        kwargs = dict(epsilons=(0.05, 0.3), point_sample=80, seed=4)
+        whole = isotropy_audit(hp, **kwargs)
+        calls = record_kernel_calls(monkeypatch, "cone_nearest", lambda *args: len(args[1]))
+        monkeypatch.setattr(geometry, "_PAIRS", 500)
+        chunked = isotropy_audit(hp, **kwargs)
+        assert len(calls) > 3 and sum(calls[1:]) > 20  # the rescan's apices, in chunks
+        assert repr(chunked.to_dict()) == repr(whole.to_dict())
+        assert repr(whole.to_dict()) == repr(isotropy_audit_reference(hp, **kwargs).to_dict())
+
+    def test_bad_rows_rejected(self):
+        kernel = solver._compiled_kernel()
+        pts, U = np.zeros((3, 2)), np.eye(2)
+        with pytest.raises(ValueError, match="rows"):
+            kernel.cone_nearest(pts, pts[:1], [0, 1], [3], U, (0.5,))
+        with pytest.raises(ValueError, match="offsets"):
+            kernel.cone_nearest(pts, pts[:1], [0, 2], [0], U, (0.5,))
+        with pytest.raises(ValueError, match="columns"):
+            kernel.cone_nearest(pts, np.zeros((1, 3)), [0, 1], [0], U, (0.5,))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from concave_ot import costs, solver
 from concave_ot.cli import main
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
+from concave_ot.geometry import isotropy_audit
 from concave_ot.measures import (
     DiscreteMeasure, save_measure, three_segments, translate, uniform_box,
 )
@@ -514,7 +515,8 @@ def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loade
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
     message = ("cannot build the compiled kernel with"
                " `no-such-cc -O2 -march=native -ffp-contract=off -shared -fPIC`: ")
-    for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05)):
+    for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05),
+                lambda: isotropy_audit(mu, point_sample=10)):
         with pytest.raises(SolverError, match=f"^{re.escape(message)}.*no-such-cc"):
             run()
     mu_path, nu_path, out = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "out"
@@ -524,6 +526,10 @@ def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loade
                  "--cost", '{"kind":"power","alpha":0.5}', "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"solver error: {message}")
     assert not out.exists()
+    iso = tmp_path / "iso"
+    assert main(["isotropy", "--generator", "uniform_box:n=200,dim=2", "--out", str(iso)]) == 3
+    assert capsys.readouterr().err.startswith(f"solver error: {message}")
+    assert not iso.exists()
     assert list(cache.iterdir()) == []
 
 
