@@ -59,6 +59,7 @@ from .solver import (
     solve_with_meet,
 )
 from .structure import (
+    _TRANSLATION_TOL,
     _check_k_neighbors,
     decompose,
     detect_kink_events,
@@ -286,7 +287,7 @@ def run_counterexample(n_values, alpha, out_dir, seed=0):
     return _finish(report, out)
 
 
-def run_translation(n, e, alpha, out_dir, seed=0, tol=0.02):
+def run_translation(n, e, alpha, out_dir, seed=0):
     """Concave vs quadratic transport of a cloud onto its translate.
 
     The quadratic control reproduces the translation (objective |e|^2,
@@ -300,10 +301,10 @@ def run_translation(n, e, alpha, out_dir, seed=0, tol=0.02):
     mu = uniform_box(int(n), len(e), seed=seed)
     nu = translate(mu, e)
     plan_c, pots_c, obj_c = solve_exact(mu, nu, cost)
-    mass_c = translation_mass(plan_c, e, tol=tol)
+    mass_c = translation_mass(plan_c, e)
     quad = QuadraticCost()
     plan_q, _, obj_q = solve_exact(mu, nu, quad)
-    mass_q = translation_mass(plan_q, e, tol=tol)
+    mass_q = translation_mass(plan_q, e)
     enorm = float(np.linalg.norm(e))
     f_e = float(cost.value(enorm))
     passed = (
@@ -318,7 +319,7 @@ def run_translation(n, e, alpha, out_dir, seed=0, tol=0.02):
             "e": e.tolist(),
             "alpha": alpha,
             "seed": seed,
-            "tol": tol,
+            "tol": _TRANSLATION_TOL,
         },
         metrics={
             "concave_objective": obj_c,
@@ -359,7 +360,7 @@ def _parse_generator(spec):
 
 
 def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sample=500):
-    """Cone-positivity audit with the default direction/opening/radius grid."""
+    """Cone-positivity audit on the fixed direction/opening/radius grid."""
     if (measure_path is None) == (generator is None):
         raise ValueError("need exactly one of measure_path or generator")
     _check_point_sample(point_sample)

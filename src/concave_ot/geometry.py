@@ -35,6 +35,11 @@ __all__ = [
     "isotropy_audit",
 ]
 
+# The audit's grid: unit directions, cone openings, and radii in
+# multiples of the resolution scale.
+_DIRECTIONS = 16
+_DELTAS = (0.2, 0.5, 0.8)
+_RADII = (10.0, 30.0, 100.0)
 # Nearest atoms that settle each sampled apex before any exact rescan.
 _NEIGHBOURS = 64
 # (apex, atom) pairs the rescan lists at once (3 MB of them), so that its
@@ -174,18 +179,12 @@ def _check_point_sample(point_sample):
         raise ValueError(f"point_sample must be at least 1, got {point_sample}")
 
 
-def isotropy_audit(
-    measure,
-    directions=16,
-    deltas=(0.2, 0.5, 0.8),
-    epsilons=None,
-    point_sample=500,
-    seed=0,
-):
+def isotropy_audit(measure, point_sample=500, seed=0):
     """Probe whether every cone at (sampled) atoms carries other mass.
 
-    ``epsilons`` are absolute radii; by default 10x/30x/100x the
-    resolution scale.  Atoms are sampled by mass.  The apex atom itself
+    The grid is fixed: 16 directions (``direction_grid``), openings 0.2,
+    0.5 and 0.8, and radii 10x/30x/100x the resolution scale.  Atoms are
+    sampled by their share of the total mass.  The apex atom itself
     never counts: the question is whether *nearby* mass exists in every
     direction.  Failing mass is reported relative to the sampled mass;
     per-atom failure counts and the distance to the support's bounding
@@ -204,42 +203,29 @@ def isotropy_audit(
     Raises ``solver.SolverError`` if the kernel cannot be built.
     """
     _check_point_sample(point_sample)
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas:
-        raise ValueError("deltas must not be empty")
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {d}")
     from scipy.spatial import cKDTree
 
-    pts = measure.points
+    pts, n = measure.points, len(measure)
     tree = cKDTree(pts)
     res = _resolution(tree)
-    if epsilons is None:
-        epsilons = tuple(m * res for m in (10.0, 30.0, 100.0))
-    epsilons = tuple(float(e) for e in epsilons)
-    if not epsilons:
-        raise ValueError("epsilons must not be empty")
-    for e in epsilons:
-        if not e > 0.0:
-            raise ValueError(f"epsilons must be positive (inf allowed), got {e}")
-    res_warning = any(e < res for e in epsilons) or len(measure) < 2
+    epsilons = tuple(m * res for m in _RADII)
+    # every radius is at least 10x the resolution scale, which only a
+    # measure of fewer than 2 atoms lacks
+    res_warning = n < 2
     if res_warning:
         warnings.warn(
-            "isotropy audit has epsilons below the resolution scale "
-            f"({res:.3g}); cone positivity is not meaningful there",
+            "isotropy audit of fewer than 2 atoms: no resolution scale, so"
+            " cone positivity is not meaningful",
             stacklevel=2,
         )
 
-    n = len(measure)
     rng = np.random.default_rng(seed)
     if point_sample >= n:
         sample = np.arange(n)
     else:
-        sample = np.sort(
-            rng.choice(n, size=point_sample, replace=False, p=measure.weights)
-        )
-    U = direction_grid(measure.dim, directions)
+        p = measure.weights / measure.total_mass
+        sample = np.sort(rng.choice(n, size=point_sample, replace=False, p=p))
+    U = direction_grid(measure.dim, _DIRECTIONS)
     eps_arr = np.asarray(epsilons)
     X = pts[sample]
     lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -250,7 +236,7 @@ def isotropy_audit(
     kernel = solver._compiled_kernel()
     k = min(_NEIGHBOURS, n)
     dk, near = (a.reshape(len(X), k) for a in tree.query(X, k=k))
-    nearest = kernel.cone_nearest(pts, X, np.arange(0, near.size + 1, k), near.ravel(), U, deltas)
+    nearest = kernel.cone_nearest(pts, X, np.arange(0, near.size + 1, k), near.ravel(), U, _DELTAS)
     # Atoms beyond the k nearest lie at tree distance >= the k-th one; the
     # margin covers rounding between the tree's distances and r.
     reach = eps_arr.max() * (1.0 + 1e-9)
@@ -266,7 +252,7 @@ def isotropy_audit(
             offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
             np.cumsum(np.bincount(apex, minlength=len(chunk)), out=offsets[1:])
             rows = pairs["j"][np.argsort(apex, kind="stable")]
-            nearest[chunk] = kernel.cone_nearest(pts, X[chunk], offsets, rows, U, deltas)
+            nearest[chunk] = kernel.cone_nearest(pts, X[chunk], offsets, rows, U, _DELTAS)
     hits = nearest[..., None, :] <= eps_arr[:, None]
 
     misses = ~hits
@@ -276,7 +262,7 @@ def isotropy_audit(
     if atom_failed.any():
         t = int(np.argmax(atom_failed))
         l, e, j = np.argwhere(misses[t])[0]
-        worst = (X[t].copy(), U[j].copy(), deltas[l], float(eps_arr[e]))
+        worst = (X[t].copy(), U[j].copy(), _DELTAS[l], float(eps_arr[e]))
     sampled_mass = measure.weights[sample].sum()
     failing_mass = measure.weights[sample[atom_failed]].sum()
     return IsotropyReport(
@@ -287,7 +273,7 @@ def isotropy_audit(
         fail_counts=fail_counts,
         distance_to_boundary=dist_boundary,
         resolution=res,
-        deltas=deltas,
+        deltas=_DELTAS,
         epsilons=epsilons,
         n_directions=len(U),
         resolution_warning=bool(res_warning),

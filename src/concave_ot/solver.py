@@ -174,13 +174,14 @@ class TransportPlan:
             return 0.0
         return float(np.dot(self.mass, cost.value(self.distances())))
 
-    def validate(self, tol=MARGINAL_TOL, basic=False):
-        """Check marginal consistency (and entry count for basic plans)."""
+    def validate(self, basic=False):
+        """Check marginal consistency within ``MARGINAL_TOL`` (and entry
+        count for basic plans)."""
         row_err = np.abs(self.row_marginals() - self.source.weights).max(initial=0.0)
         col_err = np.abs(self.col_marginals() - self.target.weights).max(initial=0.0)
-        if row_err > tol or col_err > tol:
+        if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
             raise ValueError(
-                f"plan marginals violate tolerance {tol:g} "
+                f"plan marginals violate tolerance {MARGINAL_TOL:g} "
                 f"(row {row_err:.3g}, col {col_err:.3g})"
             )
         if basic and self.n_entries > len(self.source) + len(self.target) - 1:
@@ -669,14 +670,15 @@ def _compiled_kernel():
         ) from exc
 
 
-def certify(plan, potentials, cost, tol=MARGINAL_TOL):
+def certify(plan, potentials, cost):
     """Optimality certificate for a (plan, potentials) pair.
 
     ``feasible_dual`` checks phi_i + psi_j <= c_ij everywhere;
     ``slack_ok`` checks equality on the plan's support; ``gap`` is the
     primal minus dual objective.  Both checks allow
-    ``tol * max(1, max|C|)``, recorded as ``tolerance``: potentials carry
-    rounding relative to the costs, as the solver's pricing tolerance does.
+    ``MARGINAL_TOL * max(1, max|C|)``, recorded as ``tolerance``:
+    potentials carry rounding relative to the costs, as the solver's
+    pricing tolerance does.
 
     The compiled kernel takes max|C| and the largest phi_i + psi_j - c_ij
     in one pass over the cost matrix (``certify_maxima``).  A NaN
@@ -691,7 +693,7 @@ def certify(plan, potentials, cost, tol=MARGINAL_TOL):
         raise ValueError("potential shapes do not match the plan's measures")
     C = _dense_cost_matrix(mu, nu, cost)
     max_cost, max_viol = _compiled_kernel().certify_maxima(phi, psi, C)
-    tol = tol * max(1.0, max_cost)
+    tol = MARGINAL_TOL * max(1.0, max_cost)
     if plan.n_entries:
         slack = np.abs(
             phi[plan.src_idx] + psi[plan.tgt_idx] - C[plan.src_idx, plan.tgt_idx]

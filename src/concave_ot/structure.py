@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+# Cycles of one length that verify_ccm checks: all of them up to this
+# many, else a seeded sample of this many.
+_SAMPLE_SIZE = 100_000
+# Gradient norm at or below which a reconstructed atom stays at rest.
+_GRAD_TOL = 1e-8
+# Relative tolerance of translation_mass: |y - (x + e)| <= _TRANSLATION_TOL * |e|.
+_TRANSLATION_TOL = 0.02
+
+
 def _marginal(measure, idx, mass):
     """Sub-marginal of a measure carried by the given (idx, mass) entries."""
     w = np.bincount(idx, weights=mass, minlength=len(measure))
@@ -165,19 +174,20 @@ class CcmReport:
         return self.violating_cycle is None
 
 
-def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_000):
+def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     """Search support cycles whose reassignment would lower the cost.
 
     Length-2 cycles (pair swaps) are all checked.  For each longer
     length L up to ``max_cycle_len``, every directed cycle of L distinct
     entries is checked, once and led by its least entry, when there are
-    at most ``sample_size`` of them; otherwise ``sample_size`` ordered
-    tuples are drawn with seed ``seed + L - 3`` and each is checked as
-    one cycle.  ``worst_violation`` is the largest value of
-    sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i))) observed; for an optimal
-    plan it stays below ``tol``.  ``violating_cycle`` lists the entries
-    of the worst cycle and, in the same order, the entries whose
-    targets they would take.
+    at most 100,000 of them; otherwise 100,000 ordered tuples are drawn
+    with seed ``seed + L - 3`` and each is checked as one cycle.  So
+    every array of cycles holds at most 130,008 rows (the first draw of
+    candidates), and the audit's memory is fixed.  ``worst_violation``
+    is the largest value of sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i)))
+    observed; for an optimal plan it stays below ``tol``.
+    ``violating_cycle`` lists the entries of the worst cycle and, in the
+    same order, the entries whose targets they would take.
 
     Every cost is read by index from the plan's m x n cost matrix C,
     built once: entry k runs from source atom src_k to target atom
@@ -192,8 +202,6 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     if not tol >= 0:  # a NaN tol would record no witness
         raise ValueError(f"tol must be >= 0, got {tol}")
     S = plan.n_entries
@@ -231,11 +239,11 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0, sample_size=100_00
 
     for length in range(3, min(max_cycle_len, S) + 1):
         best, cycle = -math.inf, None
-        if math.comb(S, length) * math.factorial(length - 1) <= sample_size:
+        if math.comb(S, length) * math.factorial(length - 1) <= _SAMPLE_SIZE:
             cycles = _all_cycles(S, length)
             score(cycles, len(cycles))
         else:
-            _sampled_cycles(S, length, sample_size, seed + length - 3, score)
+            _sampled_cycles(S, length, seed + length - 3, score)
         if cycle is not None:
             note(best, cycle.tolist(), np.roll(cycle, -1).tolist())
 
@@ -254,12 +262,12 @@ def _all_cycles(S, length):
     return combos[:, orders].reshape(-1, length)
 
 
-def _sampled_cycles(S, length, sample_size, seed, score):
-    """Scores a seeded sample of ``sample_size`` ordered tuples of
+def _sampled_cycles(S, length, seed, score):
+    """Scores a seeded sample of ``_SAMPLE_SIZE`` ordered tuples of
     ``length`` distinct entries: each draw of candidates goes to
     ``score(candidates, need)``, which returns how many it took."""
     rng = np.random.default_rng(seed)
-    need = sample_size
+    need = _SAMPLE_SIZE
     while need > 0:
         need -= score(rng.integers(0, S, size=(int(need * 1.3) + 8, length)), need)
 
@@ -350,9 +358,7 @@ def _check_k_neighbors(k_neighbors, d):
     return k
 
 
-def reconstruct_map_from_potential(
-    potentials, mu, nu, cost, k_neighbors=8, plan=None, grad_tol=1e-8
-):
+def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan=None):
     """Rebuild target predictions from the source-side potential.
 
     The gradient at each source atom is estimated by an affine
@@ -361,7 +367,7 @@ def reconstruct_map_from_potential(
     otherwise); the inverse cost derivative converts its magnitude into a
     displacement radius (a kink's slope gap still pins the radius), and
     ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
-    most ``grad_tol`` stay at rest (``near_diagonal``, radius 0).
+    most 1e-8 stay at rest (``near_diagonal``, radius 0).
 
     All fits are one stacked pseudo-inverse over the (n, k+1, d+1)
     neighbour systems, with ``lstsq``'s default cutoff, so a
@@ -398,7 +404,7 @@ def reconstruct_map_from_potential(
 
     # flat gradients stay at rest; the others move by the inverse derivative
     gnorm = np.linalg.norm(grads, axis=1)
-    near_diag = gnorm <= grad_tol
+    near_diag = gnorm <= _GRAD_TOL
     moving = ~near_diag
     r, gap, out = cost._inv_deriv(gnorm[moving])
     radii = np.zeros(n)
@@ -454,10 +460,10 @@ def detect_kink_events(plan, cost, tol):
     )
 
 
-def translation_mass(plan, e, tol=0.02):
+def translation_mass(plan, e):
     """Plan mass moved by (approximately) the fixed vector ``e``.
 
-    Counts entries with ``|y - (x + e)| <= tol * |e|``; the zero vector is
+    Counts entries with ``|y - (x + e)| <= 0.02 * |e|``; the zero vector is
     rejected (that is the diagonal; use :func:`decompose`).
     """
     e = np.asarray(e, dtype=float).ravel()
@@ -467,4 +473,4 @@ def translation_mass(plan, e, tol=0.02):
     if plan.n_entries == 0:
         return 0.0
     off = np.linalg.norm(plan.displacements() - e, axis=1)
-    return float(plan.mass[off <= tol * enorm].sum())
+    return float(plan.mass[off <= _TRANSLATION_TOL * enorm].sum())

@@ -31,7 +31,7 @@ from scipy.optimize import linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from concave_ot import solver
+from concave_ot import geometry, solver
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure, meet
@@ -227,48 +227,33 @@ def linprog_oracle(mu, nu, cost):
     return float(res.fun)
 
 
-def isotropy_audit_reference(
-    measure,
-    directions=16,
-    deltas=(0.2, 0.5, 0.8),
-    epsilons=None,
-    point_sample=500,
-    seed=0,
-):
+def isotropy_audit_reference(measure, point_sample=500, seed=0):
     """The isotropy audit as one brute-force loop over every atom.
 
     For each sampled apex this sweeps all n atoms once per (delta,
     epsilon) pair; ``geometry.isotropy_audit`` must return the same
-    report from its nearest-neighbour pass.  Each atom's r and dot
-    products are those of the kernel's cone scan (``_cone_terms``), so a
-    tie at a cone's edge or at a radius is decided alike.  Slow; keep n
-    small.
+    report from its nearest-neighbour pass.  The grid is the one that
+    the module constants ``geometry._DIRECTIONS``, ``_DELTAS`` and
+    ``_RADII`` hold when called, so a test that patches them changes both
+    audits alike.  Each atom's r and dot products are those of the
+    kernel's cone scan (``_cone_terms``), so a tie at a cone's edge or at
+    a radius is decided alike.  Slow; keep n small.
     """
     res = resolution_scale(measure)
-    if epsilons is None:
-        epsilons = tuple(m * res for m in (10.0, 30.0, 100.0))
-    epsilons = tuple(float(e) for e in epsilons)
-    deltas = tuple(float(d) for d in deltas)
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {d}")
-    res_warning = any(e < res for e in epsilons) or len(measure) < 2
+    epsilons = tuple(m * res for m in geometry._RADII)
+    deltas = geometry._DELTAS
+    res_warning = len(measure) < 2
     if res_warning:
-        warnings.warn(
-            "isotropy audit has epsilons below the resolution scale "
-            f"({res:.3g}); cone positivity is not meaningful there",
-            stacklevel=2,
-        )
+        warnings.warn("isotropy audit of fewer than 2 atoms", stacklevel=2)
 
     n = len(measure)
     rng = np.random.default_rng(seed)
     if point_sample >= n:
         sample = np.arange(n)
     else:
-        sample = np.sort(
-            rng.choice(n, size=point_sample, replace=False, p=measure.weights)
-        )
-    U = direction_grid(measure.dim, directions)
+        p = measure.weights / measure.weights.sum()
+        sample = np.sort(rng.choice(n, size=point_sample, replace=False, p=p))
+    U = direction_grid(measure.dim, geometry._DIRECTIONS)
 
     pts = measure.points
     lo, hi = pts.min(axis=0), pts.max(axis=0)
@@ -341,9 +326,7 @@ def extract_map_reference(decomp, mass_tol=1e-9):
     )
 
 
-def reconstruct_reference(
-    potentials, mu, nu, cost, k_neighbors=8, plan=None, grad_tol=1e-8
-):
+def reconstruct_reference(potentials, mu, nu, cost, k_neighbors=8, plan=None):
     """``structure.reconstruct_map_from_potential`` as a loop over atoms.
 
     Each atom's gradient is its own ``lstsq`` fit, and each radius its own
@@ -380,7 +363,7 @@ def reconstruct_reference(
     near_diag = np.zeros(n, dtype=bool)
     gnorm = np.linalg.norm(grads, axis=1)
     for i in range(n):
-        if gnorm[i] <= grad_tol:
+        if gnorm[i] <= 1e-8:
             near_diag[i] = True
             y_pred[i] = mu.points[i]
             radii[i] = 0.0

@@ -175,7 +175,7 @@ def test_criterion_5_ccm_audit(overlap_plans):
         rep = verify_ccm(plan, P05, max_cycle_len=3, tol=1e-9, seed=5)
         worst = max(worst, rep.worst_violation)
         checked += rep.cycles_checked
-    grid_rep = verify_ccm(gplan, P05, max_cycle_len=3, tol=1e-9, seed=5, sample_size=100_000)
+    grid_rep = verify_ccm(gplan, P05, max_cycle_len=3, tol=1e-9, seed=5)
     worst = max(worst, grid_rep.worst_violation)
     checked += grid_rep.cycles_checked
 
@@ -239,9 +239,9 @@ def test_criterion_7_translation_non_optimality():
     e = np.array([1.0, 0.0])
     nu = translate(mu, e)
     plan_c, _, obj_c = solve_exact(mu, nu, P05)
-    mass_c = translation_mass(plan_c, e, tol=0.02)
+    mass_c = translation_mass(plan_c, e)
     plan_q, _, obj_q = solve_exact(mu, nu, QuadraticCost())
-    mass_q = translation_mass(plan_q, e, tol=0.02)
+    mass_q = translation_mass(plan_q, e)
     elapsed = time.time() - t0
     ok = (
         obj_c <= 0.995

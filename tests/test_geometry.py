@@ -18,7 +18,7 @@ from concave_ot.geometry import (
     k_delta,
     resolution_scale,
 )
-from concave_ot.measures import DiscreteMeasure, hyperplane_sample, uniform_box
+from concave_ot.measures import DiscreteMeasure, hyperplane_sample, meet, uniform_box
 
 deltas = st.floats(0.01, 0.99)
 
@@ -201,20 +201,9 @@ class TestIsotropyAudit:
     def test_single_atom_degenerate(self):
         lonely = DiscreteMeasure([[0.0, 0.0]], [1.0])
         with pytest.warns(UserWarning, match="resolution"):
-            rep = isotropy_audit(lonely, epsilons=(0.1,), point_sample=10, seed=0)
+            rep = isotropy_audit(lonely, point_sample=10, seed=0)
         assert rep.failing_mass_fraction == 1.0
         assert rep.resolution_warning
-
-    def test_resolution_warning_for_small_eps(self):
-        box = uniform_box(500, 2, seed=12)
-        with pytest.warns(UserWarning, match="resolution"):
-            rep = isotropy_audit(box, epsilons=(1e-9,), point_sample=50, seed=0)
-        assert rep.resolution_warning
-
-    def test_bad_delta(self):
-        box = uniform_box(50, 2, seed=13)
-        with pytest.raises(ValueError):
-            isotropy_audit(box, deltas=(1.5,))
 
     def test_report_serializable(self):
         import json
@@ -229,22 +218,32 @@ class TestIsotropyAudit:
             with pytest.raises(ValueError, match="point_sample"):
                 isotropy_audit(box, point_sample=bad)
 
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"epsilons": ()}, "epsilons"),
-        ({"epsilons": (math.nan,)}, "epsilons"),
-        ({"epsilons": (0.1, 0.0)}, "epsilons"),
-        ({"epsilons": (-1.0,)}, "epsilons"),
-        ({"deltas": ()}, "deltas"),
-        ({"deltas": (math.nan,)}, "delta"),
-    ])
-    def test_bad_radii_and_openings(self, kwargs, match):
-        box = uniform_box(50, 2, seed=13)
-        with pytest.raises(ValueError, match=match):
-            isotropy_audit(box, point_sample=10, **kwargs)
+    @pytest.mark.parametrize("factor", [2.0, 0.5])
+    def test_total_mass_other_than_one(self, factor):
+        # atoms are drawn by their share of the mass, and scaling every
+        # weight by a power of two changes no share, so no key of the report
+        box = uniform_box(300, 2, seed=16)
+        scaled = DiscreteMeasure(box.points, factor * box.weights)
+        got = isotropy_audit(scaled, point_sample=50, seed=0).to_dict()
+        want = isotropy_audit(box, point_sample=50, seed=0).to_dict()
+        assert got.keys() == want.keys()
+        for key in want:
+            assert repr(got[key]) == repr(want[key]), key
 
-    def test_infinite_radius_allowed(self):
+    def test_sampled_residual_measure(self):
+        # the residual of a meet carries less than unit mass
+        box = uniform_box(300, 2, seed=16)
+        pts = np.vstack([box.points[:100], uniform_box(200, 2, seed=17).points])
+        other = DiscreteMeasure(pts, np.full(300, 1 / 300))
+        residual = meet(box, other).mu_residual
+        assert len(residual) == 200 and residual.total_mass < 1.0
+        rep = isotropy_audit(residual, point_sample=50, seed=0)
+        assert len(np.unique(rep.sampled_atoms)) == 50
+
+    def test_infinite_radius_allowed(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_RADII", (math.inf,))
         box = uniform_box(100, 2, seed=15)
-        rep = isotropy_audit(box, epsilons=(math.inf,), point_sample=20, seed=0)
+        rep = isotropy_audit(box, point_sample=20, seed=0)
         assert rep.epsilons == (math.inf,)
         assert not rep.resolution_warning
 
@@ -263,16 +262,18 @@ _LATTICE_OPENINGS = (
 
 @st.composite
 def _audit_cases(draw):
-    """A measure and audit arguments: lattices with exact ties, flat
-    (hyperplane) samples that leave cones empty, and plain clouds, with n
-    on both sides of the 64 neighbours the audit starts from."""
+    """A measure, a grid for the module constants of ``geometry`` and
+    audit arguments: lattices with exact ties, flat (hyperplane) samples
+    that leave cones empty, and plain clouds, with n on both sides of the
+    64 neighbours the audit starts from.  Radii are multiples of the
+    resolution scale, which is 1 on most lattices."""
     dim = draw(st.sampled_from([1, 2, 3]))
     kind = draw(st.sampled_from(["lattice", "flat", "cloud"]))
     n = draw(st.integers(2, 160))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cloud":
         pts = rng.uniform(0.0, 1.0, size=(n, dim))
-        radii = (0.05, 0.2, 0.5, math.inf)
+        radii = (0.5, 2.0, 10.0, math.inf)
     else:
         side = draw(st.integers(2, max(2, math.ceil(2 * n ** (1.0 / dim)))))
         pts = rng.integers(0, side, size=(n, dim)).astype(float)
@@ -281,16 +282,18 @@ def _audit_cases(draw):
         pts[:, -1] = 0.0
     w = rng.uniform(0.5, 1.5, n)
     measure = DiscreteMeasure(pts, w / w.sum())
-    epsilons = draw(st.none() | st.lists(st.sampled_from(radii), min_size=1, max_size=3))
-    deltas = draw(st.lists(st.sampled_from(_LATTICE_OPENINGS), min_size=1, max_size=3))
+    grid = dict(
+        _DIRECTIONS=draw(st.sampled_from([2, 4, 8, 16])),
+        _DELTAS=tuple(draw(st.lists(st.sampled_from(_LATTICE_OPENINGS), min_size=1, max_size=3))),
+    )
+    multiples = draw(st.none() | st.lists(st.sampled_from(radii), min_size=1, max_size=3))
+    if multiples is not None:  # else the default radii
+        grid["_RADII"] = tuple(multiples)
     kwargs = dict(
-        directions=draw(st.sampled_from([2, 4, 8, 16])),
-        deltas=tuple(deltas),
-        epsilons=None if epsilons is None else tuple(epsilons),
         point_sample=draw(st.integers(1, len(measure) + 10)),
         seed=draw(st.integers(0, 1000)),
     )
-    return measure, kwargs
+    return measure, grid, kwargs
 
 
 class TestIsotropyAgainstReference:
@@ -299,8 +302,8 @@ class TestIsotropyAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(case=_audit_cases())
     def test_same_report(self, case):
-        measure, kwargs = case
-        with warnings.catch_warnings():
+        measure, grid, kwargs = case
+        with mock.patch.multiple(geometry, **grid), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             got = isotropy_audit(measure, **kwargs)
             want = isotropy_audit_reference(measure, **kwargs)
@@ -310,17 +313,19 @@ class TestIsotropyAgainstReference:
         assert got.failing_mass_fraction == want.failing_mass_fraction
         assert got.to_dict() == want.to_dict()  # worst_witness and every other key
 
-    def test_far_atom_fills_cones_the_neighbours_leave_empty(self):
+    def test_far_atom_fills_cones_the_neighbours_leave_empty(self, monkeypatch):
         # 100 clustered atoms, so the 64 nearest never reach the far atom;
         # it alone fills the +x cones of the cluster's right edge at eps = 2
+        # (200 times the cluster's spacing)
+        monkeypatch.setattr(geometry, "_RADII", (5.0, 200.0))
         g = np.arange(10) * 0.01
         pts = np.vstack([np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), [[1.5, 0.045]]])
         m = DiscreteMeasure(pts, np.full(101, 1.0 / 101))
-        kwargs = dict(epsilons=(0.05, 2.0), point_sample=101, seed=0)
+        kwargs = dict(point_sample=101, seed=0)
         got = isotropy_audit(m, **kwargs)
         assert got.to_dict() == isotropy_audit_reference(m, **kwargs).to_dict()
         cluster = DiscreteMeasure(pts[:100], np.full(100, 0.01))
-        without = isotropy_audit(cluster, epsilons=(0.05, 2.0), point_sample=100, seed=0)
+        without = isotropy_audit(cluster, point_sample=100, seed=0)
         edge = np.flatnonzero(cluster.points[:, 0] == g[-1])
         assert len(edge) == 10
         assert (got.fail_counts[edge] < without.fail_counts[edge]).all()
@@ -397,16 +402,19 @@ class TestConeNearest:
         np.testing.assert_array_equal(got[0], [[5.0, nan, 5.0], [nan, nan, 5.0]])
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])
-    def test_audit_on_both_kernel_paths(self, dim):
-        # a lattice and its hyperplane: radii that lattice atoms sit on, and
-        # eps = inf, which an empty cone must still miss
+    def test_audit_on_both_kernel_paths(self, dim, monkeypatch):
+        # a lattice and its hyperplane: radii that lattice atoms sit on
+        # (the resolution scale is 1 for d <= 3), and eps = inf, which an
+        # empty cone must still miss
+        monkeypatch.setattr(geometry, "_DIRECTIONS", 7)
+        monkeypatch.setattr(geometry, "_DELTAS", (0.4, 0.2))
+        monkeypatch.setattr(geometry, "_RADII", (3.0, 5.0, math.inf))
         rng = np.random.default_rng(dim)
         pts = rng.integers(0, 5, size=(120, dim)).astype(float)
         if dim >= 2:
             pts[:60, -1] = 0.0
         measure = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
-        kwargs = dict(directions=7, deltas=(0.4, 0.2), epsilons=(3.0, 5.0, math.inf),
-                      point_sample=40, seed=dim)
+        kwargs = dict(point_sample=40, seed=dim)
         got = isotropy_audit(measure, **kwargs)
         with mock.patch.object(solver, "_compiled_kernel", ReferenceKernel):
             twin = isotropy_audit(measure, **kwargs)
@@ -416,8 +424,9 @@ class TestConeNearest:
     def test_rescan_in_chunks(self, monkeypatch):
         # a flat sample leaves most apices open, and tiny chunks split the
         # rescan's (apex, atom) pairs over many kernel calls: same report
+        monkeypatch.setattr(geometry, "_RADII", (40.0, 250.0))  # about 0.05 and 0.3
         hp = hyperplane_sample(300, 2, seed=4)
-        kwargs = dict(epsilons=(0.05, 0.3), point_sample=80, seed=4)
+        kwargs = dict(point_sample=80, seed=4)
         whole = isotropy_audit(hp, **kwargs)
         calls = record_kernel_calls(monkeypatch, "cone_nearest", lambda *args: len(args[1]))
         monkeypatch.setattr(geometry, "_PAIRS", 500)

@@ -50,10 +50,10 @@ from support import (
 P05 = PowerCost(0.5)
 
 
-def certify(plan, potentials, cost, **kwargs):
+def certify(plan, potentials, cost):
     """``solver.certify``, with its maxima taken by the compiled kernel and
     by its numpy reference, with the same certificate."""
-    return on_both_kernel_paths(solver.certify, plan, potentials, cost, **kwargs)
+    return on_both_kernel_paths(solver.certify, plan, potentials, cost)
 
 
 class ScaledCost:
@@ -663,10 +663,9 @@ class TestDuality:
         rng = np.random.default_rng(1)
         mu, nu = random_instance(rng, 10, 10, 2)
         plan, pots, _ = solve_exact(mu, nu, P05)
-        tol = 1e-9
         bad = DualPotentials(phi=pots.phi.copy(), psi=pots.psi.copy())
-        bad.phi[3] += 10 * tol
-        cert = certify(plan, bad, P05, tol=tol)
+        bad.phi[3] += 10 * MARGINAL_TOL
+        cert = certify(plan, bad, P05)
         assert not cert.feasible_dual
 
     def test_tolerance_scales_with_costs(self):
@@ -681,7 +680,7 @@ class TestDuality:
         bad = DualPotentials(phi=pots.phi + 1e-6 * obj, psi=pots.psi)
         assert not certify(plan, bad, P05).feasible_dual
 
-    def test_certificate_records_tolerance(self):
+    def test_certificate_records_tolerance(self, monkeypatch):
         mu, nu = random_instance(np.random.default_rng(1), 100, 100, 2)
         mu = DiscreteMeasure(mu.points * 1e16, mu.weights)
         nu = DiscreteMeasure(nu.points * 1e16, nu.weights)
@@ -690,7 +689,8 @@ class TestDuality:
         max_cost = cost_matrix(mu, nu, P05).max()
         assert cert.tolerance == MARGINAL_TOL * max_cost
         assert 1e-9 < cert.max_feasibility_violation <= cert.tolerance
-        assert certify(plan, pots, P05, tol=1e-6).tolerance == 1e-6 * max_cost
+        monkeypatch.setattr(solver, "MARGINAL_TOL", 1e-6)
+        assert certify(plan, pots, P05).tolerance == 1e-6 * max_cost
 
     def test_zero_potentials(self):
         rng = np.random.default_rng(2)

@@ -26,11 +26,18 @@ from support import (
     overlapping_instance,
     random_instance,
     reconstruct_reference,
+    record_kernel_calls,
     verify_ccm_reference,
     verify_stay_at_rest_reference,
 )
 
 P05 = PowerCost(0.5)
+
+
+@pytest.fixture
+def sample_20k(monkeypatch):
+    """``verify_ccm`` checks 20,000 cycles of a length, not 100,000."""
+    monkeypatch.setattr(structure, "_SAMPLE_SIZE", 20_000)
 
 
 def verify_ccm(plan, cost, **kwargs):
@@ -264,24 +271,18 @@ class TestCcm:
         s = plan.n_entries
         assert rep.cycles_checked == s * (s - 1) + 2 * (s * (s - 1) * (s - 2) // 6)
 
+    @pytest.mark.usefixtures("sample_20k")
     def test_sampled_length3_on_large_support(self):
         mu = uniform_box(500, 2, seed=10)
         nu = uniform_box(500, 2, seed=11)
         plan, _, _ = solve_exact(mu, nu, P05)
-        rep = verify_ccm(plan, P05, max_cycle_len=3, sample_size=20_000, seed=1)
+        rep = verify_ccm(plan, P05, max_cycle_len=3, seed=1)
         assert rep.ok
 
     def test_cycle_len_bounds(self):
         plan = limit_plan(1)
         with pytest.raises(ValueError):
             verify_ccm(plan, P05, max_cycle_len=5)
-
-    @pytest.mark.parametrize("n", [12, 480])
-    @pytest.mark.parametrize("sample_size", [0, -5])
-    def test_sample_size_below_one_rejected(self, n, sample_size):
-        plan = permutation_plan(n, seed=20)
-        with pytest.raises(ValueError, match="sample_size"):
-            verify_ccm(plan, P05, sample_size=sample_size)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_bad_tol_rejected(self, tol):
@@ -347,7 +348,7 @@ def assert_matches_reference(got, want):
 
 
 class TestCcmCycles:
-    """Each length checks all its cycles up to ``sample_size`` of them, else a sample."""
+    """Each length checks all its cycles up to ``_SAMPLE_SIZE`` of them, else a sample."""
 
     @settings(max_examples=150, deadline=None)
     @given(plan=small_plans(), length=st.sampled_from([3, 4]))
@@ -356,19 +357,41 @@ class TestCcmCycles:
         got = verify_ccm(plan, P05, max_cycle_len=length)
         assert_matches_reference(got, verify_ccm_reference(plan, P05, max_cycle_len=length))
 
-    def test_sample_size_boundary(self):
+    def test_sample_size_boundary(self, monkeypatch):
         plan = permutation_plan(12, seed=24)
         rotated = retarget(plan, (2, 5, 9), plan.tgt_idx[[5, 9, 2]])
-        every = verify_ccm(rotated, P05, max_cycle_len=3, sample_size=440)
+        monkeypatch.setattr(structure, "_SAMPLE_SIZE", 440)
+        every = verify_ccm(rotated, P05, max_cycle_len=3)
         assert_matches_reference(every, verify_ccm_reference(rotated, P05, max_cycle_len=3))
         assert every.cycles_checked == 132 + 440
-        sampled = verify_ccm(rotated, P05, max_cycle_len=3, sample_size=439)
+        monkeypatch.setattr(structure, "_SAMPLE_SIZE", 439)
+        sampled = verify_ccm(rotated, P05, max_cycle_len=3)
         assert sampled.cycles_checked == 132 + 439
 
+    @pytest.mark.parametrize("length, S, enumerated", [
+        (3, 67, True), (3, 68, False), (4, 26, True), (4, 27, False),
+    ])
+    def test_switch_at_the_sample_size(self, monkeypatch, length, S, enumerated):
+        # the real sample size of 100,000: 95,810 3-cycles of 67 entries and
+        # 89,700 4-cycles of 26 are enumerated, more are sampled; either
+        # way no array of cycles has more rows than the first sampled draw
+        plan = permutation_plan(S, seed=20)
+        assert plan.n_entries == S
+        rows = record_kernel_calls(monkeypatch, "cycle_scores", lambda cycles, *rest: len(cycles))
+        rep = structure.verify_ccm(plan, P05, max_cycle_len=length)
+        counts = [math.comb(S, L) * math.factorial(L - 1) for L in range(3, length + 1)]
+        assert (counts[-1] <= 100_000) == enumerated
+        counts[-1] = min(counts[-1], 100_000)
+        assert rep.cycles_checked == S * (S - 1) + sum(counts)
+        assert rep.ok
+        assert max(rows) <= int(1.3 * 100_000) + 8
+        assert (rows[-1] == counts[-1]) == enumerated
+
+    @pytest.mark.usefixtures("sample_20k")
     def test_sampled_above_sample_size(self):
         plan = permutation_plan(300, seed=20)
         S = plan.n_entries
-        rep = verify_ccm(plan, P05, max_cycle_len=3, sample_size=20_000)
+        rep = verify_ccm(plan, P05, max_cycle_len=3)
         assert rep.cycles_checked == S * (S - 1) + 20_000
         assert rep.ok
 
@@ -405,11 +428,13 @@ class TestCcmPaths:
         plan, _, _ = solve_exact(mu, nu, P05)
         assert verify_ccm(plan, P05, max_cycle_len=4, seed=3).ok
 
+    @pytest.mark.usefixtures("sample_20k")
     def test_optimal_sampled(self):
         plan = permutation_plan(480, seed=20)
-        assert plan.n_entries > 450  # more 3-cycles than sample_size: sampled
-        assert verify_ccm(plan, P05, max_cycle_len=4, sample_size=20_000, seed=5).ok
+        assert plan.n_entries > 450  # more 3-cycles than _SAMPLE_SIZE: sampled
+        assert verify_ccm(plan, P05, max_cycle_len=4, seed=5).ok
 
+    @pytest.mark.usefixtures("sample_20k")
     def test_shuffled_plan_worst_is_sampled(self):
         # every target reassigned at random: the worst cycle found is one of
         # the sampled 4-cycles, so the report shows their gathered costs
@@ -417,20 +442,22 @@ class TestCcmPaths:
         shuffled = retarget(
             plan, range(plan.n_entries), np.random.default_rng(0).permutation(plan.tgt_idx)
         )
-        rep = verify_ccm(shuffled, P05, max_cycle_len=4, sample_size=20_000)
+        rep = verify_ccm(shuffled, P05, max_cycle_len=4)
         assert len(rep.violating_cycle[0]) == 4
 
+    @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("n", [40, 480])
     def test_planted_pair_swap(self, n):
         plan = permutation_plan(n, seed=22)
         swapped = retarget(plan, (3, 17), plan.tgt_idx[[17, 3]])
-        assert not verify_ccm(swapped, P05, sample_size=20_000).ok
+        assert not verify_ccm(swapped, P05).ok
 
+    @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("n", [40, 480])
     def test_planted_three_cycle(self, n):
         plan = permutation_plan(n, seed=24)
         rotated = retarget(plan, (2, 11, 29), plan.tgt_idx[[11, 29, 2]])
-        assert not verify_ccm(rotated, P05, max_cycle_len=3, sample_size=20_000).ok
+        assert not verify_ccm(rotated, P05, max_cycle_len=3).ok
 
 
 def same_float(a, b):
@@ -534,6 +561,7 @@ class TestAuditScorers:
         for length in (3, 4):
             assert len(verify_ccm(crossed, P05, max_cycle_len=length).violating_cycle[0]) == length
 
+    @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("length", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 40])
     def test_small_supports_and_every_length(self, n, length):
@@ -543,8 +571,7 @@ class TestAuditScorers:
         )
         S = shuffled.n_entries
         assert S == n
-        kwargs = dict(max_cycle_len=length, sample_size=20_000)
-        whole = verify_ccm(shuffled, P05, **kwargs)
+        whole = verify_ccm(shuffled, P05, max_cycle_len=length)
         if S == 1:
             assert whole == structure.CcmReport(0, 0.0, None)
         if S == 2:
@@ -568,16 +595,17 @@ class TestAuditScorers:
         with pytest.raises(solver.SolverError, match="^non-finite cost matrix entries: 7 of 4x4,"):
             verify_ccm(plan, P05, max_cycle_len=4)
 
-    def test_no_support_sized_matrix(self):
+    def test_no_support_sized_matrix(self, monkeypatch):
         # a plan with split sources has S = m + n - 1 entries, so its S x S
         # matrix would be about four times the m x n one the kernel reads
         mu, nu = random_instance(np.random.default_rng(5), 300, 260, 2)
         plan, _, _ = solve_exact(mu, nu, P05)
         S = plan.n_entries
         assert S == 300 + 260 - 1
+        monkeypatch.setattr(structure, "_SAMPLE_SIZE", 2_000)  # cycles far below the matrix
         tracemalloc.start()
         try:
-            structure.verify_ccm(plan, P05, max_cycle_len=3, sample_size=2_000)
+            structure.verify_ccm(plan, P05, max_cycle_len=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -892,6 +920,6 @@ class TestTranslationMass:
             mu = uniform_box(n, 2, seed=14)
             plan, _, obj = solve_exact(mu, translate(mu, e), P05)
             assert obj < 1.0  # strictly cheaper than the translation
-            masses.append(translation_mass(plan, e, tol=0.02))
+            masses.append(translation_mass(plan, e))
         assert masses[0] < 1.0
         assert masses[1] <= masses[0]
