@@ -18,10 +18,9 @@
  * thread, and the subtree potential update follow the reference, with
  * two shortcuts that leave every pivot and every array the same:
  * - pricing finds np.argmin's arc in two passes: the least reduced cost
- *   of the block, CHUNK arcs at a time in vectors of two doubles (the
- *   lanes' minima and NaN counts merged at each row run's end), noting the
- *   first chunk that lowers it, then the first arc of that chunk that has
- *   it;
+ *   of the block, CHUNK arcs at a time in vectors (the lanes' minima and
+ *   NaN counts merged at each row run's end), noting the first chunk that
+ *   lowers it, then the first arc of that chunk that has it;
  * - the walks of remove_edge and add_edge that update size and last stop
  *   at the pivot cycle's apex.  The subtree cut off below the apex comes
  *   back below it, so no size above the apex changes, and last changes
@@ -34,11 +33,12 @@
  * same floating-point operations in the same order, in a vector lane or
  * not; built with -ffp-contract=off (no fused multiply-add), the kernel
  * and its reference return the same bits.  distances sums the squared
- * coordinate differences in order from 0.0 and takes the square root, as
- * scipy's cdist and the numpy reference _numpy_distances do, with the
- * same bits.  cone_nearest sums each atom's r and dot products in order
- * from 0.0, as its reference _numpy_cone_nearest does, and returns the
- * nearest atom in each cone, the lanes of a vector being two directions.
+ * coordinate differences in order from 0.0 and takes the square root, a
+ * vector of target atoms at a time, as scipy's cdist and the numpy
+ * reference _numpy_distances do, with the same bits.  cone_nearest sums
+ * each atom's r and dot products in order from 0.0, as its reference
+ * _numpy_cone_nearest does, and returns the nearest atom in each cone, the
+ * lanes of a vector being directions.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
@@ -46,16 +46,19 @@
  * cost of entry i's source atom and entry j's target atom at
  * C[src_i][tgt_j] (each entry's own cost at C[src_i][tgt_i]), as the
  * numpy references _numpy_pair_scores and _numpy_cycle_scores do;
- * certify_maxima returns the two maxima of _numpy_certify_maxima, two
- * lanes at a time.  Each computes every value by the same operations in
+ * certify_maxima returns the two maxima of _numpy_certify_maxima, a
+ * vector at a time.  Each computes every value by the same operations in
  * the same order as its reference and returns numpy's first argmax (the
  * first NaN if there is one) or numpy's NaN-propagating max, so the
  * reports keep their bits.
  *
- * The vectors are GCC / Clang vector extensions of 16 bytes, native on
- * SSE2 and on NEON, so no target emulates them.  solver._compiled_kernel
- * builds this file with the system cc and -march=native, so that the
- * compiler uses the host's encodings, and calls the seven entry points
+ * The vectors are GCC / Clang vector extensions, 32 bytes wide where the
+ * compiler targets AVX and 16 otherwise (see "vectors" below).
+ * solver._compiled_kernel builds this file with the system cc,
+ * -march=native, so that the compiler uses the host's encodings and
+ * vector width, and -fno-math-errno, so that a square root is one
+ * instruction, lane-wise in distances: the kernel never reads errno, and
+ * sqrt is correctly rounded either way.  It calls the seven entry points
  * through ctypes; there is no other path, so without a compiler every
  * solve, cost matrix and audit raises solver.SolverError.  Node arrays
  * are indexed by node (sources 0..m-1, targets m..m+n-1) and filled or
@@ -404,47 +407,99 @@ int starting_tree(i64 m, i64 n, const double *a, const double *b, const double *
     return thread_tree(m, n, cost, arcs, flows, parent, parc, flow, size, last, next, prev, pi);
 }
 
-/* ---- two-double vectors --------------------------------------------- */
+/* ---- vectors -------------------------------------------------------- */
 
-/* 16 bytes, a register of both SSE2 and NEON.  Lane-wise arithmetic
- * rounds as scalar arithmetic does, and v2_min / v2_max pick lane by lane
- * what the scalar x < y ? x : y and x > y ? x : y pick. */
-typedef double v2d __attribute__((vector_size(16)));
-typedef i64 v2i __attribute__((vector_size(16)));
+/* One vector type as wide as the compiler's target allows: 32 bytes (four
+ * doubles) where it targets AVX, else 16 (two doubles), a register of both
+ * SSE2 and NEON, so no target emulates it.  64 bytes was slower for
+ * pricing on an AVX-512 host, so AVX-512 targets get 32 too.  Lane-wise
+ * arithmetic and square roots round as scalar ones do, v_min / v_max pick
+ * lane by lane what the scalar x < y ? x : y and x > y ? x : y pick, and
+ * the lanes are reduced in a loop in lane order; min and max are exact, so
+ * every width returns the same bits. */
+#ifdef __AVX__
+#define VBYTES 32
+#else
+#define VBYTES 16
+#endif
 
-static v2d v2_load(const double *p)
+typedef double vd __attribute__((vector_size(VBYTES)));
+typedef i64 vi __attribute__((vector_size(VBYTES)));
+
+enum { LANES = VBYTES / sizeof(double) };
+
+static vd v_load(const double *p)
 {
-    v2d x;
-    memcpy(&x, p, sizeof x); /* p need not be 16-byte aligned */
+    vd x;
+    memcpy(&x, p, sizeof x); /* p need not be aligned */
     return x;
 }
 
-static void v2_store(double *p, v2d x)
+static void v_store(double *p, vd x)
 {
     memcpy(p, &x, sizeof x);
 }
 
-static v2d v2_select(v2i mask, v2d x, v2d y)
+static vd v_splat(double x)
 {
-    return (v2d)(((v2i)x & mask) | ((v2i)y & ~mask));
+    vd v;
+    for (int k = 0; k < LANES; k++)
+        v[k] = x;
+    return v;
 }
 
-static v2d v2_min(v2d x, v2d y)
+static vd v_select(vi mask, vd x, vd y)
 {
-    return v2_select((v2i)(x < y), x, y);
+    return (vd)(((vi)x & mask) | ((vi)y & ~mask));
 }
 
-static v2d v2_max(v2d x, v2d y)
+static vd v_min(vd x, vd y)
 {
-    return v2_select((v2i)(x > y), x, y);
+    return v_select((vi)(x < y), x, y);
+}
+
+static vd v_max(vd x, vd y)
+{
+    return v_select((vi)(x > y), x, y);
+}
+
+/* With -fno-math-errno, GCC emits one vector square root for this loop. */
+static vd v_sqrt(vd x)
+{
+    for (int k = 0; k < LANES; k++)
+        x[k] = sqrt(x[k]);
+    return x;
 }
 
 /* -1 in the lanes that are NaN, else 0: subtracting it counts them.
  * (Or-ing it in would be the same flag, but GCC compiles that to scalar
  * code on SSE2.) */
-static v2i v2_isnan(v2d x)
+static vi v_isnan(vd x)
 {
-    return (v2i)(x != x);
+    return (vi)(x != x);
+}
+
+static int v_any(vi x)
+{
+    i64 any = 0;
+    for (int k = 0; k < LANES; k++)
+        any |= x[k];
+    return any != 0;
+}
+
+/* y folded with the lanes of x, in lane order, by the scalar min or max */
+static double v_fold_min(vd x, double y)
+{
+    for (int k = 0; k < LANES; k++)
+        y = x[k] < y ? x[k] : y;
+    return y;
+}
+
+static double v_fold_max(vd x, double y)
+{
+    for (int k = 0; k < LANES; k++)
+        y = x[k] > y ? x[k] : y;
+    return y;
 }
 
 /* ---- pivot loop ----------------------------------------------------- */
@@ -458,38 +513,35 @@ typedef struct {
 } Tree;
 
 /* Least reduced cost c_ij - pi_i + pi[m+j] over targets j0..j1-1 of
- * source i, kept in four running minima, the lanes of two vectors.  Eight
- * reduced costs a step: two vectors are compared first, so that only one
+ * source i, kept in the lanes of two running minima.  4 LANES reduced
+ * costs a step: two vectors are compared first, so that only one
  * comparison a step waits on each running minimum; min is exact, so the
  * order does not matter.  Sets *nan if a reduced cost is NaN. */
 static double row_min(const Tree *t, i64 i, i64 j0, i64 j1, int *nan)
 {
     const double *c = t->cost + i * t->n, *pi_t = t->pi + t->m;
     const double pi_i = t->pi[i];
-    const v2d pi_i2 = {pi_i, pi_i};
-    v2d a01 = {INFINITY, INFINITY}, a23 = a01;
-    v2i nans = {0, 0};
+    vd lo0 = v_splat(INFINITY), lo1 = lo0;
+    vi nans = {0};
     i64 j = j0;
-    for (; j + 8 <= j1; j += 8) {
-        v2d r01 = v2_load(c + j) - pi_i2 + v2_load(pi_t + j);
-        v2d r23 = v2_load(c + j + 2) - pi_i2 + v2_load(pi_t + j + 2);
-        v2d r45 = v2_load(c + j + 4) - pi_i2 + v2_load(pi_t + j + 4);
-        v2d r67 = v2_load(c + j + 6) - pi_i2 + v2_load(pi_t + j + 6);
-        nans -= (v2_isnan(r01) + v2_isnan(r23)) + (v2_isnan(r45) + v2_isnan(r67));
-        a01 = v2_min(v2_min(r01, r45), a01);
-        a23 = v2_min(v2_min(r23, r67), a23);
+    for (; j + 4 * LANES <= j1; j += 4 * LANES) {
+        vd r0 = v_load(c + j) - pi_i + v_load(pi_t + j);
+        vd r1 = v_load(c + j + LANES) - pi_i + v_load(pi_t + j + LANES);
+        vd r2 = v_load(c + j + 2 * LANES) - pi_i + v_load(pi_t + j + 2 * LANES);
+        vd r3 = v_load(c + j + 3 * LANES) - pi_i + v_load(pi_t + j + 3 * LANES);
+        nans -= (v_isnan(r0) + v_isnan(r1)) + (v_isnan(r2) + v_isnan(r3));
+        lo0 = v_min(v_min(r0, r2), lo0);
+        lo1 = v_min(v_min(r1, r3), lo1);
     }
-    double a0 = a01[0], a1 = a01[1], a2 = a23[0], a3 = a23[1];
-    int bad = (nans[0] | nans[1]) != 0;
+    double least = v_fold_min(v_min(lo0, lo1), INFINITY);
+    int bad = v_any(nans);
     for (; j < j1; j++) {
         double r = c[j] - pi_i + pi_t[j];
         bad |= r != r;
-        a0 = r < a0 ? r : a0;
+        least = r < least ? r : least;
     }
     *nan |= bad;
-    a0 = a1 < a0 ? a1 : a0;
-    a2 = a3 < a2 ? a3 : a2;
-    return a2 < a0 ? a2 : a0;
+    return least;
 }
 
 enum { CHUNK = 64 };
@@ -709,20 +761,31 @@ int pivot_loop(i64 m, i64 n, i64 block, double opt_tol, i64 budget,
 
 /* ---- distances ------------------------------------------------------ */
 
-/* out[i*n + j] = |x_i - y_j| for the m rows of x and the n rows of y,
- * all of d coordinates and row-major. */
-void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *out)
+/* out[i*n + j] = |x_i - y_j| for the m rows of x (row-major, d columns)
+ * and the n columns of yt, the d x n transpose of y: LANES targets at a
+ * time, each lane summing the squared coordinate differences in order
+ * from 0.0 before its square root, as the scalar tail does. */
+void distances(i64 m, i64 n, i64 d, const double *x, const double *yt, double *out)
 {
     for (i64 i = 0; i < m; i++) {
         const double *xi = x + i * d;
-        for (i64 j = 0; j < n; j++) {
-            const double *yj = y + j * d;
-            double s = 0.0;
+        double *row = out + i * n;
+        i64 j = 0;
+        for (; j + LANES <= n; j += LANES) {
+            vd s = {0};
             for (i64 k = 0; k < d; k++) {
-                double t = xi[k] - yj[k];
+                vd t = xi[k] - v_load(yt + k * n + j);
                 s += t * t;
             }
-            out[i * n + j] = sqrt(s);
+            v_store(row + j, v_sqrt(s));
+        }
+        for (; j < n; j++) {
+            double s = 0.0;
+            for (i64 k = 0; k < d; k++) {
+                double t = xi[k] - yt[k * n + j];
+                s += t * t;
+            }
+            row[j] = sqrt(s);
         }
     }
 }
@@ -739,7 +802,7 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *y, double *ou
  * w.u_j >= (1 - deltas[l]) r: r = 0 (the apex itself, or a duplicate)
  * never counts.  nearest[(t * nopen + l) * ndir + j] is the least such
  * r, NaN if the cone holds none (not +inf, which a reader's r <= eps
- * would take for a hit at eps = inf).  The directions go two lanes at a
+ * would take for a hit at eps = inf).  The directions go LANES at a
  * time; a lane takes r unless its cone already holds a nearer or equal
  * atom.  work holds ndir doubles, one atom's dot products. */
 void cone_nearest(i64 count, i64 d, const double *apex, const i64 *offsets, const i64 *rows,
@@ -757,27 +820,25 @@ void cone_nearest(i64 count, i64 d, const double *apex, const i64 *offsets, cons
             memset(work, 0, ndir * sizeof *work);
             for (i64 k = 0; k < d; k++) {
                 const double w = y[k] - x[k], *u = dirs + k * ndir;
-                const v2d w2 = {w, w};
                 sq += w * w;
                 i64 j = 0;
-                for (; j + 2 <= ndir; j += 2)
-                    v2_store(work + j, v2_load(work + j) + w2 * v2_load(u + j));
+                for (; j + LANES <= ndir; j += LANES)
+                    v_store(work + j, v_load(work + j) + w * v_load(u + j));
                 for (; j < ndir; j++)
                     work[j] += w * u[j];
             }
             const double r = sqrt(sq);
             if (!(r > 0.0))
                 continue;
-            const v2d r2 = {r, r};
+            const vd rv = v_splat(r);
             for (i64 l = 0; l < nopen; l++) {
                 const double edge = (1.0 - deltas[l]) * r;
-                const v2d edge2 = {edge, edge};
                 double *cone = near + l * ndir;
                 i64 j = 0;
-                for (; j + 2 <= ndir; j += 2) {
-                    v2d cur = v2_load(cone + j);
-                    v2i in = (v2i)(v2_load(work + j) >= edge2) & ~(v2i)(cur <= r2);
-                    v2_store(cone + j, v2_select(in, r2, cur));
+                for (; j + LANES <= ndir; j += LANES) {
+                    vd cur = v_load(cone + j);
+                    vi in = (vi)(v_load(work + j) >= edge) & ~(vi)(cur <= r);
+                    v_store(cone + j, v_select(in, rv, cur));
                 }
                 for (; j < ndir; j++)
                     if (work[j] >= edge && !(cone[j] <= r))
@@ -948,28 +1009,26 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
 
 /* Over the m x n costs C: out[0] = max |C_ij| from 0.0 and out[1] = max
  * ((phi_i + psi_j) - C_ij) from -inf, each NaN if one of its terms is,
- * as numpy's max is; a zero out[1] is +0.0.  Two lanes of a vector keep
+ * as numpy's max is; a zero out[1] is +0.0.  The lanes of a vector keep
  * running maxima and NaN counts; max is exact, so their order does not
  * matter, except for which zero wins, and adding 0.0 makes that +0.0. */
 void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const double *C,
                     double *out)
 {
-    const v2i abs_bits = {INT64_MAX, INT64_MAX};
-    v2d top2 = {0.0, 0.0}, viol2 = {-INFINITY, -INFINITY};
-    v2i nans_a = {0, 0}, nans_v = {0, 0};
+    vd topv = {0}, violv = v_splat(-INFINITY);
+    vi nans_a = {0}, nans_v = {0};
     double top = 0.0, viol = -INFINITY;
     int nan = 0;
     for (i64 i = 0; i < m; i++) {
         const double *c = C + i * n, phi_i = phi[i];
-        const v2d phi_i2 = {phi_i, phi_i};
         i64 j = 0;
-        for (; j + 2 <= n; j += 2) {
-            v2d cj = v2_load(c + j);
-            v2d a = (v2d)((v2i)cj & abs_bits), v = (phi_i2 + v2_load(psi + j)) - cj;
-            nans_a -= v2_isnan(a);
-            nans_v -= v2_isnan(v);
-            top2 = v2_max(a, top2);
-            viol2 = v2_max(v, viol2);
+        for (; j + LANES <= n; j += LANES) {
+            vd cj = v_load(c + j);
+            vd a = (vd)((vi)cj & INT64_MAX), v = (phi_i + v_load(psi + j)) - cj;
+            nans_a -= v_isnan(a);
+            nans_v -= v_isnan(v);
+            topv = v_max(a, topv);
+            violv = v_max(v, violv);
         }
         for (; j < n; j++) {
             double a = fabs(c[j]), v = (phi_i + psi[j]) - c[j];
@@ -978,11 +1037,9 @@ void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const do
             viol = v > viol ? v : viol;
         }
     }
-    nan |= ((nans_a[0] | nans_a[1]) != 0) | ((nans_v[0] | nans_v[1]) != 0) << 1;
-    for (int k = 0; k < 2; k++) {
-        top = top2[k] > top ? top2[k] : top;
-        viol = viol2[k] > viol ? viol2[k] : viol;
-    }
+    nan |= v_any(nans_a) | v_any(nans_v) << 1;
+    top = v_fold_max(topv, top);
+    viol = v_fold_max(violv, viol);
     out[0] = nan & 1 ? NAN : top;
     out[1] = nan & 2 ? NAN : viol + 0.0;
 }

@@ -34,7 +34,8 @@ arc, tree surgery and potential update (``pivot_loop``).  The start
 takes arcs in (cost, arc id) order from sorted runs of each row's
 cheapest arcs (6, or alive columns / alive rows if more), read in
 place, so it copies no part of the cost matrix.  The loop prices a
-block 64 arcs at a time, in vectors of two doubles, and rescans only
+block 64 arcs at a time, in vectors as wide as the compiler's target (32
+bytes, four doubles, under AVX; else 16, two doubles), and rescans only
 the first 64-arc chunk that lowered the block's least reduced cost for
 the arc that has it; its tree updates stop at the pivot cycle's apex,
 since the subtree cut off below the apex comes back below it: no size
@@ -45,21 +46,25 @@ potential update walks exactly the entering subtree's size along the
 thread and raises :class:`SolverError` if that walk does not end at the
 subtree's last node.  The same library
 computes the Euclidean distances each cost matrix is made of
-(``distances``, called by ``costs._distances``), and scores two audits
+(``distances``, called by ``costs._distances``, a vector of target atoms
+at a time from the transpose of their coordinates), and scores two audits
 in one pass over a cost matrix, with no m x n temporary: the pair swaps
 and cycles of ``structure.verify_ccm`` (``pair_scores``,
 ``cycle_scores``) and the two maxima of :func:`certify`
-(``certify_maxima``, also in vectors of two doubles); it also scans the
-cones of ``geometry.isotropy_audit`` (``cone_nearest``, two directions
-to a vector).  The first call of a process that needs the kernel
-loads it with ctypes, compiling it first
-with the system ``cc -O2 -march=native -ffp-contract=off -shared -fPIC``
+(``certify_maxima``, also in vectors); it also scans the cones of
+``geometry.isotropy_audit`` (``cone_nearest``, directions in the lanes
+of a vector).  The first call of a process that needs the kernel loads
+it with ctypes, compiling it first with the system
+``cc -O2 -march=native -ffp-contract=off -fno-math-errno -shared -fPIC``
 unless the package's ``__pycache__`` holds ``_pivot.<hash>.so`` (the
 hash covers the source, the compiler command and the host CPU, so each
 version compiles once per CPU).  ``-march=native`` lets the compiler use
-the host's instruction encodings; ``-ffp-contract=off`` forbids fused
-multiply-adds, so every floating-point operation rounds as numpy's and
-Python's do, vector lanes included: the kernel returns the bits of the
+the host's instruction encodings and vector width; ``-fno-math-errno``
+makes each square root one instruction, lane-wise in the distances (the
+kernel never reads ``errno``, and a square root is correctly rounded
+either way); ``-ffp-contract=off`` forbids fused multiply-adds, so every
+floating-point operation rounds as numpy's and Python's do, vector lanes
+included, at either width: the kernel returns the bits of the
 Python and numpy code it ports, which the test suite keeps as its
 reference, and its distances are those of scipy's
 ``cdist``, bit for bit.  The kernel is required: if it cannot be
@@ -175,13 +180,16 @@ class TransportPlan:
         return float(np.dot(self.mass, cost.value(self.distances())))
 
     def validate(self, basic=False):
-        """Check marginal consistency within ``MARGINAL_TOL`` (and entry
-        count for basic plans)."""
+        """Check marginal consistency within ``MARGINAL_TOL`` times
+        ``max(1, total mass)``, the balance :func:`_check_pair` allows (and
+        entry count for basic plans): the flows carry rounding relative to
+        the masses."""
+        tol = MARGINAL_TOL * max(1.0, self.source.total_mass)
         row_err = np.abs(self.row_marginals() - self.source.weights).max(initial=0.0)
         col_err = np.abs(self.col_marginals() - self.target.weights).max(initial=0.0)
-        if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
+        if row_err > tol or col_err > tol:
             raise ValueError(
-                f"plan marginals violate tolerance {MARGINAL_TOL:g} "
+                f"plan marginals violate tolerance {tol:g} "
                 f"(row {row_err:.3g}, col {col_err:.3g})"
             )
         if basic and self.n_entries > len(self.source) + len(self.target) - 1:
@@ -421,7 +429,7 @@ def _kernel_error(status, budget=None):
 
 
 _PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
-_CC = ("cc", "-O2", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+_CC = ("cc", "-O2", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
 
 
@@ -559,7 +567,7 @@ class _CompiledKernel:
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
             raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
         out = np.empty((len(x), len(y)))
-        self._distances(len(x), len(y), x.shape[1], x, y, out)
+        self._distances(len(x), len(y), x.shape[1], x, np.ascontiguousarray(y.T), out)
         return out
 
     def pair_scores(self, src, tgt, C):

@@ -323,7 +323,26 @@ def _distance_cases():
     return cases
 
 
+def _lane_distance_cases():
+    """(x, y) pairs for the vector lanes of ``distances``: 4 source atoms
+    and 11 targets, in d = 1, 2, 3 and 9.  The kernel takes the targets a
+    vector at a time, so target 1 falls in a vector lane and target 10 in
+    the scalar tail, whether a vector holds 2, 4 or 8 of them.  Each holds
+    a distance 0 (a coincident atom) and an overflowing one (inf)."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for d in (1, 2, 3, 9):
+        x = rng.normal(size=(4, d))
+        y = rng.normal(size=(11, d)) + 3.0
+        y[1], y[10] = x[0], x[1]  # distance 0 at (0, 1) and (1, 10)
+        y[2, 0] = 1e200  # its square overflows: inf down column 2 ...
+        x[3, 0] = 1e200  # ... but at (3, 2), and along row 3 to (3, 10)
+        cases.append((x, y))
+    return cases
+
+
 DISTANCE_CASES = _distance_cases()
+LANE_DISTANCE_CASES = _lane_distance_cases()
 BIT_COSTS = [
     PowerCost(0.5), PowerCost(1 / 3), LogShiftCost(2.0), LogShiftCost(7.3),
     PiecewiseConcaveCost([1e-6, 1.0, 1e4], [5.0, 2.0, 0.5, 0.1]),
@@ -363,6 +382,12 @@ class TestCostMatrixBits:
         got = costs._distances(x, y)
         assert got.tobytes() == cdist(x, y).tobytes()
         assert got[2, 1] == math.inf and got[0, 0] == 0.0
+        for x, y in LANE_DISTANCE_CASES:
+            got = costs._distances(x, y)
+            assert got.tobytes() == cdist(x, y).tobytes()
+            assert got[0, 1] == got[1, 10] == 0.0
+            assert got[0, 2] == got[3, 1] == got[3, 10] == math.inf
+            assert math.isfinite(got[3, 2])
 
     def test_mismatched_dimensions_rejected(self, distance_path):
         with pytest.raises(ValueError, match="do not match"):

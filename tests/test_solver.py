@@ -394,10 +394,10 @@ class TestCompiledPivotLoop:
     def test_nan_reduced_costs_match_python_loop(self):
         # A NaN reduced cost never prices in, and a block that holds one is
         # passed over.  NaN costs on lone arcs outside the start tree: the
-        # 34-arc blocks cross the ends of the 37-arc rows, so the arcs fall
-        # in either lane of a vector or in the scalar tail of a row's run,
-        # as does the last arc of a row.  A kernel that missed the NaNs of
-        # one lane, or of the tail, takes other pivots.
+        # 34-arc blocks cross the ends of the 37-arc rows, so the row runs
+        # start mid-row and the arcs fall in vector lanes or in the scalar
+        # tail of a run, as does the last arc of a row.  A kernel that
+        # missed the NaNs of a lane, or of the tail, takes other pivots.
         mu, nu = random_instance(np.random.default_rng(8), 30, 37, 2)
         tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
         n = tree.n
@@ -409,6 +409,34 @@ class TestCompiledPivotLoop:
         python, compiled = _both_loops(tree)
         assert compiled == python
         assert python["pivots"] != finite
+
+    def test_nan_at_every_lane_and_in_the_tail_matches_python_loop(self):
+        # 35 x 35 arcs price in blocks of 35, each one row from its first
+        # arc: 32 arcs in steps of four vectors (one step of 8-lane
+        # vectors, two of 4-lane, four of 2-lane), then a scalar tail of 3.
+        # One NaN cost at each column in turn, on the first row where the
+        # reference loop runs otherwise than with a cost that never prices
+        # in, which is what a kernel that missed the NaN would do.
+        mu, nu = random_instance(np.random.default_rng(8), 35, 35, 2)
+        tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
+        n = tree.n
+        assert solver._pricing_block(n * n) == n
+        outside = np.setdiff1d(np.arange(n * n), tree.parc[1:])
+        for j in range(n):
+            for arc in outside[outside % n == j]:
+                runs = []
+                for value in (np.nan, 1e300):
+                    t = _copy(tree)
+                    t.cost[arc] = value
+                    runs.append((ReferenceKernel().pivot_loop(t, 10**9), t.pi.tobytes()))
+                if runs[0] != runs[1]:
+                    break
+            else:
+                raise AssertionError(f"no NaN in column {j} changes the loop")
+            t = _copy(tree)
+            t.cost[arc] = np.nan
+            python, compiled = _both_loops(t)
+            assert compiled == python, (j, arc // n)
 
     def test_broken_thread_raises(self):
         # A last entry pointed outside its subtree breaks the thread once a
@@ -514,7 +542,7 @@ def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loade
     monkeypatch.setattr(solver, "_KERNEL_CACHE", cache)
     monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
     message = ("cannot build the compiled kernel with"
-               " `no-such-cc -O2 -march=native -ffp-contract=off -shared -fPIC`: ")
+               " `no-such-cc -O2 -march=native -ffp-contract=off -fno-math-errno -shared -fPIC`: ")
     for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05),
                 lambda: isotropy_audit(mu, point_sample=10)):
         with pytest.raises(SolverError, match=f"^{re.escape(message)}.*no-such-cc"):
@@ -617,15 +645,16 @@ def test_exact_pipeline_loads_no_scipy():
 def _maxima_instances(seed):
     """(phi, psi, C) inputs of ``certify_maxima``: one drawn from an int
     seed; zero maxima met as -0.0 and +0.0 in either order, in a vector
-    lane or the odd tail of a row; or NaN at each position of rows of odd
-    length, so in each lane of a vector and in the tail, as a cost (both
-    maxima NaN) or as a potential (the violation NaN)."""
+    lane or the odd tail of a row; or NaN at each position of rows of 9
+    columns, so in each lane of a 2-, 4- or 8-lane vector and in the
+    tail, as a cost (both maxima NaN) or as a potential (the violation
+    NaN)."""
     if seed == "signed_zeros":
         for psi in ([-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0, -0.0]):
             yield np.array([-0.0]), np.array(psi), np.zeros((1, len(psi)))
         return
     if seed == "nan_lanes":
-        m, n = 3, 5
+        m, n = 3, 9
         for i, j in np.ndindex(m, n):
             phi, psi, C = np.linspace(-1, 1, m), np.linspace(0, 1, n), np.ones((m, n))
             C[i, j] = np.nan
@@ -679,6 +708,28 @@ class TestDuality:
         assert cert.ok and abs(cert.gap) <= 1e-8 * (1.0 + abs(obj))
         bad = DualPotentials(phi=pots.phi + 1e-6 * obj, psi=pots.psi)
         assert not certify(plan, bad, P05).feasible_dual
+
+    def test_heavy_measures_solve_and_certify(self):
+        # weights of about 1e6 per atom: the flows carry rounding relative
+        # to the total mass (2e8), far above an absolute 1e-9, so the
+        # marginal check scales with the mass as the balance check does
+        a, b = np.random.default_rng(7).uniform(0.5, 1.5, (2, 200)) * 1e6
+        mu = DiscreteMeasure(uniform_box(200, 2, seed=10).points, a)
+        nu = DiscreteMeasure(
+            uniform_box(200, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11).points,
+            b * (a.sum() / b.sum()),
+        )
+        plan, pots, obj = solve_exact(mu, nu, P05)
+        cert = certify(plan, pots, P05)
+        assert cert.ok and abs(cert.gap) <= 1e-8 * abs(obj)
+        tol = MARGINAL_TOL * mu.total_mass
+        moved = TransportPlan(source=mu, target=nu, src_idx=plan.src_idx,
+                              tgt_idx=plan.tgt_idx, mass=plan.mass.copy())
+        moved.mass[0] += 0.5 * tol
+        moved.validate()
+        moved.mass[0] += tol
+        with pytest.raises(ValueError, match=f"violate tolerance {tol:g} "):
+            moved.validate()
 
     def test_certificate_records_tolerance(self, monkeypatch):
         mu, nu = random_instance(np.random.default_rng(1), 100, 100, 2)
