@@ -19,8 +19,6 @@ from .costs import (
     cost_matrix,
 )
 from .geometry import (
-    Cone,
-    cone_contains,
     direction_grid,
     halfspace_equivalence,
     isotropy_audit,

@@ -373,10 +373,11 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
     else:
         measure = load_measure(measure_path)
         source = str(measure_path)
+    params = {"measure": source, "seed": seed, "point_sample": point_sample}
     if len(measure) < 2:
         report = ExperimentReport(
             experiment="isotropy",
-            parameters={"measure": source, "seed": seed},
+            parameters=params,
             metrics={"reason": "degenerate measure: fewer than 2 atoms"},
             passed=False,
         )
@@ -404,7 +405,7 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
         passed = interior_failing <= 0.05
     report = ExperimentReport(
         experiment="isotropy",
-        parameters={"measure": source, "seed": seed, "point_sample": point_sample},
+        parameters=params,
         metrics={
             "failing_mass_fraction": audit.failing_mass_fraction,
             "interior_failing_mass_fraction": interior_failing,

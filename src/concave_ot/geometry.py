@@ -25,9 +25,7 @@ import numpy as np
 from .measures import _jsonable
 
 __all__ = [
-    "Cone",
     "IsotropyReport",
-    "cone_contains",
     "k_delta",
     "halfspace_equivalence",
     "direction_grid",
@@ -48,45 +46,6 @@ _NEIGHBOURS = 64
 _PAIRS = 2**17
 
 
-@dataclass(frozen=True)
-class Cone:
-    """Closed cone with apex x, axis u, opening delta, radius eps.
-
-    Membership: ``<y - x, u> >= (1 - delta) * |y - x|`` and
-    ``|y - x| <= eps``; ``eps = inf`` gives the unbounded cone.
-    """
-
-    apex: np.ndarray
-    direction: np.ndarray
-    opening: float
-    radius: float = math.inf
-
-    def __post_init__(self):
-        object.__setattr__(self, "apex", np.asarray(self.apex, dtype=float).ravel())
-        u = np.asarray(self.direction, dtype=float).ravel()
-        nrm = np.linalg.norm(u)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |u| = {nrm!r}")
-        object.__setattr__(self, "direction", u)
-        if not 0.0 < self.opening < 1.0:
-            raise ValueError(f"opening must lie in (0, 1), got {self.opening}")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-
-
-def cone_contains(cone, y):
-    """Membership test; accepts a single point or an (n, d) array."""
-    y = np.asarray(y, dtype=float)
-    single = y.ndim == 1
-    y = np.atleast_2d(y)
-    if y.shape[1] != cone.apex.shape[0]:
-        raise ValueError("dimension mismatch between cone and points")
-    w = y - cone.apex
-    r = np.linalg.norm(w, axis=1)
-    inside = (w @ cone.direction >= (1.0 - cone.opening) * r) & (r <= cone.radius)
-    return bool(inside[0]) if single else inside
-
-
 def k_delta(delta):
     """Lipschitz constant ``(1 - delta) / sqrt(delta * (2 - delta))``.
 
@@ -102,18 +61,26 @@ def k_delta(delta):
 def halfspace_equivalence(x, delta, y):
     """Both forms of the downward-cone test; the pair must always agree.
 
-    With the axis fixed to ``u = (0, ..., 0, -1)``, membership of ``y``
-    in the unbounded cone at ``x`` is equivalent to
-    ``y_d <= x_d - k(delta) * |y' - x'|`` where the prime drops the last
-    coordinate.  Returns (cone_test, halfspace_test).
+    With the axis fixed to ``u = (0, ..., 0, -1)``, ``y`` lies in the
+    unbounded cone at ``x`` when ``-w_d >= (1 - delta) * |w|`` for
+    ``w = y - x``, which is equivalent to ``y_d <= x_d - k(delta) * |w'|``
+    where the prime drops the last coordinate.  Returns (cone_test,
+    halfspace_test).  Raises ``ValueError`` unless delta lies in (0, 1),
+    x and y are points of one length, and every coordinate of x, y and
+    y - x is finite.
     """
+    k = k_delta(delta)
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    u = np.zeros(len(x))
-    u[-1] = -1.0
-    cone = Cone(apex=x, direction=u, opening=float(delta))
-    in_cone = cone_contains(cone, y)
-    in_half = y[-1] <= x[-1] - k_delta(delta) * np.linalg.norm(y[:-1] - x[:-1])
+    if x.shape != y.shape:
+        raise ValueError(f"x and y must be points of one length, got {x.size} and {y.size}")
+    w = y - x
+    if not np.isfinite(w).all():
+        raise ValueError("x, y and y - x must be finite")
+    # |w| sums the squares pairwise, as np.linalg.norm(..., axis=1) does;
+    # the 1-d np.linalg.norm takes a dot product, which rounds otherwise
+    in_cone = -w[-1] >= (1.0 - float(delta)) * math.sqrt(np.add.reduce(w * w))
+    in_half = y[-1] <= x[-1] - k * np.linalg.norm(w[:-1])
     return bool(in_cone), bool(in_half)
 
 

@@ -56,9 +56,16 @@ _GRAD_TOL = 1e-8
 _TRANSLATION_TOL = 0.02
 
 
-def _marginal(measure, idx, mass):
-    """Sub-marginal of a measure carried by the given (idx, mass) entries."""
-    w = np.bincount(idx, weights=mass, minlength=len(measure))
+def _check_tol(tol, name="tol"):
+    """``ValueError`` unless an audit's tolerance is >= 0: every
+    comparison with a NaN is false, so a NaN tol would fail every check
+    it bounds and pass every check it must exceed."""
+    if not tol >= 0:
+        raise ValueError(f"{name} must be >= 0, got {tol}")
+
+
+def _marginal(measure, w):
+    """Sub-marginal of a measure with per-atom weights ``w``."""
     keep = w > 0
     return DiscreteMeasure(measure.points[keep], w[keep], dim=measure.dim)
 
@@ -81,18 +88,15 @@ class PlanDecomposition:
 
     @property
     def diag_source_marginal(self):
-        diag = self.diagonal
-        return _marginal(diag.source, diag.src_idx, diag.mass)
+        return _marginal(self.diagonal.source, self.diagonal.row_marginals())
 
     @property
     def off_source_marginal(self):
-        off = self.off_diagonal
-        return _marginal(off.source, off.src_idx, off.mass)
+        return _marginal(self.off_diagonal.source, self.off_diagonal.row_marginals())
 
     @property
     def off_target_marginal(self):
-        off = self.off_diagonal
-        return _marginal(off.target, off.tgt_idx, off.mass)
+        return _marginal(self.off_diagonal.target, self.off_diagonal.col_marginals())
 
 
 def decompose(plan):
@@ -136,8 +140,10 @@ def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     strictly concave increasing cost.  ``mu`` and ``nu`` must equal the
     plan's source and target (else ``ValueError``): one atom matching
     pairs them, and the masses of the two sub-plans of
-    :func:`decompose` are binned per atom.
+    :func:`decompose` are binned per atom.  A NaN or negative ``tol``
+    raises ``ValueError``.
     """
+    _check_tol(tol)
     if mu != plan.source or nu != plan.target:
         raise ValueError("mu and nu must be the plan's source and target")
     split = meet(mu, nu)
@@ -146,10 +152,9 @@ def verify_stay_at_rest(mu, nu, plan, tol=1e-9):
     diag, off = dec.diagonal, dec.off_diagonal
     deviation = np.zeros(len(mu))  # common minus diagonal mass, per source atom
     deviation[i] = common
-    deviation -= np.bincount(diag.src_idx, weights=diag.mass, minlength=len(mu))
+    deviation -= diag.row_marginals()
     max_dev = float(np.abs(deviation).max(initial=0.0))
-    off_src = np.bincount(off.src_idx, weights=off.mass, minlength=len(mu))
-    off_tgt = np.bincount(off.tgt_idx, weights=off.mass, minlength=len(nu))
+    off_src, off_tgt = off.row_marginals(), off.col_marginals()
     shared = float(np.minimum(off_src[i], off_tgt[j]).max(initial=0.0))
     return StayAtRestReport(
         diag_matches_meet=max_dev <= tol,
@@ -202,8 +207,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     """
     if not 2 <= max_cycle_len <= 4:
         raise ValueError("max_cycle_len must be in [2, 4]")
-    if not tol >= 0:  # a NaN tol would record no witness
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     S = plan.n_entries
     if S < 2:  # no cycle
         return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)
@@ -298,8 +302,9 @@ def extract_map(decomp, mass_tol=1e-9):
     off-diagonal mass goes to a single target, the one of its largest
     entry (the first in plan order on a tie); the rest are recorded as
     splits, and ``split_fraction`` totals the off-diagonal mass they
-    carry.
+    carry.  A NaN or negative ``mass_tol`` raises ``ValueError``.
     """
+    _check_tol(mass_tol, "mass_tol")
     off = decomp.off_diagonal
     src, tgt, w = off.src_idx, off.tgt_idx, off.mass
     # by source, then largest mass first; lexsort is stable, so the first

@@ -380,9 +380,13 @@ class TestIsotropyCommand:
         path = tmp_path / "one.csv"
         save_measure(DiscreteMeasure([[0.0, 0.0]], [1.0]), path)
         out = tmp_path / "iso1"
-        rc = main(["isotropy", "--measure", str(path), "--out", str(out)])
+        rc = main(["isotropy", "--measure", str(path), "--point-sample", "7",
+                   "--out", str(out)])
         assert rc == 1
-        assert "degenerate" in read_report(out)["metrics"]["reason"]
+        report = read_report(out)
+        assert "degenerate" in report["metrics"]["reason"]
+        # the same parameters as every other isotropy report
+        assert report["parameters"] == {"measure": str(path), "seed": 0, "point_sample": 7}
 
     @pytest.mark.parametrize("sample", ["0", "-3"])
     def test_point_sample_below_one_exit_2(self, tmp_path, capsys, sample):

@@ -10,8 +10,6 @@ from support import ReferenceKernel, _cone_terms, isotropy_audit_reference, reco
 
 from concave_ot import geometry, solver
 from concave_ot.geometry import (
-    Cone,
-    cone_contains,
     direction_grid,
     halfspace_equivalence,
     isotropy_audit,
@@ -21,53 +19,6 @@ from concave_ot.geometry import (
 from concave_ot.measures import DiscreteMeasure, hyperplane_sample, meet, uniform_box
 
 deltas = st.floats(0.01, 0.99)
-
-
-class TestCone:
-    def test_apex_contained(self):
-        c = Cone(apex=[0.0, 0.0], direction=[1.0, 0.0], opening=0.3, radius=1.0)
-        assert cone_contains(c, [0.0, 0.0])
-
-    def test_axis_ray(self):
-        c = Cone(apex=[1.0, 1.0], direction=[1.0, 0.0], opening=0.1, radius=0.5)
-        assert cone_contains(c, [1.5, 1.0])
-        assert not cone_contains(c, [1.6, 1.0])  # beyond the radius
-
-    def test_opposite_direction_excluded(self):
-        c = Cone(apex=[0.0, 0.0], direction=[1.0, 0.0], opening=0.9)
-        assert not cone_contains(c, [-1.0, 0.0])
-
-    def test_vectorized_membership(self):
-        c = Cone(apex=[0.0, 0.0], direction=[0.0, 1.0], opening=0.5, radius=2.0)
-        pts = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 3.0]])
-        np.testing.assert_array_equal(cone_contains(c, pts), [True, False, False])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Cone(apex=[0.0], direction=[2.0], opening=0.5)
-        with pytest.raises(ValueError):
-            Cone(apex=[0.0], direction=[1.0], opening=1.5)
-        with pytest.raises(ValueError):
-            Cone(apex=[0.0], direction=[1.0], opening=0.5, radius=0.0)
-        with pytest.raises(ValueError):
-            cone_contains(
-                Cone(apex=[0.0, 0.0], direction=[1.0, 0.0], opening=0.5), [1.0]
-            )
-
-    @given(
-        d1=deltas,
-        d2=deltas,
-        e1=st.floats(0.1, 5.0),
-        e2=st.floats(0.1, 5.0),
-        y=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
-    )
-    def test_monotone_in_opening_and_radius(self, d1, d2, e1, e2, y):
-        dl, dh = sorted((d1, d2))
-        el, eh = sorted((e1, e2))
-        small = Cone(apex=[0.0, 0.0, 0.0], direction=[0.0, 0.0, 1.0], opening=dl, radius=el)
-        big = Cone(apex=[0.0, 0.0, 0.0], direction=[0.0, 0.0, 1.0], opening=dh, radius=eh)
-        if cone_contains(small, y):
-            assert cone_contains(big, y)
 
 
 class TestKDelta:
@@ -134,6 +85,54 @@ class TestHalfspaceEquivalence:
             if margin < 1e-12 * max(1.0, np.linalg.norm(w)):
                 continue
             assert a == b
+
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="points of one length"):
+            halfspace_equivalence([0.0, 0.0], 0.5, [1.0])
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_opening_outside_unit_interval_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            halfspace_equivalence([0.0, 0.0], delta, [0.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_coordinate_rejected(self, bad, side):
+        x, y = [0.0, 0.0], [0.0, -1.0]
+        (x if side == "x" else y)[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            halfspace_equivalence(x, 0.5, y)
+
+    @given(d1=deltas, d2=deltas, y=st.lists(st.floats(-3, 3), min_size=3, max_size=3))
+    def test_cone_side_monotone_in_opening(self, d1, d2, y):
+        narrow, wide = sorted((d1, d2))
+        x = [0.5, -0.25, 1.0]
+        if halfspace_equivalence(x, narrow, y)[0]:
+            assert halfspace_equivalence(x, wide, y)[0]
+
+    @pytest.mark.parametrize("d", [1, 9])
+    def test_cone_side_matches_vector_norm(self, d):
+        # the cone side as a row of np.linalg.norm(..., axis=1) gives it;
+        # for d = 9 the points lie on the cone's boundary, where rounding
+        # decides, and numpy sums the squares pairwise
+        rng = np.random.default_rng(d)
+        u = np.zeros(d)
+        u[-1] = -1.0
+        inside = 0
+        for _ in range(2000):
+            x = rng.normal(size=d)
+            delta = float(rng.uniform(0.01, 0.99))
+            w = rng.normal(size=d)
+            if d > 1:
+                w[-1] = -k_delta(delta) * np.linalg.norm(w[:-1])
+            y = x + w
+            w = y - x
+            want = (w[None] @ u >= (1.0 - delta) * np.linalg.norm(w[None], axis=1))[0]
+            got = halfspace_equivalence(x, delta, y)[0]
+            assert got == want
+            inside += got
+        assert 0 < inside < 2000
 
 
 class TestDirectionGrid:

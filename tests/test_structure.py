@@ -144,6 +144,15 @@ class TestStayAtRest:
         assert not rep.diag_matches_meet
         assert not rep.off_marginals_singular  # atom 0 is both source and target
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        # a NaN tol would fail the audit of an optimal plan with zero deviation
+        mu, nu = overlapping_instance(np.random.default_rng(7))
+        plan, _, _ = solve_exact(mu, nu, P05)
+        assert verify_stay_at_rest(mu, nu, plan).ok
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            verify_stay_at_rest(mu, nu, plan, tol=tol)
+
     def test_foreign_measures_rejected(self):
         mu, nu = overlapping_instance(np.random.default_rng(5))
         plan, _, _ = solve_exact(mu, nu, P05)
@@ -628,6 +637,16 @@ class TestExtractMap:
         ex = extract_map(decompose(plan))
         assert ex.split_fraction == 0.0
         assert len(ex.assigned_sources) == 2 * n
+
+    @pytest.mark.parametrize("mass_tol", [math.nan, -1.0])
+    def test_bad_mass_tol_rejected(self, mass_tol):
+        # a NaN mass_tol would report every source of a permutation as split
+        mu = uniform_box(20, 2, seed=14)
+        nu = uniform_box(20, 2, seed=15)
+        dec = decompose(solve_exact(mu, nu, P05)[0])
+        assert extract_map(dec).split_fraction == 0.0
+        with pytest.raises(ValueError, match="mass_tol must be >= 0"):
+            extract_map(dec, mass_tol=mass_tol)
 
     def test_limit_plan_fully_split(self):
         plan = limit_plan(4)
