@@ -35,8 +35,10 @@
  * and its reference return the same bits.  distances sums the squared
  * coordinate differences in order from 0.0 and takes the square root, a
  * vector of target atoms at a time, as scipy's cdist and the numpy
- * reference _numpy_distances do, with the same bits.  cone_nearest sums
- * each atom's r and dot products in order from 0.0, as its reference
+ * reference _numpy_distances do, with the same bits.  cone_nearest scans
+ * each apex over one window of a list of atom indices (windows may
+ * overlap, so many apices can share one sorted list), sums each atom's r
+ * and dot products in order from 0.0, as its reference
  * _numpy_cone_nearest does, and returns the nearest atom in each cone, the
  * lanes of a vector being directions.
  *
@@ -794,8 +796,10 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *yt, double *o
 
 /* The nearest other atom in each cone of the isotropy audit.  Apex t, row
  * t of the count x d array apex, is scanned over the atoms
- * rows[offsets[t]] .. rows[offsets[t + 1] - 1], rows of the d-column
- * array points.  For atom y and w = y - x, coordinate by coordinate,
+ * rows[lo[t]] .. rows[hi[t] - 1], rows of the d-column array points; the
+ * windows of different apices may overlap (the rescan gives each apex a
+ * window of one list of the atoms, sorted along one axis).  For atom y
+ * and w = y - x, coordinate by coordinate,
  * r = sqrt(w_0 w_0 + ... + w_{d-1} w_{d-1}) and, for direction j (column
  * j of the d x ndir array dirs), w.u_j = w_0 u_0j + ... + w_{d-1} u_{d-1,j},
  * each sum taken in order from 0.0.  y lies in cone (l, j) iff r > 0 and
@@ -805,16 +809,16 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *yt, double *o
  * would take for a hit at eps = inf).  The directions go LANES at a
  * time; a lane takes r unless its cone already holds a nearer or equal
  * atom.  work holds ndir doubles, one atom's dot products. */
-void cone_nearest(i64 count, i64 d, const double *apex, const i64 *offsets, const i64 *rows,
-                  const double *points, i64 ndir, const double *dirs, i64 nopen,
-                  const double *deltas, double *work, double *nearest)
+void cone_nearest(i64 count, i64 d, const double *apex, const i64 *lo, const i64 *hi,
+                  const i64 *rows, const double *points, i64 ndir, const double *dirs,
+                  i64 nopen, const double *deltas, double *work, double *nearest)
 {
     for (i64 t = 0; t < count; t++) {
         const double *x = apex + t * d;
         double *near = nearest + t * nopen * ndir;
         for (i64 c = 0; c < nopen * ndir; c++)
             near[c] = NAN;
-        for (i64 s = offsets[t]; s < offsets[t + 1]; s++) {
+        for (i64 s = lo[t]; s < hi[t]; s++) {
             const double *y = points + rows[s] * d;
             double sq = 0.0;
             memset(work, 0, ndir * sizeof *work);

@@ -17,6 +17,7 @@ half-space test below the graph of a Lipschitz function with constant
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -40,10 +41,6 @@ _DELTAS = (0.2, 0.5, 0.8)
 _RADII = (10.0, 30.0, 100.0)
 # Nearest atoms that settle each sampled apex before any exact rescan.
 _NEIGHBOURS = 64
-# (apex, atom) pairs the rescan lists at once (3 MB of them), so that its
-# memory does not grow with the sample: a chunk of apices holds at most
-# this many pairs plus one apex's.
-_PAIRS = 2**17
 
 
 def k_delta(delta):
@@ -142,6 +139,8 @@ class IsotropyReport:
 
 
 def _check_point_sample(point_sample):
+    if not isinstance(point_sample, numbers.Integral) or isinstance(point_sample, bool):
+        raise ValueError(f"point_sample must be an integer, got {point_sample!r}")
     if point_sample < 1:
         raise ValueError(f"point_sample must be at least 1, got {point_sample}")
 
@@ -160,14 +159,14 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     Each apex is first settled from its 64 nearest atoms (one k-d
     tree query for the whole sample): per opening, the nearest
     in-cone distance of each direction answers every radius at once.
-    The verdicts are those of a scan over all atoms, because an apex is
-    rescanned over every atom within the largest radius whenever the
-    neighbours leave a cone empty yet do not reach past that radius
-    (a pair query between the two trees lists those atoms).  Each scan
+    The verdicts are those of a scan over all atoms: when the neighbours
+    leave a cone empty yet do not reach past the largest radius, the apex
+    is rescanned over the atoms, sorted once along the longest side of
+    the bounding box, within that radius of it on that side.  Each scan
     is one call of the compiled kernel's ``cone_nearest``, which sums
-    each atom's distance and dot products in order; the rescan is split
-    into chunks of apices only when it lists more than ``_PAIRS`` pairs.
-    Raises ``solver.SolverError`` if the kernel cannot be built.
+    each atom's distance and dot products in order.  Raises
+    ``ValueError`` unless ``point_sample`` is a (non-bool) integer >= 1,
+    and ``solver.SolverError`` if the kernel cannot be built.
     """
     _check_point_sample(point_sample)
     from scipy.spatial import cKDTree
@@ -203,26 +202,26 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     kernel = solver._compiled_kernel()
     k = min(_NEIGHBOURS, n)
     dk, near = (a.reshape(len(X), k) for a in tree.query(X, k=k))
-    nearest = kernel.cone_nearest(pts, X, np.arange(0, near.size + 1, k), near.ravel(), U, _DELTAS)
+    starts = np.arange(0, near.size, k)
+    nearest = kernel.cone_nearest(pts, X, starts, starts + k, near.ravel(), U, _DELTAS)
     # Atoms beyond the k nearest lie at tree distance >= the k-th one; the
     # margin covers rounding between the tree's distances and r.
     reach = eps_arr.max() * (1.0 + 1e-9)
     if k < n:
         settled = (nearest <= eps_arr.min()).all(axis=(1, 2))
         again = np.flatnonzero(~settled & (dk[:, -1] <= reach))
-        ends = np.cumsum(tree.query_ball_point(X[again], reach, return_length=True))
-        for chunk in np.split(again, np.flatnonzero(np.diff(ends // _PAIRS)) + 1):
-            # every (apex, atom) pair within reach, grouped by apex; the
-            # keys are narrowed so that the stable sort is a radix sort
-            pairs = cKDTree(X[chunk]).sparse_distance_matrix(tree, reach, output_type="ndarray")
-            apex = pairs["i"].astype(np.min_scalar_type(len(chunk)))
-            offsets = np.zeros(len(chunk) + 1, dtype=np.int64)
-            np.cumsum(np.bincount(apex, minlength=len(chunk)), out=offsets[1:])
-            rows = pairs["j"][np.argsort(apex, kind="stable")]
-            nearest[chunk] = kernel.cone_nearest(pts, X[chunk], offsets, rows, U, _DELTAS)
-    hits = nearest[..., None, :] <= eps_arr[:, None]
-
-    misses = ~hits
+        # An open apex at x on the longest side scans the atoms at y in
+        # [fl(x - reach), fl(x + reach)].  An atom the kernel counts at r <=
+        # max(eps) has |y - x| < reach exactly (r rounds |y - x| by a few
+        # ulps, inside the margin), and a double y >= c is >= fl(c): the
+        # window holds every possible hit.  Its other atoms only lower a
+        # ``nearest`` already above every eps, so no verdict moves.
+        side = np.argmax(hi - lo)
+        order = np.argsort(pts[:, side])
+        line, x = pts[order, side], X[again, side]
+        window = np.searchsorted(line, x - reach, "left"), np.searchsorted(line, x + reach, "right")
+        nearest[again] = kernel.cone_nearest(pts, X[again], *window, order, U, _DELTAS)
+    misses = ~(nearest[..., None, :] <= eps_arr[:, None])  # an empty cone's NaN misses
     fail_counts = misses.sum(axis=(1, 2, 3))
     atom_failed = fail_counts > 0
     worst = None

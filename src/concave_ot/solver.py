@@ -533,7 +533,7 @@ class _CompiledKernel:
         self._certify_maxima.restype = None
         self._cone_nearest = self._lib.cone_nearest
         self._cone_nearest.argtypes = [
-            i64, i64, costs, index, index, costs, i64, costs, i64, costs, floats, floats,
+            i64, i64, costs, index, index, index, costs, i64, costs, i64, costs, floats, floats,
         ]
         self._cone_nearest.restype = None
 
@@ -611,30 +611,30 @@ class _CompiledKernel:
         self._certify_maxima(m, n, phi, psi, C, out)
         return float(out[0]), float(out[1])
 
-    def cone_nearest(self, points, apices, offsets, rows, directions, deltas):
+    def cone_nearest(self, points, apices, lo, hi, rows, directions, deltas):
         """nearest[t, l, j]: the least r > 0 from apex t to an atom
-        ``points[rows[offsets[t]:offsets[t + 1]]]`` in the cone of opening
-        ``deltas[l]`` around ``directions[j]``, NaN if the cone holds none;
-        r and the dot products are each summed in order."""
+        ``points[rows[lo[t]:hi[t]]]`` in the cone of opening ``deltas[l]``
+        around ``directions[j]``, NaN if the cone holds none; r and the dot
+        products are each summed in order.  Windows may overlap."""
         points, apices, directions, deltas = (
             np.ascontiguousarray(x, dtype=float) for x in (points, apices, directions, deltas)
         )
-        offsets, rows = (np.ascontiguousarray(x, dtype=np.int64) for x in (offsets, rows))
+        lo, hi, rows = (np.ascontiguousarray(x, dtype=np.int64) for x in (lo, hi, rows))
         d = points.shape[-1]
         if points.ndim != 2 or apices.shape[1:] != (d,) or directions.shape[1:] != (d,):
             raise ValueError("points, apices and directions must have the same columns")
         if (
-            offsets.shape != (len(apices) + 1,) or offsets[0] != 0
-            or offsets[-1] != len(rows) or (np.diff(offsets) < 0).any()
+            lo.shape != (len(apices),) or hi.shape != lo.shape
+            or not ((0 <= lo) & (lo <= hi) & (hi <= len(rows))).all()
         ):
-            raise ValueError("offsets must rise from 0 to the number of rows, one per apex")
+            raise ValueError("windows lo <= hi must lie within the rows, one per apex")
         if rows.ndim != 1 or len(rows) and not 0 <= rows.min() <= rows.max() < len(points):
             raise ValueError("rows do not index the points")
         if deltas.ndim != 1:
             raise ValueError("deltas must be one-dimensional")
         nearest = np.empty((len(apices), len(deltas), len(directions)))
         self._cone_nearest(
-            len(apices), d, apices, offsets, rows, points, len(directions),
+            len(apices), d, apices, lo, hi, rows, points, len(directions),
             np.ascontiguousarray(directions.T), len(deltas), deltas, np.empty(len(directions)),
             nearest,
         )

@@ -518,8 +518,8 @@ class ReferenceKernel:
     def certify_maxima(self, phi, psi, C):
         return _numpy_certify_maxima(phi, psi, C)
 
-    def cone_nearest(self, points, apices, offsets, rows, directions, deltas):
-        return _numpy_cone_nearest(points, apices, offsets, rows, directions, deltas)
+    def cone_nearest(self, points, apices, lo, hi, rows, directions, deltas):
+        return _numpy_cone_nearest(points, apices, lo, hi, rows, directions, deltas)
 
 
 def _least_cost_basis(a, b, C):
@@ -908,14 +908,14 @@ def _cone_terms(w, U):
     return np.sqrt(r2), dots
 
 
-def _numpy_cone_nearest(points, apices, offsets, rows, directions, deltas):
+def _numpy_cone_nearest(points, apices, lo, hi, rows, directions, deltas):
     """The numpy reference for ``cone_nearest`` in ``_pivot.c``: for apex t
-    over the atoms ``points[rows[offsets[t]:offsets[t + 1]]]``, the least
-    r > 0 with dot >= (1 - delta) * r in each (delta, direction) cone,
-    NaN where there is none."""
+    over the atoms ``points[rows[lo[t]:hi[t]]]``, the least r > 0 with
+    dot >= (1 - delta) * r in each (delta, direction) cone, NaN where there
+    is none."""
     nearest = np.full((len(apices), len(deltas), len(directions)), np.nan)
     for t, x in enumerate(apices):
-        r, dots = _cone_terms(points[rows[offsets[t]:offsets[t + 1]]] - x, directions)
+        r, dots = _cone_terms(points[rows[lo[t]:hi[t]]] - x, directions)
         for l, dl in enumerate(deltas):
             inside = (dots >= (1.0 - dl) * r[:, None]) & (r > 0.0)[:, None]
             nearest[t, l] = np.fmin.reduce(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -217,6 +218,26 @@ class TestIsotropyAudit:
             with pytest.raises(ValueError, match="point_sample"):
                 isotropy_audit(box, point_sample=bad)
 
+    @pytest.mark.parametrize("bad, why", [(math.nan, "an integer"), (2.5, "an integer"),
+                                          (True, "an integer"), (0, "at least 1")])
+    def test_point_sample_not_a_positive_integer(self, bad, why):
+        box = uniform_box(50, 2, seed=13)
+        with pytest.raises(ValueError, match=f"point_sample must be {why}, got {bad!r}"):
+            isotropy_audit(box, point_sample=bad)
+
+    def test_memory_is_one_sort_of_the_atoms(self):
+        # d = 3 leaves most apices open after the 64 nearest; the rescan
+        # adds one argsort of the atoms, not a list of (apex, atom) pairs
+        box = uniform_box(5000, 3, seed=9)
+        isotropy_audit(uniform_box(100, 3, seed=9), point_sample=10)  # imports, kernel
+        tracemalloc.start()
+        try:
+            isotropy_audit(box, point_sample=500, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize("factor", [2.0, 0.5])
     def test_total_mass_other_than_one(self, factor):
         # atoms are drawn by their share of the mass, and scaling every
@@ -336,15 +357,21 @@ class TestIsotropyAgainstReference:
         assert got.to_dict() == isotropy_audit_reference(hp, point_sample=60, seed=1).to_dict()
 
 
-def _cone_case(dim, kind, seed):
-    """Points, apices, CSR rows and directions for ``cone_nearest``.
+def _cone_case(dim, kind, seed, shared):
+    """Points, apices, windows ``lo``/``hi`` of rows, the rows and the
+    directions for ``cone_nearest``.
 
     Lattices repeat atoms, so an apex meets r = 0 at atoms other than
     itself, and put atoms exactly on the edges of the axis cones: (3, 4)
     from an apex has w.e_0 = 3 = (1 - 0.4) * 5 at r = 5, a radius many
     atoms share.
-    Flat samples leave the normal cones empty.  Each apex scans a random
-    subset of the atoms, and the last scans none.  The number of
+    Flat samples leave the normal cones empty.  Unless ``shared``, each
+    apex scans a random subset of the atoms in its own window of the
+    rows.  If ``shared``, every apex scans one list of all the atoms,
+    sorted by their first coordinate, over the window of atoms within a
+    whole-number reach of its own on that coordinate, as the audit's
+    rescan does: the windows overlap, and lattice atoms sit on their
+    ends.  The last apex's window is empty either way.  The number of
     directions is odd, so the last, an axis, is scanned after the vector
     lanes."""
     rng = np.random.default_rng(seed)
@@ -358,9 +385,19 @@ def _cone_case(dim, kind, seed):
     eye = np.eye(dim)
     directions = np.vstack([direction_grid(dim, 3), eye, -eye])
     apices = np.vstack([pts[rng.choice(len(pts), 30, replace=False)], pts[:1]])
-    chosen = [rng.choice(len(pts), rng.integers(1, len(pts)), replace=False) for _ in apices[1:]]
-    offsets = np.cumsum([0, *map(len, chosen), 0])
-    return pts, apices, offsets, np.concatenate(chosen), directions
+    if shared:
+        rows = np.argsort(pts[:, 0])
+        line, reach = pts[rows, 0], rng.integers(1, 5, len(apices))
+        lo = np.searchsorted(line, apices[:, 0] - reach, "left")
+        hi = np.searchsorted(line, apices[:, 0] + reach, "right")
+        hi[-1] = lo[-1]
+    else:
+        chosen = [rng.choice(len(pts), rng.integers(1, len(pts)), replace=False)
+                  for _ in apices[1:]]
+        hi = np.cumsum([*map(len, chosen), 0])
+        lo = hi - [*map(len, chosen), 0]
+        rows = np.concatenate(chosen)
+    return pts, apices, lo, hi, rows, directions
 
 
 _CONE_DELTAS = (0.4, 0.2, 0.5, 1.0 - 1.0 / math.sqrt(2.0), 0.8)
@@ -372,29 +409,31 @@ class TestConeNearest:
     @pytest.mark.parametrize("kind", ["lattice", "flat", "cloud"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])
     def test_same_bytes_as_reference(self, dim, kind):
-        case = _cone_case(dim, kind, seed=dim)
-        got = solver._compiled_kernel().cone_nearest(*case, _CONE_DELTAS)
-        want = ReferenceKernel().cone_nearest(*case, _CONE_DELTAS)
-        assert got.shape == (31, len(_CONE_DELTAS), len(case[-1]))
-        assert got.tobytes() == want.tobytes()
-        assert np.isnan(got[-1]).all()  # the apex that scans no atom
-        pts, apices, offsets, rows, directions = case
-        terms = [_cone_terms(pts[rows[a:b]] - x, directions)
-                 for x, a, b in zip(apices, offsets, offsets[1:])]
-        if kind != "cloud":
-            assert any((r == 0.0).any() for r, _ in terms)  # an apex, or a duplicate
-        if kind == "lattice" and dim >= 2:
-            assert any(((dots == (1.0 - 0.4) * r[:, None]) & (r > 0.0)[:, None]).any()
-                       for r, dots in terms)  # an atom exactly on a cone's edge
-        if kind == "flat" and dim >= 2:
-            assert np.isnan(got[:-1]).any()  # cones across the plane stay empty
+        for shared in (False, True):
+            case = _cone_case(dim, kind, seed=dim, shared=shared)
+            got = solver._compiled_kernel().cone_nearest(*case, _CONE_DELTAS)
+            want = ReferenceKernel().cone_nearest(*case, _CONE_DELTAS)
+            assert got.shape == (31, len(_CONE_DELTAS), len(case[-1]))
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got[-1]).all()  # the apex that scans no atom
+            pts, apices, lo, hi, rows, directions = case
+            if shared:
+                assert (hi - lo).sum() > len(rows)  # the windows overlap
+            terms = [_cone_terms(pts[rows[a:b]] - x, directions)
+                     for x, a, b in zip(apices, lo, hi)]
+            if kind != "cloud":
+                assert any((r == 0.0).any() for r, _ in terms)  # an apex, or a duplicate
+            if kind == "lattice" and dim >= 2:
+                assert any(((dots == (1.0 - 0.4) * r[:, None]) & (r > 0.0)[:, None]).any()
+                           for r, dots in terms)  # an atom exactly on a cone's edge
+            if kind == "flat" and dim >= 2:
+                assert np.isnan(got[:-1]).any()  # cones across the plane stay empty
 
     def test_empty_cone_is_nan_and_apex_never_counts(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
         directions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        offsets, rows = np.array([0, 3]), np.arange(3)
-        got = solver._compiled_kernel().cone_nearest(pts, pts[:1], offsets, rows, directions,
-                                                     (0.4, 0.2))
+        got = solver._compiled_kernel().cone_nearest(pts, pts[:1], [0], [3], np.arange(3),
+                                                     directions, (0.4, 0.2))
         # (3, 4) lies on the edge of the +x cone at delta 0.4, outside it at
         # 0.2; the duplicate at r = 0 lies in no cone
         nan = math.nan
@@ -420,26 +459,48 @@ class TestConeNearest:
         want = isotropy_audit_reference(measure, **kwargs)
         assert repr(got.to_dict()) == repr(twin.to_dict()) == repr(want.to_dict())
 
-    def test_rescan_in_chunks(self, monkeypatch):
-        # a flat sample leaves most apices open, and tiny chunks split the
-        # rescan's (apex, atom) pairs over many kernel calls: same report
+    def test_rescan_over_sorted_windows(self, monkeypatch):
+        # a flat sample leaves most apices open; the rescan scans each over
+        # its window of the atoms sorted along the longest side of the
+        # bounding box, which is x_0 for the segment and x_1 once its
+        # columns are swapped: the same report as the brute-force loop,
+        # and never a window of every atom
         monkeypatch.setattr(geometry, "_RADII", (40.0, 250.0))  # about 0.05 and 0.3
         hp = hyperplane_sample(300, 2, seed=4)
         kwargs = dict(point_sample=80, seed=4)
-        whole = isotropy_audit(hp, **kwargs)
-        calls = record_kernel_calls(monkeypatch, "cone_nearest", lambda *args: len(args[1]))
-        monkeypatch.setattr(geometry, "_PAIRS", 500)
-        chunked = isotropy_audit(hp, **kwargs)
-        assert len(calls) > 3 and sum(calls[1:]) > 20  # the rescan's apices, in chunks
-        assert repr(chunked.to_dict()) == repr(whole.to_dict())
-        assert repr(whole.to_dict()) == repr(isotropy_audit_reference(hp, **kwargs).to_dict())
+        calls = record_kernel_calls(monkeypatch, "cone_nearest", lambda *args: args[3] - args[2])
+        for measure in (hp, DiscreteMeasure(hp.points[:, ::-1], hp.weights)):
+            calls.clear()
+            got = isotropy_audit(measure, **kwargs)
+            assert len(calls) == 2 and len(calls[1]) > 20  # the rescan's windows
+            assert (calls[1] < len(measure)).all()
+            assert repr(got.to_dict()) == repr(isotropy_audit_reference(measure, **kwargs).to_dict())
+
+    def test_atoms_at_the_largest_radius_end_the_windows(self, monkeypatch):
+        # a 10 x 10 lattice (resolution scale 1) and two atoms `far` away
+        # on the x axis from the corners (0, 0) and (9, 0): each is the
+        # only atom of its corner's outward cone, beyond the 64 nearest,
+        # so at far = 12, the largest radius exactly, a rescan window that
+        # stops short of either end loses a hit
+        monkeypatch.setattr(geometry, "_RADII", (1.0, 12.0))
+
+        def failures(far):
+            pts = np.vstack([np.argwhere(np.ones((10, 10))), [[-far, 0], [9 + far, 0]]])
+            measure = DiscreteMeasure(pts.astype(float), np.full(len(pts), 1.0 / len(pts)))
+            got = isotropy_audit(measure, point_sample=len(pts))
+            want = isotropy_audit_reference(measure, point_sample=len(pts))
+            assert repr(got.to_dict()) == repr(want.to_dict())
+            return got.fail_counts.sum()
+
+        assert failures(12.0) < failures(12.5)
 
     def test_bad_rows_rejected(self):
         kernel = solver._compiled_kernel()
         pts, U = np.zeros((3, 2)), np.eye(2)
         with pytest.raises(ValueError, match="rows"):
-            kernel.cone_nearest(pts, pts[:1], [0, 1], [3], U, (0.5,))
-        with pytest.raises(ValueError, match="offsets"):
-            kernel.cone_nearest(pts, pts[:1], [0, 2], [0], U, (0.5,))
+            kernel.cone_nearest(pts, pts[:1], [0], [1], [3], U, (0.5,))
+        for lo, hi in (([1], [0]), ([0], [2]), ([-1], [1]), ([0, 0], [1, 1]), ([0], [1, 1])):
+            with pytest.raises(ValueError, match="windows"):
+                kernel.cone_nearest(pts, pts[:1], lo, hi, [0], U, (0.5,))
         with pytest.raises(ValueError, match="columns"):
-            kernel.cone_nearest(pts, np.zeros((1, 3)), [0, 1], [0], U, (0.5,))
+            kernel.cone_nearest(pts, np.zeros((1, 3)), [0], [1], [0], U, (0.5,))
