@@ -338,7 +338,8 @@ _GENERATORS = {"uniform_box": uniform_box, "hyperplane": hyperplane_sample}
 
 
 def _parse_generator(spec):
-    """``name:n=N,dim=D[,seed=S]`` -> (name, kwargs) with integer values."""
+    """``name:n=N,dim=D[,seed=S]`` -> (name, kwargs) with integer values;
+    a key given twice is an error."""
     name, _, rest = spec.partition(":")
     if name not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
@@ -346,9 +347,12 @@ def _parse_generator(spec):
     if rest:
         for item in rest.split(","):
             key, _, val = item.partition("=")
+            key = key.strip()
             if not val:
                 raise ValueError(f"bad generator parameter {item!r}")
-            kwargs[key.strip()] = int(val)
+            if key in kwargs:
+                raise ValueError(f"generator {name!r}: repeated [{key!r}]")
+            kwargs[key] = int(val)
     unknown = sorted(kwargs.keys() - {"n", "dim", "seed"})
     missing = [key for key in ("n", "dim") if key not in kwargs]
     if unknown or missing:

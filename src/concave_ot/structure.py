@@ -378,8 +378,12 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     neighbour systems, with ``lstsq``'s default cutoff, so a
     rank-deficient neighbourhood gets the minimum-norm gradient; the
     radii come from one array call of the inverse derivative, and only
-    moving atoms divide by their gradient norm.
+    moving atoms divide by their gradient norm.  A ``plan`` must have
+    ``mu`` and ``nu`` as its source and target (else ``ValueError``), as
+    its entries are read as atoms of the two.
     """
+    if plan is not None and (mu != plan.source or nu != plan.target):
+        raise ValueError("mu and nu must be the plan's source and target")
     d = mu.dim
     k = _check_k_neighbors(k_neighbors, d)
     n = len(mu)

@@ -407,10 +407,12 @@ class TestIsotropyCommand:
         ("uniform_box:n=50", "missing ['dim']; it takes n and dim"),
         ("uniform_box:n=50,dim=2,bogus=1", "unknown ['bogus']; it takes n and dim"),
         ("uniform_box:n=50,dim=0", "dim must be >= 1"),
+        ("uniform_box:n=300,n=5,dim=2", "repeated ['n']"),
     ])
     def test_bad_generator_parameters_exit_2(self, tmp_path, capsys, spec, problem):
         assert main(["isotropy", "--generator", spec, "--out", str(tmp_path / "o")]) == 2
         assert problem in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestReconstructCommand:

@@ -495,7 +495,7 @@ def _tied_costs(m, n):
 # (a, b, C) instances of the start
 START_INSTANCES = [
     *(pytest.param(mu.weights, nu.weights, cost_matrix(mu, nu, cost), id=f"pinned_{p.id}")
-      for p in PINNED_PIVOTS for (mu, nu), cost in [p.values[:2]]),
+      for p in [*PINNED_PIVOTS, *LOOP_INSTANCES] for (mu, nu), cost in [p.values[:2]]),
     *(pytest.param(mu.weights, nu.weights, cost_matrix(mu, nu, cost), id=p.id)
       for p in STARTS for mu, nu, cost in [p.values]),
     *(pytest.param([0.5, 0.5], [0.5, 0.5], C, id=f"scan{k}") for k, (C, _, _) in enumerate(SCANS)),
@@ -648,7 +648,14 @@ def _maxima_instances(seed):
     lane or the odd tail of a row; or NaN at each position of rows of 9
     columns, so in each lane of a 2-, 4- or 8-lane vector and in the
     tail, as a cost (both maxima NaN) or as a potential (the violation
-    NaN)."""
+    NaN); or the solver's potentials on the instances of
+    ``PINNED_PIVOTS`` and ``LOOP_INSTANCES``."""
+    if seed == "pinned":
+        for p in [*PINNED_PIVOTS, *LOOP_INSTANCES]:
+            (mu, nu), cost = p.values[:2]
+            _, pots, _ = solve_exact(mu, nu, cost)
+            yield pots.phi, pots.psi, cost_matrix(mu, nu, cost)
+        return
     if seed == "signed_zeros":
         for psi in ([-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0, 0.0, -0.0]):
             yield np.array([-0.0]), np.array(psi), np.zeros((1, len(psi)))
@@ -765,7 +772,7 @@ class TestDuality:
             assert cert.tolerance == certs[0].tolerance
         assert repr(certs[0]) == repr(certs[1])
 
-    @pytest.mark.parametrize("seed", [*range(6), "signed_zeros", "nan_lanes"])
+    @pytest.mark.parametrize("seed", [*range(6), "signed_zeros", "nan_lanes", "pinned"])
     def test_kernel_maxima_match_numpy(self, seed):
         for phi, psi, C in _maxima_instances(seed):
             got = _compiled_kernel().certify_maxima(phi, psi, C)

@@ -454,6 +454,19 @@ class TestCcmPaths:
         rep = verify_ccm(shuffled, P05, max_cycle_len=4)
         assert len(rep.violating_cycle[0]) == 4
 
+    def test_sampled_report_pinned(self):
+        # at the real sample size the 3-cycles of 40 entries are enumerated
+        # and their 4-cycles sampled; the worst is a sampled 4-cycle, so
+        # other draws would change the report that both paths agree on
+        plan = permutation_plan(40, seed=22)
+        shuffled = retarget(
+            plan, range(plan.n_entries), np.random.default_rng(0).permutation(plan.tgt_idx)
+        )
+        rep = verify_ccm(shuffled, P05, max_cycle_len=4)
+        assert rep.cycles_checked == 40 * 39 + 2 * math.comb(40, 3) + 100_000
+        assert rep.worst_violation.hex() == "0x1.7047eede0f5a0p-3"
+        assert rep.violating_cycle == ((7, 23, 4, 32), (23, 4, 32, 7))
+
     @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("n", [40, 480])
     def test_planted_pair_swap(self, n):
@@ -796,6 +809,18 @@ class TestReconstruction:
                 reconstruct_map_from_potential(pots, cloud, cloud, P05, k_neighbors=k)
         res = reconstruct_map_from_potential(pots, cloud, cloud, P05, k_neighbors=d + 1)
         assert res.near_diagonal.all()
+
+    def test_plan_of_other_measures_rejected(self):
+        # the plan's entries index its own source and target: read as atoms
+        # of other measures they would give predictions for the wrong atoms
+        mu = uniform_box(30, 2, seed=7)
+        nu = uniform_box(30, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=8)
+        _, pots, _ = solve_exact(mu, nu, P05)
+        foreign = uniform_box(30, 2, corner_lo=(5, 0), corner_hi=(6, 1), seed=9)
+        smaller = solve_exact(uniform_box(20, 2, seed=7), nu, P05)[0]
+        for other in (smaller, solve_exact(mu, foreign, P05)[0]):
+            with pytest.raises(ValueError, match="^mu and nu must be the plan's source and target$"):
+                reconstruct_map_from_potential(pots, mu, nu, P05, plan=other)
 
     def test_plan_diagnostics_on_separated_clouds(self):
         mu = uniform_box(400, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=7)
