@@ -2,7 +2,10 @@
 
 A :class:`DiscreteMeasure` is a weighted point cloud with nonnegative
 weights and pairwise-distinct atoms (exact duplicates are merged on
-construction, atoms of zero weight dropped).  The lattice operations --
+construction, atoms of zero weight dropped).  Its atoms are kept in
+lexicographic order, which one stable ``np.lexsort`` of the rows,
+:func:`_lex_order`, computes for the constructor and for
+:func:`match_atoms` alike.  The lattice operations --
 the common part ``mu /\\ nu`` and the positive residuals -- use exact
 coordinate equality: the common mass between two measures is a
 measure-theoretic object, and fuzzy matching would silently change the
@@ -52,13 +55,16 @@ class DiscreteMeasure:
     """Finitely supported nonnegative measure on R^d.
 
     Atoms are stored in lexicographic order of their coordinates, which
-    makes equal measures array-equal regardless of construction order.
-    Arrays are frozen after construction; all operations return new
-    measures.
+    makes equal measures array-equal regardless of construction order:
+    the distinct rows of :func:`_lex_order`'s stable sort, each weighing
+    the sum of its duplicates' weights, added in input order.  Arrays
+    are frozen after construction; all operations return new measures.
     """
 
     def __init__(self, points, weights, dim=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.ndim != 2:
+            raise ValueError("points must be an (n, d) array")
         weights = np.asarray(weights, dtype=float).ravel()
         if points.shape[0] != weights.shape[0]:
             raise ValueError(
@@ -81,9 +87,12 @@ class DiscreteMeasure:
         keep = weights > 0.0
         points, weights = points[keep], weights[keep]
         if len(points):
-            points, inverse = np.unique(points, axis=0, return_inverse=True)
+            order, first = _lex_order(points)
+            inverse = np.empty(len(order), dtype=np.intp)
+            inverse[order] = np.cumsum(first) - 1
+            points = points[order[first]]
             merged = np.zeros(len(points))
-            np.add.at(merged, inverse.ravel(), weights)
+            np.add.at(merged, inverse, weights)
             weights = merged
         self.points = points
         self.weights = weights
@@ -120,6 +129,20 @@ class DiscreteMeasure:
         )
 
 
+def _lex_order(points):
+    """Stable lexicographic sort of the rows of ``points`` (first
+    coordinate first): the permutation ``order``, and the mask ``first``
+    of the sorted rows that differ from the row before.  Rows of no
+    coordinates are all equal."""
+    order = (
+        np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(len(points))
+    )
+    rows = points[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order, first
+
+
 def _check_same_dim(mu, nu):
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -128,21 +151,14 @@ def _check_same_dim(mu, nu):
 def match_atoms(mu, nu):
     """Index pairs ``(i, j)`` with ``mu.points[i] == nu.points[j]`` exactly.
 
-    Atoms of a measure are sorted and pairwise distinct, so labelling
-    the distinct rows of the stacked points once and intersecting the
-    two label arrays pairs every coincident atom.  Both index arrays
-    increase.
+    Atoms of a measure are sorted and pairwise distinct, so in the
+    stable :func:`_lex_order` of the stacked points a coincident atom is
+    two adjacent equal rows, mu's first.  Both index arrays increase.
     """
     _check_same_dim(mu, nu)
-    _, label = np.unique(
-        np.vstack([mu.points, nu.points]), axis=0, return_inverse=True
-    )
-    label = label.ravel()
-    m = len(mu)
-    _, i, j = np.intersect1d(
-        label[:m], label[m:], assume_unique=True, return_indices=True
-    )
-    return i, j
+    order, first = _lex_order(np.vstack([mu.points, nu.points]))
+    k = np.flatnonzero(~first[1:])
+    return order[k], order[k + 1] - len(mu)
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,9 @@ HiGHS, independent code that scales to a few hundred atoms.  The
 isotropy reference scans every atom for every cone.  The map references
 are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
+The canonical-order reference sorts a measure's atoms with
+``np.unique``'s structured-row sort, which ``DiscreteMeasure`` replaces
+with one stable lexsort.
 The stay-at-rest reference audits a plan through its decomposition and
 lattice meets of measures, where ``structure.verify_stay_at_rest``
 reads atom indices.  The cyclical-monotonicity reference checks 3-cycles
@@ -400,6 +403,23 @@ def reconstruct_reference(potentials, mu, nu, cost, k_neighbors=8, plan=None):
         result.pred_error = err
         result.direction_cosine = cosine
     return result
+
+
+def canonical_atoms_reference(points, weights):
+    """The ``points`` and ``weights`` a ``DiscreteMeasure`` of these
+    atoms stores, through ``np.unique``'s sort of the rows as structured
+    records: signed zeros made positive, zero weights dropped, and the
+    weights of duplicate rows summed in input order by ``np.add.at``."""
+    points = np.asarray(points, dtype=float) + 0.0
+    weights = np.asarray(weights, dtype=float)
+    keep = weights > 0.0
+    points, weights = points[keep], weights[keep]
+    if len(points):
+        points, inverse = np.unique(points, axis=0, return_inverse=True)
+        merged = np.zeros(len(points))
+        np.add.at(merged, inverse.ravel(), weights)
+        weights = merged
+    return points, weights
 
 
 def verify_stay_at_rest_reference(mu, nu, plan, tol=1e-9):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import logging
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from concave_ot import measures, solver, structure
-from concave_ot.cli import limit_plan_pair, main, solve_with_meet
+from concave_ot.cli import limit_plan_pair, main, run_isotropy, solve_with_meet
 from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
 from concave_ot.solver import TransportPlan, load_plan, save_plan
@@ -375,6 +376,23 @@ class TestIsotropyCommand:
                    "--point-sample", "200", "--out", str(out)])
         assert rc == 0
         assert read_report(out)["metrics"]["failing_mass_fraction"] >= 0.95
+
+    # The sha256 of audit.json and per_atom.csv for the cone_audit
+    # benchmark's inputs (seed 9, 500 sampled atoms), pinned before the
+    # canonical order of atoms moved from np.unique to a lexsort.
+    @pytest.mark.parametrize("spec, audit_sha, per_atom_sha", [
+        ("uniform_box:n=5000,dim=2",
+         "86246d61c54fdfcf235ea2390f59513e7005d7c8a99c00ca0eb0aa9f87baeb36",
+         "8da40f22862713258c955a0dde8d86aaaccd2fcb5fde02c575f18bcbb6f46599"),
+        ("hyperplane:n=5000,dim=2",
+         "b0d5271cefce9d80486c37108e35e90862833f43b4617279cff7deafab71ef66",
+         "4c782efd3b4d1410dbfc0e463d695a069955012cfa0d8154c9f5e916c838ed81"),
+    ])
+    def test_benchmark_inputs_pinned(self, tmp_path, spec, audit_sha, per_atom_sha):
+        run_isotropy(tmp_path, generator=spec, seed=9, point_sample=500)
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("audit.json", "per_atom.csv"))
+        assert digests == (audit_sha, per_atom_sha)
 
     def test_single_atom_degenerate_fails(self, tmp_path):
         path = tmp_path / "one.csv"

@@ -16,6 +16,7 @@ from concave_ot.measures import (
     translate,
     uniform_box,
 )
+from support import canonical_atoms_reference
 
 
 def small_overlapping_pair(seed):
@@ -28,6 +29,33 @@ def small_overlapping_pair(seed):
     wa = rng.uniform(0.1, 1.0, len(pa))
     wb = rng.uniform(0.1, 1.0, len(pb))
     return DiscreteMeasure(pa, wa / wa.sum()), DiscreteMeasure(pb, wb / wb.sum())
+
+
+@st.composite
+def atom_lists(draw):
+    """Points, weights and dim of up to 60 atoms in d = 1, 2 or 3: lattice
+    rows (ties in every coordinate, signed zeros) or rows drawn from a
+    pool of at most five (duplicates), some weights zero and the rest
+    summing to different bits in different orders."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    row = st.lists(
+        st.one_of(
+            st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]),
+            st.floats(-1e3, 1e3, allow_nan=False),
+        ),
+        min_size=d,
+        max_size=d,
+    )
+    if draw(st.booleans()):
+        rows = draw(st.lists(row, min_size=n, max_size=n))
+    else:
+        pool = draw(st.lists(row, min_size=1, max_size=5))
+        rows = [pool[k] for k in draw(st.lists(st.integers(0, len(pool) - 1),
+                                               min_size=n, max_size=n))]
+    weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 1e-17, 1.0]),
+                            min_size=n, max_size=n))
+    return np.reshape(rows, (n, d)), weights, d
 
 
 class TestConstruction:
@@ -69,6 +97,22 @@ class TestConstruction:
         a = DiscreteMeasure([[-0.0]], [1.0])
         b = DiscreteMeasure([[0.0]], [1.0])
         assert a == b
+
+    def test_points_must_be_2d(self):
+        with pytest.raises(ValueError, match=r"points must be an \(n, d\) array"):
+            DiscreteMeasure(np.zeros((2, 2, 2)), [0.5, 0.5])
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=atom_lists())
+    @example(case=(np.empty((3, 0)), [1.0, 1.0, 1.0], 0))  # one atom of weight 3
+    @example(case=(np.empty((0, 2)), [], 2))
+    def test_canonical_order_matches_reference(self, case):
+        points, weights, d = case
+        m = DiscreteMeasure(points, weights, dim=d)
+        ref_points, ref_weights = canonical_atoms_reference(points, weights)
+        assert m.points.shape == ref_points.shape
+        assert m.points.tobytes() == ref_points.tobytes()
+        assert m.weights.tobytes() == ref_weights.tobytes()
 
 
 class TestMeet:

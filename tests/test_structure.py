@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_ot import solver, structure
+from concave_ot import measures, solver, structure
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
 from concave_ot.measures import DiscreteMeasure, meet, three_segments, uniform_box
 from concave_ot.solver import DualPotentials, TransportPlan, solve_exact, solve_with_meet
@@ -167,21 +167,21 @@ class TestStayAtRest:
     def test_one_atom_matching_and_no_measure_built(self, monkeypatch):
         mu, nu = overlapping_instance(np.random.default_rng(6))
         plan, _, _, _, _ = solve_with_meet(mu, nu, P05)
-        unique, inner_unique = [], np.unique
+        sorts, inner_sort = [], measures._lex_order
         built, inner_init = [], DiscreteMeasure.__init__
 
-        def counting_unique(*args, **kwargs):
-            unique.append(1)
-            return inner_unique(*args, **kwargs)
+        def counting_sort(*args, **kwargs):
+            sorts.append(1)
+            return inner_sort(*args, **kwargs)
 
         def counting_init(self, *args, **kwargs):
             built.append(1)
             inner_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", counting_unique)
+        monkeypatch.setattr(measures, "_lex_order", counting_sort)
         monkeypatch.setattr(DiscreteMeasure, "__init__", counting_init)
         rep = verify_stay_at_rest(mu, nu, plan)
-        assert (len(unique), len(built)) == (1, 0)
+        assert (len(sorts), len(built)) == (1, 0)
         assert rep.ok and rep.diag_mass == rep.meet_mass > 0.0
 
 
