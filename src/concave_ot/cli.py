@@ -245,11 +245,12 @@ def limit_plan_pair(n):
 def run_counterexample(n_values, alpha, out_dir, seed=0):
     """Objective sweep on the three-segments instance vs its envelope.
 
-    For each n the LP objective must lie in [f(1), f(1 + 1/n)] and the
-    sequence must be non-increasing; the analytic half/half limit plan
-    costs exactly f(1).
+    The n values are swept in increasing order, whatever order they are
+    given in.  For each n the LP objective must lie in [f(1), f(1 + 1/n)]
+    and the sequence must be non-increasing; the analytic half/half limit
+    plan costs exactly f(1).
     """
-    n_values = [int(n) for n in n_values]
+    n_values = sorted(int(n) for n in n_values)
     if not n_values or min(n_values) < 1:
         raise ValueError("all n must be >= 1" if n_values else "n must list at least one value")
     cost = PowerCost(alpha)
@@ -429,11 +430,11 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
     their :func:`~concave_ot.measures.meet` first (with a warning),
     mirroring the diagonal/off-diagonal split of optimal plans; the
     ``source`` column of ``reconstruction.csv`` still indexes the atoms
-    of ``--mu``.  ``k_neighbors`` below d + 1 is an input error.
+    of ``--mu``.  ``k_neighbors`` below d + 1, or not below the number
+    of source atoms left after that reduction, is an input error.
     """
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
-    _check_k_neighbors(k_neighbors, mu.dim)  # before the solve, not after it
     cost = cost_from_json(cost_spec)
     split = meet(mu, nu)
     rows = np.arange(len(mu))
@@ -443,6 +444,7 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
         if not split.mu_rest.any() or not split.nu_rest.any():
             raise ValueError("measures coincide; nothing to reconstruct")
         rows, mu, nu = np.flatnonzero(split.mu_rest), split.mu_residual, split.nu_residual
+    _check_k_neighbors(k_neighbors, mu.dim, len(mu))  # before the solve, not after it
     plan, pots, obj = solve_exact(mu, nu, cost)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan

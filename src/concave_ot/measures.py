@@ -44,7 +44,8 @@ __all__ = [
     "load_measure",
 ]
 
-MASS_TOL = 1e-9
+# how far a measure file's mass may be from 1; solver.MARGINAL_TOL is twice it
+MASS_TOL = 5e-10
 
 
 class MeasureFormatError(ValueError):
@@ -318,7 +319,8 @@ def load_measure(path):
     CSV rows are ``x_1, ..., x_d, weight``; the JSON form is
     ``{"dim": d, "points": [[...], ...], "weights": [...]}``, the form a
     plan header embeds.  Parse failures report the offending line;
-    negative weights and a total mass away from 1 are validation errors.
+    negative weights and a total mass more than ``MASS_TOL`` away from 1
+    are validation errors.
     """
     path = Path(path)
     if path.suffix == ".csv":

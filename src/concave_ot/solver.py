@@ -91,7 +91,7 @@ import numpy as np
 
 from .costs import cost_matrix
 from .measures import (
-    DiscreteMeasure, _jsonable, _measure_from_dict, _read_table, _write_table, meet,
+    MASS_TOL, DiscreteMeasure, _jsonable, _measure_from_dict, _read_table, _write_table, meet,
 )
 
 __all__ = [
@@ -108,7 +108,9 @@ __all__ = [
     "save_potentials",
 ]
 
-MARGINAL_TOL = 1e-9
+# 1e-9: two measure files within MASS_TOL of mass 1 differ by at most
+# this, so any two that load_measure accepts pass _check_pair
+MARGINAL_TOL = 2 * MASS_TOL
 OPT_TOL_SCALE = 1e-12
 MAX_DENSE_ENTRIES = 50_000_000
 
@@ -139,6 +141,10 @@ class TransportPlan:
         self.src_idx = np.asarray(self.src_idx, dtype=np.int64).ravel()
         self.tgt_idx = np.asarray(self.tgt_idx, dtype=np.int64).ravel()
         self.mass = np.asarray(self.mass, dtype=float).ravel()
+        if self.source.dim != self.target.dim:
+            raise ValueError(
+                f"source and target dimensions differ: {self.source.dim} vs {self.target.dim}"
+            )
         if not (len(self.src_idx) == len(self.tgt_idx) == len(self.mass)):
             raise ValueError("entry arrays must have equal length")
         if not np.all((self.mass >= 0) & (self.mass < np.inf)):  # NaN fails both

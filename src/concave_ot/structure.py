@@ -354,12 +354,15 @@ class ReconstructionResult:
         return int(self.gap_event.sum())
 
 
-def _check_k_neighbors(k_neighbors, d):
+def _check_k_neighbors(k_neighbors, d, n):
     """``k_neighbors`` as an int, or ``ValueError`` below the d + 1 atoms
-    that an affine gradient fit in d dimensions needs."""
+    that an affine gradient fit in d dimensions needs, or above n - 1, the
+    neighbours that n source atoms give each atom."""
     k = int(k_neighbors)
     if k < d + 1:
         raise ValueError(f"the affine gradient fit needs k >= d + 1 = {d + 1}, got k = {k}")
+    if n < k + 1:
+        raise ValueError(f"gradient fit needs at least {k + 1} source atoms, got {n}")
     return k
 
 
@@ -368,9 +371,10 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
 
     The gradient at each source atom is estimated by an affine
     least-squares fit of the potential over the ``k`` nearest source
-    atoms, where ``k_neighbors`` must be at least d + 1 (``ValueError``
-    otherwise); the inverse cost derivative converts its magnitude into a
-    displacement radius (a kink's slope gap still pins the radius), and
+    atoms, where ``k_neighbors`` must be at least d + 1 and below the
+    number of source atoms (``ValueError`` otherwise); the inverse cost
+    derivative converts its magnitude into a displacement radius (a
+    kink's slope gap still pins the radius), and
     ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
     most 1e-8 stay at rest (``near_diagonal``, radius 0).
 
@@ -384,13 +388,8 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     """
     if plan is not None and (mu != plan.source or nu != plan.target):
         raise ValueError("mu and nu must be the plan's source and target")
-    d = mu.dim
-    k = _check_k_neighbors(k_neighbors, d)
-    n = len(mu)
-    if n < k + 1:
-        raise ValueError(
-            f"gradient fit needs at least {k + 1} source atoms, got {n}"
-        )
+    d, n = mu.dim, len(mu)
+    k = _check_k_neighbors(k_neighbors, d, n)
     phi = np.asarray(potentials.phi, dtype=float)
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")

@@ -134,6 +134,12 @@ class TestSolveCommand:
         i, j = plan.src_idx[moved], plan.tgt_idx[moved]
         assert sorted(i) == [1, 3]
         np.testing.assert_allclose(phi[i] + psi[j], C[i, j], rtol=0, atol=1e-12)
+        # the presolved plan keeps the common mass at rest
+        audit = tmp_path / "audit"
+        assert main(["decompose", "--plan", str(out / "plan.json"), "--cost", COST,
+                     "--out", str(audit)]) == 0
+        metrics = read_report(audit)["metrics"]
+        assert metrics["diag_matches_meet"] and metrics["off_marginals_singular"], metrics
 
     def test_saved_three_segments_instance(self, tmp_path):
         from concave_ot.measures import three_segments
@@ -161,6 +167,33 @@ class TestSolveCommand:
             metrics = read_report(out)["metrics"]
             assert metrics["objective"] == 0.0
             assert metrics["preprocessed_meet"] is presolved
+
+    def test_any_two_files_that_load_are_a_balanced_pair(self, tmp_path, capsys):
+        # load_measure allows each file MASS_TOL from mass 1, half of what
+        # _check_pair allows a pair, so a file 9e-10 heavy is refused as a
+        # file, not as half of an unbalanced pair
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0,0,0.5000000009\n1,0,0.5\n")
+        b.write_text("0,2,0.4999999991\n1,3,0.5\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                     "--out", str(out)]) == 2
+        assert "weights must sum to 1, got 1.0000000009" in capsys.readouterr().err
+        assert not out.exists()
+        # the heaviest and the lightest one-atom files that load solve
+        # together; the next double past either is refused
+        tol = measures.MASS_TOL
+        heavy, light = 1.0 + tol, 1.0 - tol
+        heavy = heavy if heavy - 1.0 <= tol else np.nextafter(heavy, 0.0)
+        light = light if 1.0 - light <= tol else np.nextafter(light, 2.0)
+        for w_mu, w_nu, rc in ((heavy, light, 0), (light, heavy, 0),
+                               (np.nextafter(heavy, 2.0), light, 2),
+                               (heavy, np.nextafter(light, 0.0), 2)):
+            a.write_text(f"0.0,0.0,{float(w_mu)!r}\n")
+            b.write_text(f"0.0,2.0,{float(w_nu)!r}\n")
+            assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
+                         "--out", str(out)]) == rc
+            assert ("weights must sum to 1" in capsys.readouterr().err) == (rc == 2)
 
     def test_certificate_records_tolerance(self, tmp_path):
         # costs around 1e8: the plan certifies within 1e-9 * max cost, not
@@ -212,17 +245,32 @@ class TestSolveCommand:
 
 
 class TestDecomposeCommand:
-    def test_optimal_plan_passes(self, tmp_path, measure_files):
-        mu_path, nu_path = measure_files
+    # Two overlapping 30-atom boxes in d = 2, and two separated 12-atom
+    # boxes in d = 9, where numpy's norm would round the distances
+    # otherwise than the cost matrix: their plan of 12 entries is audited
+    # by its 132 pair swaps and all 440 3-cycles.
+    @pytest.mark.parametrize("n, dim, corner, cycles", [
+        (30, 2, 0.0, None),
+        (12, 9, 3.0, 132 + 440),
+    ], ids=["box30-d2", "separated12-d9"])
+    def test_optimal_plan_passes(self, tmp_path, n, dim, corner, cycles):
+        mu_path, nu_path = tmp_path / "mu.csv", tmp_path / "nu.csv"
+        save_measure(uniform_box(n, dim, seed=0), mu_path)
+        save_measure(uniform_box(n, dim, corner_lo=[corner] * dim,
+                                 corner_hi=[corner + 1.0] * dim, seed=1), nu_path)
         out1 = tmp_path / "solve"
-        main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
-              "--cost", COST, "--out", str(out1)])
+        assert main(["solve", "--mu", str(mu_path), "--nu", str(nu_path),
+                     "--cost", COST, "--out", str(out1)]) == 0
+        certificate = json.loads((out1 / "certificate.json").read_text())
+        assert certificate["feasible_dual"] and certificate["slack_ok"], certificate
         out2 = tmp_path / "dec"
         rc = main(["decompose", "--plan", str(out1 / "plan.json"),
                    "--cost", COST, "--out", str(out2)])
         assert rc == 0
         report = read_report(out2)
         assert report["metrics"]["ccm_worst_violation"] <= 1e-9
+        if cycles is not None:
+            assert report["metrics"]["ccm_cycles_checked"] == cycles
         for name in ("decomposition.json", "stay_at_rest.json", "ccm.json", "map.json"):
             assert (out2 / name).exists()
 
@@ -277,6 +325,20 @@ class TestDecomposeCommand:
         assert "missing key 'mu'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plan_of_two_dimensions_exit_2(self, tmp_path, capsys):
+        _, json_path = save_plan(limit_plan_pair(1), tmp_path / "plan")
+        header = json.loads(json_path.read_text())
+        header["nu"]["dim"] = 3
+        header["nu"]["points"] = [p + [0.0] for p in header["nu"]["points"]]
+        json_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="source and target dimensions differ: 2 vs 3"):
+            load_plan(json_path)
+        out = tmp_path / "o"
+        assert main(["decompose", "--plan", str(json_path), "--cost", COST,
+                     "--out", str(out)]) == 2
+        assert "dimensions differ: 2 vs 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tol_exit_2(self, tmp_path, capsys, tol):
         # checked before the plan is read: the plan path does not exist
@@ -319,6 +381,16 @@ class TestCounterexampleCommand:
         assert report["metrics"]["limit_plan_cost"] == 1.0
         csv_text = (out / "objective_vs_n.csv").read_text()
         assert csv_text.startswith("n,objective,lower,upper,split_fraction")
+
+    def test_n_swept_in_increasing_order(self, tmp_path):
+        # the objectives fall as n grows, whatever order --n lists it in
+        out = tmp_path / "ce"
+        assert main(["counterexample", "--n", "4,2", "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["parameters"]["n"] == [2, 4]
+        assert report["metrics"]["monotone"] is True
+        rows = (out / "objective_vs_n.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4"]
 
     def test_limit_plan_cost_exact_for_any_alpha(self):
         plan = limit_plan_pair(3)
@@ -370,10 +442,16 @@ class TestIsotropyCommand:
         assert (out / "per_atom.csv").exists()
         assert (out / "audit.json").exists()
 
-    def test_hyperplane_negative_control_passes(self, tmp_path):
+    # in d = 3 most apices are rescanned over the sorted atoms; the
+    # benchmark's inputs are in d = 2
+    @pytest.mark.parametrize("spec, sample", [
+        ("hyperplane:n=2000,dim=2", "200"),
+        ("hyperplane:n=2000,dim=3", "100"),
+    ], ids=["d2", "d3"])
+    def test_hyperplane_negative_control_passes(self, tmp_path, spec, sample):
         out = tmp_path / "isoh"
-        rc = main(["isotropy", "--generator", "hyperplane:n=2000,dim=2",
-                   "--point-sample", "200", "--out", str(out)])
+        rc = main(["isotropy", "--generator", spec,
+                   "--point-sample", sample, "--out", str(out)])
         assert rc == 0
         assert read_report(out)["metrics"]["failing_mass_fraction"] >= 0.95
 
@@ -508,15 +586,27 @@ class TestReconstructCommand:
         assert f"needs k >= d + 1 = 3, got k = {k}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_k_checked_before_the_solve(self, tmp_path, monkeypatch, measure_files):
+    # k against d + 1, and against the 30 source atoms, or the 28 left
+    # when two of them are shared with nu and removed by the meet
+    @pytest.mark.parametrize("k, shared, problem", [
+        ("0", 0, "needs k >= d + 1 = 3, got k = 0"),
+        ("30", 0, "needs at least 31 source atoms, got 30"),
+        ("28", 2, "needs at least 29 source atoms, got 28"),
+    ], ids=["below-d-plus-1", "all-atoms", "atoms-after-meet"])
+    def test_k_checked_before_the_solve(self, tmp_path, monkeypatch, capsys, measure_files,
+                                        k, shared, problem):
         def no_solve(*args, **kwargs):
             raise AssertionError("solve_exact ran before --k was checked")
 
         monkeypatch.setattr("concave_ot.cli.solve_exact", no_solve)
         mu_path, nu_path = measure_files
+        mu, nu = load_measure(mu_path), load_measure(nu_path)
+        save_measure(DiscreteMeasure(np.vstack([mu.points[:shared], nu.points[shared:]]),
+                                     nu.weights), nu_path)
         out = tmp_path / "o"
         assert main(["reconstruct", "--mu", str(mu_path), "--nu", str(nu_path),
-                     "--cost", COST, "--k", "0", "--out", str(out)]) == 2
+                     "--cost", COST, "--k", k, "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_atom_exit_2(self, tmp_path):
