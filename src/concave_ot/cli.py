@@ -365,7 +365,12 @@ def _parse_generator(spec):
 
 
 def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sample=500):
-    """Cone-positivity audit on the fixed direction/opening/radius grid."""
+    """Cone-positivity audit on the fixed direction/opening/radius grid.
+
+    ``report.json`` holds the audit's summary, grid and first missed cone
+    (``worst_witness``, or null); ``per_atom.csv`` holds one row per
+    sampled atom, which failed if its ``fail_count`` is above zero.
+    """
     if (measure_path is None) == (generator is None):
         raise ValueError("need exactly one of measure_path or generator")
     _check_point_sample(point_sample)
@@ -388,6 +393,7 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
         )
         return _finish(report, out_dir)
     audit = isotropy_audit(measure, point_sample=point_sample, seed=seed)
+    worst = audit.worst_witness
     interior = audit.distance_to_boundary >= min(audit.epsilons)
     w = measure.weights[audit.sampled_atoms]
     interior_mass = float(w[interior].sum())
@@ -398,7 +404,6 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "audit.json", audit.to_dict())
     _write_table(
         out / "per_atom.csv",
         ("atom", "weight", "fail_count", "distance_to_boundary"),
@@ -415,9 +420,12 @@ def run_isotropy(out_dir, measure_path=None, generator=None, seed=0, point_sampl
             "failing_mass_fraction": audit.failing_mass_fraction,
             "interior_failing_mass_fraction": interior_failing,
             "resolution": audit.resolution,
-            "resolution_warning": audit.resolution_warning,
+            "deltas": audit.deltas,
+            "epsilons": audit.epsilons,
+            "n_directions": audit.n_directions,
+            "worst_witness": worst and dict(zip(("apex", "direction", "delta", "eps"), worst)),
         },
-        artifacts=["audit.json", "per_atom.csv"],
+        artifacts=["per_atom.csv"],
         passed=passed,
     )
     return _finish(report, out)

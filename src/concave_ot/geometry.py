@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .measures import _jsonable
 
 __all__ = [
     "IsotropyReport",
@@ -118,6 +115,9 @@ def _resolution(tree):
 
 @dataclass
 class IsotropyReport:
+    """The audit's summary and grid, then one entry per sampled atom;
+    ``atom_failed`` is ``fail_counts > 0``."""
+
     failing_mass_fraction: float
     worst_witness: tuple | None  # (apex, direction, delta, eps)
     sampled_atoms: np.ndarray
@@ -128,14 +128,6 @@ class IsotropyReport:
     deltas: tuple
     epsilons: tuple
     n_directions: int
-    resolution_warning: bool
-
-    def to_dict(self):
-        doc = _jsonable(self)
-        if self.worst_witness is not None:
-            keys = ("apex", "direction", "delta", "eps")
-            doc["worst_witness"] = dict(zip(keys, doc["worst_witness"]))
-        return doc
 
 
 def _check_point_sample(point_sample):
@@ -165,25 +157,20 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     the bounding box, within that radius of it on that side.  Each scan
     is one call of the compiled kernel's ``cone_nearest``, which sums
     each atom's distance and dot products in order.  Raises
-    ``ValueError`` unless ``point_sample`` is a (non-bool) integer >= 1,
-    and ``solver.SolverError`` if the kernel cannot be built.
+    ``ValueError`` unless ``point_sample`` is a (non-bool) integer >= 1
+    and the measure has 2 atoms or more (below that there is no
+    resolution scale to set the radii), and ``solver.SolverError`` if
+    the kernel cannot be built.
     """
     _check_point_sample(point_sample)
+    pts, n = measure.points, len(measure)
+    if n < 2:
+        raise ValueError(f"the isotropy audit needs at least 2 atoms, got {n}")
     from scipy.spatial import cKDTree
 
-    pts, n = measure.points, len(measure)
     tree = cKDTree(pts)
     res = _resolution(tree)
     epsilons = tuple(m * res for m in _RADII)
-    # every radius is at least 10x the resolution scale, which only a
-    # measure of fewer than 2 atoms lacks
-    res_warning = n < 2
-    if res_warning:
-        warnings.warn(
-            "isotropy audit of fewer than 2 atoms: no resolution scale, so"
-            " cone positivity is not meaningful",
-            stacklevel=2,
-        )
 
     rng = np.random.default_rng(seed)
     if point_sample >= n:
@@ -232,7 +219,7 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     sampled_mass = measure.weights[sample].sum()
     failing_mass = measure.weights[sample[atom_failed]].sum()
     return IsotropyReport(
-        failing_mass_fraction=float(failing_mass / sampled_mass) if sampled_mass else 1.0,
+        failing_mass_fraction=float(failing_mass / sampled_mass),
         worst_witness=worst,
         sampled_atoms=sample,
         atom_failed=atom_failed,
@@ -242,5 +229,4 @@ def isotropy_audit(measure, point_sample=500, seed=0):
         deltas=_DELTAS,
         epsilons=epsilons,
         n_directions=len(U),
-        resolution_warning=bool(res_warning),
     )

@@ -324,8 +324,10 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
     The potentials are indexed by atom, like the plan: an atom with
     residual mass carries its residual potential, and an atom without
     one NaN.  If either residual is empty the plan is diagonal with zero
-    potentials.  ``no_meet`` solves the full problem without matching
-    atoms; so does a pair with no shared atom.
+    potentials, and the residual problem is empty: its certificate is
+    exact (gap, violation and slack 0.0, tolerance ``MARGINAL_TOL``) and
+    no cost matrix is built.  ``no_meet`` solves the full problem without
+    matching atoms; so does a pair with no shared atom.
     """
     split = None if no_meet else meet(mu, nu)
     if split is None or len(split.mu_idx) == 0:
@@ -338,7 +340,10 @@ def solve_with_meet(mu, nu, cost, no_meet=False):
             source=mu, target=nu, src_idx=i, tgt_idx=j, mass=common
         ).validate()
         pots = DualPotentials(phi=np.zeros(len(mu)), psi=np.zeros(len(nu)))
-        return plan, pots, 0.0, certify(plan, pots, cost), True
+        cert = Certificate(feasible_dual=True, slack_ok=True, gap=0.0,
+                           max_feasibility_violation=0.0, max_slack_residual=0.0,
+                           tolerance=MARGINAL_TOL)
+        return plan, pots, 0.0, cert, True
     r_plan, pots, obj = solve_exact(split.mu_residual, split.nu_residual, cost)
     cert = certify(r_plan, pots, cost)
     phi = np.full(len(mu), np.nan)
@@ -750,8 +755,23 @@ def save_plan(plan, basepath, objective=None, gap=None):
     return csv_path, json_path
 
 
+def _listed_measure(doc, where):
+    """The measure of a plan header, whose entries index its atoms as
+    listed: so they must be listed as the measure stores them, once
+    each, with positive weight, in canonical order."""
+    measure = _measure_from_dict(doc, where)
+    listed = np.reshape(doc["points"], (-1, measure.dim))
+    if listed.shape != measure.points.shape or (listed != measure.points).any():
+        raise ValueError(
+            f"{where}: atoms must be listed once each, with positive weight, in"
+            " canonical (lexicographic) order, since plan entries index them as listed"
+        )
+    return measure
+
+
 def load_plan(json_path):
-    """Read a plan written by :func:`save_plan`; returns (plan, header)."""
+    """Read a plan written by :func:`save_plan`; returns (plan, header).
+    A header measure whose atoms are not listed as stored is refused."""
     json_path = Path(json_path)
     with open(json_path) as fh:
         header = json.load(fh)
@@ -760,8 +780,7 @@ def load_plan(json_path):
     for key in ("mu", "nu", "entries_csv"):
         if key not in header:
             raise ValueError(f"{json_path}: missing key {key!r}")
-    mu = _measure_from_dict(header["mu"], f"{json_path}: mu")
-    nu = _measure_from_dict(header["nu"], f"{json_path}: nu")
+    mu, nu = (_listed_measure(header[key], f"{json_path}: {key}") for key in ("mu", "nu"))
     csv_path = json_path.parent / header["entries_csv"]
     table = _read_table(csv_path, header=("i", "j", "mass"))
     ij = table[:, :2]

@@ -114,7 +114,7 @@ def test_criterion_2_lp_oracle_equivalence():
         worst = max(worst, abs(obj - assignment_oracle(mu, nu, cost)))
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
-    _line(2, ok, f"max |LP - exhaustive| = {worst:.2e} over 200 instances, {elapsed:.1f}s")
+    _line(2, ok, f"max |LP - assignment| = {worst:.2e} over 200 instances, {elapsed:.1f}s")
 
 
 def test_criterion_3_duality_certificates():

@@ -243,8 +243,49 @@ class TestSolveCommand:
         d2 = decompose(plan2).diagonal_mass
         assert d1 == pytest.approx(d2, abs=1e-9)
 
+    def test_identical_measures_certify_without_a_cost_matrix(self, tmp_path, monkeypatch):
+        # with one file as both --mu and --nu every atom stays at rest and
+        # the residual problem is empty: its certificate needs no m x n
+        # cost matrix, which over the dense cap would end the solve
+        def over_the_cap(mu, nu, cost):
+            raise solver.SolverError(f"the {len(mu)}x{len(nu)} cost matrix is over the cap")
+
+        monkeypatch.setattr(solver, "_dense_cost_matrix", over_the_cap)
+        mu = uniform_box(300, 2, seed=1)
+        plan, pots, obj, cert, pre = solve_with_meet(mu, mu, PowerCost(0.5))
+        assert pre and obj == 0.0
+        np.testing.assert_array_equal(plan.src_idx, plan.tgt_idx)
+        assert cert == solver.Certificate(feasible_dual=True, slack_ok=True, gap=0.0,
+                                          max_feasibility_violation=0.0,
+                                          max_slack_residual=0.0, tolerance=1e-9)
+        path, out = tmp_path / "mu.csv", tmp_path / "out"
+        save_measure(mu, path)
+        assert main(["solve", "--mu", str(path), "--nu", str(path), "--cost", COST,
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "certificate.json").read_text())["tolerance"] == 1e-9
+
 
 class TestDecomposeCommand:
+    def test_plan_header_out_of_canonical_order_exit_2(self, tmp_path, capsys):
+        # mu lists its atoms as (1.0), (0.0), and a measure stores them as
+        # (0.0), (1.0): read through the measure, entry i = 0 would name
+        # the atom at 0.0, and a plan that moves all its mass would audit
+        # as all diagonal
+        def measure(points):
+            return {"dim": 1, "points": points, "weights": [0.5, 0.5]}
+
+        header = {"format": "transport-plan", "entries_csv": "plan.csv",
+                  "objective": None, "gap": None,
+                  "mu": measure([[1.0], [0.0]]), "nu": measure([[0.0], [1.0]])}
+        json_path = tmp_path / "plan.json"
+        json_path.write_text(json.dumps(header))
+        (tmp_path / "plan.csv").write_text("i,j,mass\n0,0,0.5\n1,1,0.5\n")
+        out = tmp_path / "o"
+        assert main(["decompose", "--plan", str(json_path), "--cost", COST,
+                     "--out", str(out)]) == 2
+        assert "mu: atoms must be listed once each" in capsys.readouterr().err
+        assert not out.exists()
+
     # Two overlapping 30-atom boxes in d = 2, and two separated 12-atom
     # boxes in d = 9, where numpy's norm would round the distances
     # otherwise than the cost matrix: their plan of 12 entries is audited
@@ -439,8 +480,8 @@ class TestIsotropyCommand:
         rc = main(["isotropy", "--generator", "uniform_box:n=2000,dim=2",
                    "--point-sample", "300", "--out", str(out)])
         assert rc == 0
-        assert (out / "per_atom.csv").exists()
-        assert (out / "audit.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "per_atom.csv",
+                                                         "report.json"]
 
     # in d = 3 most apices are rescanned over the sorted atoms; the
     # benchmark's inputs are in d = 2
@@ -455,22 +496,37 @@ class TestIsotropyCommand:
         assert rc == 0
         assert read_report(out)["metrics"]["failing_mass_fraction"] >= 0.95
 
-    # The sha256 of audit.json and per_atom.csv for the cone_audit
-    # benchmark's inputs (seed 9, 500 sampled atoms), pinned before the
-    # canonical order of atoms moved from np.unique to a lexsort.
-    @pytest.mark.parametrize("spec, audit_sha, per_atom_sha", [
-        ("uniform_box:n=5000,dim=2",
-         "86246d61c54fdfcf235ea2390f59513e7005d7c8a99c00ca0eb0aa9f87baeb36",
-         "8da40f22862713258c955a0dde8d86aaaccd2fcb5fde02c575f18bcbb6f46599"),
-        ("hyperplane:n=5000,dim=2",
-         "b0d5271cefce9d80486c37108e35e90862833f43b4617279cff7deafab71ef66",
-         "4c782efd3b4d1410dbfc0e463d695a069955012cfa0d8154c9f5e916c838ed81"),
-    ])
-    def test_benchmark_inputs_pinned(self, tmp_path, spec, audit_sha, per_atom_sha):
+    # The metrics of report.json and the sha256 of per_atom.csv for the
+    # cone_audit benchmark's inputs (seed 9, 500 sampled atoms).
+    @pytest.mark.parametrize("spec, metrics, per_atom_sha", [
+        ("uniform_box:n=5000,dim=2", {
+            "deltas": [0.2, 0.5, 0.8],
+            "epsilons": [0.06778029400690588, 0.20334088202071768, 0.6778029400690588],
+            "failing_mass_fraction": 0.05999999999999996,
+            "interior_failing_mass_fraction": 0.0,
+            "n_directions": 16,
+            "resolution": 0.006778029400690589,
+            "worst_witness": {"apex": [0.00265928178722874, 0.8934720637438538],
+                              "delta": 0.2,
+                              "direction": [-0.7071067811865475, 0.7071067811865476],
+                              "eps": 0.06778029400690588},
+        }, "8da40f22862713258c955a0dde8d86aaaccd2fcb5fde02c575f18bcbb6f46599"),
+        ("hyperplane:n=5000,dim=2", {
+            "deltas": [0.2, 0.5, 0.8],
+            "epsilons": [0.0006896815583412597, 0.002069044675023779, 0.006896815583412597],
+            "failing_mass_fraction": 1.0,
+            "interior_failing_mass_fraction": 0.0,
+            "n_directions": 16,
+            "resolution": 6.896815583412597e-05,
+            "worst_witness": {"apex": [0.00265928178722874, 0.0], "delta": 0.2,
+                              "direction": [1.0, 0.0], "eps": 0.0006896815583412597},
+        }, "4c782efd3b4d1410dbfc0e463d695a069955012cfa0d8154c9f5e916c838ed81"),
+    ], ids=["box", "hyperplane"])
+    def test_benchmark_inputs_pinned(self, tmp_path, spec, metrics, per_atom_sha):
         run_isotropy(tmp_path, generator=spec, seed=9, point_sample=500)
-        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                        for name in ("audit.json", "per_atom.csv"))
-        assert digests == (audit_sha, per_atom_sha)
+        assert repr(read_report(tmp_path)["metrics"]) == repr(metrics)
+        digest = hashlib.sha256((tmp_path / "per_atom.csv").read_bytes()).hexdigest()
+        assert digest == per_atom_sha
 
     def test_single_atom_degenerate_fails(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -704,7 +760,7 @@ class TestArtifactFormats:
         _, plan_path = save_plan(limit_plan_pair(2), tmp_path / "split")
         assert main(["decompose", "--plan", str(plan_path), "--cost", COST,
                      "--out", str(split_out)]) == 0
-        # a flat sample fails its normal cones: audit.json has a witness
+        # a flat sample fails its normal cones: report.json has a witness
         assert main(["isotropy", "--generator", "hyperplane:n=300,dim=2",
                      "--point-sample", "20", "--out", str(iso_out)]) == 0
 
@@ -742,12 +798,12 @@ class TestArtifactFormats:
             "assigned_sources", "assigned_targets", "split_fraction", "splits",
             "splits.[].source", "splits.[].targets", "splits.[].masses",
         }
-        audit = json.loads((iso_out / "audit.json").read_text())
-        assert audit["worst_witness"] is not None
-        assert key_paths(audit) == {
-            "failing_mass_fraction", "sampled_atoms", "atom_failed", "fail_counts",
-            "distance_to_boundary", "resolution", "deltas", "epsilons", "n_directions",
-            "resolution_warning", "worst_witness", "worst_witness.apex",
+        iso = json.loads((iso_out / "report.json").read_text())
+        assert iso["metrics"]["worst_witness"] is not None
+        assert iso["artifacts"] == ["per_atom.csv"]
+        assert key_paths(iso["metrics"]) == {
+            "failing_mass_fraction", "interior_failing_mass_fraction", "resolution", "deltas",
+            "epsilons", "n_directions", "worst_witness", "worst_witness.apex",
             "worst_witness.direction", "worst_witness.delta", "worst_witness.eps",
         }
 

@@ -109,6 +109,17 @@ class TestOracles:
         _, _, obj = solve_exact(mu, nu, P05)
         assert obj == pytest.approx(assignment_oracle(mu, nu, P05), abs=1e-10)
 
+    @pytest.mark.parametrize("corner", [3.0, 0.0], ids=["separated", "overlapping"])
+    def test_matches_assignment_oracle_at_300(self, corner):
+        # 2,812 and 1,584 pivots, the last to move mass 17 and 29 before the
+        # end (the rest only move potentials): a loop that stops before it
+        # misses the optimum by 2e-8 or more
+        mu = uniform_box(300, 2, seed=20)
+        nu = uniform_box(300, 2, corner_lo=(corner, corner),
+                         corner_hi=(corner + 1.0, corner + 1.0), seed=21)
+        _, _, obj = solve_exact(mu, nu, P05)
+        assert obj == pytest.approx(assignment_oracle(mu, nu, P05), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_basis_enumeration(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -589,7 +600,7 @@ def test_map_regime_seed_0_pinned(monkeypatch):
 
     monkeypatch.setattr(solver, "_network_simplex", counting)
     plan, pots, obj = solve_exact(mu, nu, P05)
-    assert obj == 2.051390006533048
+    assert obj == 2.051390006533048 == assignment_oracle(mu, nu, P05)
     assert pivots == [15_233]
     assert certify(plan, pots, P05) == Certificate(
         feasible_dual=True,
@@ -974,6 +985,27 @@ class TestExport:
         with pytest.raises(ValueError, match=problem) as info:
             load_plan(json_path)
         assert str(csv_path) in str(info.value)
+
+    @pytest.mark.parametrize("points, weights", [
+        ([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5]),
+        ([[0.0], [0.5], [1.0]], [0.5, 0.0, 0.5]),
+    ], ids=["repeated", "zero_weight"])
+    def test_load_plan_reads_atoms_as_listed(self, tmp_path, points, weights):
+        # a repeated atom or one of zero weight would shift the atoms after
+        # it, so that entry i = 1 named the atom listed third
+        nu = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
+        plan = TransportPlan(source=nu, target=nu, src_idx=[0, 1], tgt_idx=[1, 0],
+                             mass=[0.5, 0.5])
+        _, json_path = save_plan(plan, tmp_path / "plan")
+        header = json.loads(json_path.read_text())
+        header["mu"].update(points=points, weights=weights)
+        json_path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match="mu: atoms must be listed once each"):
+            load_plan(json_path)
+        # -0.0 is listed where the measure stores 0.0, and reads back
+        header["mu"].update(points=[[-0.0], [1.0]], weights=[0.5, 0.5])
+        json_path.write_text(json.dumps(header))
+        assert load_plan(json_path)[0].source == nu
 
     def test_load_plan_rejects_a_json_list(self, tmp_path):
         path = tmp_path / "x.json"
