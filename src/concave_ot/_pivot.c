@@ -1,14 +1,14 @@
 /* Compiled kernel of concave_ot: the network simplex of solver (the
  * starting tree and the pivot loop), the Euclidean distances the cost
  * matrices are made of, the scorers of two audits, verify_ccm in
- * structure and certify in solver, and the cone scan of the isotropy
- * audit in geometry.
+ * structure and certify in solver, and the nearest-atom search and cone
+ * scan of the isotropy audit in geometry.
  *
  * starting_tree is a port of the Python least-cost basis
  * (_least_cost_basis) and one-DFS thread build (_python_start), and
  * pivot_loop of the Python loop (_pivot_loop); these and the numpy
  * references of the other entry points live in tests/support.py, where
- * ReferenceKernel serves them under the names of the seven entry points,
+ * ReferenceKernel serves them under the names of the eight entry points,
  * and the tests require the same bits from both.  The start takes arcs
  * in the same global (cost, arc id) order, merging sorted runs of each
  * row's cheapest arcs read in place from the cost matrix, and crosses
@@ -40,7 +40,11 @@
  * overlap, so many apices can share one sorted list), sums each atom's r
  * and dot products in order from 0.0, as its reference
  * _numpy_cone_nearest does, and returns the nearest atom in each cone, the
- * lanes of a vector being directions.
+ * lanes of a vector being directions.  nearest_atoms returns each query's
+ * k least (squared distance, atom index) keys, the squares summed as
+ * distances sums them, which its reference _numpy_nearest_atoms finds by
+ * brute force and np.lexsort; it searches a cell grid that each call
+ * builds, and stops only where no unscanned atom can have a lesser key.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
@@ -60,7 +64,7 @@
  * -march=native, so that the compiler uses the host's encodings and
  * vector width, and -fno-math-errno, so that a square root is one
  * instruction, lane-wise in distances: the kernel never reads errno, and
- * sqrt is correctly rounded either way.  It calls the seven entry points
+ * sqrt is correctly rounded either way.  It calls the eight entry points
  * through ctypes; there is no other path, so without a compiler every
  * solve, cost matrix and audit raises solver.SolverError.  Node arrays
  * are indexed by node (sources 0..m-1, targets m..m+n-1) and filled or
@@ -808,28 +812,39 @@ void distances(i64 m, i64 n, i64 d, const double *x, const double *yt, double *o
  * r, NaN if the cone holds none (not +inf, which a reader's r <= eps
  * would take for a hit at eps = inf).  The directions go LANES at a
  * time; a lane takes r unless its cone already holds a nearer or equal
- * atom.  work holds ndir doubles, one atom's dot products. */
-void cone_nearest(i64 count, i64 d, const double *apex, const i64 *lo, const i64 *hi,
-                  const i64 *rows, const double *points, i64 ndir, const double *dirs,
-                  i64 nopen, const double *deltas, double *work, double *nearest)
+ * atom.  The directions, one atom's dot products and one apex's cones
+ * are copied to rows of whole cache lines in one aligned block, so no
+ * vector load or store straddles two lines: on buffers aligned to 16
+ * bytes only, as numpy's may be, a heap layout that put every vector of
+ * the dot products across a line (one of them across a page) made the
+ * scan about 1.6 times slower.  Returns NO_MEMORY or 0. */
+int cone_nearest(i64 count, i64 d, const double *apex, const i64 *lo, const i64 *hi,
+                 const i64 *rows, const double *points, i64 ndir, const double *dirs,
+                 i64 nopen, const double *deltas, double *nearest)
 {
+    const i64 line = 64 / sizeof(double), stride = (ndir + line - 1) / line * line;
+    double *u = aligned_alloc(64, (d + 1 + nopen) * stride * sizeof *u);
+    if (!u)
+        return NO_MEMORY;
+    double *work = u + d * stride, *near = work + stride;
+    for (i64 k = 0; k < d; k++)
+        memcpy(u + k * stride, dirs + k * ndir, ndir * sizeof *u);
     for (i64 t = 0; t < count; t++) {
         const double *x = apex + t * d;
-        double *near = nearest + t * nopen * ndir;
-        for (i64 c = 0; c < nopen * ndir; c++)
+        for (i64 c = 0; c < nopen * stride; c++)
             near[c] = NAN;
         for (i64 s = lo[t]; s < hi[t]; s++) {
             const double *y = points + rows[s] * d;
             double sq = 0.0;
             memset(work, 0, ndir * sizeof *work);
             for (i64 k = 0; k < d; k++) {
-                const double w = y[k] - x[k], *u = dirs + k * ndir;
+                const double w = y[k] - x[k], *uk = u + k * stride;
                 sq += w * w;
                 i64 j = 0;
                 for (; j + LANES <= ndir; j += LANES)
-                    v_store(work + j, v_load(work + j) + w * v_load(u + j));
+                    v_store(work + j, v_load(work + j) + w * v_load(uk + j));
                 for (; j < ndir; j++)
-                    work[j] += w * u[j];
+                    work[j] += w * uk[j];
             }
             const double r = sqrt(sq);
             if (!(r > 0.0))
@@ -837,7 +852,7 @@ void cone_nearest(i64 count, i64 d, const double *apex, const i64 *lo, const i64
             const vd rv = v_splat(r);
             for (i64 l = 0; l < nopen; l++) {
                 const double edge = (1.0 - deltas[l]) * r;
-                double *cone = near + l * ndir;
+                double *cone = near + l * stride;
                 i64 j = 0;
                 for (; j + LANES <= ndir; j += LANES) {
                     vd cur = v_load(cone + j);
@@ -849,7 +864,11 @@ void cone_nearest(i64 count, i64 d, const double *apex, const i64 *lo, const i64
                         cone[j] = r;
             }
         }
+        for (i64 l = 0; l < nopen; l++)
+            memcpy(nearest + (t * nopen + l) * ndir, near + l * stride, ndir * sizeof *near);
     }
+    free(u);
+    return 0;
 }
 
 /* ---- audit scorers -------------------------------------------------- */
@@ -1046,4 +1065,276 @@ void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const do
     viol = v_fold_max(violv, viol);
     out[0] = nan & 1 ? NAN : top;
     out[1] = nan & 2 ? NAN : viol + 0.0;
+}
+
+/* ---- nearest atoms -------------------------------------------------- */
+
+/* The k nearest atoms of each query, by the key (sq, atom index) where sq
+ * sums the squared coordinate differences in order from 0.0, as
+ * distances does: index[q*k + i] and dist[q*k + i] = sqrt(sq) are the
+ * i-th least key of query q, so the k are one set whatever the ties, and
+ * the distances have cdist's bits.
+ *
+ * Each call builds a grid over at most GRID_AXES coordinates, the ones
+ * whose sample spreads most, a sample's spread being its interquartile
+ * range: a coordinate whose sample has none gets one slab.  Atom
+ * i * n / S, for i < S = min(n, CUT_SAMPLE), is the sample.  The grid has
+ * about n / CELL_ATOMS cells, each new part going to the axis whose
+ * spread per part is widest, and a coordinate's parts are cut at
+ * quantiles of its sample, repeated cuts dropped, so a clustered input
+ * gets small cells where its atoms are; cell c of an axis
+ * holds cut[c - 1] <= x < cut[c], the first and last cells being
+ * unbounded, so an atom or a query beyond the outer cuts falls in an edge
+ * cell.  A counting sort lists the atoms cell by cell, the last grid axis
+ * varying fastest, so a row of cells along it is one run of atoms.
+ *
+ * A query scans the cells ring by ring around its own (ring r: the cells
+ * r steps away along some axis and at most r along each), keeping the k
+ * least keys in a max-heap (the starting tree's Heap, a key's cost being
+ * sq and its arc the atom), and stops once the heap is full and its
+ * greatest sq is strictly below the square of the distance from the query
+ * to the nearest face of an unscanned cell along a grid axis.  An atom
+ * past that face on axis a has |z_a - y_a| >= that distance, and
+ * rounding is monotone, so its sq, a sum of squares that includes the
+ * one of axis a, is at least that square as computed: every unscanned
+ * key is greater than every kept one. */
+
+enum { GRID_AXES = 3, CELL_ATOMS = 4, CUT_SAMPLE = 1024 };
+
+typedef struct {
+    i64 d;
+    i64 axis[GRID_AXES];  /* coordinate of each grid axis */
+    i64 cells[GRID_AXES]; /* 1 for a slab (and an unused axis) */
+    double *cut[GRID_AXES];
+    i64 *start;           /* offsets of the cells' runs, cells + 1 of them */
+    i64 *atom;            /* the atoms, cell by cell */
+    double *pts;          /* their coordinates, in that order */
+} Grid;
+
+static int cmp_double(const void *x, const void *y)
+{
+    const double a = *(const double *)x, b = *(const double *)y;
+    return (a > b) - (a < b);
+}
+
+/* cell of coordinate x along grid axis a: the number of cuts <= x, by a
+ * binary search with no branch on the comparisons */
+static i64 grid_cell(const Grid *g, int a, double x)
+{
+    const double *cut = g->cut[a], *base = cut;
+    i64 len = g->cells[a] - 1;
+    if (!len)
+        return 0;
+    while (len > 1) {
+        const i64 half = len / 2;
+        base += (base[half - 1] <= x) * half;
+        len -= half;
+    }
+    return (base - cut) + (*base <= x);
+}
+
+static void free_grid(Grid *g)
+{
+    for (int a = 0; a < GRID_AXES; a++)
+        free(g->cut[a]);
+    free(g->start);
+    free(g->atom);
+    free(g->pts);
+}
+
+/* Fills g; returns NO_MEMORY (g then holds only what free_grid frees) or 0. */
+static int build_grid(Grid *g, i64 n, i64 d, const double *points)
+{
+    memset(g, 0, sizeof *g);
+    g->d = d;
+    for (int a = 0; a < GRID_AXES; a++)
+        g->cells[a] = 1;
+    const i64 S = n < CUT_SAMPLE ? n : CUT_SAMPLE;
+    double *sample = malloc(d * (S + 1) * sizeof *sample), *spread = sample + d * S;
+    if (!sample)
+        return NO_MEMORY;
+    for (i64 j = 0; j < d; j++) {
+        double *s = sample + j * S;
+        for (i64 i = 0; i < S; i++)
+            s[i] = points[(i * n / S) * d + j];
+        qsort(s, S, sizeof *s, cmp_double);
+        spread[j] = s[3 * S / 4] - s[S / 4];
+    }
+    /* the grid axes in coordinate order, so that a cell's gaps are summed
+     * as sq sums its atoms' squares, in the last slots, so that a run of
+     * cells is along a grid axis */
+    int used = 0;
+    for (i64 j = 0; j < d; j++) {
+        int wider = 0;
+        for (i64 i = 0; i < d; i++)
+            wider += spread[i] > spread[j] || (spread[i] == spread[j] && i < j);
+        if (spread[j] > 0.0 && wider < GRID_AXES)
+            g->axis[used++] = j;
+    }
+    for (int a = GRID_AXES - 1; a >= 0; a--)
+        g->axis[a] = a >= GRID_AXES - used ? g->axis[a - (GRID_AXES - used)] : 0;
+    /* parts per axis: one more to the axis of the widest cells, while the
+     * grid has fewer than n / CELL_ATOMS cells */
+    i64 parts[GRID_AXES] = {1, 1, 1}, total = 1;
+    for (;;) {
+        int widest = -1;
+        for (int a = GRID_AXES - used; a < GRID_AXES; a++)
+            if (parts[a] < S && (widest < 0 || spread[g->axis[a]] / parts[a]
+                                                   > spread[g->axis[widest]] / parts[widest]))
+                widest = a;
+        if (widest < 0 || total * CELL_ATOMS >= n)
+            break;
+        total = total / parts[widest] * (parts[widest] + 1);
+        parts[widest]++;
+    }
+    for (int a = GRID_AXES - used; a < GRID_AXES; a++) {
+        const double *s = sample + g->axis[a] * S;
+        double *cut = g->cut[a] = malloc(parts[a] * sizeof *cut);
+        if (!cut) {
+            free(sample);
+            return NO_MEMORY;
+        }
+        i64 count = 0;
+        for (i64 c = 1; c < parts[a]; c++) {
+            const double x = s[c * S / parts[a]];
+            if (!count || cut[count - 1] < x)
+                cut[count++] = x;
+        }
+        g->cells[a] = count + 1;
+    }
+    free(sample);
+    total = g->cells[0] * g->cells[1] * g->cells[2];
+    i64 *cell = malloc(n * sizeof *cell);
+    g->start = calloc(total + 1, sizeof *g->start);
+    g->atom = malloc(n * sizeof *g->atom);
+    g->pts = malloc(n * d * sizeof *g->pts);
+    if (!cell || !g->start || !g->atom || !g->pts) {
+        free(cell);
+        return NO_MEMORY;
+    }
+    for (i64 i = 0; i < n; i++) {
+        i64 c = 0;
+        for (int a = 0; a < GRID_AXES; a++)
+            c = c * g->cells[a] + grid_cell(g, a, points[i * d + g->axis[a]]);
+        cell[i] = c;
+        g->start[c + 1]++;
+    }
+    for (i64 c = 0; c < total; c++)
+        g->start[c + 1] += g->start[c];
+    for (i64 i = 0; i < n; i++) {
+        const i64 p = g->start[cell[i]]++;
+        g->atom[p] = i;
+        for (i64 j = 0; j < d; j++)
+            g->pts[p * d + j] = points[i * d + j];
+    }
+    for (i64 c = total; c > 0; c--) /* each start moved to the next's */
+        g->start[c] = g->start[c - 1];
+    g->start[0] = 0;
+    free(cell);
+    return 0;
+}
+
+/* offers the atoms of cell c to the heap of the k nearest to y */
+static void scan_cell(const Grid *g, i64 c, const double *y, Heap *h, i64 k)
+{
+    const i64 d = g->d;
+    for (i64 p = g->start[c]; p < g->start[c + 1]; p++) {
+        const double *z = g->pts + p * d;
+        double sq = 0.0;
+        for (i64 j = 0; j < d; j++) {
+            const double t = y[j] - z[j];
+            sq += t * t;
+        }
+        const Key key = {sq, g->atom[p]};
+        if (h->len < k)
+            heap_push(h, key);
+        else if (key_less(key, h->key[0]))
+            heap_replace_top(h, key);
+    }
+}
+
+/* the square of the gap from x, in cell at of grid axis a, to cell c */
+static double gap2(const Grid *g, int a, i64 c, i64 at, double x)
+{
+    const double t = c < at ? x - g->cut[a][c] : c > at ? g->cut[a][c - 1] - x : 0.0;
+    return t * t;
+}
+
+/* whether the heap of the k nearest holds k keys, each of sq < bound */
+static int beyond(const Heap *h, i64 k, double bound)
+{
+    return h->len == k && h->key[0].cost < bound;
+}
+
+/* Fills the heap with the k least keys of query y, ring by ring.  A cell
+ * whose gaps, squared and summed in coordinate order, exceed every kept
+ * sq is skipped: each of its atoms' sq is at least that sum. */
+static void nearest_of(const Grid *g, const double *y, Heap *h, i64 k)
+{
+    const i64 *m = g->cells;
+    double x[GRID_AXES];
+    i64 at[GRID_AXES], lo[GRID_AXES], hi[GRID_AXES];
+    for (int a = 0; a < GRID_AXES; a++) {
+        x[a] = y[g->axis[a]];
+        at[a] = grid_cell(g, a, x[a]);
+    }
+    h->len = 0;
+    for (i64 r = 0;; r++) {
+        for (int a = 0; a < GRID_AXES; a++) {
+            lo[a] = at[a] - r > 0 ? at[a] - r : 0;
+            hi[a] = at[a] + r < m[a] - 1 ? at[a] + r : m[a] - 1;
+        }
+        for (i64 c0 = lo[0]; c0 <= hi[0]; c0++) {
+            const double g0 = gap2(g, 0, c0, at[0], x[0]);
+            if (beyond(h, k, g0))
+                continue;
+            for (i64 c1 = lo[1]; c1 <= hi[1]; c1++) {
+                const double g01 = g0 + gap2(g, 1, c1, at[1], x[1]);
+                if (beyond(h, k, g01))
+                    continue;
+                /* the whole row on the ring's faces, else its two ends */
+                const int face = c0 == at[0] - r || c0 == at[0] + r || c1 == at[1] - r
+                                 || c1 == at[1] + r;
+                for (i64 c2 = face ? lo[2] : at[2] - r; c2 <= hi[2]; c2 += face ? 1 : 2 * r)
+                    if (c2 >= 0 && !beyond(h, k, g01 + gap2(g, 2, c2, at[2], x[2])))
+                        scan_cell(g, (c0 * m[1] + c1) * m[2] + c2, y, h, k);
+            }
+        }
+        /* done when every unscanned cell lies beyond a face whose gap
+         * squared exceeds every kept sq */
+        double gap = INFINITY;
+        int unscanned = 0;
+        for (int a = 0; a < GRID_AXES; a++)
+            for (i64 c = at[a] - r - 1; c <= at[a] + r + 1; c += 2 * r + 2)
+                if (0 <= c && c < m[a]) {
+                    const double t = gap2(g, a, c, at[a], x[a]);
+                    gap = t < gap ? t : gap;
+                    unscanned = 1;
+                }
+        if (!unscanned || beyond(h, k, gap))
+            return;
+    }
+}
+
+int nearest_atoms(i64 n, i64 d, const double *points, i64 count, const double *queries, i64 k,
+                  i64 *index, double *dist)
+{
+    Grid g;
+    const int status = build_grid(&g, n, d, points);
+    Heap h = {status ? NULL : malloc(k * sizeof *h.key), 0, 1};
+    if (!h.key) {
+        free_grid(&g);
+        return NO_MEMORY;
+    }
+    for (i64 q = 0; q < count; q++) {
+        nearest_of(&g, queries + q * d, &h, k);
+        for (i64 i = k - 1; i >= 0; i--) {
+            index[q * k + i] = h.key[0].arc;
+            dist[q * k + i] = sqrt(h.key[0].cost);
+            heap_pop(&h);
+        }
+    }
+    free(h.key);
+    free_grid(&g);
+    return 0;
 }

@@ -439,7 +439,9 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
     mirroring the diagonal/off-diagonal split of optimal plans; the
     ``source`` column of ``reconstruction.csv`` still indexes the atoms
     of ``--mu``.  ``k_neighbors`` below d + 1, or not below the number
-    of source atoms left after that reduction, is an input error.
+    of source atoms left after that reduction, is an input error, as is a
+    target of fewer than 2 atoms left, which has no resolution scale to
+    judge the errors and kinks by.
     """
     mu = load_measure(mu_path)
     nu = load_measure(nu_path)
@@ -453,6 +455,8 @@ def run_reconstruct(mu_path, nu_path, cost_spec, out_dir, k_neighbors=8, seed=0)
             raise ValueError("measures coincide; nothing to reconstruct")
         rows, mu, nu = np.flatnonzero(split.mu_rest), split.mu_residual, split.nu_residual
     _check_k_neighbors(k_neighbors, mu.dim, len(mu))  # before the solve, not after it
+    if len(nu) < 2:
+        raise ValueError(f"reconstruct needs at least 2 target atoms, got {len(nu)}")
     plan, pots, obj = solve_exact(mu, nu, cost)
     recon = reconstruct_map_from_potential(
         pots, mu, nu, cost, k_neighbors=k_neighbors, plan=plan

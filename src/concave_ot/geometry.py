@@ -99,18 +99,19 @@ def direction_grid(dim, count):
 
 
 def resolution_scale(measure):
-    """Median nearest-neighbor distance of the support."""
-    from scipy.spatial import cKDTree
+    """Median distance from an atom to its nearest other atom; inf below
+    2 atoms.
 
-    return _resolution(cKDTree(measure.points))
-
-
-def _resolution(tree):
-    """``resolution_scale`` of the tree's points, reusing the tree."""
-    if tree.n < 2:
+    The distances are the compiled kernel's ``nearest_atoms``, squares
+    summed in coordinate order as scipy's ``cdist`` sums them.  Raises
+    ``solver.SolverError`` if the kernel cannot be built.
+    """
+    if len(measure) < 2:
         return math.inf
-    d, _ = tree.query(tree.data, k=2)
-    return float(np.median(d[:, 1]))
+    from . import solver  # the kernel is looked up at call time, as costs._distances does
+
+    _, dist = solver._compiled_kernel().nearest_atoms(measure.points, measure.points, 2)
+    return float(np.median(dist[:, 1]))
 
 
 @dataclass
@@ -148,13 +149,15 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     per-atom failure counts and the distance to the support's bounding
     box are included so boundary effects can be filtered downstream.
 
-    Each apex is first settled from its 64 nearest atoms (one k-d
-    tree query for the whole sample): per opening, the nearest
-    in-cone distance of each direction answers every radius at once.
-    The verdicts are those of a scan over all atoms: when the neighbours
-    leave a cone empty yet do not reach past the largest radius, the apex
-    is rescanned over the atoms, sorted once along the longest side of
-    the bounding box, within that radius of it on that side.  Each scan
+    Each apex is first settled from its 64 nearest atoms (one call of
+    the compiled kernel's ``nearest_atoms`` for the whole sample, as for
+    the resolution scale): per opening, the nearest in-cone distance of
+    each direction answers every radius at once.  The verdicts are those
+    of a scan over all atoms, whichever atoms tied at the 64th distance
+    are taken: when the neighbours leave a cone empty yet do not reach
+    past the largest radius, the apex is rescanned over the atoms,
+    sorted once along the longest side of the bounding box, within that
+    radius of it on that side.  Each scan
     is one call of the compiled kernel's ``cone_nearest``, which sums
     each atom's distance and dot products in order.  Raises
     ``ValueError`` unless ``point_sample`` is a (non-bool) integer >= 1
@@ -166,10 +169,7 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     pts, n = measure.points, len(measure)
     if n < 2:
         raise ValueError(f"the isotropy audit needs at least 2 atoms, got {n}")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    res = _resolution(tree)
+    res = resolution_scale(measure)
     epsilons = tuple(m * res for m in _RADII)
 
     rng = np.random.default_rng(seed)
@@ -188,15 +188,15 @@ def isotropy_audit(measure, point_sample=500, seed=0):
 
     kernel = solver._compiled_kernel()
     k = min(_NEIGHBOURS, n)
-    dk, near = (a.reshape(len(X), k) for a in tree.query(X, k=k))
+    near, dk = kernel.nearest_atoms(pts, X, k)
     starts = np.arange(0, near.size, k)
     nearest = kernel.cone_nearest(pts, X, starts, starts + k, near.ravel(), U, _DELTAS)
-    # Atoms beyond the k nearest lie at tree distance >= the k-th one; the
-    # margin covers rounding between the tree's distances and r.
-    reach = eps_arr.max() * (1.0 + 1e-9)
     if k < n:
+        # an atom beyond the k nearest lies at r >= dk[:, -1], which the
+        # kernel sums as it sums r
         settled = (nearest <= eps_arr.min()).all(axis=(1, 2))
-        again = np.flatnonzero(~settled & (dk[:, -1] <= reach))
+        again = np.flatnonzero(~settled & (dk[:, -1] <= eps_arr.max()))
+        reach = eps_arr.max() * (1.0 + 1e-9)
         # An open apex at x on the longest side scans the atoms at y in
         # [fl(x - reach), fl(x + reach)].  An atom the kernel counts at r <=
         # max(eps) has |y - x| < reach exactly (r rounds |y - x| by a few

@@ -3,8 +3,8 @@
 A :class:`DiscreteMeasure` is a weighted point cloud with nonnegative
 weights and pairwise-distinct atoms (exact duplicates are merged on
 construction, atoms of zero weight dropped).  Its atoms are kept in
-lexicographic order, which one stable ``np.lexsort`` of the rows,
-:func:`_lex_order`, computes for the constructor and for
+lexicographic order, the permutation of one stable ``np.lexsort`` of the
+rows, which :func:`_lex_order` computes for the constructor and for
 :func:`match_atoms` alike.  The lattice operations --
 the common part ``mu /\\ nu`` and the positive residuals -- use exact
 coordinate equality: the common mass between two measures is a
@@ -134,10 +134,17 @@ def _lex_order(points):
     """Stable lexicographic sort of the rows of ``points`` (first
     coordinate first): the permutation ``order``, and the mask ``first``
     of the sorted rows that differ from the row before.  Rows of no
-    coordinates are all equal."""
-    order = (
-        np.lexsort(points.T[::-1]) if points.shape[1] else np.arange(len(points))
-    )
+    coordinates are all equal.  When the first coordinates are pairwise
+    distinct, they alone decide the order, so one argsort of them gives
+    the lexsort's permutation."""
+    if points.shape[1]:
+        order = np.argsort(points[:, 0])
+        head = points[order, 0]
+        if not (head[1:] == head[:-1]).any():
+            return order, np.ones(len(points), dtype=bool)
+        order = np.lexsort(points.T[::-1])
+    else:
+        order = np.arange(len(points))
     rows = points[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = np.any(rows[1:] != rows[:-1], axis=1)

@@ -51,10 +51,12 @@ at a time from the transpose of their coordinates), and scores two audits
 in one pass over a cost matrix, with no m x n temporary: the pair swaps
 and cycles of ``structure.verify_ccm`` (``pair_scores``,
 ``cycle_scores``) and the two maxima of :func:`certify`
-(``certify_maxima``, also in vectors); it also scans the cones of
-``geometry.isotropy_audit`` (``cone_nearest``, directions in the lanes
-of a vector).  The first call of a process that needs the kernel loads
-it with ctypes, compiling it first with the system
+(``certify_maxima``, also in vectors); it also finds the nearest atoms
+of ``geometry.resolution_scale`` and ``geometry.isotropy_audit``
+(``nearest_atoms``, a cell grid built per call) and scans that audit's
+cones (``cone_nearest``, directions in the lanes of a vector).  The
+first call of a process that needs the kernel loads it with ctypes,
+compiling it first with the system
 ``cc -O2 -march=native -ffp-contract=off -fno-math-errno -shared -fPIC``
 unless the package's ``__pycache__`` holds ``_pivot.<hash>.so`` (the
 hash covers the source, the compiler command and the host CPU, so each
@@ -498,7 +500,7 @@ def _support(src, tgt, C):
 
 
 class _CompiledKernel:
-    """ctypes binding of the seven entry points of ``_pivot.c``.  Each
+    """ctypes binding of the eight entry points of ``_pivot.c``.  Each
     method returns the bits of the Python or numpy code the C ports,
     which the test suite keeps as its reference."""
 
@@ -544,9 +546,12 @@ class _CompiledKernel:
         self._certify_maxima.restype = None
         self._cone_nearest = self._lib.cone_nearest
         self._cone_nearest.argtypes = [
-            i64, i64, costs, index, index, index, costs, i64, costs, i64, costs, floats, floats,
+            i64, i64, costs, index, index, index, costs, i64, costs, i64, costs, floats,
         ]
-        self._cone_nearest.restype = None
+        self._cone_nearest.restype = ctypes.c_int
+        self._nearest_atoms = self._lib.nearest_atoms
+        self._nearest_atoms.argtypes = [i64, i64, costs, i64, costs, i64, ints, floats]
+        self._nearest_atoms.restype = ctypes.c_int
 
     def start(self, a, b, C):
         m, n = len(a), len(b)
@@ -644,12 +649,35 @@ class _CompiledKernel:
         if deltas.ndim != 1:
             raise ValueError("deltas must be one-dimensional")
         nearest = np.empty((len(apices), len(deltas), len(directions)))
-        self._cone_nearest(
+        if self._cone_nearest(
             len(apices), d, apices, lo, hi, rows, points, len(directions),
-            np.ascontiguousarray(directions.T), len(deltas), deltas, np.empty(len(directions)),
-            nearest,
-        )
+            np.ascontiguousarray(directions.T), len(deltas), deltas, nearest,
+        ):
+            raise MemoryError("no memory for the cone scan's directions")
         return nearest
+
+    def nearest_atoms(self, points, queries, k):
+        """The k nearest rows of ``points`` to each row of ``queries``, as
+        (atoms, distances), each of shape (len(queries), k): each query's
+        k least keys (squared distance summed in coordinate order from
+        0.0, atom index), in increasing order, so ties go to the lower
+        index and the distances have the bits of scipy's ``cdist``."""
+        points, queries = (np.ascontiguousarray(x, dtype=float) for x in (points, queries))
+        if points.ndim != 2 or queries.ndim != 2 or queries.shape[1] != points.shape[1]:
+            raise ValueError(
+                f"point arrays of shapes {points.shape} and {queries.shape} do not match"
+            )
+        if not points.shape[1] or not (np.isfinite(points).all() and np.isfinite(queries).all()):
+            raise ValueError("points and queries need finite coordinates, at least one each")
+        if not 1 <= k <= len(points):
+            raise ValueError(f"k must lie in [1, {len(points)}], got {k}")
+        atoms = np.empty((len(queries), k), dtype=np.int64)
+        dist = np.empty((len(queries), k))
+        if self._nearest_atoms(
+            len(points), points.shape[1], points, len(queries), queries, k, atoms, dist
+        ):
+            raise MemoryError("no memory for the grid of the nearest-atom search")
+        return atoms, dist
 
     def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
@@ -672,8 +700,8 @@ class _CompiledKernel:
 
 @functools.cache
 def _compiled_kernel():
-    """The compiled start, pivot loop, distances, audit scorers and cone
-    scan, built and loaded on first use.
+    """The compiled start, pivot loop, distances, audit scorers,
+    nearest-atom search and cone scan, built and loaded on first use.
 
     If that fails (no ``cc``, a compile error, an unwritable cache), it
     raises :class:`SolverError` naming the compiler command and its

@@ -7,7 +7,9 @@ workload's thousand atoms; the basis oracle enumerates spanning trees of
 the bipartite graph and prices every feasible basic solution, which is
 only usable at toy sizes.  The LP oracle hands the same linear program to scipy's
 HiGHS, independent code that scales to a few hundred atoms.  The
-isotropy reference scans every atom for every cone.  The map references
+isotropy reference scans every atom for every cone, and scipy's k-d
+tree gives the resolution scale that the audit reads from the compiled
+kernel's nearest-atom search.  The map references
 are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
 The canonical-order reference sorts a measure's atoms with
@@ -508,7 +510,7 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
 
 
 class ReferenceKernel:
-    """The seven entry points of the compiled kernel, as the Python and numpy
+    """The eight entry points of the compiled kernel, as the Python and numpy
     code that ``_pivot.c`` ports; called with the same arguments, each
     returns the same bits.  Patching ``solver._compiled_kernel`` with this
     class runs the solver, the cost matrices and the audits on it."""
@@ -536,6 +538,9 @@ class ReferenceKernel:
 
     def cone_nearest(self, points, apices, lo, hi, rows, directions, deltas):
         return _numpy_cone_nearest(points, apices, lo, hi, rows, directions, deltas)
+
+    def nearest_atoms(self, points, queries, k):
+        return _numpy_nearest_atoms(points, queries, k)
 
 
 def _least_cost_basis(a, b, C):
@@ -938,3 +943,28 @@ def _numpy_cone_nearest(points, apices, lo, hi, rows, directions, deltas):
                 np.where(inside, r[:, None], np.nan), axis=0, initial=np.nan
             )
     return nearest
+
+
+def _numpy_nearest_atoms(points, queries, k):
+    """The numpy reference for ``nearest_atoms`` in ``_pivot.c``, by brute
+    force: every atom's squared distance to each query, summed one
+    coordinate at a time as ``_numpy_distances`` sums it, and the k least
+    (squared distance, atom index) keys of each query by ``np.lexsort``,
+    as (atoms, distances)."""
+    sq = np.zeros((len(queries), len(points)))
+    with np.errstate(over="ignore"):
+        for j in range(points.shape[1]):
+            t = np.subtract.outer(queries[:, j], points[:, j])
+            t *= t
+            sq += t
+    atoms = np.broadcast_to(np.arange(len(points)), sq.shape)
+    order = np.lexsort((atoms, sq))[:, :k]
+    return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
+
+
+def resolution_reference(measure):
+    """``geometry.resolution_scale`` from scipy's k-d tree: the median of
+    each atom's distance to its second nearest atom, itself being the
+    first."""
+    dist, _ = cKDTree(measure.points).query(measure.points, k=2)
+    return float(np.median(dist[:, 1]))

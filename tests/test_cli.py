@@ -676,6 +676,23 @@ class TestReconstructCommand:
                          "--cost", COST, "--out", str(out)]) == 2
             assert not out.exists()
 
+    def test_single_target_atom_exit_2(self, tmp_path, monkeypatch, capsys):
+        # one target atom has no resolution scale: with tol = inf every
+        # entry was a kink event and any error passed against 3 * inf
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_exact ran before the target was checked")
+
+        monkeypatch.setattr("concave_ot.cli.solve_exact", no_solve)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_measure(uniform_box(20, 2, seed=1), a)
+        save_measure(DiscreteMeasure([[3.0, 3.0]], [1.0]), b)
+        cost = '{"kind":"piecewise","breakpoints":[1.0],"slopes":[2.0,0.5]}'
+        out = tmp_path / "o"
+        assert main(["reconstruct", "--mu", str(a), "--nu", str(b),
+                     "--cost", cost, "--out", str(out)]) == 2
+        assert "needs at least 2 target atoms, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def strip_timestamp(self, text):

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from support import ReferenceKernel, _cone_terms, isotropy_audit_reference, record_kernel_calls
+from scipy.spatial.distance import cdist
+from support import (
+    ReferenceKernel,
+    _cone_terms,
+    isotropy_audit_reference,
+    record_kernel_calls,
+    resolution_reference,
+)
 
 from concave_ot import geometry, solver
 from concave_ot.geometry import (
@@ -172,6 +179,16 @@ class TestResolution:
 
     def test_single_atom(self):
         assert resolution_scale(DiscreteMeasure([[0.0]], [1.0])) == math.inf
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_kd_tree_median_bits(self, dim):
+        # up to d = 7 the k-d tree sums the squares in coordinate order, as
+        # the kernel does; lattices tie at their spacing
+        rng = np.random.default_rng(dim)
+        for pts in (rng.uniform(0.0, 1.0, size=(400, dim)),
+                    rng.integers(0, 4, size=(300, dim)).astype(float)):
+            m = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
+            assert repr(resolution_scale(m)) == repr(resolution_reference(m))
 
 
 class TestIsotropyAudit:
@@ -504,3 +521,72 @@ class TestConeNearest:
                 kernel.cone_nearest(pts, pts[:1], lo, hi, [0], U, (0.5,))
         with pytest.raises(ValueError, match="columns"):
             kernel.cone_nearest(pts, np.zeros((1, 3)), [0], [1], [0], U, (0.5,))
+
+
+def _nearest_case(dim, kind, seed):
+    """Atoms and queries for ``nearest_atoms``.  Lattices repeat atoms and
+    tie at many distances, from their atoms and from the half-integer
+    queries; flat samples leave one coordinate without spread; clouds are
+    uniform.  The queries are 20 of the atoms, then 30 points that are not,
+    some beyond the atoms' range on every axis."""
+    rng = np.random.default_rng(seed)
+    if kind == "cloud":
+        pts = rng.uniform(-3.0, 3.0, size=(300, dim))
+    else:
+        pts = rng.integers(-4, 5, size=(300, dim)).astype(float)
+    if kind == "flat" and dim >= 2:
+        pts[:, -1] = 0.0
+    queries = np.vstack([
+        pts[rng.choice(len(pts), 20, replace=False)],
+        rng.integers(-12, 13, size=(15, dim)) / 2.0,
+        rng.uniform(-9.0, 9.0, size=(15, dim)),
+    ])
+    return pts, queries
+
+
+class TestNearestAtoms:
+    """The compiled nearest-atom search returns its numpy reference's
+    bytes: the k least (squared distance, atom index) keys in order, at
+    cdist's distances."""
+
+    @pytest.mark.parametrize("kind", ["lattice", "flat", "cloud"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9])
+    def test_same_bytes_as_reference(self, dim, kind):
+        pts, queries = _nearest_case(dim, kind, seed=dim)
+        kernel = solver._compiled_kernel()
+        for k in (1, 2, 64, len(pts)):
+            atoms, dist = kernel.nearest_atoms(pts, queries, k)
+            want_atoms, want_dist = ReferenceKernel().nearest_atoms(pts, queries, k)
+            assert atoms.shape == dist.shape == (len(queries), k)
+            assert atoms.tobytes() == want_atoms.tobytes()
+            assert dist.tobytes() == want_dist.tobytes()
+            assert dist.tobytes() == np.take_along_axis(cdist(queries, pts), atoms, 1).tobytes()
+        if kind != "cloud":
+            assert (dist[:, 1:] == dist[:, :-1]).any()  # ties, broken by atom index
+
+    def test_clustered_audit_matches_reference(self):
+        # 98% of the atoms in a corner of 1% of the side: quantile cuts put
+        # the cells where the atoms are, and the far atoms in the edge cells
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.uniform(0.0, 0.01, size=(4900, 2)),
+                         rng.uniform(0.0, 1.0, size=(100, 2))])
+        m = DiscreteMeasure(pts, np.full(5000, 1.0 / 5000))
+        got = isotropy_audit(m, point_sample=100, seed=0)
+        assert (m.points[got.sampled_atoms] > 0.01).any()
+        want = isotropy_audit_reference(m, point_sample=100, seed=0)
+        assert repr(_jsonable(got)) == repr(_jsonable(want))
+
+    def test_bad_arguments_rejected(self):
+        kernel = solver._compiled_kernel()
+        pts = np.zeros((3, 2))
+        for k in (0, 4):
+            with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):
+                kernel.nearest_atoms(pts, pts, k)
+        for queries in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ValueError, match="do not match"):
+                kernel.nearest_atoms(pts, queries, 1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kernel.nearest_atoms(pts, np.array([[0.0, bad]]), 1)
+        with pytest.raises(ValueError, match="at least one"):
+            kernel.nearest_atoms(np.zeros((3, 0)), np.zeros((1, 0)), 1)

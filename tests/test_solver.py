@@ -622,8 +622,9 @@ STARTUP_SCRIPT = textwrap.dedent("""
 
     import concave_ot.cli  # noqa: F401
     from concave_ot import (
-        PowerCost, certify, decompose, extract_map, reconstruct_map_from_potential, solve_exact,
-        uniform_box, verify_ccm, verify_stay_at_rest,
+        PowerCost, certify, decompose, extract_map, hyperplane_sample, isotropy_audit,
+        reconstruct_map_from_potential, resolution_scale, solve_exact, uniform_box, verify_ccm,
+        verify_stay_at_rest,
     )
 
     def scipy_modules():
@@ -637,6 +638,8 @@ STARTUP_SCRIPT = textwrap.dedent("""
     assert verify_stay_at_rest(mu, nu, plan).ok
     assert verify_ccm(plan, cost).ok
     extract_map(decompose(plan))
+    assert resolution_scale(nu) > 0.0
+    assert isotropy_audit(hyperplane_sample(300, 2, seed=0), point_sample=50).worst_witness
     assert scipy_modules() == [], scipy_modules()
     reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8)
     assert "scipy.spatial" in sys.modules and "scipy.stats" not in sys.modules, scipy_modules()
@@ -644,8 +647,9 @@ STARTUP_SCRIPT = textwrap.dedent("""
 
 
 def test_exact_pipeline_loads_no_scipy():
-    """Solving and auditing a plan loads no scipy module; rebuilding the
-    map loads the kd-tree of scipy.spatial, and still not scipy.stats."""
+    """Solving and auditing a plan, the resolution scale and a d = 2
+    isotropy audit load no scipy module; rebuilding the map loads the
+    kd-tree of scipy.spatial, and still not scipy.stats."""
     src = Path(solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env,
