@@ -403,9 +403,9 @@ def _distances(x, y):
 
     The compiled kernel of :mod:`concave_ot.solver` computes them: it
     sums the squared coordinate differences in order from 0.0 and takes
-    the square root, so it returns the bits of
-    ``scipy.spatial.distance.cdist``.  Raises ``solver.SolverError`` if
-    the kernel cannot be built, ``ValueError`` if the shapes do not match.
+    the square root, so it returns the bits of scipy's ``cdist``.  Raises
+    ``solver.SolverError`` if the kernel cannot be built, ``ValueError``
+    if the shapes do not match.
     """
     from . import solver  # solver imports this module: look it up at call time
 

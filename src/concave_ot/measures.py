@@ -276,20 +276,24 @@ def snap(mu, nu, tol):
     Common mass is matched by exact coordinate equality, so atoms meant
     to coincide but separated by rounding never meet.  Snapping moves
     each nu-atom onto its nearest mu-atom when that atom is within
-    ``tol``, which must be finite and positive; the returned measure
-    merges any collisions.  Off by default everywhere; opt in
+    ``tol`` (distance ``<= tol``), which must be finite and positive; the
+    returned measure merges any collisions.  The nearest atom is the
+    compiled kernel's ``nearest_atoms``, with the distance bits of scipy's
+    ``cdist``: a nu-atom equally close to several mu-atoms moves onto the
+    one of least canonical index.  Off by default everywhere; opt in
     deliberately, since it changes the instance.
     """
-    from scipy.spatial import cKDTree
-
     _check_same_dim(mu, nu)
     if not tol > 0:  # NaN too
         raise ValueError(f"tol must be positive, got {tol}")
     if tol == np.inf:
         raise ValueError(f"tol must be finite, got {tol}")
-    if len(mu) == 0 or len(nu) == 0:
+    if not (len(mu) and len(nu) and mu.dim):  # in d = 0 all atoms coincide
         return nu
-    d, idx = cKDTree(mu.points).query(nu.points, k=1)
+    from . import solver  # solver imports this module: look it up at call time
+
+    idx, d = solver._compiled_kernel().nearest_atoms(mu.points, nu.points, 1)
+    idx, d = idx[:, 0], d[:, 0]
     pts = nu.points.copy()
     close = d <= tol
     pts[close] = mu.points[idx[close]]

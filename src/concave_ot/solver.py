@@ -52,7 +52,8 @@ in one pass over a cost matrix, with no m x n temporary: the pair swaps
 and cycles of ``structure.verify_ccm`` (``pair_scores``,
 ``cycle_scores``) and the two maxima of :func:`certify`
 (``certify_maxima``, also in vectors); it also finds the nearest atoms
-of ``geometry.resolution_scale`` and ``geometry.isotropy_audit``
+of ``geometry.resolution_scale``, ``geometry.isotropy_audit``,
+``measures.snap`` and ``structure.reconstruct_map_from_potential``
 (``nearest_atoms``, a cell grid built per call) and scans that audit's
 cones (``cone_nearest``, directions in the lanes of a vector).  The
 first call of a process that needs the kernel loads it with ctypes,
@@ -702,6 +703,12 @@ class _CompiledKernel:
 def _compiled_kernel():
     """The compiled start, pivot loop, distances, audit scorers,
     nearest-atom search and cone scan, built and loaded on first use.
+
+    ``nearest_atoms`` serves ``geometry.resolution_scale`` and
+    ``geometry.isotropy_audit``, the neighbourhoods of
+    ``structure.reconstruct_map_from_potential`` and each nu-atom's
+    nearest mu-atom in ``measures.snap``; so the package's exact path
+    and its map reconstruction load no scipy module.
 
     If that fails (no ``cc``, a compile error, an unwritable cache), it
     raises :class:`SolverError` naming the compiler command and its

@@ -370,11 +370,14 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     """Rebuild target predictions from the source-side potential.
 
     The gradient at each source atom is estimated by an affine
-    least-squares fit of the potential over the ``k`` nearest source
-    atoms, where ``k_neighbors`` must be at least d + 1 and below the
-    number of source atoms (``ValueError`` otherwise); the inverse cost
-    derivative converts its magnitude into a displacement radius (a
-    kink's slope gap still pins the radius), and
+    least-squares fit of the potential over the atom and its ``k``
+    nearest source atoms, where ``k_neighbors`` must be at least d + 1
+    and below the number of source atoms (``ValueError`` otherwise).  The
+    neighbours are the compiled kernel's ``nearest_atoms``: the least
+    (squared distance summed in coordinate order, atom index) keys, so
+    of equally distant atoms the lower canonical index is taken.  The
+    inverse cost derivative converts the gradient's magnitude into a
+    displacement radius (a kink's slope gap still pins the radius), and
     ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
     most 1e-8 stay at rest (``near_diagonal``, radius 0).
 
@@ -394,10 +397,7 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")
 
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(mu.points)
-    _, nb = tree.query(mu.points, k=k + 1)
+    nb, _ = solver._compiled_kernel().nearest_atoms(mu.points, mu.points, k + 1)
 
     # affine fit phi(x_j) - phi(x_i) ~ g . (x_j - x_i) + b over each
     # neighbourhood, all at once; pinv with lstsq's default cutoff gives

@@ -9,7 +9,9 @@ only usable at toy sizes.  The LP oracle hands the same linear program to scipy'
 HiGHS, independent code that scales to a few hundred atoms.  The
 isotropy reference scans every atom for every cone, and scipy's k-d
 tree gives the resolution scale that the audit reads from the compiled
-kernel's nearest-atom search.  The map references
+kernel's nearest-atom search; ``KdTreeKernel`` answers that search with
+the tree, for the tests that hold the map and ``measures.snap`` to the
+tree's neighbours where no distances tie.  The map references
 are the per-atom loops that ``structure.extract_map`` and
 ``structure.reconstruct_map_from_potential`` replace with array code.
 The canonical-order reference sorts a measure's atoms with
@@ -330,7 +332,9 @@ def extract_map_reference(decomp, mass_tol=1e-9):
 def reconstruct_reference(potentials, mu, nu, cost, k_neighbors=8, plan=None):
     """``structure.reconstruct_map_from_potential`` as a loop over atoms.
 
-    Each atom's gradient is its own ``lstsq`` fit, and each radius its own
+    The neighbour sets are the brute-force ``_numpy_nearest_atoms``, so
+    ties go to the lower atom index as in the compiled kernel.  Each
+    atom's gradient is its own ``lstsq`` fit, and each radius its own
     scalar ``cost.inv_deriv`` call.
     """
     d = mu.dim
@@ -344,8 +348,7 @@ def reconstruct_reference(potentials, mu, nu, cost, k_neighbors=8, plan=None):
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")
 
-    tree = cKDTree(mu.points)
-    _, nb = tree.query(mu.points, k=k + 1)
+    nb, _ = _numpy_nearest_atoms(mu.points, mu.points, k + 1)
 
     grads = np.zeros((n, d))
     resid = np.zeros(n)
@@ -960,6 +963,16 @@ def _numpy_nearest_atoms(points, queries, k):
     atoms = np.broadcast_to(np.arange(len(points)), sq.shape)
     order = np.lexsort((atoms, sq))[:, :k]
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
+
+
+class KdTreeKernel:
+    """The compiled kernel's ``nearest_atoms`` answered by scipy's k-d
+    tree, whose order among equally distant atoms is the tree's own: on
+    inputs with no ties it must give the same atoms and distances."""
+
+    def nearest_atoms(self, points, queries, k):
+        dist, atoms = cKDTree(points).query(queries, k=[*range(1, k + 1)])
+        return atoms, dist
 
 
 def resolution_reference(measure):

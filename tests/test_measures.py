@@ -403,3 +403,34 @@ class TestSnap:
         mu = DiscreteMeasure([[0.0]], [1.0])
         with pytest.raises(ValueError, match="tol must be finite, got inf"):
             snap(mu, mu, tol=np.inf)
+
+    def test_tie_goes_to_lower_canonical_index(self):
+        from concave_ot.measures import snap
+
+        # a 5 x 5 lattice listed backwards; canonical order is row-major
+        grid = np.indices((5, 5)).reshape(2, -1).T[::-1].astype(float)
+        mu = DiscreteMeasure(grid, np.full(25, 0.04))
+        assert mu.points[:5].tolist() == [[0.0, y] for y in range(5)]
+        # each nu-atom lies halfway between two mu-atoms (scipy's k-d tree
+        # returned the higher index for the first two)
+        nu = DiscreteMeasure([[0.0, 0.5], [0.0, 3.5], [2.5, 4.0]], [0.25, 0.25, 0.5])
+        snapped = snap(mu, nu, tol=0.5)
+        assert snapped.points.tolist() == [[0.0, 0.0], [0.0, 3.0], [2.0, 4.0]]
+
+    def test_distance_equal_to_tol_snaps(self):
+        from scipy.spatial.distance import cdist
+
+        from concave_ot.measures import snap
+
+        mu = DiscreteMeasure([[0.1, 0.7, -0.3]], [1.0])
+        nu = DiscreteMeasure([[0.4, 0.2, 0.6]], [1.0])
+        tol = cdist(nu.points, mu.points)[0, 0]
+        assert snap(mu, nu, tol=tol) == mu
+        assert snap(mu, nu, tol=np.nextafter(tol, 0.0)) == nu
+
+    def test_no_coordinates(self):
+        from concave_ot.measures import snap
+
+        # in d = 0 every atom is the one point, already shared
+        mu = DiscreteMeasure(np.empty((2, 0)), [0.5, 0.5])
+        assert snap(mu, mu, tol=0.1) == mu

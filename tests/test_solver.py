@@ -618,13 +618,14 @@ def test_map_regime_seed_0_pinned(monkeypatch):
 
 
 STARTUP_SCRIPT = textwrap.dedent("""
+    import json
     import sys
 
     import concave_ot.cli  # noqa: F401
     from concave_ot import (
         PowerCost, certify, decompose, extract_map, hyperplane_sample, isotropy_audit,
-        reconstruct_map_from_potential, resolution_scale, solve_exact, uniform_box, verify_ccm,
-        verify_stay_at_rest,
+        reconstruct_map_from_potential, resolution_scale, snap, solve_exact, uniform_box,
+        verify_ccm, verify_stay_at_rest,
     )
 
     def scipy_modules():
@@ -640,21 +641,36 @@ STARTUP_SCRIPT = textwrap.dedent("""
     extract_map(decompose(plan))
     assert resolution_scale(nu) > 0.0
     assert isotropy_audit(hyperplane_sample(300, 2, seed=0), point_sample=50).worst_witness
-    assert scipy_modules() == [], scipy_modules()
     reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8)
-    assert "scipy.spatial" in sys.modules and "scipy.stats" not in sys.modules, scipy_modules()
+    reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8, plan=plan)
+    assert snap(mu, nu, tol=10.0) != nu
+    assert scipy_modules() == [], scipy_modules()
+    assert isotropy_audit(hyperplane_sample(300, 3, seed=0), point_sample=50).worst_witness
+    assert "scipy.stats" in sys.modules, scipy_modules()
+    print(json.dumps(scipy_modules()))
 """)
 
 
 def test_exact_pipeline_loads_no_scipy():
-    """Solving and auditing a plan, the resolution scale and a d = 2
-    isotropy audit load no scipy module; rebuilding the map loads the
-    kd-tree of scipy.spatial, and still not scipy.stats."""
+    """Solving and auditing a plan, the resolution scale, a d = 2
+    isotropy audit, rebuilding the map (with and without a plan) and
+    snapping load no scipy module.  A d = 3 isotropy audit loads
+    scipy.stats for its direction grid, and no scipy module that
+    ``import scipy.stats`` does not load by itself (scipy.stats imports
+    scipy.spatial, so that name alone cannot show that no k-d tree is
+    used)."""
     src = Path(solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+    stats_alone = subprocess.run(
+        [sys.executable, "-c", "import json, sys, scipy.stats;"
+         " print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert stats_alone.returncode == 0, stats_alone.stderr
+    assert json.loads(run.stdout) == json.loads(stats_alone.stdout)
 
 
 def _maxima_instances(seed):

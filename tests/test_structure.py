@@ -19,6 +19,7 @@ from concave_ot.structure import (
     verify_stay_at_rest,
 )
 from support import (
+    KdTreeKernel,
     ReferenceKernel,
     extract_map_reference,
     lebesgue_grid_pair,
@@ -854,9 +855,15 @@ def reconstruct_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     direction = rng.normal(size=d)
     direction /= np.linalg.norm(direction)
-    if d == 2 and draw(st.booleans()):
-        # collinear atoms: every neighbourhood fit is rank-deficient
+    layout = draw(st.sampled_from(["cloud", "lattice"] + ["collinear"] * (d == 2)))
+    if layout == "collinear":
+        # every neighbourhood fit is rank-deficient
         pts = rng.uniform(-1.0, 1.0, size=(n, 1)) * direction
+    elif layout == "lattice":
+        # n atoms of an integer grid: neighbours tie at equal distances
+        side = math.ceil(n ** (1.0 / d) - 1e-9) + draw(st.integers(0, 2))
+        grid = np.indices((side,) * d).reshape(d, -1).T
+        pts = grid[rng.permutation(len(grid))[:n]].astype(float)
     else:
         pts = rng.normal(size=(n, d))
     mu = DiscreteMeasure(pts, np.full(n, 1.0 / n))
@@ -910,6 +917,34 @@ class TestReconstructionReference:
         np.testing.assert_allclose(
             got.direction_cosine, ref.direction_cosine, rtol=0, atol=1e-13
         )
+
+
+class TestNeighboursWithoutTies:
+    """Where no two distances tie, the compiled kernel's neighbours are
+    those scipy's k-d tree gave, so the outputs keep their bits."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_reconstruction_matches_kd_tree(self, d, monkeypatch):
+        mu = uniform_box(300, d, seed=40 + d)
+        nu = uniform_box(300, d, corner_lo=[2.0] * d, corner_hi=[3.0] * d, seed=50 + d)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
+        monkeypatch.setattr(solver, "_compiled_kernel", KdTreeKernel)
+        tree = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
+        assert not np.isnan(got.y_pred).any()
+        for name in ("y_pred", "gradients", "radii", "fit_residual", "gap_event",
+                     "out_of_range", "near_diagonal", "lp_targets", "pred_error",
+                     "direction_cosine"):
+            assert getattr(got, name).tobytes() == getattr(tree, name).tobytes(), name
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_snap_matches_kd_tree(self, d, monkeypatch):
+        mu = uniform_box(2000, d, seed=60 + d)
+        nu = uniform_box(2000, d, seed=70 + d)
+        got = measures.snap(mu, nu, tol=0.02)
+        assert 0 < len(measures.match_atoms(mu, got)[0]) < len(nu)
+        monkeypatch.setattr(solver, "_compiled_kernel", KdTreeKernel)
+        assert measures.snap(mu, nu, tol=0.02) == got
 
 
 class TestKinkEvents:
