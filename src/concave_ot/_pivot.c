@@ -1,14 +1,16 @@
 /* Compiled kernel of concave_ot: the network simplex of solver (the
  * starting tree and the pivot loop), the Euclidean distances the cost
  * matrices are made of, the scorers of two audits, verify_ccm in
- * structure and certify in solver, and the nearest-atom search and cone
- * scan of the isotropy audit in geometry.
+ * structure and certify in solver, the nearest-atom search of the
+ * isotropy audit in geometry, of snap in measures and of the map
+ * reconstruction in structure, the isotropy audit's cone scan, and that
+ * reconstruction's affine gradient fits.
  *
  * starting_tree is a port of the Python least-cost basis
  * (_least_cost_basis) and one-DFS thread build (_python_start), and
  * pivot_loop of the Python loop (_pivot_loop); these and the numpy
  * references of the other entry points live in tests/support.py, where
- * ReferenceKernel serves them under the names of the eight entry points,
+ * ReferenceKernel serves them under the names of the nine entry points,
  * and the tests require the same bits from both.  The start takes arcs
  * in the same global (cost, arc id) order, merging sorted runs of each
  * row's cheapest arcs read in place from the cost matrix, and crosses
@@ -45,6 +47,9 @@
  * distances sums them, which its reference _numpy_nearest_atoms finds by
  * brute force and np.lexsort; it searches a cell grid that each call
  * builds, and stops only where no unscanned atom can have a lesser key.
+ * affine_fits solves each atom's least-squares system by a one-sided
+ * Jacobi SVD, one atom and one float at a time, as its Python reference
+ * _python_affine_fits does.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size.  pair_scores scores the pair swaps of
@@ -64,13 +69,14 @@
  * -march=native, so that the compiler uses the host's encodings and
  * vector width, and -fno-math-errno, so that a square root is one
  * instruction, lane-wise in distances: the kernel never reads errno, and
- * sqrt is correctly rounded either way.  It calls the eight entry points
+ * sqrt is correctly rounded either way.  It calls the nine entry points
  * through ctypes; there is no other path, so without a compiler every
  * solve, cost matrix and audit raises solver.SolverError.  Node arrays
  * are indexed by node (sources 0..m-1, targets m..m+n-1) and filled or
  * updated in place; all state lives in the caller's arrays or in memory
  * allocated per call, so concurrent calls are safe.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -80,7 +86,7 @@ typedef int64_t i64;
 
 enum {
     OPTIMAL = 0, BUDGET_EXHAUSTED = 1, NO_LEAVING_ARC = 2, NO_MEMORY = 3, NOT_SPANNING = 4,
-    BROKEN_THREAD = 5,
+    BROKEN_THREAD = 5, NOT_FINITE = 6,
 };
 
 /* ---- starting tree -------------------------------------------------- */
@@ -1336,5 +1342,139 @@ int nearest_atoms(i64 n, i64 d, const double *points, i64 count, const double *q
     }
     free(h.key);
     free_grid(&g);
+    return 0;
+}
+
+/* ---- affine fits ---------------------------------------------------- */
+
+/* The least-squares affine fit of values around each atom: atom i's k1
+ * neighbours j = nb[i * k1 + r] give the k1 x (d + 1) system
+ * [x_j - x_i, 1] s ~ values[j] - values[i], and grads[i * d + l] = s_l
+ * for l < d, the minimum-norm solution that drops the singular values
+ * <= DBL_EPSILON * k1 * (the greatest), the cutoff of numpy's lstsq with
+ * rcond=None.  resid[i] = sqrt((e_0 e_0 + ... + e_{k1-1} e_{k1-1}) / k1)
+ * for the misfits e_r = ((x_j - x_i) . s_{<d} + s_d) - (values[j] -
+ * values[i]), each sum taken in order from 0.0.  Its Python twin is
+ * _python_affine_fits.
+ *
+ * The fit is a one-sided Jacobi SVD (Hestenes 1958; Demmel and Veselic
+ * 1992): the system is scaled by the power of two that brings its largest
+ * entry into [1/2, 1), which changes no rounding while every product
+ * stays in the normal range but keeps the squares of differences near
+ * the overflow threshold finite; cyclic
+ * sweeps then rotate each pair p < q of its columns orthogonal, by the
+ * rotation that zeroes their dot product, while the dot product exceeds
+ * JACOBI_TOL times the product of their norms, for at most JACOBI_SWEEPS
+ * sweeps; a sweep without a rotation ends the fit.  The columns are then
+ * the singular vectors times the singular values, and V, the product of
+ * the rotations, maps them back to s.  A NaN value makes the fit NaN.
+ * Returns NOT_FINITE, with *atom the first atom whose system has a
+ * non-finite entry, NO_MEMORY or 0. */
+
+enum { JACOBI_SWEEPS = 30 };
+#define JACOBI_TOL (4 * DBL_EPSILON)
+
+/* (x, y) <- (c x - s y, s x + c y), entry by entry */
+static void rotate(double *x, double *y, i64 len, double c, double s)
+{
+    for (i64 r = 0; r < len; r++) {
+        const double xr = x[r], yr = y[r];
+        x[r] = c * xr - s * yr;
+        y[r] = s * xr + c * yr;
+    }
+}
+
+static double dot(const double *x, const double *y, i64 len)
+{
+    double sum = 0.0;
+    for (i64 r = 0; r < len; r++)
+        sum += x[r] * y[r];
+    return sum;
+}
+
+int affine_fits(i64 n, i64 d, const double *points, i64 k1, const i64 *nb, const double *values,
+                double *grads, double *resid, i64 *atom)
+{
+    const i64 d1 = d + 1;
+    /* a: the system, and v: the product of the rotations, column by column */
+    double *a = malloc((d1 * k1 + d1 * d1 + k1 + 2 * d1) * sizeof *a);
+    if (!a)
+        return NO_MEMORY;
+    double *v = a + d1 * k1, *rhs = v + d1 * d1, *norm2 = rhs + k1, *sol = norm2 + d1;
+    for (i64 i = 0; i < n; i++) {
+        const double *x = points + i * d;
+        double top = 1.0;
+        for (i64 r = 0; r < k1; r++) {
+            const i64 j = nb[i * k1 + r];
+            for (i64 l = 0; l < d; l++) {
+                const double t = points[j * d + l] - x[l];
+                if (!isfinite(t)) {
+                    free(a);
+                    *atom = i;
+                    return NOT_FINITE;
+                }
+                a[l * k1 + r] = t;
+                top = fabs(t) > top ? fabs(t) : top;
+            }
+            rhs[r] = values[j] - values[i];
+        }
+        int e;
+        frexp(top, &e);
+        const double scale = ldexp(1.0, -e);
+        for (i64 c = 0; c < d1 * k1; c++) /* the last column is the ones */
+            a[c] = c < d * k1 ? a[c] * scale : scale;
+        for (i64 c = 0; c < d1 * d1; c++)
+            v[c] = c % (d1 + 1) == 0;
+        for (int sweep = 0; sweep < JACOBI_SWEEPS; sweep++) {
+            int rotated = 0;
+            for (i64 p = 0; p < d1 - 1; p++)
+                for (i64 q = p + 1; q < d1; q++) {
+                    double *ap = a + p * k1, *aq = a + q * k1;
+                    const double alpha = dot(ap, ap, k1), beta = dot(aq, aq, k1),
+                                 gamma = dot(ap, aq, k1);
+                    if (!(fabs(gamma) > JACOBI_TOL * (sqrt(alpha) * sqrt(beta))))
+                        continue;
+                    const double zeta = (beta - alpha) / (gamma + gamma),
+                                 t = copysign(1.0, zeta) / (fabs(zeta) + sqrt(1.0 + zeta * zeta)),
+                                 c = 1.0 / sqrt(1.0 + t * t);
+                    rotate(ap, aq, k1, c, c * t);
+                    rotate(v + p * d1, v + q * d1, d1, c, c * t);
+                    rotated = 1;
+                }
+            if (!rotated)
+                break;
+        }
+        /* s = the sum over kept columns c of v_c (a_c . rhs) / |a_c|^2,
+         * scaled back */
+        double top_norm = 0.0;
+        for (i64 c = 0; c < d1; c++) {
+            sol[c] = 0.0;
+            norm2[c] = dot(a + c * k1, a + c * k1, k1);
+            top_norm = sqrt(norm2[c]) > top_norm ? sqrt(norm2[c]) : top_norm;
+        }
+        const double cutoff = DBL_EPSILON * k1 * top_norm;
+        for (i64 c = 0; c < d1; c++) {
+            if (!(sqrt(norm2[c]) > cutoff))
+                continue;
+            const double coef = dot(a + c * k1, rhs, k1) / norm2[c];
+            for (i64 l = 0; l < d1; l++)
+                sol[l] += v[c * d1 + l] * coef;
+        }
+        for (i64 l = 0; l < d1; l++)
+            sol[l] *= scale;
+        double sq = 0.0;
+        for (i64 r = 0; r < k1; r++) {
+            const i64 j = nb[i * k1 + r];
+            double fit = 0.0;
+            for (i64 l = 0; l < d; l++)
+                fit += (points[j * d + l] - x[l]) * sol[l];
+            const double misfit = (fit + sol[d]) - rhs[r];
+            sq += misfit * misfit;
+        }
+        for (i64 l = 0; l < d; l++)
+            grads[i * d + l] = sol[l];
+        resid[i] = sqrt(sq / k1);
+    }
+    free(a);
     return 0;
 }

@@ -54,8 +54,10 @@ and cycles of ``structure.verify_ccm`` (``pair_scores``,
 (``certify_maxima``, also in vectors); it also finds the nearest atoms
 of ``geometry.resolution_scale``, ``geometry.isotropy_audit``,
 ``measures.snap`` and ``structure.reconstruct_map_from_potential``
-(``nearest_atoms``, a cell grid built per call) and scans that audit's
-cones (``cone_nearest``, directions in the lanes of a vector).  The
+(``nearest_atoms``, a cell grid built per call), scans that audit's
+cones (``cone_nearest``, directions in the lanes of a vector) and fits
+the reconstruction's gradients (``affine_fits``, one one-sided Jacobi
+SVD per neighbourhood, with ``lstsq``'s default cutoff).  The
 first call of a process that needs the kernel loads it with ctypes,
 compiling it first with the system
 ``cc -O2 -march=native -ffp-contract=off -fno-math-errno -shared -fPIC``
@@ -442,6 +444,10 @@ def _kernel_error(status, budget=None):
     return SolverError(_KERNEL_ERRORS[status].format(budget=budget))
 
 
+# the ValueError of affine_fits's NOT_FINITE (6)
+_NOT_FINITE_FIT = "the affine fit of atom {atom} has a coordinate difference that is not finite"
+
+
 _PIVOT_SOURCE = Path(__file__).with_name("_pivot.c")
 _CC = ("cc", "-O2", "-march=native", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _KERNEL_CACHE = Path(__file__).with_name("__pycache__")
@@ -501,7 +507,7 @@ def _support(src, tgt, C):
 
 
 class _CompiledKernel:
-    """ctypes binding of the eight entry points of ``_pivot.c``.  Each
+    """ctypes binding of the nine entry points of ``_pivot.c``.  Each
     method returns the bits of the Python or numpy code the C ports,
     which the test suite keeps as its reference."""
 
@@ -553,6 +559,11 @@ class _CompiledKernel:
         self._nearest_atoms = self._lib.nearest_atoms
         self._nearest_atoms.argtypes = [i64, i64, costs, i64, costs, i64, ints, floats]
         self._nearest_atoms.restype = ctypes.c_int
+        self._affine_fits = self._lib.affine_fits
+        self._affine_fits.argtypes = [
+            i64, i64, costs, i64, index, costs, floats, floats, ctypes.POINTER(i64),
+        ]
+        self._affine_fits.restype = ctypes.c_int
 
     def start(self, a, b, C):
         m, n = len(a), len(b)
@@ -680,6 +691,36 @@ class _CompiledKernel:
             raise MemoryError("no memory for the grid of the nearest-atom search")
         return atoms, dist
 
+    def affine_fits(self, points, neighbours, values):
+        """The least-squares affine fit of ``values`` around each atom, as
+        (gradients, residuals) of shapes (n, d) and (n,): row i of
+        ``neighbours`` lists the atoms j of the system
+        [x_j - x_i, 1] s ~ values_j - values_i, whose minimum-norm
+        solution with ``lstsq``'s default cutoff gives the gradient
+        s[:d], and the residual is the root mean square misfit.  A NaN
+        value makes its fits NaN; a system with a non-finite entry raises
+        ValueError naming its atom."""
+        points, values = (np.ascontiguousarray(x, dtype=float) for x in (points, values))
+        neighbours = np.ascontiguousarray(neighbours, dtype=np.int64)
+        if (
+            points.ndim != 2 or neighbours.ndim != 2 or not neighbours.shape[1]
+            or not len(points) == len(neighbours) == len(values) or values.ndim != 1
+        ):
+            raise ValueError("points, values and neighbours need one row per atom, a neighbour each")
+        n = len(points)
+        if n and not 0 <= neighbours.min() <= neighbours.max() < n:
+            raise ValueError("neighbours do not index the points")
+        grads, resid, atom = np.empty(points.shape), np.empty(n), ctypes.c_int64()
+        status = self._affine_fits(
+            n, points.shape[1], points, neighbours.shape[1], neighbours, values, grads, resid,
+            ctypes.byref(atom),
+        )
+        if status == 3:
+            raise MemoryError("no memory for the affine fits")
+        if status:
+            raise ValueError(_NOT_FINITE_FIT.format(atom=atom.value))
+        return grads, resid
+
     def pivot_loop(self, tree, pivot_budget):
         num_nodes, n = len(tree.pi), tree.n
         m = num_nodes - n
@@ -702,13 +743,16 @@ class _CompiledKernel:
 @functools.cache
 def _compiled_kernel():
     """The compiled start, pivot loop, distances, audit scorers,
-    nearest-atom search and cone scan, built and loaded on first use.
+    nearest-atom search, cone scan and affine fits, built and loaded on
+    first use.
 
     ``nearest_atoms`` serves ``geometry.resolution_scale`` and
     ``geometry.isotropy_audit``, the neighbourhoods of
     ``structure.reconstruct_map_from_potential`` and each nu-atom's
-    nearest mu-atom in ``measures.snap``; so the package's exact path
-    and its map reconstruction load no scipy module.
+    nearest mu-atom in ``measures.snap``; ``affine_fits`` fits the
+    reconstruction's gradients over those neighbourhoods.  So the
+    package's exact path and its map reconstruction load no scipy
+    module, and the reconstruction calls no ``np.linalg`` routine.
 
     If that fails (no ``cc``, a compile error, an unwritable cache), it
     raises :class:`SolverError` naming the compiler command and its

@@ -366,6 +366,12 @@ def _check_k_neighbors(k_neighbors, d, n):
     return k
 
 
+def _row_norms(x):
+    """The Euclidean norm of each row of ``x``, with the bits of
+    ``np.linalg.norm(x, axis=1)``."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan=None):
     """Rebuild target predictions from the source-side potential.
 
@@ -381,13 +387,16 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     ``y_pred = x - r * grad/|grad|``.  Atoms whose gradient norm is at
     most 1e-8 stay at rest (``near_diagonal``, radius 0).
 
-    All fits are one stacked pseudo-inverse over the (n, k+1, d+1)
-    neighbour systems, with ``lstsq``'s default cutoff, so a
-    rank-deficient neighbourhood gets the minimum-norm gradient; the
-    radii come from one array call of the inverse derivative, and only
-    moving atoms divide by their gradient norm.  A ``plan`` must have
-    ``mu`` and ``nu`` as its source and target (else ``ValueError``), as
-    its entries are read as atoms of the two.
+    The fits are one call of the compiled kernel's ``affine_fits``: a
+    one-sided Jacobi SVD of each (k+1) x (d+1) neighbour system, which
+    drops the singular values that ``lstsq``'s default cutoff drops, so a
+    rank-deficient neighbourhood gets the minimum-norm gradient.  An atom
+    whose coordinate differences overflow raises ``ValueError`` naming
+    it; a NaN potential in a neighbourhood makes its fit NaN and the atom
+    ``out_of_range``.  The radii come from one array call of the inverse
+    derivative, and only moving atoms divide by their gradient norm.  A
+    ``plan`` must have ``mu`` and ``nu`` as its source and target (else
+    ``ValueError``), as its entries are read as atoms of the two.
     """
     if plan is not None and (mu != plan.source or nu != plan.target):
         raise ValueError("mu and nu must be the plan's source and target")
@@ -397,21 +406,12 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")
 
-    nb, _ = solver._compiled_kernel().nearest_atoms(mu.points, mu.points, k + 1)
-
-    # affine fit phi(x_j) - phi(x_i) ~ g . (x_j - x_i) + b over each
-    # neighbourhood, all at once; pinv with lstsq's default cutoff gives
-    # lstsq's minimum-norm solution on rank-deficient neighbourhoods
-    A = np.ones((n, k + 1, d + 1))
-    A[:, :, :d] = mu.points[nb] - mu.points[:, None, :]
-    rhs = phi[nb] - phi[:, None]
-    pinv = np.linalg.pinv(A, rcond=np.finfo(float).eps * (k + 1))
-    sol = np.einsum("nij,nj->ni", pinv, rhs)
-    grads = sol[:, :d]
-    resid = np.sqrt(np.mean((np.einsum("nij,nj->ni", A, sol) - rhs) ** 2, axis=1))
+    kernel = solver._compiled_kernel()
+    nb, _ = kernel.nearest_atoms(mu.points, mu.points, k + 1)
+    grads, resid = kernel.affine_fits(mu.points, nb, phi)
 
     # flat gradients stay at rest; the others move by the inverse derivative
-    gnorm = np.linalg.norm(grads, axis=1)
+    gnorm = _row_norms(grads)
     near_diag = gnorm <= _GRAD_TOL
     moving = ~near_diag
     r, gap, out = cost._inv_deriv(gnorm[moving])
@@ -438,9 +438,9 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
         extract = extract_map(decompose(plan))
         lp = np.full((n, d), np.nan)
         lp[extract.assigned_sources] = nu.points[extract.assigned_targets]
-        err = np.linalg.norm(y_pred - lp, axis=1)
+        err = _row_norms(y_pred - lp)
         disp = lp - mu.points
-        dn = np.linalg.norm(disp, axis=1)
+        dn = _row_norms(disp)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosine = -np.einsum("ij,ij->i", grads, disp) / (gnorm * dn)
         result.lp_targets = lp

@@ -10,10 +10,12 @@ HiGHS, independent code that scales to a few hundred atoms.  The
 isotropy reference scans every atom for every cone, and scipy's k-d
 tree gives the resolution scale that the audit reads from the compiled
 kernel's nearest-atom search; ``KdTreeKernel`` answers that search with
-the tree, for the tests that hold the map and ``measures.snap`` to the
-tree's neighbours where no distances tie.  The map references
-are the per-atom loops that ``structure.extract_map`` and
-``structure.reconstruct_map_from_potential`` replace with array code.
+the tree (and forwards the affine fits to the compiled kernel), for the
+tests that hold the map and ``measures.snap`` to the tree's neighbours
+where no distances tie.  The map references are the per-atom loops that
+``structure.extract_map`` replaces with array code and
+``structure.reconstruct_map_from_potential`` with the kernel's affine
+fits; each of the latter's gradients is its own ``lstsq`` fit.
 The canonical-order reference sorts a measure's atoms with
 ``np.unique``'s structured-row sort, which ``DiscreteMeasure`` replaces
 with one stable lexsort.
@@ -30,6 +32,7 @@ and asserts that the reports are equal.
 """
 
 import math
+import sys
 from itertools import combinations, permutations
 from unittest import mock
 
@@ -513,7 +516,7 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
 
 
 class ReferenceKernel:
-    """The eight entry points of the compiled kernel, as the Python and numpy
+    """The nine entry points of the compiled kernel, as the Python and numpy
     code that ``_pivot.c`` ports; called with the same arguments, each
     returns the same bits.  Patching ``solver._compiled_kernel`` with this
     class runs the solver, the cost matrices and the audits on it."""
@@ -544,6 +547,9 @@ class ReferenceKernel:
 
     def nearest_atoms(self, points, queries, k):
         return _numpy_nearest_atoms(points, queries, k)
+
+    def affine_fits(self, points, neighbours, values):
+        return _python_affine_fits(points, neighbours, values)
 
 
 def _least_cost_basis(a, b, C):
@@ -965,14 +971,101 @@ def _numpy_nearest_atoms(points, queries, k):
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
 
 
+# the sweep cap and rotation threshold of _pivot.c's affine_fits
+_JACOBI_SWEEPS = 30
+_JACOBI_TOL = 4 * sys.float_info.epsilon
+
+
+def _dot(x, y):
+    total = 0.0
+    for s, t in zip(x, y):
+        total += s * t
+    return total
+
+
+def _rotate(x, y, c, s):
+    for r, (xr, yr) in enumerate(zip(x, y)):
+        x[r] = c * xr - s * yr
+        y[r] = s * xr + c * yr
+
+
+def _python_affine_fits(points, neighbours, values):
+    """The Python reference for ``affine_fits`` in ``_pivot.c``, one atom
+    and one float at a time: the system [x_j - x_i, 1] s ~ phi_j - phi_i
+    over row i of ``neighbours``, scaled by the power of two that brings
+    its largest entry into [1/2, 1), orthogonalised by cyclic one-sided
+    Jacobi sweeps (at most ``_JACOBI_SWEEPS``, rotating a pair of columns
+    while their dot product exceeds ``_JACOBI_TOL`` times the product of
+    their norms), and solved dropping the singular values at or below
+    eps * k1 * (the greatest), as (gradients, root mean square misfits)."""
+    n, d = points.shape
+    k1 = neighbours.shape[1]
+    pts, vals = points.tolist(), values.tolist()
+    grads, resid = np.empty((n, d)), np.empty(n)
+    for i, rows in enumerate(neighbours.tolist()):
+        x = pts[i]
+        diff = [[pts[j][l] - x[l] for l in range(d)] for j in rows]
+        if not all(math.isfinite(t) for row in diff for t in row):
+            raise ValueError(solver._NOT_FINITE_FIT.format(atom=i))
+        rhs = [vals[j] - vals[i] for j in rows]
+        top = 1.0
+        for row in diff:
+            for t in row:
+                top = abs(t) if abs(t) > top else top
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        # the columns of the scaled system, and of v, the product of the rotations
+        cols = [[row[l] * scale for row in diff] for l in range(d)] + [[scale] * k1]
+        v = [[float(l == c) for l in range(d + 1)] for c in range(d + 1)]
+        for _ in range(_JACOBI_SWEEPS):
+            rotated = False
+            for p, q in combinations(range(d + 1), 2):
+                alpha, beta = _dot(cols[p], cols[p]), _dot(cols[q], cols[q])
+                gamma = _dot(cols[p], cols[q])
+                if not abs(gamma) > _JACOBI_TOL * (math.sqrt(alpha) * math.sqrt(beta)):
+                    continue
+                zeta = (beta - alpha) / (gamma + gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                _rotate(cols[p], cols[q], c, c * t)
+                _rotate(v[p], v[q], c, c * t)
+                rotated = True
+            if not rotated:
+                break
+        norm2 = [_dot(col, col) for col in cols]
+        cutoff = sys.float_info.epsilon * k1 * max(math.sqrt(s) for s in norm2)
+        sol = [0.0] * (d + 1)
+        for c, col in enumerate(cols):
+            if math.sqrt(norm2[c]) > cutoff:
+                coef = _dot(col, rhs) / norm2[c]
+                for l in range(d + 1):
+                    sol[l] += v[c][l] * coef
+        sol = [t * scale for t in sol]
+        sq = 0.0
+        for row, b in zip(diff, rhs):
+            misfit = (_dot(row, sol[:d]) + sol[d]) - b
+            sq += misfit * misfit
+        grads[i] = sol[:d]
+        resid[i] = math.sqrt(sq / k1)
+    return grads, resid
+
+
+# the compiled kernel, for KdTreeKernel to forward to while it is patched in
+_compiled_kernel = solver._compiled_kernel
+
+
 class KdTreeKernel:
     """The compiled kernel's ``nearest_atoms`` answered by scipy's k-d
     tree, whose order among equally distant atoms is the tree's own: on
-    inputs with no ties it must give the same atoms and distances."""
+    inputs with no ties it must give the same atoms and distances.  The
+    other entry point the reconstruction calls, ``affine_fits``, is the
+    compiled kernel's, so a comparison sees the neighbours only."""
 
     def nearest_atoms(self, points, queries, k):
         dist, atoms = cKDTree(points).query(queries, k=[*range(1, k + 1)])
         return atoms, dist
+
+    def affine_fits(self, points, neighbours, values):
+        return _compiled_kernel().affine_fits(points, neighbours, values)
 
 
 def resolution_reference(measure):

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -917,6 +922,224 @@ class TestReconstructionReference:
         np.testing.assert_allclose(
             got.direction_cosine, ref.direction_cosine, rtol=0, atol=1e-13
         )
+
+
+def fit_neighbours(mu, k):
+    """The k + 1 atoms the reconstruction fits each atom's gradient over."""
+    return solver._compiled_kernel().nearest_atoms(mu.points, mu.points, k + 1)[0]
+
+
+def assert_close_to_loop(got, ref, phi, grad_tol=1e-10):
+    """The tolerances of ``test_matches_loop``, on NaN rows too."""
+    for mask in ("near_diagonal", "gap_event", "out_of_range"):
+        np.testing.assert_array_equal(getattr(got, mask), getattr(ref, mask), mask)
+    scale = 1.0 + np.nanmax(np.abs(ref.gradients))
+    np.testing.assert_allclose(got.gradients, ref.gradients, rtol=0, atol=grad_tol * scale)
+    np.testing.assert_allclose(
+        got.fit_residual, ref.fit_residual, rtol=0, atol=1e-10 * (1.0 + np.nanmax(np.abs(phi)))
+    )
+    np.testing.assert_allclose(got.radii, ref.radii, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(got.y_pred, ref.y_pred, rtol=1e-8, atol=1e-10)
+
+
+class TestAffineFits:
+    """The compiled kernel's ``affine_fits`` (one-sided Jacobi SVDs) bit
+    for bit against its Python port, and through the reconstruction
+    against the per-atom ``lstsq`` loop where ``reconstruct_cases`` does
+    not reach."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=reconstruct_cases())
+    def test_kernel_matches_port(self, case):
+        mu, phi, _, k = case
+        nb = fit_neighbours(mu, k)
+        got = solver._compiled_kernel().affine_fits(mu.points, nb, phi)
+        want = ReferenceKernel().affine_fits(mu.points, nb, phi)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_kernel_matches_port_on_map_regime(self, monkeypatch):
+        # the separated n = 1000 clouds of the benchmark's map_regime
+        # workload, the whole reconstruction on each kernel
+        mu = uniform_box(1000, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=10)
+        nu = uniform_box(1000, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
+        monkeypatch.setattr(solver, "_compiled_kernel", ReferenceKernel)
+        want = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
+        for name, value in vars(got).items():
+            assert value.tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("shift", [36, 51])
+    def test_cutoff_is_lstsq_default(self, shift):
+        # Nine atoms (t, t (8 - t) 2**-shift) near a line.  Each fit's
+        # least singular value is 1.8e-11 to 3.3e-11 of its greatest at
+        # shift 36, between lstsq's default cutoff eps * 9 and 1e-10, and
+        # 2.4 eps to 4.5 eps at shift 51, between eps and eps * 9: only
+        # that cutoff keeps it in the first case and drops it in the
+        # second.  phi = x + 2**(shift - 36) y holds every entry and
+        # potential exactly, as multiples of 2**-36 below 16.
+        t = np.arange(9.0)
+        mu = DiscreteMeasure(np.column_stack([t, t * (8.0 - t) * 2.0**-shift]), np.full(9, 1 / 9))
+        slope = 2.0 ** (shift - 36)
+        phi = mu.points @ np.array([1.0, slope])
+        eps = np.finfo(float).eps
+        low, high, other = (eps * 9, 1e-10, 1e-10) if shift == 36 else (eps, eps * 9, eps)
+        for i in range(9):
+            A = np.column_stack([mu.points - mu.points[i], np.ones(9)])
+            sv = np.linalg.svd(A, compute_uv=False)
+            assert low < sv[-1] / sv[0] < high
+            # the other cutoff's gradient is off by half the slope or more
+            wrong = np.linalg.lstsq(A, phi - phi[i], rcond=other)[0]
+            assert abs(wrong[1] - (slope if shift == 36 else 0.0)) > slope / 2
+
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        nu = DiscreteMeasure([[5.0, 5.0]], [1.0])
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8)
+        ref = reconstruct_reference(pots, mu, nu, P05, k_neighbors=8)
+        # with the least singular value kept, rounding moves the gradient
+        # by up to about 1e-5; both fits come within 1e-4 of the exact one
+        want = np.array([1.0, slope if shift == 36 else 0.0])
+        np.testing.assert_allclose(ref.gradients, np.tile(want, (9, 1)), rtol=0, atol=1e-4)
+        np.testing.assert_allclose(got.gradients, np.tile(want, (9, 1)), rtol=0, atol=1e-4)
+        np.testing.assert_allclose(got.y_pred, ref.y_pred, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_every_dimension_matches_loop(self, d):
+        mu = uniform_box(4 * d + 12, d, seed=80 + d)
+        rng = np.random.default_rng(d)
+        direction = rng.normal(size=d)
+        nu = DiscreteMeasure([np.full(d, 5.0)], [1.0])
+        for phi in (rng.normal(size=len(mu)), mu.points @ direction):
+            pots = DualPotentials(phi=phi, psi=np.zeros(1))
+            for k in (d + 1, d + 4):
+                got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=k)
+                ref = reconstruct_reference(pots, mu, nu, P05, k_neighbors=k)
+                assert_close_to_loop(got, ref, phi)
+
+    @pytest.mark.parametrize("width, offset, grad_tol", [
+        # lstsq's own gradients are off by up to 9.0e-10 here, against
+        # exact rational least squares of the same systems, where the
+        # Jacobi fits are within 5.6e-16
+        (1e-6, 0.0, 1e-8),
+        # the differences keep about 20 bits less
+        (1.0, 1e6, 1e-10),
+    ])
+    def test_box_scales_match_loop(self, width, offset, grad_tol):
+        box = uniform_box(200, 2, seed=90)
+        mu = DiscreteMeasure(box.points * width + offset, box.weights)
+        rng = np.random.default_rng(90)
+        phi = (mu.points - offset) @ np.array([0.3, -0.2]) + rng.normal(size=200) * 1e-6 * width
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        nu = DiscreteMeasure([[5.0, 5.0]], [1.0])
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8)
+        ref = reconstruct_reference(pots, mu, nu, P05, k_neighbors=8)
+        assert not got.near_diagonal.any()
+        assert_close_to_loop(got, ref, phi, grad_tol)
+
+    def test_overflowing_squares_match_loop(self):
+        # 200 atoms about 2.8e153 apart on a circle: each atom's 8 nearest
+        # lie within 1.3e154, so their squared distances are finite, but
+        # the squares of a coordinate's differences over a neighbourhood
+        # sum past the largest double, so the fit only sees them scaled
+        rng = np.random.default_rng(94)
+        angle = 2 * np.pi * (np.arange(200) + rng.uniform(-0.1, 0.1, 200)) / 200
+        pts = np.column_stack([np.cos(angle), np.sin(angle)]) * (200 * 2.8e153 / (2 * np.pi))
+        mu = DiscreteMeasure(pts, np.full(200, 1 / 200))
+        nb, dist = solver._compiled_kernel().nearest_atoms(mu.points, mu.points, 9)
+        assert np.isfinite(dist).all()
+        with np.errstate(over="ignore"):
+            diff = mu.points[nb] - mu.points[:, None, :]
+            assert np.isinf((diff * diff).sum(axis=1)).any(axis=1).all()
+        phi = mu.points @ np.array([0.3, -0.2]) + rng.normal(size=200) * 1e147
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        nu = DiscreteMeasure([[-1e160, 0.0]], [1.0])
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8)
+        ref = reconstruct_reference(pots, mu, nu, P05, k_neighbors=8)
+        assert not got.near_diagonal.any()
+        assert_close_to_loop(got, ref, phi)
+
+    def test_nan_potentials_stay_nan(self):
+        mu = uniform_box(120, 2, seed=91)
+        phi = mu.points @ np.array([0.3, 0.1])
+        phi[[4, 50, 51]] = np.nan
+        pots = DualPotentials(phi=phi, psi=np.zeros(1))
+        nu = DiscreteMeasure([[5.0, 5.0]], [1.0])
+        got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8)
+        ref = reconstruct_reference(pots, mu, nu, P05, k_neighbors=8)
+        nan = np.isin(fit_neighbours(mu, 8), [4, 50, 51]).any(axis=1)
+        assert 3 < nan.sum() < 120
+        for field in ("y_pred", "gradients", "radii"):
+            rows = np.isnan(getattr(got, field)).reshape(120, -1).all(axis=1)
+            np.testing.assert_array_equal(rows, nan, field)
+        np.testing.assert_array_equal(np.isnan(got.fit_residual), nan)
+        np.testing.assert_array_equal(got.out_of_range, nan)
+        assert_close_to_loop(got, ref, phi)
+
+    def test_calls_no_linalg_routine(self, monkeypatch):
+        mu = uniform_box(60, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=92)
+        nu = uniform_box(60, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=93)
+        plan, pots, _ = solve_exact(mu, nu, P05)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+                monkeypatch.setattr(np.linalg, name, refuse)
+        res = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
+        assert not np.isnan(res.direction_cosine).any()
+
+    @pytest.mark.parametrize("kernel", [solver._compiled_kernel, ReferenceKernel])
+    def test_non_finite_system_refused(self, kernel):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1e308, 0.0], [1e308, 1.0]])
+        near = np.array([[0, 1, 2], [1, 0, 2], [2, 3, 0], [3, 4, 0], [4, 3, 1]])
+        with pytest.raises(ValueError, match="^the affine fit of atom 3 has a coordinate"):
+            kernel().affine_fits(points, near, np.zeros(5))
+        points[1, 1] = np.nan
+        with pytest.raises(ValueError, match="^the affine fit of atom 0 has a coordinate"):
+            kernel().affine_fits(points, near, np.zeros(5))
+
+    def test_binding_checks_before_passing_pointers(self):
+        kernel = solver._compiled_kernel()
+        points, values = np.zeros((5, 2)), np.zeros(5)
+        near = np.tile(np.arange(3), (5, 1))
+        for args in ((points, near, values[:4]), (points, near[:, :0], values),
+                     (points[0], near, values), (points, near[0], values),
+                     (points, near, values[:, None])):
+            with pytest.raises(ValueError, match="one row per atom, a neighbour each"):
+                kernel.affine_fits(*args)
+        for bad in (near + 3, near - 1):
+            with pytest.raises(ValueError, match="^neighbours do not index the points$"):
+                kernel.affine_fits(points, bad, values)
+
+    def test_overflowing_differences_refused_at_once(self):
+        # np.linalg.pinv, which the fits used before, looped without end
+        # inside LAPACK on the infinite differences of these four atoms;
+        # a subprocess, so that such a hang fails the test by its timeout
+        script = textwrap.dedent("""
+            import time
+            import numpy as np
+            from concave_ot import DiscreteMeasure, PowerCost, reconstruct_map_from_potential
+            from concave_ot.solver import DualPotentials
+
+            big = [[-1e308, 0.0], [1e308, 0.0], [0.0, -1e308], [0.0, 1e308]]
+            mu = DiscreteMeasure(big, [0.25] * 4)
+            pots = DualPotentials(phi=np.zeros(4), psi=np.zeros(1))
+            started = time.perf_counter()
+            try:
+                reconstruct_map_from_potential(pots, mu, mu, PowerCost(0.5), k_neighbors=3)
+            except ValueError as exc:
+                print(exc)
+            print(time.perf_counter() - started)
+        """)
+        src = Path(solver.__file__).resolve().parents[1]
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert run.returncode == 0, run.stderr
+        message, seconds = run.stdout.splitlines()
+        assert message == "the affine fit of atom 0 has a coordinate difference that is not finite"
+        assert float(seconds) < 1.0
 
 
 class TestNeighboursWithoutTies:
