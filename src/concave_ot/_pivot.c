@@ -65,13 +65,13 @@
  *
  * The vectors are GCC / Clang vector extensions, 32 bytes wide where the
  * compiler targets AVX and 16 otherwise (see "vectors" below).
- * solver._compiled_kernel builds this file with the system cc,
+ * _kernel._compiled_kernel builds this file with the system cc,
  * -march=native, so that the compiler uses the host's encodings and
  * vector width, and -fno-math-errno, so that a square root is one
  * instruction, lane-wise in distances: the kernel never reads errno, and
  * sqrt is correctly rounded either way.  It calls the nine entry points
  * through ctypes; there is no other path, so without a compiler every
- * solve, cost matrix and audit raises solver.SolverError.  Node arrays
+ * solve, cost matrix and audit raises SolverError.  Node arrays
  * are indexed by node (sources 0..m-1, targets m..m+n-1) and filled or
  * updated in place; all state lives in the caller's arrays or in memory
  * allocated per call, so concurrent calls are safe.

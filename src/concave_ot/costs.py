@@ -30,6 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = [
     "ConcaveCost",
     "PowerCost",
@@ -387,31 +389,19 @@ def cost_matrix(mu, nu, cost):
 def _pair_costs(cost, x, y):
     """The matrix ``f(|x_i - y_j|)`` over the rows of ``x`` and ``y``.
 
-    The three families evaluate ``f`` in place on the distance matrix, so
-    one m x n array is alive, not two.  A cost that defines its own
-    ``value`` (a subclass overriding it, or any object with a ``value``
-    method) is called on the distances.
+    The distances are the compiled kernel's ``distances``: it sums the
+    squared coordinate differences in order from 0.0 and takes the square
+    root, so it returns the bits of scipy's ``cdist``.  Raises
+    ``SolverError`` if the kernel cannot be built, ``ValueError`` if the
+    shapes do not match.  The three families evaluate ``f`` in place on
+    the distance matrix, so one m x n array is alive, not two.  A cost
+    that defines its own ``value`` (a subclass overriding it, or any
+    object with a ``value`` method) is called on the distances.
     """
-    dist = _distances(x, y)
+    dist = _kernel._compiled_kernel().distances(x, y)
     if type(cost).value is ConcaveCost.value:
         return cost._value_in_place(dist)
     return cost.value(dist)
-
-
-def _distances(x, y):
-    """Euclidean distances between the rows of ``x`` and of ``y``, (m, n).
-
-    The compiled kernel of :mod:`concave_ot.solver` computes them: it
-    sums the squared coordinate differences in order from 0.0 and takes
-    the square root, so it returns the bits of scipy's ``cdist``.  Raises
-    ``solver.SolverError`` if the kernel cannot be built, ``ValueError``
-    if the shapes do not match.
-    """
-    from . import solver  # solver imports this module: look it up at call time
-
-    x = np.ascontiguousarray(x, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
-    return solver._compiled_kernel().distances(x, y)
 
 
 _KINDS = {cls.kind: cls for cls in (PowerCost, LogShiftCost, PiecewiseConcaveCost)}

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _kernel
 
 __all__ = [
     "IsotropyReport",
@@ -78,9 +81,40 @@ def halfspace_equivalence(x, delta, y):
     return bool(in_cone), bool(in_half)
 
 
+def _primes(count):
+    """The first ``count`` primes, by trial division."""
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+def _halton(dim, count):
+    """The unscrambled Halton points 1 to ``count`` in ``dim`` dimensions
+    (point 0, the origin, is skipped): column j holds the radical inverses
+    in the j-th prime base, whose digits are added from the least
+    significant, as ``scipy.stats.qmc.Halton(scramble=False)`` adds them,
+    so the points have its bits.  The radical inverse of 1 <= i < b^k in
+    base b lies in [b^-k, 1 - b^-k], inside (0, 1)."""
+    out = np.zeros((count, dim))
+    for col, base in zip(out.T, _primes(dim)):
+        i = np.arange(1, count + 1)
+        scale = 1.0 / base
+        while i.any():
+            col += (i % base) * scale
+            scale /= base
+            i //= base
+    return out
+
+
 def direction_grid(dim, count):
     """Deterministic unit directions: uniform angles on the circle for
-    d = 2, a Halton point set pushed through the Gaussian map for d >= 3."""
+    d = 2, the Halton points of :func:`_halton` pushed through the inverse
+    Gaussian distribution function (the stdlib's ``NormalDist().inv_cdf``)
+    and normalised for d >= 3."""
     if dim < 1 or count < 1:
         raise ValueError("dim and count must be positive")
     if dim == 1:
@@ -88,13 +122,8 @@ def direction_grid(dim, count):
     if dim == 2:
         ang = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    from scipy.stats import norm, qmc
-
-    halton = qmc.Halton(d=dim, scramble=False)
-    halton.fast_forward(1)  # skip the origin sample
-    pts = halton.random(count)
-    pts = np.clip(pts, 1e-12, 1.0 - 1e-12)
-    g = norm.ppf(pts)
+    inv_cdf = statistics.NormalDist().inv_cdf
+    g = np.array([[inv_cdf(p) for p in row] for row in _halton(dim, count).tolist()])
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
@@ -104,13 +133,11 @@ def resolution_scale(measure):
 
     The distances are the compiled kernel's ``nearest_atoms``, squares
     summed in coordinate order as scipy's ``cdist`` sums them.  Raises
-    ``solver.SolverError`` if the kernel cannot be built.
+    ``SolverError`` if the kernel cannot be built.
     """
     if len(measure) < 2:
         return math.inf
-    from . import solver  # the kernel is looked up at call time, as costs._distances does
-
-    _, dist = solver._compiled_kernel().nearest_atoms(measure.points, measure.points, 2)
+    _, dist = _kernel._compiled_kernel().nearest_atoms(measure.points, measure.points, 2)
     return float(np.median(dist[:, 1]))
 
 
@@ -162,7 +189,7 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     each atom's distance and dot products in order.  Raises
     ``ValueError`` unless ``point_sample`` is a (non-bool) integer >= 1
     and the measure has 2 atoms or more (below that there is no
-    resolution scale to set the radii), and ``solver.SolverError`` if
+    resolution scale to set the radii), and ``SolverError`` if
     the kernel cannot be built.
     """
     _check_point_sample(point_sample)
@@ -184,9 +211,7 @@ def isotropy_audit(measure, point_sample=500, seed=0):
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     dist_boundary = np.minimum(X - lo, hi - X).min(axis=1)
 
-    from . import solver  # the kernel is looked up at call time, as costs._distances does
-
-    kernel = solver._compiled_kernel()
+    kernel = _kernel._compiled_kernel()
     k = min(_NEIGHBOURS, n)
     near, dk = kernel.nearest_atoms(pts, X, k)
     starts = np.arange(0, near.size, k)

@@ -29,6 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernel
+
 __all__ = [
     "DiscreteMeasure",
     "MassDecomposition",
@@ -290,9 +292,7 @@ def snap(mu, nu, tol):
         raise ValueError(f"tol must be finite, got {tol}")
     if not (len(mu) and len(nu) and mu.dim):  # in d = 0 all atoms coincide
         return nu
-    from . import solver  # solver imports this module: look it up at call time
-
-    idx, d = solver._compiled_kernel().nearest_atoms(mu.points, nu.points, 1)
+    idx, d = _kernel._compiled_kernel().nearest_atoms(mu.points, nu.points, 1)
     idx, d = idx[:, 0], d[:, 0]
     pts = nu.points.copy()
     close = d <= tol

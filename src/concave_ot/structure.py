@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import _kernel, solver
 from .measures import DiscreteMeasure, meet
 from .solver import TransportPlan
 
@@ -201,7 +201,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     C is never larger than the S x S matrix of the support.  Like
     :func:`solver.solve_exact`, this raises :class:`solver.SolverError`
     when C has more than ``MAX_DENSE_ENTRIES`` entries or a non-finite
-    one.  The compiled kernel of :mod:`concave_ot.solver` scores the
+    one.  The compiled kernel of :mod:`concave_ot._kernel` scores the
     pair swaps (``pair_scores``) and the cycles (``cycle_scores``),
     reading C in place.
     """
@@ -213,7 +213,7 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
         return CcmReport(cycles_checked=0, worst_violation=0.0, violating_cycle=None)
     src, tgt = plan.src_idx, plan.tgt_idx
     C = solver._dense_cost_matrix(plan.source, plan.target, cost)
-    kernel = solver._compiled_kernel()
+    kernel = _kernel._compiled_kernel()
 
     worst = -math.inf
     witness = None
@@ -392,11 +392,14 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     drops the singular values that ``lstsq``'s default cutoff drops, so a
     rank-deficient neighbourhood gets the minimum-norm gradient.  An atom
     whose coordinate differences overflow raises ``ValueError`` naming
-    it; a NaN potential in a neighbourhood makes its fit NaN and the atom
-    ``out_of_range``.  The radii come from one array call of the inverse
-    derivative, and only moving atoms divide by their gradient norm.  A
-    ``plan`` must have ``mu`` and ``nu`` as its source and target (else
-    ``ValueError``), as its entries are read as atoms of the two.
+    it, and so, after the fits, does an atom whose distance to one of its
+    neighbours overflows (those distances all tie at inf, so the atoms
+    taken need not be the nearest); a NaN potential in a neighbourhood
+    makes its fit NaN and the atom ``out_of_range``.  The radii come from
+    one array call of the inverse derivative, and only moving atoms divide
+    by their gradient norm.  A ``plan`` must have ``mu`` and ``nu`` as its
+    source and target (else ``ValueError``), as its entries are read as
+    atoms of the two.
     """
     if plan is not None and (mu != plan.source or nu != plan.target):
         raise ValueError("mu and nu must be the plan's source and target")
@@ -406,9 +409,13 @@ def reconstruct_map_from_potential(potentials, mu, nu, cost, k_neighbors=8, plan
     if phi.shape != (n,):
         raise ValueError("phi must have one value per source atom")
 
-    kernel = solver._compiled_kernel()
-    nb, _ = kernel.nearest_atoms(mu.points, mu.points, k + 1)
+    kernel = _kernel._compiled_kernel()
+    nb, dist = kernel.nearest_atoms(mu.points, mu.points, k + 1)
     grads, resid = kernel.affine_fits(mu.points, nb, phi)
+    # after the fits, whose ValueError names an overflowing difference first
+    far = np.flatnonzero(dist[:, -1] == np.inf)
+    if len(far):
+        raise ValueError(f"the neighbourhood of atom {far[0]} has a distance that overflows")
 
     # flat gradients stay at rest; the others move by the inverse derivative
     gnorm = _row_norms(grads)

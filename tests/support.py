@@ -41,11 +41,11 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from concave_ot import geometry, solver
+from concave_ot import _kernel, geometry
 from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure, meet
-from concave_ot.solver import (
+from concave_ot._kernel import (
     _TREE_LISTS,
     _flat_costs,
     _kernel_error,
@@ -68,7 +68,7 @@ def on_both_kernel_paths(audit, *args, **kwargs):
     :class:`ReferenceKernel`; asserts that the two reports are equal and
     returns the first."""
     got = audit(*args, **kwargs)
-    with mock.patch.object(solver, "_compiled_kernel", ReferenceKernel):
+    with mock.patch.object(_kernel, "_compiled_kernel", ReferenceKernel):
         want = audit(*args, **kwargs)
     assert got == want
     return got
@@ -77,14 +77,14 @@ def on_both_kernel_paths(audit, *args, **kwargs):
 def record_kernel_calls(monkeypatch, name, note):
     """Wraps the compiled kernel's method ``name`` so that each call
     appends ``note(*args)`` to the list returned, then runs it."""
-    inner = getattr(solver._CompiledKernel, name)
+    inner = getattr(_kernel._CompiledKernel, name)
     notes = []
 
     def recording(self, *args):
         notes.append(note(*args))
         return inner(self, *args)
 
-    monkeypatch.setattr(solver._CompiledKernel, name, recording)
+    monkeypatch.setattr(_kernel._CompiledKernel, name, recording)
     return notes
 
 
@@ -518,7 +518,7 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
 class ReferenceKernel:
     """The nine entry points of the compiled kernel, as the Python and numpy
     code that ``_pivot.c`` ports; called with the same arguments, each
-    returns the same bits.  Patching ``solver._compiled_kernel`` with this
+    returns the same bits.  Patching ``_kernel._compiled_kernel`` with this
     class runs the solver, the cost matrices and the audits on it."""
 
     def start(self, a, b, C):
@@ -528,7 +528,8 @@ class ReferenceKernel:
         return _pivot_loop(tree, pivot_budget)
 
     def distances(self, x, y):
-        # the shape check of _CompiledKernel.distances, which wraps the C code
+        # the casts and shape check of _CompiledKernel.distances, which wraps the C code
+        x, y = (np.asarray(z, dtype=float) for z in (x, y))
         if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
             raise ValueError(f"point arrays of shapes {x.shape} and {y.shape} do not match")
         return _numpy_distances(x, y)
@@ -1006,7 +1007,7 @@ def _python_affine_fits(points, neighbours, values):
         x = pts[i]
         diff = [[pts[j][l] - x[l] for l in range(d)] for j in rows]
         if not all(math.isfinite(t) for row in diff for t in row):
-            raise ValueError(solver._NOT_FINITE_FIT.format(atom=i))
+            raise ValueError(_kernel._NOT_FINITE_FIT.format(atom=i))
         rhs = [vals[j] - vals[i] for j in rows]
         top = 1.0
         for row in diff:
@@ -1050,7 +1051,7 @@ def _python_affine_fits(points, neighbours, values):
 
 
 # the compiled kernel, for KdTreeKernel to forward to while it is patched in
-_compiled_kernel = solver._compiled_kernel
+_compiled_kernel = _kernel._compiled_kernel
 
 
 class KdTreeKernel:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from concave_ot import costs, solver
+from concave_ot import _kernel
 from concave_ot.costs import (
     DerivativeGap,
     LogShiftCost,
@@ -353,7 +353,7 @@ BIT_COSTS = [
 def distance_path(request, monkeypatch):
     """The kernel's distances, or its numpy reference in their place."""
     if request.param == "numpy":
-        monkeypatch.setattr(solver, "_compiled_kernel", ReferenceKernel)
+        monkeypatch.setattr(_kernel, "_compiled_kernel", ReferenceKernel)
     return request.param
 
 
@@ -379,11 +379,11 @@ class TestCostMatrixBits:
     def test_duplicate_points_and_overflow(self, distance_path):
         x = np.array([[0.0, 1.0], [0.0, 1.0], [-1e308, 0.0], [2.0, -3.0]])
         y = np.array([[0.0, 1.0], [1e308, 0.0], [0.0, 1.0]])
-        got = costs._distances(x, y)
+        got = _kernel._compiled_kernel().distances(x, y)
         assert got.tobytes() == cdist(x, y).tobytes()
         assert got[2, 1] == math.inf and got[0, 0] == 0.0
         for x, y in LANE_DISTANCE_CASES:
-            got = costs._distances(x, y)
+            got = _kernel._compiled_kernel().distances(x, y)
             assert got.tobytes() == cdist(x, y).tobytes()
             assert got[0, 1] == got[1, 10] == 0.0
             assert got[0, 2] == got[3, 1] == got[3, 10] == math.inf
@@ -391,7 +391,7 @@ class TestCostMatrixBits:
 
     def test_mismatched_dimensions_rejected(self, distance_path):
         with pytest.raises(ValueError, match="do not match"):
-            costs._distances(np.zeros((2, 2)), np.zeros((3, 3)))
+            _kernel._compiled_kernel().distances(np.zeros((2, 2)), np.zeros((3, 3)))
 
     @pytest.mark.parametrize("cost", BIT_COSTS, ids=repr)
     def test_value_formula_in_place(self, cost):

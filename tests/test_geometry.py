@@ -15,7 +15,7 @@ from support import (
     resolution_reference,
 )
 
-from concave_ot import geometry, solver
+from concave_ot import _kernel, geometry
 from concave_ot.geometry import (
     direction_grid,
     halfspace_equivalence,
@@ -155,16 +155,22 @@ class TestDirectionGrid:
         np.testing.assert_array_equal(U1, U2)
         np.testing.assert_allclose(np.linalg.norm(U1, axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("dim, count", [(3, 16), (4, 32)])
+    @pytest.mark.parametrize("count", [16, 32])
+    @pytest.mark.parametrize("dim", range(3, 10))
     def test_halton_grid_bits(self, dim, count):
-        # the Gaussian-mapped Halton points, computed here from scipy.stats
+        # the Halton points are scipy.stats.qmc's unscrambled ones, bit for
+        # bit; the stdlib's inverse normal distribution function differs
+        # from scipy's norm.ppf by about an ulp, so the directions agree
+        # with the grid built from scipy.stats within 1e-15
         from scipy.stats import norm, qmc
 
         halton = qmc.Halton(d=dim, scramble=False)
         halton.fast_forward(1)
-        g = norm.ppf(np.clip(halton.random(count), 1e-12, 1.0 - 1e-12))
+        points = halton.random(count)
+        assert geometry._halton(dim, count).tobytes() == points.tobytes()
+        g = norm.ppf(points)
         want = g / np.linalg.norm(g, axis=1, keepdims=True)
-        assert direction_grid(dim, count).tobytes() == want.tobytes()
+        np.testing.assert_allclose(direction_grid(dim, count), want, rtol=0.0, atol=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -427,7 +433,7 @@ class TestConeNearest:
     def test_same_bytes_as_reference(self, dim, kind):
         for shared in (False, True):
             case = _cone_case(dim, kind, seed=dim, shared=shared)
-            got = solver._compiled_kernel().cone_nearest(*case, _CONE_DELTAS)
+            got = _kernel._compiled_kernel().cone_nearest(*case, _CONE_DELTAS)
             want = ReferenceKernel().cone_nearest(*case, _CONE_DELTAS)
             assert got.shape == (31, len(_CONE_DELTAS), len(case[-1]))
             assert got.tobytes() == want.tobytes()
@@ -448,8 +454,8 @@ class TestConeNearest:
     def test_empty_cone_is_nan_and_apex_never_counts(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
         directions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        got = solver._compiled_kernel().cone_nearest(pts, pts[:1], [0], [3], np.arange(3),
-                                                     directions, (0.4, 0.2))
+        got = _kernel._compiled_kernel().cone_nearest(pts, pts[:1], [0], [3], np.arange(3),
+                                                      directions, (0.4, 0.2))
         # (3, 4) lies on the edge of the +x cone at delta 0.4, outside it at
         # 0.2; the duplicate at r = 0 lies in no cone
         nan = math.nan
@@ -470,7 +476,7 @@ class TestConeNearest:
         measure = DiscreteMeasure(pts, np.full(len(pts), 1.0 / len(pts)))
         kwargs = dict(point_sample=40, seed=dim)
         got = isotropy_audit(measure, **kwargs)
-        with mock.patch.object(solver, "_compiled_kernel", ReferenceKernel):
+        with mock.patch.object(_kernel, "_compiled_kernel", ReferenceKernel):
             twin = isotropy_audit(measure, **kwargs)
         want = isotropy_audit_reference(measure, **kwargs)
         assert repr(_jsonable(got)) == repr(_jsonable(twin)) == repr(_jsonable(want))
@@ -512,7 +518,7 @@ class TestConeNearest:
         assert failures(12.0) < failures(12.5)
 
     def test_bad_rows_rejected(self):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         pts, U = np.zeros((3, 2)), np.eye(2)
         with pytest.raises(ValueError, match="rows"):
             kernel.cone_nearest(pts, pts[:1], [0], [1], [3], U, (0.5,))
@@ -553,7 +559,7 @@ class TestNearestAtoms:
     @pytest.mark.parametrize("dim", [1, 2, 3, 9])
     def test_same_bytes_as_reference(self, dim, kind):
         pts, queries = _nearest_case(dim, kind, seed=dim)
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         for k in (1, 2, 64, len(pts)):
             atoms, dist = kernel.nearest_atoms(pts, queries, k)
             want_atoms, want_dist = ReferenceKernel().nearest_atoms(pts, queries, k)
@@ -577,7 +583,7 @@ class TestNearestAtoms:
         assert repr(_jsonable(got)) == repr(_jsonable(want))
 
     def test_bad_arguments_rejected(self):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         pts = np.zeros((3, 2))
         for k in (0, 4):
             with pytest.raises(ValueError, match=r"k must lie in \[1, 3\]"):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_ot import costs, solver
+from concave_ot import _kernel, solver
+from concave_ot._kernel import _build_pivot_kernel, _compiled_kernel
 from concave_ot.cli import main
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost, cost_matrix
 from concave_ot.geometry import isotropy_audit
@@ -26,8 +27,6 @@ from concave_ot.solver import (
     DualPotentials,
     SolverError,
     TransportPlan,
-    _build_pivot_kernel,
-    _compiled_kernel,
     _network_simplex,
     load_plan,
     save_plan,
@@ -335,7 +334,7 @@ def _both_loops(tree, pivot_budget=10**9):
         pivots = loop(t, pivot_budget)
         out.append({
             "pivots": pivots,
-            **{name: getattr(t, name).tobytes() for name in (*solver._TREE_LISTS, "pi")},
+            **{name: getattr(t, name).tobytes() for name in (*_kernel._TREE_LISTS, "pi")},
         })
     return out
 
@@ -349,7 +348,8 @@ def _both_starts(a, b, C):
                                   np.asarray(C, dtype=float))
         out.append({
             "arcs": arcs.tobytes(), "flows": flows.tobytes(), "opt_tol": tree.opt_tol,
-            **{name: getattr(tree, name).tobytes() for name in ("cost", *solver._TREE_LISTS, "pi")},
+            **{name: getattr(tree, name).tobytes()
+               for name in ("cost", *_kernel._TREE_LISTS, "pi")},
         })
     return out
 
@@ -431,7 +431,7 @@ class TestCompiledPivotLoop:
         mu, nu = random_instance(np.random.default_rng(8), 35, 35, 2)
         tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
         n = tree.n
-        assert solver._pricing_block(n * n) == n
+        assert _kernel._pricing_block(n * n) == n
         outside = np.setdiff1d(np.arange(n * n), tree.parc[1:])
         for j in range(n):
             for arc in outside[outside % n == j]:
@@ -481,16 +481,16 @@ class TestCompiledPivotLoop:
         # library and no CPU loads one built for another
         paths = {}
         for cpu in ("flags\t: fpu sse2", "flags\t: fpu sse2 avx2"):
-            monkeypatch.setattr(solver, "_host_cpu", lambda cpu=cpu: cpu)
+            monkeypatch.setattr(_kernel, "_host_cpu", lambda cpu=cpu: cpu)
             paths[cpu] = _build_pivot_kernel(tmp_path)
         assert len(set(paths.values())) == 2
 
         def no_compiler(*args, **kwargs):
             raise AssertionError("compiled a second time")
 
-        monkeypatch.setattr(solver.subprocess, "run", no_compiler)
+        monkeypatch.setattr(_kernel.subprocess, "run", no_compiler)
         for cpu, path in paths.items():
-            monkeypatch.setattr(solver, "_host_cpu", lambda cpu=cpu: cpu)
+            monkeypatch.setattr(_kernel, "_host_cpu", lambda cpu=cpu: cpu)
             assert _build_pivot_kernel(tmp_path) == path
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
 
@@ -550,8 +550,8 @@ def test_solver_error_when_build_fails(tmp_path, monkeypatch, fresh_kernel_loade
     # needs the kernel, and fails naming the compiler command
     mu, nu = random_instance(np.random.default_rng(3), 30, 25, 2)
     cache = tmp_path / "cache"
-    monkeypatch.setattr(solver, "_KERNEL_CACHE", cache)
-    monkeypatch.setattr(solver, "_CC", ("no-such-cc", *solver._CC[1:]))
+    monkeypatch.setattr(_kernel, "_KERNEL_CACHE", cache)
+    monkeypatch.setattr(_kernel, "_CC", ("no-such-cc", *_kernel._CC[1:]))
     message = ("cannot build the compiled kernel with"
                " `no-such-cc -O2 -march=native -ffp-contract=off -fno-math-errno -shared -fPIC`: ")
     for run in (lambda: solve_exact(mu, nu, P05), lambda: cost_matrix(mu, nu, P05),
@@ -580,7 +580,7 @@ def test_plan_distances_round_as_the_cost_matrix(d):
     mu, nu = random_instance(np.random.default_rng(d), 60, 50, d)
     src, tgt = np.divmod(np.arange(60 * 50), 50)
     plan = TransportPlan(source=mu, target=nu, src_idx=src, tgt_idx=tgt, mass=np.ones(3000))
-    want = costs._distances(mu.points, nu.points)[src, tgt]
+    want = _kernel._compiled_kernel().distances(mu.points, nu.points)[src, tgt]
     assert plan.distances().tobytes() == want.tobytes()
     reference = ReferenceKernel().distances(mu.points, nu.points)
     assert plan.distances().tobytes() == reference.ravel().tobytes()
@@ -618,8 +618,9 @@ def test_map_regime_seed_0_pinned(monkeypatch):
 
 
 STARTUP_SCRIPT = textwrap.dedent("""
-    import json
     import sys
+
+    sys.modules["scipy"] = None  # any import of scipy or its submodules fails
 
     import concave_ot.cli  # noqa: F401
     from concave_ot import (
@@ -627,9 +628,6 @@ STARTUP_SCRIPT = textwrap.dedent("""
         reconstruct_map_from_potential, resolution_scale, snap, solve_exact, uniform_box,
         verify_ccm, verify_stay_at_rest,
     )
-
-    def scipy_modules():
-        return sorted(name for name in sys.modules if name.startswith("scipy"))
 
     mu = uniform_box(12, 2, seed=0)
     nu = uniform_box(12, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=1)
@@ -640,37 +638,26 @@ STARTUP_SCRIPT = textwrap.dedent("""
     assert verify_ccm(plan, cost).ok
     extract_map(decompose(plan))
     assert resolution_scale(nu) > 0.0
-    assert isotropy_audit(hyperplane_sample(300, 2, seed=0), point_sample=50).worst_witness
+    for dim in (2, 3, 5):
+        assert isotropy_audit(hyperplane_sample(300, dim, seed=0), point_sample=50).worst_witness
     reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8)
     reconstruct_map_from_potential(pots, mu, nu, cost, k_neighbors=8, plan=plan)
     assert snap(mu, nu, tol=10.0) != nu
-    assert scipy_modules() == [], scipy_modules()
-    assert isotropy_audit(hyperplane_sample(300, 3, seed=0), point_sample=50).worst_witness
-    assert "scipy.stats" in sys.modules, scipy_modules()
-    print(json.dumps(scipy_modules()))
+    loaded = [name for name, m in sys.modules.items() if name.startswith("scipy") and m]
+    assert loaded == [], loaded
 """)
 
 
 def test_exact_pipeline_loads_no_scipy():
-    """Solving and auditing a plan, the resolution scale, a d = 2
-    isotropy audit, rebuilding the map (with and without a plan) and
-    snapping load no scipy module.  A d = 3 isotropy audit loads
-    scipy.stats for its direction grid, and no scipy module that
-    ``import scipy.stats`` does not load by itself (scipy.stats imports
-    scipy.spatial, so that name alone cannot show that no k-d tree is
-    used)."""
+    """With scipy blocked, the package imports, and solving and auditing
+    a plan, the resolution scale, isotropy audits in d = 2, 3 and 5,
+    rebuilding the map (with and without a plan) and snapping all run:
+    none of them imports a scipy module."""
     src = Path(solver.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    stats_alone = subprocess.run(
-        [sys.executable, "-c", "import json, sys, scipy.stats;"
-         " print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert stats_alone.returncode == 0, stats_alone.stderr
-    assert json.loads(run.stdout) == json.loads(stats_alone.stdout)
 
 
 def _maxima_instances(seed):
@@ -795,7 +782,7 @@ class TestDuality:
         plan, pots, _ = solve_exact(mu, nu, P05)
         pots.phi[4] = np.nan
         certs = [solver.certify(plan, pots, P05)]
-        monkeypatch.setattr(solver, "_compiled_kernel", ReferenceKernel)
+        monkeypatch.setattr(_kernel, "_compiled_kernel", ReferenceKernel)
         certs.append(solver.certify(plan, pots, P05))
         for cert in certs:
             assert not cert.feasible_dual

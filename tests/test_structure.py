@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_ot import measures, solver, structure
+from concave_ot import _kernel, measures, solver, structure
 from concave_ot.costs import LogShiftCost, PiecewiseConcaveCost, PowerCost
 from concave_ot.measures import DiscreteMeasure, meet, three_segments, uniform_box
 from concave_ot.solver import DualPotentials, TransportPlan, solve_exact, solve_with_meet
@@ -499,7 +499,7 @@ class TestAuditScorers:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pair_scores_match_numpy(self, seed):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         rng = np.random.default_rng(seed)
         S = int(rng.integers(1, 150))
         m, n = (int(rng.integers(1, 40)) for _ in range(2))
@@ -521,7 +521,7 @@ class TestAuditScorers:
 
     @pytest.mark.parametrize("length", [3, 4])
     def test_cycle_scores_match_numpy(self, length):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         rng = np.random.default_rng(length)
         S, m, n = 9, 4, 6
         for bad in ("none", "cost", "base"):
@@ -540,7 +540,7 @@ class TestAuditScorers:
                 assert np.array_equal(got[2], want[2])
 
     def test_scorers_reject_indices_outside_the_costs(self):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         C = np.zeros((3, 4))
         for src, tgt in (([0, 3], [0, 1]), ([0, 1], [4, 1]), ([-1, 0], [0, 1]), ([0], [0, 1])):
             with pytest.raises(ValueError, match="support indices"):
@@ -828,6 +828,20 @@ class TestReconstruction:
             with pytest.raises(ValueError, match="^mu and nu must be the plan's source and target$"):
                 reconstruct_map_from_potential(pots, mu, nu, P05, plan=other)
 
+    def test_overflowing_distances_rejected(self):
+        # 200 atoms 2.5e153 apart on a line: a squared distance past the
+        # largest double is inf, and atoms at inf tie by index, so atom
+        # 199's last neighbours would be atoms 0, 1 and 2, the farthest
+        pts = np.arange(200)[:, None] * 2.5e153
+        mu = DiscreteMeasure(pts, np.full(200, 1 / 200))
+        nb, dist = _kernel._compiled_kernel().nearest_atoms(mu.points, mu.points, 9)
+        assert nb[199, -3:].tolist() == [0, 1, 2] and np.isinf(dist[199, -3:]).all()
+        pots = DualPotentials(phi=np.linspace(0.0, 1.0, 200), psi=np.zeros(1))
+        with pytest.raises(
+            ValueError, match="^the neighbourhood of atom 0 has a distance that overflows$"
+        ):
+            reconstruct_map_from_potential(pots, mu, mu, P05, k_neighbors=8)
+
     def test_plan_diagnostics_on_separated_clouds(self):
         mu = uniform_box(400, 2, corner_lo=(0, 0), corner_hi=(1, 1), seed=7)
         nu = uniform_box(400, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=8)
@@ -926,7 +940,7 @@ class TestReconstructionReference:
 
 def fit_neighbours(mu, k):
     """The k + 1 atoms the reconstruction fits each atom's gradient over."""
-    return solver._compiled_kernel().nearest_atoms(mu.points, mu.points, k + 1)[0]
+    return _kernel._compiled_kernel().nearest_atoms(mu.points, mu.points, k + 1)[0]
 
 
 def assert_close_to_loop(got, ref, phi, grad_tol=1e-10):
@@ -953,7 +967,7 @@ class TestAffineFits:
     def test_kernel_matches_port(self, case):
         mu, phi, _, k = case
         nb = fit_neighbours(mu, k)
-        got = solver._compiled_kernel().affine_fits(mu.points, nb, phi)
+        got = _kernel._compiled_kernel().affine_fits(mu.points, nb, phi)
         want = ReferenceKernel().affine_fits(mu.points, nb, phi)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
@@ -965,7 +979,7 @@ class TestAffineFits:
         nu = uniform_box(1000, 2, corner_lo=(3, 3), corner_hi=(4, 4), seed=11)
         plan, pots, _ = solve_exact(mu, nu, P05)
         got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
-        monkeypatch.setattr(solver, "_compiled_kernel", ReferenceKernel)
+        monkeypatch.setattr(_kernel, "_compiled_kernel", ReferenceKernel)
         want = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
         for name, value in vars(got).items():
             assert value.tobytes() == getattr(want, name).tobytes(), name
@@ -1046,7 +1060,7 @@ class TestAffineFits:
         angle = 2 * np.pi * (np.arange(200) + rng.uniform(-0.1, 0.1, 200)) / 200
         pts = np.column_stack([np.cos(angle), np.sin(angle)]) * (200 * 2.8e153 / (2 * np.pi))
         mu = DiscreteMeasure(pts, np.full(200, 1 / 200))
-        nb, dist = solver._compiled_kernel().nearest_atoms(mu.points, mu.points, 9)
+        nb, dist = _kernel._compiled_kernel().nearest_atoms(mu.points, mu.points, 9)
         assert np.isfinite(dist).all()
         with np.errstate(over="ignore"):
             diff = mu.points[nb] - mu.points[:, None, :]
@@ -1090,7 +1104,7 @@ class TestAffineFits:
         res = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
         assert not np.isnan(res.direction_cosine).any()
 
-    @pytest.mark.parametrize("kernel", [solver._compiled_kernel, ReferenceKernel])
+    @pytest.mark.parametrize("kernel", [_kernel._compiled_kernel, ReferenceKernel])
     def test_non_finite_system_refused(self, kernel):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1e308, 0.0], [1e308, 1.0]])
         near = np.array([[0, 1, 2], [1, 0, 2], [2, 3, 0], [3, 4, 0], [4, 3, 1]])
@@ -1101,7 +1115,7 @@ class TestAffineFits:
             kernel().affine_fits(points, near, np.zeros(5))
 
     def test_binding_checks_before_passing_pointers(self):
-        kernel = solver._compiled_kernel()
+        kernel = _kernel._compiled_kernel()
         points, values = np.zeros((5, 2)), np.zeros(5)
         near = np.tile(np.arange(3), (5, 1))
         for args in ((points, near, values[:4]), (points, near[:, :0], values),
@@ -1152,7 +1166,7 @@ class TestNeighboursWithoutTies:
         nu = uniform_box(300, d, corner_lo=[2.0] * d, corner_hi=[3.0] * d, seed=50 + d)
         plan, pots, _ = solve_exact(mu, nu, P05)
         got = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
-        monkeypatch.setattr(solver, "_compiled_kernel", KdTreeKernel)
+        monkeypatch.setattr(_kernel, "_compiled_kernel", KdTreeKernel)
         tree = reconstruct_map_from_potential(pots, mu, nu, P05, k_neighbors=8, plan=plan)
         assert not np.isnan(got.y_pred).any()
         for name in ("y_pred", "gradients", "radii", "fit_residual", "gap_event",
@@ -1166,7 +1180,7 @@ class TestNeighboursWithoutTies:
         nu = uniform_box(2000, d, seed=70 + d)
         got = measures.snap(mu, nu, tol=0.02)
         assert 0 < len(measures.match_atoms(mu, got)[0]) < len(nu)
-        monkeypatch.setattr(solver, "_compiled_kernel", KdTreeKernel)
+        monkeypatch.setattr(_kernel, "_compiled_kernel", KdTreeKernel)
         assert measures.snap(mu, nu, tol=0.02) == got
 
 
