@@ -243,10 +243,8 @@ class _CompiledKernel:
         ]
         self._pair_scores.restype = None
         self._cycle_scores = self._lib.cycle_scores
-        self._cycle_scores.argtypes = [
-            i64, i64, i64, index, i64, index, index, costs, *out,
-        ]
-        self._cycle_scores.restype = i64
+        self._cycle_scores.argtypes = [i64, i64, index, i64, index, index, costs, *out]
+        self._cycle_scores.restype = None
         self._certify_maxima = self._lib.certify_maxima
         self._certify_maxima.argtypes = [i64, i64, costs, costs, costs, floats]
         self._certify_maxima.restype = None
@@ -301,34 +299,37 @@ class _CompiledKernel:
     def pair_scores(self, src, tgt, C):
         """np.argmax over the pair swaps ((b_k + b_l) - C[src_k, tgt_l])
         - C[src_l, tgt_k] of the support entries k != l, with
-        b = C[src, tgt], as (value, k, l): the first NaN, or else the
-        first pair with the greatest value, rows k before columns l."""
+        b = C[src, tgt], as (value, k, l): the first pair with the
+        greatest value, rows k before columns l.  ``C`` must be finite
+        (a swap may then overflow to +-inf, but is never NaN); it is not
+        checked here."""
         src, tgt, C = _support(src, tgt, C)
         S = len(src)
         best, at = ctypes.c_double(), np.zeros(2, dtype=np.int64)
         self._pair_scores(S, C.shape[1], src, tgt, C, np.empty(2 * S), ctypes.byref(best), at)
         return best.value, int(at[0]), int(at[1])
 
-    def cycle_scores(self, cycles, limit, src, tgt, C):
-        """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry, each the sum of its entries' own costs C[src, tgt] minus
-        that with every entry's target taken from the next; returns (rows
-        scored, np.argmax value, its row or None)."""
+    def cycle_scores(self, cycles, src, tgt, C):
+        """Scores every row of ``cycles``, each the sum of its entries' own
+        costs C[src, tgt] minus that with every entry's target taken from
+        the next; returns (np.argmax value, its row), (-inf, None) for no
+        row.  ``C`` must be finite; two sums that overflow make a NaN
+        score, which np.argmax returns first."""
         src, tgt, C = _support(src, tgt, C)
         cycles = np.ascontiguousarray(cycles, dtype=np.int64)
         count, length = cycles.shape
         if count and not 0 <= cycles.min() <= cycles.max() < len(src):
             raise ValueError("cycles do not match the support")
         best, at = ctypes.c_double(), ctypes.c_int64()
-        scored = self._cycle_scores(
-            count, length, limit, cycles, C.shape[1], src, tgt, C, ctypes.byref(best),
-            ctypes.byref(at),
+        self._cycle_scores(
+            count, length, cycles, C.shape[1], src, tgt, C, ctypes.byref(best), ctypes.byref(at)
         )
-        return scored, best.value, cycles[at.value] if at.value >= 0 else None
+        return best.value, cycles[at.value] if at.value >= 0 else None
 
     def certify_maxima(self, phi, psi, C):
-        """(max |C_ij|, max (phi_i + psi_j) - C_ij), each NaN if a term
-        is, as numpy's max returns them."""
+        """(max |C_ij|, max (phi_i + psi_j) - C_ij) over a finite ``C``,
+        the second NaN if a term is (a NaN potential), as numpy's max
+        returns them."""
         phi, psi, C = (np.ascontiguousarray(x, dtype=float) for x in (phi, psi, C))
         m, n = C.shape
         if phi.shape != (m,) or psi.shape != (n,):

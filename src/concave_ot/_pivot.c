@@ -52,16 +52,18 @@
  * _python_affine_fits does.
  *
  * The audit scorers read the plan's m x n cost matrix in place and
- * allocate no array of that size.  pair_scores scores the pair swaps of
- * all support entries and cycle_scores a block of cycles, reading the
- * cost of entry i's source atom and entry j's target atom at
+ * allocate no array of that size; the matrix is finite, as the callers
+ * check before they score.  pair_scores scores the pair swaps of all
+ * support entries and cycle_scores every row of an array of cycles,
+ * reading the cost of entry i's source atom and entry j's target atom at
  * C[src_i][tgt_j] (each entry's own cost at C[src_i][tgt_i]), as the
  * numpy references _numpy_pair_scores and _numpy_cycle_scores do;
  * certify_maxima returns the two maxima of _numpy_certify_maxima, a
  * vector at a time.  Each computes every value by the same operations in
- * the same order as its reference and returns numpy's first argmax (the
- * first NaN if there is one) or numpy's NaN-propagating max, so the
- * reports keep their bits.
+ * the same order as its reference and returns numpy's first argmax or
+ * max, so the reports keep their bits.  Only the scores that a finite
+ * matrix can make NaN keep numpy's NaN rules: a cycle's two overflowing
+ * sums (inf - inf), and a violation with a NaN potential.
  *
  * The vectors are GCC / Clang vector extensions, 32 bytes wide where the
  * compiler targets AVX and 16 otherwise (see "vectors" below).
@@ -923,12 +925,13 @@ static double pair_swap(const Support *s, const double *base, const Entry *e, i6
 
 /* Pair swaps of the S support entries, as the S x S array
  * V[k][l] = ((b_k + b_l) - C[src_k][tgt_l]) - C[src_l][tgt_k] with
- * b_k = C[src_k][tgt_k] and V[k][k] = -inf.  Writes np.argmax(V), the
- * first greatest value or else the first NaN, as (k, l) to at[0..1] and
- * V there to *best.  work holds 2 S doubles: the b_k, then each row's
- * greatest value (NaN if the row has one), which a first pass finds
- * over TILE x TILE tiles of V; a second scans the first row that holds
- * the answer. */
+ * b_k = C[src_k][tgt_k] and V[k][k] = -inf.  C must be finite: then each
+ * swap subtracts finite costs from a sum of two, which may overflow to
+ * +-inf but is never NaN.  Writes np.argmax(V), the first greatest
+ * value, as (k, l) to at[0..1] and V there to *best.  work holds 2 S
+ * doubles: the b_k, then each row's greatest value, which a first pass
+ * finds over TILE x TILE tiles of V; a second scans the first row that
+ * holds the greatest. */
 void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
                  double *work, double *best, i64 *at)
 {
@@ -948,41 +951,33 @@ void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
                  * on each other; max is exact, so their order does not
                  * matter */
                 double m0 = rowmax[k], m1 = -INFINITY;
-                int bad = m0 != m0;
                 i64 l = l0;
                 for (; l + 2 <= l1; l += 2) {
                     double v0 = pair_swap(&sup, base, &e, l);
                     double v1 = pair_swap(&sup, base, &e, l + 1);
-                    bad |= (v0 != v0) | (v1 != v1);
                     m0 = v0 > m0 ? v0 : m0;
                     m1 = v1 > m1 ? v1 : m1;
                 }
                 if (l < l1) {
                     double v0 = pair_swap(&sup, base, &e, l);
-                    bad |= v0 != v0;
                     m0 = v0 > m0 ? v0 : m0;
                 }
-                rowmax[k] = bad ? NAN : m1 > m0 ? m1 : m0;
+                rowmax[k] = m1 > m0 ? m1 : m0;
             }
         }
     }
-    /* the first row with a NaN, else the first row with the greatest value */
+    /* the first row with the greatest value */
     i64 top_k = 0;
     double top = -INFINITY;
-    for (i64 k = 0; k < S; k++) {
-        if (rowmax[k] != rowmax[k]) {
-            top_k = k, top = NAN;
-            break;
-        }
+    for (i64 k = 0; k < S; k++)
         if (rowmax[k] > top)
             top_k = k, top = rowmax[k];
-    }
     *best = -INFINITY;
     at[0] = at[1] = 0;
     const Entry e = entry(&sup, base, top_k);
     for (i64 l = 0; l < S; l++) {
         double v = pair_swap(&sup, base, &e, l);
-        if (top != top ? v != v : v == top) {
+        if (v == top) {
             *best = v;
             at[0] = top_k, at[1] = l;
             return;
@@ -992,21 +987,21 @@ void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
 
 enum { PREFETCH = 16 };
 
-/* Cycles of len support entries, the rows t of `cycles` (count x len):
- * scores in order the first `limit` rows whose entries are distinct,
- * skipping the others, by (sum of b_{t_i}) - (sum of c(t_i, t_{i+1})),
- * i + 1 taken mod len, each sum taken left to right from its first term
- * as numpy's sum(axis=1) does; entries index src and tgt as in
- * pair_scores, and b_k = C[src_k][tgt_k] is entry k's own cost.  Writes
- * np.argmax of the scores, as a row of `cycles`, to *at (-1 if none) and
- * its score to *best; returns the number of rows scored. */
-i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const i64 *src,
-                 const i64 *tgt, const double *C, double *best, i64 *at)
+/* Cycles of len support entries, the rows t of `cycles` (count x len),
+ * each scored by (sum of b_{t_i}) - (sum of c(t_i, t_{i+1})), i + 1
+ * taken mod len, each sum taken left to right from its first term as
+ * numpy's sum(axis=1) does; entries index src and tgt as in pair_scores,
+ * and b_k = C[src_k][tgt_k] is entry k's own cost.  Both sums of finite
+ * costs can overflow, and inf - inf is NaN, so the first NaN wins as in
+ * np.argmax.  Writes np.argmax of the scores, as a row of `cycles`, to
+ * *at (-1 if count is 0) and its score to *best. */
+void cycle_scores(i64 count, i64 len, const i64 *cycles, i64 n, const i64 *src, const i64 *tgt,
+                  const double *C, double *best, i64 *at)
 {
     const Support sup = {n, src, tgt, C};
     double top = -INFINITY;
-    i64 top_at = -1, scored = 0;
-    for (i64 c = 0; c < count && scored < limit; c++) {
+    i64 top_at = -1;
+    for (i64 c = 0; c < count; c++) {
         const i64 *t = cycles + c * len;
         if (c + PREFETCH < count) {
             /* the matrix reads are random: ask for those of a later row */
@@ -1014,12 +1009,6 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
             for (i64 i = 0; i < len; i++)
                 __builtin_prefetch(C + src[u[i]] * n + tgt[u[i + 1 < len ? i + 1 : 0]]);
         }
-        int distinct = 1;
-        for (i64 s = 0; s < len; s++)
-            for (i64 u = s + 1; u < len; u++)
-                distinct &= t[s] != t[u];
-        if (!distinct)
-            continue;
         double sb = entry_cost(&sup, t[0], t[0]), sc = entry_cost(&sup, t[0], t[1]);
         for (i64 i = 1; i < len; i++)
             sb += entry_cost(&sup, t[i], t[i]);
@@ -1028,24 +1017,24 @@ i64 cycle_scores(i64 count, i64 len, i64 limit, const i64 *cycles, i64 n, const 
         sc += entry_cost(&sup, t[len - 1], t[0]);
         double v = sb - sc;
         /* the first score, then a greater one, then the first NaN */
-        if (scored++ == 0 || v > top || (v != v && top == top))
+        if (c == 0 || v > top || (v != v && top == top))
             top = v, top_at = c;
     }
     *best = top;
     *at = top_at;
-    return scored;
 }
 
-/* Over the m x n costs C: out[0] = max |C_ij| from 0.0 and out[1] = max
- * ((phi_i + psi_j) - C_ij) from -inf, each NaN if one of its terms is,
- * as numpy's max is; a zero out[1] is +0.0.  The lanes of a vector keep
- * running maxima and NaN counts; max is exact, so their order does not
- * matter, except for which zero wins, and adding 0.0 makes that +0.0. */
+/* Over the m x n costs C, which must be finite: out[0] = max |C_ij| from
+ * 0.0 and out[1] = max ((phi_i + psi_j) - C_ij) from -inf, NaN if one of
+ * its terms is (a NaN potential), as numpy's max is; a zero out[1] is
+ * +0.0.  The lanes of a vector keep running maxima and NaN counts; max is
+ * exact, so their order does not matter, except for which zero wins, and
+ * adding 0.0 makes that +0.0. */
 void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const double *C,
                     double *out)
 {
     vd topv = {0}, violv = v_splat(-INFINITY);
-    vi nans_a = {0}, nans_v = {0};
+    vi nans = {0};
     double top = 0.0, viol = -INFINITY;
     int nan = 0;
     for (i64 i = 0; i < m; i++) {
@@ -1054,23 +1043,21 @@ void certify_maxima(i64 m, i64 n, const double *phi, const double *psi, const do
         for (; j + LANES <= n; j += LANES) {
             vd cj = v_load(c + j);
             vd a = (vd)((vi)cj & INT64_MAX), v = (phi_i + v_load(psi + j)) - cj;
-            nans_a -= v_isnan(a);
-            nans_v -= v_isnan(v);
+            nans -= v_isnan(v);
             topv = v_max(a, topv);
             violv = v_max(v, violv);
         }
         for (; j < n; j++) {
             double a = fabs(c[j]), v = (phi_i + psi[j]) - c[j];
-            nan |= (a != a) | (v != v) << 1;
+            nan |= v != v;
             top = a > top ? a : top;
             viol = v > viol ? v : viol;
         }
     }
-    nan |= v_any(nans_a) | v_any(nans_v) << 1;
-    top = v_fold_max(topv, top);
+    nan |= v_any(nans);
+    out[0] = v_fold_max(topv, top);
     viol = v_fold_max(violv, viol);
-    out[0] = nan & 1 ? NAN : top;
-    out[1] = nan & 2 ? NAN : viol + 0.0;
+    out[1] = nan ? NAN : viol + 0.0;
 }
 
 /* ---- nearest atoms -------------------------------------------------- */

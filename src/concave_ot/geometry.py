@@ -133,12 +133,17 @@ def resolution_scale(measure):
 
     The distances are the compiled kernel's ``nearest_atoms``, squares
     summed in coordinate order as scipy's ``cdist`` sums them.  Raises
-    ``SolverError`` if the kernel cannot be built.
+    ``ValueError`` if the median overflows; a finite median is exact,
+    since an overflowed distance is greater than every finite one.
+    Raises ``SolverError`` if the kernel cannot be built.
     """
     if len(measure) < 2:
         return math.inf
     _, dist = _kernel._compiled_kernel().nearest_atoms(measure.points, measure.points, 2)
-    return float(np.median(dist[:, 1]))
+    median = float(np.median(dist[:, 1]))
+    if median == math.inf:
+        raise ValueError("the median distance to the nearest other atom overflows")
+    return median
 
 
 @dataclass

@@ -282,8 +282,10 @@ def snap(mu, nu, tol):
     returned measure merges any collisions.  The nearest atom is the
     compiled kernel's ``nearest_atoms``, with the distance bits of scipy's
     ``cdist``: a nu-atom equally close to several mu-atoms moves onto the
-    one of least canonical index.  Off by default everywhere; opt in
-    deliberately, since it changes the instance.
+    one of least canonical index.  A nu-atom whose nearest distance
+    overflows raises ``ValueError`` naming it: such a pair's cost matrix
+    overflows too.  Off by default everywhere; opt in deliberately, since
+    it changes the instance.
     """
     _check_same_dim(mu, nu)
     if not tol > 0:  # NaN too
@@ -294,6 +296,9 @@ def snap(mu, nu, tol):
         return nu
     idx, d = _kernel._compiled_kernel().nearest_atoms(mu.points, nu.points, 1)
     idx, d = idx[:, 0], d[:, 0]
+    far = np.flatnonzero(d == np.inf)
+    if len(far):
+        raise ValueError(f"the nearest mu-atom of nu-atom {far[0]} is at a distance that overflows")
     pts = nu.points.copy()
     close = d <= tol
     pts[close] = mu.points[idx[close]]

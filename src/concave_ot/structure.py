@@ -186,11 +186,12 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     length L up to ``max_cycle_len``, every directed cycle of L distinct
     entries is checked, once and led by its least entry, when there are
     at most 100,000 of them; otherwise 100,000 ordered tuples are drawn
-    with seed ``seed + L - 3`` and each is checked as one cycle.  So
-    every array of cycles holds at most 130,008 rows (the first draw of
-    candidates), and the audit's memory is fixed.  ``worst_violation``
-    is the largest value of sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i)))
-    observed; for an optimal plan it stays below ``tol``.
+    with seed ``seed + L - 3``, uniformly among the tuples of L distinct
+    entries, and each is checked as one cycle.  So every array of cycles
+    holds at most 100,000 rows, and the audit's memory is fixed.
+    ``worst_violation`` is the largest value of
+    sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i))) observed; for an optimal
+    plan it stays below ``tol``.
     ``violating_cycle`` lists the entries of the worst cycle and, in the
     same order, the entries whose targets they would take.
 
@@ -229,27 +230,14 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     checked = S * (S - 1)
     note(value, (k, l), (l, k))
 
-    def score(cycles, limit):
-        """Scores the first ``limit`` rows of ``cycles`` without a repeated
-        entry into (best, cycle), numpy's argmax over all draws of one
-        length; returns how many it scored."""
-        nonlocal best, cycle, checked
-        scored, value, row = kernel.cycle_scores(cycles, limit, src, tgt, C)
-        checked += scored
-        # an earlier draw keeps ties, and the first NaN stays
-        if value > best or (value != value and best == best):
-            best, cycle = value, row
-        return scored
-
     for length in range(3, min(max_cycle_len, S) + 1):
-        best, cycle = -math.inf, None
         if math.comb(S, length) * math.factorial(length - 1) <= _SAMPLE_SIZE:
             cycles = _all_cycles(S, length)
-            score(cycles, len(cycles))
         else:
-            _sampled_cycles(S, length, seed + length - 3, score)
-        if cycle is not None:
-            note(best, cycle.tolist(), np.roll(cycle, -1).tolist())
+            cycles = _sampled_cycles(S, length, seed + length - 3)
+        value, cycle = kernel.cycle_scores(cycles, src, tgt, C)
+        checked += len(cycles)
+        note(value, cycle.tolist(), np.roll(cycle, -1).tolist())
 
     return CcmReport(
         cycles_checked=checked, worst_violation=float(worst), violating_cycle=witness
@@ -266,14 +254,26 @@ def _all_cycles(S, length):
     return combos[:, orders].reshape(-1, length)
 
 
-def _sampled_cycles(S, length, seed, score):
-    """Scores a seeded sample of ``_SAMPLE_SIZE`` ordered tuples of
-    ``length`` distinct entries: each draw of candidates goes to
-    ``score(candidates, need)``, which returns how many it took."""
+def _sampled_cycles(S, length, seed):
+    """A seeded sample of ``_SAMPLE_SIZE`` ordered tuples of ``length``
+    distinct entries, uniform over all such tuples, as the rows of one
+    array.  Column c draws r from [0, S - c) and steps it past the
+    entries already taken in its row, in increasing order, so r lands on
+    each entry not taken with equal chance."""
     rng = np.random.default_rng(seed)
-    need = _SAMPLE_SIZE
-    while need > 0:
-        need -= score(rng.integers(0, S, size=(int(need * 1.3) + 8, length)), need)
+    cycles = np.empty((_SAMPLE_SIZE, length), dtype=np.int64)
+    taken = []  # the columns drawn so far, sorted within each row
+    for c in range(length):
+        # int32 halves the memory traffic; numpy refuses S past 2**31
+        r = rng.integers(0, S - c, size=_SAMPLE_SIZE, dtype=np.int32)
+        for x in taken:
+            r += r >= x
+        cycles[:, c] = r
+        if c < length - 1:  # insert r into the sorted columns
+            for i, x in enumerate(taken):
+                taken[i], r = np.minimum(x, r), np.maximum(x, r)
+            taken.append(r)
+    return cycles
 
 
 @dataclass(frozen=True)

@@ -537,8 +537,8 @@ class ReferenceKernel:
     def pair_scores(self, src, tgt, C):
         return _numpy_pair_scores(src, tgt, C)
 
-    def cycle_scores(self, cycles, limit, src, tgt, C):
-        return _numpy_cycle_scores(cycles, limit, src, tgt, C)
+    def cycle_scores(self, cycles, src, tgt, C):
+        return _numpy_cycle_scores(cycles, src, tgt, C)
 
     def certify_maxima(self, phi, psi, C):
         return _numpy_certify_maxima(phi, psi, C)
@@ -882,41 +882,32 @@ def _numpy_pair_scores(src, tgt, C):
     """The numpy reference for ``pair_scores`` in ``_pivot.c``.  Over the
     pair swaps
     ((b_k + b_l) - C[src_k, tgt_l]) - C[src_l, tgt_k] of the support
-    entries k != l, with b = C[src, tgt], returns np.argmax as
-    (value, k, l): one row k at a time, the first row with a NaN or else
-    the first with the greatest value, then np.argmax within it."""
+    entries k != l, with b = C[src, tgt] and C finite, returns np.argmax
+    as (value, k, l): one row k at a time, the first with the greatest
+    value, then np.argmax within it."""
     base = C[src, tgt]
     best, at = -math.inf, (0, 0)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         for k in range(len(src)):
             v = (base[k] + base) - C[src[k], tgt] - C[src, tgt[k]]
             v[k] = -np.inf  # k == l is not a cycle
             l = int(np.argmax(v))
-            if v[l] > best or v[l] != v[l]:
+            if v[l] > best:
                 best, at = float(v[l]), (k, l)
-                if best != best:
-                    break
     return best, *at
 
 
-def _numpy_cycle_scores(cycles, limit, src, tgt, C):
+def _numpy_cycle_scores(cycles, src, tgt, C):
     """The numpy reference for ``cycle_scores`` in ``_pivot.c``.  Scores
-    the first ``limit`` rows of ``cycles`` without a repeated entry, the
-    entries' own costs read from C[src, tgt]; returns (rows scored,
-    np.argmax value, its row or None)."""
-    length = cycles.shape[1]
-    distinct = np.ones(len(cycles), dtype=bool)
-    for s in range(length):
-        for t in range(s + 1, length):
-            distinct &= cycles[:, s] != cycles[:, t]
-    cycles = cycles[distinct][:limit]
+    every row of ``cycles``, the entries' own costs read from C[src, tgt];
+    returns (np.argmax value, its row), (-inf, None) for no row."""
     if not len(cycles):
-        return 0, -math.inf, None
+        return -math.inf, None
     rotated = np.roll(cycles, -1, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
     t = int(np.argmax(v))
-    return len(cycles), float(v[t]), cycles[t]
+    return float(v[t]), cycles[t]
 
 
 def _numpy_certify_maxima(phi, psi, C):

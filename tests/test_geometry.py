@@ -186,6 +186,22 @@ class TestResolution:
     def test_single_atom(self):
         assert resolution_scale(DiscreteMeasure([[0.0]], [1.0])) == math.inf
 
+    def test_overflowing_median_refused(self):
+        # atoms 2e154 apart: every squared distance overflows, and the
+        # radii of an isotropy audit would all be inf
+        m = DiscreteMeasure(np.arange(5)[:, None] * 2e154, np.full(5, 0.2))
+        with pytest.raises(ValueError, match="median distance to the nearest other atom overflows"):
+            resolution_scale(m)
+        flat = DiscreteMeasure(np.c_[np.arange(5) * 2e154, np.zeros(5)], np.full(5, 0.2))
+        with pytest.raises(ValueError, match="overflows"):
+            isotropy_audit(flat, point_sample=5)
+
+    def test_finite_median_with_overflowing_distances(self):
+        # two atoms of five have an overflowing nearest distance: the
+        # median is still the finite middle one, exactly
+        m = DiscreteMeasure([[0.0], [1.0], [3.0], [-2e154], [2e154]], np.full(5, 0.2))
+        assert resolution_scale(m) == 2.0
+
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_kd_tree_median_bits(self, dim):
         # up to d = 7 the k-d tree sums the squares in coordinate order, as

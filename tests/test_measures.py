@@ -428,6 +428,18 @@ class TestSnap:
         assert snap(mu, nu, tol=tol) == mu
         assert snap(mu, nu, tol=np.nextafter(tol, 0.0)) == nu
 
+    def test_overflowing_distance_refused(self):
+        from concave_ot.measures import snap
+
+        # 2e154 apart: the squared distance overflows, so the distance
+        # reads inf though it lies within tol
+        mu = DiscreteMeasure([[0.0]], [1.0])
+        nu = DiscreteMeasure([[1.0], [2e154]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="nu-atom 1 is at a distance that overflows"):
+            snap(mu, nu, tol=1e155)
+        with pytest.raises(ValueError, match="nu-atom 0 "):
+            snap(mu, DiscreteMeasure([[2e154]], [1.0]), tol=1e155)
+
     def test_no_coordinates(self):
         from concave_ot.measures import snap
 

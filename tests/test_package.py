@@ -1,12 +1,16 @@
-"""The package's import graph, and the one name through which every
-module reaches the compiled kernel."""
+"""The package's import graph, the one name through which every module
+reaches the compiled kernel, and the pairing of the kernel's entry
+points with their references."""
 
 import ast
 import graphlib
+import inspect
+import re
 import sys
 from pathlib import Path
 
 import pytest
+from support import ReferenceKernel
 
 import concave_ot
 from concave_ot import _kernel, solver
@@ -112,3 +116,46 @@ def test_one_patch_reaches_every_caller(name, monkeypatch):
     monkeypatch.setattr(_kernel, "_compiled_kernel", _stand_in)
     with pytest.raises(_StandIn):
         KERNEL_CALLERS[name]()
+
+
+def _entry_points():
+    """The functions of ``_pivot.c`` that are not ``static``: a line at
+    the margin that names a function, neither ``static`` nor a typedef."""
+    source = (PACKAGE / "_pivot.c").read_text()
+    return set(re.findall(r"^(?!static\b|typedef\b)\w[\w \t*]*?\b(\w+)\s*\(", source, re.M))
+
+
+def _lib_bindings():
+    """The names ``_CompiledKernel`` reads as ``self._lib.<name>``."""
+    cls = next(
+        node for node in SOURCES["_kernel"].body
+        if isinstance(node, ast.ClassDef) and node.name == "_CompiledKernel"
+    )
+    return {
+        node.attr for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "_lib" and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "self"
+    }
+
+
+def _public_methods(cls):
+    """Each public method's name and signature."""
+    return {
+        name: inspect.signature(value) for name, value in vars(cls).items()
+        if callable(value) and name[0] != "_"
+    }
+
+
+def test_every_entry_point_is_bound():
+    entry_points = _entry_points()
+    assert {"starting_tree", "pivot_loop", "cycle_scores"} <= entry_points
+    assert entry_points == _lib_bindings()
+
+
+def test_every_binding_has_its_reference():
+    # a method of the compiled kernel with no reference, or with other
+    # parameters, would have nothing to be checked against bit for bit
+    methods = _public_methods(_kernel._CompiledKernel)
+    assert len(methods) == len(_entry_points())
+    assert methods == _public_methods(ReferenceKernel)

@@ -661,13 +661,13 @@ def test_exact_pipeline_loads_no_scipy():
 
 
 def _maxima_instances(seed):
-    """(phi, psi, C) inputs of ``certify_maxima``: one drawn from an int
-    seed; zero maxima met as -0.0 and +0.0 in either order, in a vector
-    lane or the odd tail of a row; or NaN at each position of rows of 9
+    """(phi, psi, C) inputs of ``certify_maxima``, every C finite as the
+    solver's cost matrices are: one drawn from an int seed; zero maxima
+    met as -0.0 and +0.0 in either order, in a vector lane or the odd
+    tail of a row; or a NaN potential at each position of rows of 9
     columns, so in each lane of a 2-, 4- or 8-lane vector and in the
-    tail, as a cost (both maxima NaN) or as a potential (the violation
-    NaN); or the solver's potentials on the instances of
-    ``PINNED_PIVOTS`` and ``LOOP_INSTANCES``."""
+    tail (the violation NaN); or the solver's potentials on the
+    instances of ``PINNED_PIVOTS`` and ``LOOP_INSTANCES``."""
     if seed == "pinned":
         for p in [*PINNED_PIVOTS, *LOOP_INSTANCES]:
             (mu, nu), cost = p.values[:2]
@@ -682,10 +682,9 @@ def _maxima_instances(seed):
         m, n = 3, 9
         for i, j in np.ndindex(m, n):
             phi, psi, C = np.linspace(-1, 1, m), np.linspace(0, 1, n), np.ones((m, n))
-            C[i, j] = np.nan
-            yield phi, psi, C
-            C[i, j] = 1.0
             psi[j] = np.nan
+            yield phi, psi, C
+            psi[j], phi[i] = 0.5, np.nan
             yield phi, psi, C
         return
     rng = np.random.default_rng(seed)
@@ -693,11 +692,11 @@ def _maxima_instances(seed):
     phi, psi = rng.normal(size=m), rng.normal(size=n)
     C = rng.exponential(size=(m, n))
     if seed == 1:
-        C[rng.integers(0, m), rng.integers(0, n)] = np.nan
+        phi[rng.integers(0, m)] = np.nan
     if seed == 2:
         psi[rng.integers(0, n)] = np.nan
-    if seed == 3:
-        C[rng.integers(0, m), rng.integers(0, n)] = np.inf
+    if seed == 3:  # costs up to the greatest float
+        C *= np.finfo(float).max / C.max()
     if seed == 4:
         C = -C  # |C| is not C
     yield phi, psi, C

@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -388,19 +390,40 @@ class TestCcmCycles:
     ])
     def test_switch_at_the_sample_size(self, monkeypatch, length, S, enumerated):
         # the real sample size of 100,000: 95,810 3-cycles of 67 entries and
-        # 89,700 4-cycles of 26 are enumerated, more are sampled; either
-        # way no array of cycles has more rows than the first sampled draw
+        # 89,700 4-cycles of 26 are enumerated, each led by its least
+        # entry, more are sampled; either way each length is one array of
+        # cycles, and none has more rows than the sample size
         plan = permutation_plan(S, seed=20)
         assert plan.n_entries == S
-        rows = record_kernel_calls(monkeypatch, "cycle_scores", lambda cycles, *rest: len(cycles))
+        calls = record_kernel_calls(
+            monkeypatch, "cycle_scores",
+            lambda cycles, *rest: (len(cycles), bool((cycles[:, 0] == cycles.min(axis=1)).all())),
+        )
         rep = structure.verify_ccm(plan, P05, max_cycle_len=length)
         counts = [math.comb(S, L) * math.factorial(L - 1) for L in range(3, length + 1)]
         assert (counts[-1] <= 100_000) == enumerated
         counts[-1] = min(counts[-1], 100_000)
         assert rep.cycles_checked == S * (S - 1) + sum(counts)
         assert rep.ok
-        assert max(rows) <= int(1.3 * 100_000) + 8
-        assert (rows[-1] == counts[-1]) == enumerated
+        assert [rows for rows, _ in calls] == counts
+        assert calls[-1][1] == enumerated
+
+    @pytest.mark.parametrize("S, length", [(5, 3), (6, 4), (100, 3), (1000, 4)])
+    def test_sampled_cycles_are_distinct_tuples(self, S, length):
+        cycles = structure._sampled_cycles(S, length, seed=3)
+        assert cycles.shape == (100_000, length) and cycles.dtype == np.int64
+        assert 0 <= cycles.min() and cycles.max() < S
+        ordered = np.sort(cycles, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()
+        assert np.array_equal(cycles, structure._sampled_cycles(S, length, seed=3))
+        assert not np.array_equal(cycles, structure._sampled_cycles(S, length, seed=4))
+
+    def test_sampled_cycles_reach_every_tuple(self):
+        # the 60 ordered tuples of 3 of 5 entries, each drawn about
+        # 100,000 / 60 = 1,667 times (standard deviation about 40)
+        counts = Counter(map(tuple, structure._sampled_cycles(5, 3, seed=0).tolist()))
+        assert sorted(counts) == list(itertools.permutations(range(5), 3))
+        assert 1_450 < min(counts.values()) <= max(counts.values()) < 1_880
 
     @pytest.mark.usefixtures("sample_20k")
     def test_sampled_above_sample_size(self):
@@ -470,8 +493,8 @@ class TestCcmPaths:
         )
         rep = verify_ccm(shuffled, P05, max_cycle_len=4)
         assert rep.cycles_checked == 40 * 39 + 2 * math.comb(40, 3) + 100_000
-        assert rep.worst_violation.hex() == "0x1.7047eede0f5a0p-3"
-        assert rep.violating_cycle == ((7, 23, 4, 32), (23, 4, 32, 7))
+        assert rep.worst_violation.hex() == "0x1.51efacc389640p-3"
+        assert rep.violating_cycle == ((4, 32, 16, 34), (32, 16, 34, 4))
 
     @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("n", [40, 480])
@@ -494,8 +517,8 @@ def same_float(a, b):
 
 class TestAuditScorers:
     """The kernel's scorers return numpy's argmax, the first of tied values
-    or else the first NaN, and verify_ccm the same report on the kernel and
-    on its reference."""
+    (or the first NaN of a cycle whose two sums overflow), and verify_ccm
+    the same report on the kernel and on its reference."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pair_scores_match_numpy(self, seed):
@@ -508,36 +531,42 @@ class TestAuditScorers:
         src, tgt = rng.integers(0, m, S), rng.integers(0, n, S)
         C = rng.integers(0, 4, (m, n)).astype(float)
         if seed % 4 == 1:
-            C[rng.integers(0, m, 3), rng.integers(0, n, 3)] = np.nan
+            C *= 0.5e308  # sums of two costs overflow to inf
         if seed % 4 == 2:
-            k = rng.integers(0, S)
-            C[src[k], tgt[k]] = np.inf  # b_k = inf, and inf - inf is NaN
+            C = (C - 2) * 0.6e308  # and to -inf, before or after a subtraction
         if seed % 4 == 3:
-            C[:] = np.inf  # every value is -inf or NaN
+            C[:] = np.finfo(float).max  # every swap overflows to inf: all tie
+        # a finite matrix's swaps may overflow, but are never NaN
+        base, A = C[src, tgt], C[src][:, tgt]
+        with np.errstate(over="ignore"):
+            V = ((base[:, None] + base) - A) - A.T
+        assert not np.isnan(V).any()
         want = ReferenceKernel().pair_scores(src, tgt, C)
         got = kernel.pair_scores(src, tgt, C)
-        assert got[1:] == want[1:] and same_float(got[0], want[0])
+        assert got == want
         assert all(type(e) is int for e in got[1:] + want[1:])
+        if seed % 4 == 3 and S > 1:
+            assert got == (np.inf, 0, 1)
 
     @pytest.mark.parametrize("length", [3, 4])
     def test_cycle_scores_match_numpy(self, length):
         kernel = _kernel._compiled_kernel()
         rng = np.random.default_rng(length)
         S, m, n = 9, 4, 6
-        for bad in ("none", "cost", "base"):
+        for big in (False, True):
             src, tgt = rng.integers(0, m, S), rng.integers(0, n, S)
             C = rng.integers(0, 4, (m, n)).astype(float)
-            if bad == "cost":
-                C[rng.integers(0, m, 2), rng.integers(0, n, 2)] = np.nan
-            if bad == "base":
-                C[src[3], tgt[3]] = np.nan
-            # rows with a repeated entry are skipped
-            cycles = rng.integers(0, S, (300, length))
-            for limit in (1, 40, 300, 10**6):
-                want = ReferenceKernel().cycle_scores(cycles, limit, src, tgt, C)
-                got = kernel.cycle_scores(cycles, limit, src, tgt, C)
-                assert got[0] == want[0] and same_float(got[1], want[1])
-                assert np.array_equal(got[2], want[2])
+            if big:
+                C *= 0.5e308  # both sums of a cycle overflow: inf - inf is NaN
+            cycles = structure._all_cycles(S, length)
+            repeats = rng.integers(0, S, (300, length))  # scored like the others
+            for rows in (cycles[:1], cycles[:40], cycles, cycles[::-1], cycles[:0], repeats):
+                want = ReferenceKernel().cycle_scores(rows, src, tgt, C)
+                got = kernel.cycle_scores(rows, src, tgt, C)
+                assert same_float(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+            if big:
+                assert math.isnan(kernel.cycle_scores(cycles, src, tgt, C)[0])
 
     def test_scorers_reject_indices_outside_the_costs(self):
         kernel = _kernel._compiled_kernel()
@@ -546,10 +575,10 @@ class TestAuditScorers:
             with pytest.raises(ValueError, match="support indices"):
                 kernel.pair_scores(np.array(src), np.array(tgt), C)
             with pytest.raises(ValueError, match="support indices"):
-                kernel.cycle_scores(np.zeros((1, 3), dtype=np.int64), 1, np.array(src),
+                kernel.cycle_scores(np.zeros((1, 3), dtype=np.int64), np.array(src),
                                     np.array(tgt), C)
         with pytest.raises(ValueError, match="cycles do not match"):
-            kernel.cycle_scores(np.array([[0, 1, 2]]), 1, np.zeros(2, np.int64),
+            kernel.cycle_scores(np.array([[0, 1, 2]]), np.zeros(2, np.int64),
                                 np.zeros(2, np.int64), C)
 
     @pytest.mark.parametrize(
