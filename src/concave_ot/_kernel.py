@@ -78,8 +78,8 @@ OPT_TOL_SCALE = 1e-12
 class SolverError(RuntimeError):
     """Solver failure: a compiled kernel that cannot be built or loaded,
     an instance over the dense cap, a cost matrix with non-finite entries
-    (NaN, or inf from an overflowing distance), or an exhausted pivot
-    budget."""
+    (NaN, or inf from an overflowing distance), an exhausted pivot
+    budget, or dual potentials that overflow."""
 
 
 class _Tree(NamedTuple):
@@ -205,6 +205,15 @@ def _support(src, tgt, C):
     return src, tgt, C
 
 
+def _cycle_rows(cycles):
+    """``cycles`` as the kernel reads them; raises ValueError unless each
+    row is a cycle of at least 2 entries."""
+    cycles = np.ascontiguousarray(cycles, dtype=np.int64)
+    if cycles.ndim != 2 or cycles.shape[1] < 2:
+        raise ValueError(f"cycles need rows of at least 2 entries, got shape {cycles.shape}")
+    return cycles
+
+
 class _CompiledKernel:
     """ctypes binding of the nine entry points of ``_pivot.c``.  Each
     method returns the bits of the Python or numpy code the C ports,
@@ -300,9 +309,9 @@ class _CompiledKernel:
         """np.argmax over the pair swaps ((b_k + b_l) - C[src_k, tgt_l])
         - C[src_l, tgt_k] of the support entries k != l, with
         b = C[src, tgt], as (value, k, l): the first pair with the
-        greatest value, rows k before columns l.  ``C`` must be finite
-        (a swap may then overflow to +-inf, but is never NaN); it is not
-        checked here."""
+        greatest value, rows k before columns l; (-inf, 0, 0) with no
+        pair.  ``C`` must be finite (a swap may then overflow to +-inf,
+        but is never NaN); it is not checked here."""
         src, tgt, C = _support(src, tgt, C)
         S = len(src)
         best, at = ctypes.c_double(), np.zeros(2, dtype=np.int64)
@@ -310,13 +319,14 @@ class _CompiledKernel:
         return best.value, int(at[0]), int(at[1])
 
     def cycle_scores(self, cycles, src, tgt, C):
-        """Scores every row of ``cycles``, each the sum of its entries' own
-        costs C[src, tgt] minus that with every entry's target taken from
-        the next; returns (np.argmax value, its row), (-inf, None) for no
-        row.  ``C`` must be finite; two sums that overflow make a NaN
-        score, which np.argmax returns first."""
+        """Scores every row of ``cycles``, a cycle of at least 2 entries,
+        as the sum, left to right, of each entry's own cost C[src, tgt]
+        minus its cost with the next entry's target; returns (np.argmax
+        value, its row), (-inf, None) for no row.  ``C`` must be finite
+        and >= 0 (it is not checked here): each term is then finite, and
+        a score may overflow to +-inf but is never NaN."""
         src, tgt, C = _support(src, tgt, C)
-        cycles = np.ascontiguousarray(cycles, dtype=np.int64)
+        cycles = _cycle_rows(cycles)
         count, length = cycles.shape
         if count and not 0 <= cycles.min() <= cycles.max() < len(src):
             raise ValueError("cycles do not match the support")

@@ -20,9 +20,9 @@
  * thread, and the subtree potential update follow the reference, with
  * two shortcuts that leave every pivot and every array the same:
  * - pricing finds np.argmin's arc in two passes: the least reduced cost
- *   of the block, CHUNK arcs at a time in vectors (the lanes' minima and
- *   NaN counts merged at each row run's end), noting the first chunk that
- *   lowers it, then the first arc of that chunk that has it;
+ *   of the block, CHUNK arcs at a time in vectors (the lanes' minima
+ *   merged at each row run's end), noting the first chunk that lowers it,
+ *   then the first arc of that chunk that has it;
  * - the walks of remove_edge and add_edge that update size and last stop
  *   at the pivot cycle's apex.  The subtree cut off below the apex comes
  *   back below it, so no size above the apex changes, and last changes
@@ -53,17 +53,19 @@
  *
  * The audit scorers read the plan's m x n cost matrix in place and
  * allocate no array of that size; the matrix is finite, as the callers
- * check before they score.  pair_scores scores the pair swaps of all
- * support entries and cycle_scores every row of an array of cycles,
- * reading the cost of entry i's source atom and entry j's target atom at
- * C[src_i][tgt_j] (each entry's own cost at C[src_i][tgt_i]), as the
- * numpy references _numpy_pair_scores and _numpy_cycle_scores do;
- * certify_maxima returns the two maxima of _numpy_certify_maxima, a
- * vector at a time.  Each computes every value by the same operations in
- * the same order as its reference and returns numpy's first argmax or
- * max, so the reports keep their bits.  Only the scores that a finite
- * matrix can make NaN keep numpy's NaN rules: a cycle's two overflowing
- * sums (inf - inf), and a violation with a NaN potential.
+ * check before they score, and >= 0, as every cost of the package is.
+ * pair_scores scores the pair swaps of all support entries and
+ * cycle_scores every row of an array of cycles, reading the cost of entry
+ * i's source atom and entry j's target atom at C[src_i][tgt_j] (each
+ * entry's own cost at C[src_i][tgt_i]), as the numpy references
+ * _numpy_pair_scores and _numpy_cycle_scores do; certify_maxima returns
+ * the two maxima of _numpy_certify_maxima, a vector at a time.  Each
+ * computes every value by the same operations in the same order as its
+ * reference and returns numpy's first argmax or max, so the reports keep
+ * their bits.  A swap or a cycle of finite costs may overflow to +-inf
+ * but is never NaN.  So the kernel keeps NaN rules only where NaN is an
+ * input: certify_maxima's violation and affine_fits' fits are NaN where a
+ * potential is, and cone_nearest returns NaN for an empty cone.
  *
  * The vectors are GCC / Clang vector extensions, 32 bytes wide where the
  * compiler targets AVX and 16 otherwise (see "vectors" below).
@@ -530,31 +532,26 @@ typedef struct {
  * source i, kept in the lanes of two running minima.  4 LANES reduced
  * costs a step: two vectors are compared first, so that only one
  * comparison a step waits on each running minimum; min is exact, so the
- * order does not matter.  Sets *nan if a reduced cost is NaN. */
-static double row_min(const Tree *t, i64 i, i64 j0, i64 j1, int *nan)
+ * order does not matter. */
+static double row_min(const Tree *t, i64 i, i64 j0, i64 j1)
 {
     const double *c = t->cost + i * t->n, *pi_t = t->pi + t->m;
     const double pi_i = t->pi[i];
     vd lo0 = v_splat(INFINITY), lo1 = lo0;
-    vi nans = {0};
     i64 j = j0;
     for (; j + 4 * LANES <= j1; j += 4 * LANES) {
         vd r0 = v_load(c + j) - pi_i + v_load(pi_t + j);
         vd r1 = v_load(c + j + LANES) - pi_i + v_load(pi_t + j + LANES);
         vd r2 = v_load(c + j + 2 * LANES) - pi_i + v_load(pi_t + j + 2 * LANES);
         vd r3 = v_load(c + j + 3 * LANES) - pi_i + v_load(pi_t + j + 3 * LANES);
-        nans -= (v_isnan(r0) + v_isnan(r1)) + (v_isnan(r2) + v_isnan(r3));
         lo0 = v_min(v_min(r0, r2), lo0);
         lo1 = v_min(v_min(r1, r3), lo1);
     }
     double least = v_fold_min(v_min(lo0, lo1), INFINITY);
-    int bad = v_any(nans);
     for (; j < j1; j++) {
         double r = c[j] - pi_i + pi_t[j];
-        bad |= r != r;
         least = r < least ? r : least;
     }
-    *nan |= bad;
     return least;
 }
 
@@ -568,19 +565,19 @@ static i64 find_entering(Tree *t)
         i64 hi = lo + t->block < t->num_arcs ? lo + t->block : t->num_arcs;
         t->f_ptr = hi % t->num_arcs;
         /* np.argmin(rc) is the first arc with the block's least reduced
-         * cost, or the first NaN, which never prices in.  Find that least
-         * value CHUNK arcs at a time, one row run of a chunk at a time,
-         * and note the first chunk that lowers it: the first arc that has
-         * the least value lies in that chunk. */
+         * cost, never NaN while the potentials are finite (solve_exact
+         * refuses a run whose potentials overflow).  Find that least value
+         * CHUNK arcs at a time, one row run of a chunk at a time, and note
+         * the first chunk that lowers it: the first arc that has the least
+         * value lies in that chunk. */
         double best_rc = INFINITY;
         i64 best_lo = lo, i = lo / n, j = lo % n;
-        int nan = 0;
         for (i64 k = lo; k < hi; k += CHUNK) {
             i64 left = hi - k < CHUNK ? hi - k : CHUNK;
             double rc = INFINITY;
             while (left) {
                 i64 run = n - j < left ? n - j : left;
-                double r = row_min(t, i, j, j + run, &nan);
+                double r = row_min(t, i, j, j + run);
                 rc = r < rc ? r : rc;
                 left -= run;
                 if ((j += run) == n)
@@ -589,7 +586,7 @@ static i64 find_entering(Tree *t)
             if (rc < best_rc)
                 best_rc = rc, best_lo = k;
         }
-        if (nan || !(best_rc < -t->opt_tol))
+        if (!(best_rc < -t->opt_tol))
             continue;
         i = best_lo / n, j = best_lo % n;
         for (i64 k = best_lo; k < hi && k < best_lo + CHUNK; k++) {
@@ -928,7 +925,8 @@ static double pair_swap(const Support *s, const double *base, const Entry *e, i6
  * b_k = C[src_k][tgt_k] and V[k][k] = -inf.  C must be finite: then each
  * swap subtracts finite costs from a sum of two, which may overflow to
  * +-inf but is never NaN.  Writes np.argmax(V), the first greatest
- * value, as (k, l) to at[0..1] and V there to *best.  work holds 2 S
+ * value, as (k, l) to at[0..1] and V there to *best: (0, 0) and -inf
+ * with no pair (S < 2), read from no entry if S = 0.  work holds 2 S
  * doubles: the b_k, then each row's greatest value, which a first pass
  * finds over TILE x TILE tiles of V; a second scans the first row that
  * holds the greatest. */
@@ -937,6 +935,10 @@ void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
 {
     const Support sup = {n, src, tgt, C};
     double *base = work, *rowmax = work + S;
+    *best = -INFINITY;
+    at[0] = at[1] = 0;
+    if (!S)
+        return;
     for (i64 k = 0; k < S; k++) {
         base[k] = entry_cost(&sup, k, k);
         rowmax[k] = -INFINITY;
@@ -972,8 +974,6 @@ void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
     for (i64 k = 0; k < S; k++)
         if (rowmax[k] > top)
             top_k = k, top = rowmax[k];
-    *best = -INFINITY;
-    at[0] = at[1] = 0;
     const Entry e = entry(&sup, base, top_k);
     for (i64 l = 0; l < S; l++) {
         double v = pair_swap(&sup, base, &e, l);
@@ -987,14 +987,14 @@ void pair_scores(i64 S, i64 n, const i64 *src, const i64 *tgt, const double *C,
 
 enum { PREFETCH = 16 };
 
-/* Cycles of len support entries, the rows t of `cycles` (count x len),
- * each scored by (sum of b_{t_i}) - (sum of c(t_i, t_{i+1})), i + 1
- * taken mod len, each sum taken left to right from its first term as
- * numpy's sum(axis=1) does; entries index src and tgt as in pair_scores,
- * and b_k = C[src_k][tgt_k] is entry k's own cost.  Both sums of finite
- * costs can overflow, and inf - inf is NaN, so the first NaN wins as in
- * np.argmax.  Writes np.argmax of the scores, as a row of `cycles`, to
- * *at (-1 if count is 0) and its score to *best. */
+/* Cycles of len >= 2 support entries, the rows t of `cycles` (count x
+ * len), each scored by the sum of b_{t_i} - c(t_i, t_{i+1}), i + 1 taken
+ * mod len, left to right from its first term; entries index src and tgt
+ * as in pair_scores, and b_k = C[src_k][tgt_k] is entry k's own cost.
+ * Each term is the difference of two finite costs >= 0, so it is finite,
+ * and the sum may overflow to +-inf but is never NaN.  Writes the first
+ * row with the greatest score, as np.argmax returns it, to *at (-1 if
+ * count is 0) and its score to *best. */
 void cycle_scores(i64 count, i64 len, const i64 *cycles, i64 n, const i64 *src, const i64 *tgt,
                   const double *C, double *best, i64 *at)
 {
@@ -1009,15 +1009,10 @@ void cycle_scores(i64 count, i64 len, const i64 *cycles, i64 n, const i64 *src, 
             for (i64 i = 0; i < len; i++)
                 __builtin_prefetch(C + src[u[i]] * n + tgt[u[i + 1 < len ? i + 1 : 0]]);
         }
-        double sb = entry_cost(&sup, t[0], t[0]), sc = entry_cost(&sup, t[0], t[1]);
+        double v = entry_cost(&sup, t[0], t[0]) - entry_cost(&sup, t[0], t[1]);
         for (i64 i = 1; i < len; i++)
-            sb += entry_cost(&sup, t[i], t[i]);
-        for (i64 i = 1; i < len - 1; i++)
-            sc += entry_cost(&sup, t[i], t[i + 1]);
-        sc += entry_cost(&sup, t[len - 1], t[0]);
-        double v = sb - sc;
-        /* the first score, then a greater one, then the first NaN */
-        if (c == 0 || v > top || (v != v && top == top))
+            v += entry_cost(&sup, t[i], t[i]) - entry_cost(&sup, t[i], t[i + 1 < len ? i + 1 : 0]);
+        if (c == 0 || v > top)
             top = v, top_at = c;
     }
     *best = top;

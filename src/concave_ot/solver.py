@@ -213,8 +213,13 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     potentials are normalized so phi vanishes at the first source atom.
     Ties between optimal vertices resolve by pivot order, so which
     optimal plan is returned is not canonical; only the objective is.
-    Raises :class:`SolverError` where :func:`_dense_cost_matrix` does, or
-    when the pivot budget runs out.
+    Raises :class:`SolverError` where :func:`_dense_cost_matrix` does,
+    when the pivot budget runs out, or when a dual potential overflows:
+    potentials are sums of costs along tree paths, which can exceed the
+    float range even where every cost is finite.  Finite costs and
+    potentials give no NaN reduced cost, and a potential that is not
+    finite stays so, so a run that ends with finite potentials never
+    priced a NaN.
     """
     _check_pair(mu, nu)
     m, n = len(mu), len(nu)
@@ -222,6 +227,12 @@ def solve_exact(mu, nu, cost, pivot_budget=None):
     flows_by_node, parc, pi, pivots = _network_simplex(
         mu.weights, nu.weights, C, pivot_budget=pivot_budget
     )
+    finite = np.isfinite(pi)
+    if not finite.all():
+        raise SolverError(
+            f"the dual potentials overflow: {len(pi) - np.count_nonzero(finite)} of"
+            f" {m + n} are not finite; scale the costs down"
+        )
     keep = flows_by_node > 0.0
     arc_ids = parc[keep]
     plan = TransportPlan(

@@ -191,7 +191,10 @@ def verify_ccm(plan, cost, max_cycle_len=3, tol=1e-9, seed=0):
     holds at most 100,000 rows, and the audit's memory is fixed.
     ``worst_violation`` is the largest value of
     sum(c(x_i, y_i)) - sum(c(x_i, y_sigma(i))) observed; for an optimal
-    plan it stays below ``tol``.
+    plan it stays below ``tol``.  A cycle of 3 or more entries sums its
+    terms c(x_i, y_i) - c(x_i, y_sigma(i)) left to right, each finite,
+    so its score may overflow to +-inf but is never NaN, and no cycle
+    hides the others of its length.
     ``violating_cycle`` lists the entries of the worst cycle and, in the
     same order, the entries whose targets they would take.
 

@@ -42,7 +42,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from concave_ot import _kernel, geometry
-from concave_ot.costs import DerivativeGap, OutOfRange, cost_matrix
+from concave_ot.costs import DerivativeGap, OutOfRange, PiecewiseConcaveCost, cost_matrix
 from concave_ot.geometry import IsotropyReport, direction_grid, resolution_scale
 from concave_ot.measures import DiscreteMeasure, meet
 from concave_ot._kernel import (
@@ -113,6 +113,16 @@ def overlapping_instance(rng, shared=8, extra_mu=12, extra_nu=15, d=2):
     wb = rng.uniform(0.2, 1.0, shared + extra_nu)
     wb /= wb.sum()
     return DiscreteMeasure(pa, wa), DiscreteMeasure(pb, wb)
+
+
+def overflowing_potentials_instance():
+    """6 x 7 uniform atoms, nu the unit square's shifted by (0, 0.5), whose
+    costs under the piecewise cost of slope 1.7e308 below 1 are finite but
+    whose dual potentials, sums of costs along tree paths, overflow."""
+    rng = np.random.default_rng(0)
+    mu = DiscreteMeasure(rng.random((6, 2)), np.full(6, 1 / 6))
+    nu = DiscreteMeasure(rng.random((7, 2)) + [0.0, 0.5], np.full(7, 1 / 7))
+    return mu, nu, PiecewiseConcaveCost((1.0,), (1.7e308, 1.0))
 
 
 def lebesgue_grid_pair(n):
@@ -486,9 +496,8 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
             q, r = np.meshgrid(rest, rest, indexing="ij")
             keep = q < r
             q, r = q[keep], r[keep]
-            tot = base[p] + base[q] + base[r]
-            v1 = tot - (A[p, q] + A[q, r] + A[r, p])
-            v2 = tot - (A[p, r] + A[r, q] + A[q, p])
+            v1 = (base[p] - A[p, q]) + (base[q] - A[q, r]) + (base[r] - A[r, p])
+            v2 = (base[p] - A[p, r]) + (base[r] - A[r, q]) + (base[q] - A[q, p])
             checked += 2 * len(q)
             for v in (v1, v2):
                 t = int(np.argmax(v)) if len(v) else -1
@@ -501,7 +510,7 @@ def verify_ccm_reference(plan, cost, max_cycle_len=3, tol=1e-9):
         for t in permutations(range(S), 4):
             if t[0] == min(t):
                 i, j, k, l = t
-                v = (b[i] + b[j] + b[k] + b[l]) - (c[i][j] + c[j][k] + c[k][l] + c[l][i])
+                v = (b[i] - c[i][j]) + (b[j] - c[j][k]) + (b[k] - c[k][l]) + (b[l] - c[l][i])
                 checked += 1
                 note(v, t, (j, k, l, i))
 
@@ -538,7 +547,7 @@ class ReferenceKernel:
         return _numpy_pair_scores(src, tgt, C)
 
     def cycle_scores(self, cycles, src, tgt, C):
-        return _numpy_cycle_scores(cycles, src, tgt, C)
+        return _numpy_cycle_scores(_kernel._cycle_rows(cycles), src, tgt, C)
 
     def certify_maxima(self, phi, psi, C):
         return _numpy_certify_maxima(phi, psi, C)
@@ -683,7 +692,10 @@ def _pivot_loop(tree, pivot_budget):
     """Pivot ``tree`` to optimality in place; returns the pivot count.
 
     The Python reference for the compiled loop in ``_pivot.c``, which
-    must reproduce it bit for bit.
+    must reproduce it bit for bit on finite costs while the potentials
+    stay finite: only then is no reduced cost NaN.  (A potential that
+    overflows makes the two loops part ways, and ``solve_exact`` refuses
+    the run.)
     """
     cflat, n, opt_tol, pi = tree.cost, tree.n, tree.opt_tol, tree.pi
     num_nodes = len(pi)
@@ -899,13 +911,17 @@ def _numpy_pair_scores(src, tgt, C):
 
 def _numpy_cycle_scores(cycles, src, tgt, C):
     """The numpy reference for ``cycle_scores`` in ``_pivot.c``.  Scores
-    every row of ``cycles``, the entries' own costs read from C[src, tgt];
-    returns (np.argmax value, its row), (-inf, None) for no row."""
+    every row of ``cycles`` as the sum, column by column from the first,
+    of C[src, tgt] - C[src, tgt of the next entry]; returns (np.argmax
+    value, its row), (-inf, None) for no row."""
     if not len(cycles):
         return -math.inf, None
     rotated = np.roll(cycles, -1, axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        v = C[src[cycles], tgt[cycles]].sum(axis=1) - C[src[cycles], tgt[rotated]].sum(axis=1)
+    terms = C[src[cycles], tgt[cycles]] - C[src[cycles], tgt[rotated]]
+    v = terms[:, 0].copy()
+    with np.errstate(over="ignore"):
+        for column in terms.T[1:]:
+            v += column
     t = int(np.argmax(v))
     return float(v[t]), cycles[t]
 

@@ -13,7 +13,7 @@ from concave_ot.costs import PowerCost, cost_matrix
 from concave_ot.measures import DiscreteMeasure, load_measure, save_measure, uniform_box
 from concave_ot.solver import TransportPlan, load_plan, save_plan
 from concave_ot.structure import decompose
-from support import overlapping_instance, random_instance
+from support import overflowing_potentials_instance, overlapping_instance, random_instance
 
 COST = '{"kind":"power","alpha":0.5}'
 OVERLAP_WARNING = "warning: measures share atoms; reconstructing on the residuals\n"
@@ -73,6 +73,18 @@ class TestSolveCommand:
         assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost", COST,
                      "--out", str(tmp_path / "out")]) == 3
         assert "non-finite cost matrix entries: 2 of 2x1" in capsys.readouterr().err
+
+    def test_overflowing_potentials_exit_3(self, tmp_path, capsys):
+        # finite costs whose dual potentials overflow: no certificate is
+        # written, where a NaN gap, violation and slack would fail it
+        mu, nu, cost = overflowing_potentials_instance()
+        a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "out"
+        save_measure(mu, a)
+        save_measure(nu, b)
+        assert main(["solve", "--mu", str(a), "--nu", str(b), "--cost",
+                     json.dumps(cost.to_dict()), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("solver error: the dual potentials overflow: ")
+        assert not out.exists()
 
     def test_parse_error_exit_2(self, tmp_path, measure_files):
         mu_path, _ = measure_files

@@ -41,6 +41,7 @@ from support import (
     lebesgue_grid_pair,
     linprog_oracle,
     on_both_kernel_paths,
+    overflowing_potentials_instance,
     random_instance,
     record_kernel_calls,
     verify_stay_at_rest_reference,
@@ -402,51 +403,29 @@ class TestCompiledPivotLoop:
         python, compiled = _run_both_loops(*instance)
         assert compiled == python
 
-    def test_nan_reduced_costs_match_python_loop(self):
-        # A NaN reduced cost never prices in, and a block that holds one is
-        # passed over.  NaN costs on lone arcs outside the start tree: the
-        # 34-arc blocks cross the ends of the 37-arc rows, so the row runs
-        # start mid-row and the arcs fall in vector lanes or in the scalar
-        # tail of a run, as does the last arc of a row.  A kernel that
-        # missed the NaNs of a lane, or of the tail, takes other pivots.
-        mu, nu = random_instance(np.random.default_rng(8), 30, 37, 2)
-        tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
-        n = tree.n
-        drawn = np.random.default_rng(0).choice(len(tree.cost), 10, replace=False)
-        arcs = np.setdiff1d([*drawn, 5 * n + n - 1, 20 * n + n - 1], tree.parc[1:])
-        assert len(arcs) == 12
-        finite = _both_loops(tree)[0]["pivots"]
-        tree.cost[arcs] = np.nan
-        python, compiled = _both_loops(tree)
-        assert compiled == python
-        assert python["pivots"] != finite
-
-    def test_nan_at_every_lane_and_in_the_tail_matches_python_loop(self):
+    def test_priced_arc_at_every_lane_and_in_the_tail_matches_python_loop(self):
         # 35 x 35 arcs price in blocks of 35, each one row from its first
         # arc: 32 arcs in steps of four vectors (one step of 8-lane
         # vectors, two of 4-lane, four of 2-lane), then a scalar tail of 3.
-        # One NaN cost at each column in turn, on the first row where the
-        # reference loop runs otherwise than with a cost that never prices
-        # in, which is what a kernel that missed the NaN would do.
+        # At each column in turn, an arc off the start tree gets the
+        # finite cost that gives it reduced cost -1, on the first row where
+        # the reference loop then runs otherwise: a kernel that skipped the
+        # arc's lane, or the tail, would not price it in there.
         mu, nu = random_instance(np.random.default_rng(8), 35, 35, 2)
         tree = ReferenceKernel().start(mu.weights, nu.weights, cost_matrix(mu, nu, P05)).tree
-        n = tree.n
+        m = n = tree.n
         assert _kernel._pricing_block(n * n) == n
+        plain = _both_loops(tree)[0]
         outside = np.setdiff1d(np.arange(n * n), tree.parc[1:])
         for j in range(n):
             for arc in outside[outside % n == j]:
-                runs = []
-                for value in (np.nan, 1e300):
-                    t = _copy(tree)
-                    t.cost[arc] = value
-                    runs.append((ReferenceKernel().pivot_loop(t, 10**9), t.pi.tobytes()))
-                if runs[0] != runs[1]:
+                t = _copy(tree)
+                t.cost[arc] = tree.pi[arc // n] - tree.pi[m + j] - 1.0
+                python, compiled = _both_loops(t)
+                if python != plain:
                     break
             else:
-                raise AssertionError(f"no NaN in column {j} changes the loop")
-            t = _copy(tree)
-            t.cost[arc] = np.nan
-            python, compiled = _both_loops(t)
+                raise AssertionError(f"no priced arc in column {j} changes the loop")
             assert compiled == python, (j, arc // n)
 
     def test_broken_thread_raises(self):
@@ -905,6 +884,16 @@ class TestValidation:
             with pytest.raises(SolverError, match=r"^non-finite cost matrix entries: 2 of 2x1,"
                                r" the first at \(i, j\) = \(0, 0\): inf$"):
                 run()
+
+    def test_overflowing_potentials_rejected(self):
+        # every cost is finite, below 1.7e308, but the potentials, sums of
+        # costs along tree paths, overflow: no certificate can be read
+        # from them
+        mu, nu, cost = overflowing_potentials_instance()
+        assert np.isfinite(cost_matrix(mu, nu, cost)).all()
+        with pytest.raises(SolverError, match=r"^the dual potentials overflow: \d+ of 13 are"
+                           r" not finite; scale the costs down$"):
+            solve_exact(mu, nu, cost)
 
     def test_default_pivot_budget_is_linear(self, monkeypatch):
         budgets = record_kernel_calls(monkeypatch, "pivot_loop", lambda _, budget: budget)

@@ -493,7 +493,7 @@ class TestCcmPaths:
         )
         rep = verify_ccm(shuffled, P05, max_cycle_len=4)
         assert rep.cycles_checked == 40 * 39 + 2 * math.comb(40, 3) + 100_000
-        assert rep.worst_violation.hex() == "0x1.51efacc389640p-3"
+        assert rep.worst_violation.hex() == "0x1.51efacc389610p-3"
         assert rep.violating_cycle == ((4, 32, 16, 34), (32, 16, 34, 4))
 
     @pytest.mark.usefixtures("sample_20k")
@@ -511,14 +511,9 @@ class TestCcmPaths:
         assert not verify_ccm(rotated, P05, max_cycle_len=3).ok
 
 
-def same_float(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 class TestAuditScorers:
-    """The kernel's scorers return numpy's argmax, the first of tied values
-    (or the first NaN of a cycle whose two sums overflow), and verify_ccm
-    the same report on the kernel and on its reference."""
+    """The kernel's scorers return numpy's argmax, the first of tied values,
+    and verify_ccm the same report on the kernel and on its reference."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_pair_scores_match_numpy(self, seed):
@@ -557,16 +552,25 @@ class TestAuditScorers:
             src, tgt = rng.integers(0, m, S), rng.integers(0, n, S)
             C = rng.integers(0, 4, (m, n)).astype(float)
             if big:
-                C *= 0.5e308  # both sums of a cycle overflow: inf - inf is NaN
+                # the sums of a cycle's own costs and of its new ones
+                # overflow, inf - inf; its terms b - c do not, and their
+                # sum may overflow to +-inf but is never NaN
+                C *= 0.5e308
             cycles = structure._all_cycles(S, length)
             repeats = rng.integers(0, S, (300, length))  # scored like the others
             for rows in (cycles[:1], cycles[:40], cycles, cycles[::-1], cycles[:0], repeats):
                 want = ReferenceKernel().cycle_scores(rows, src, tgt, C)
                 got = kernel.cycle_scores(rows, src, tgt, C)
-                assert same_float(got[0], want[0])
+                assert got[0] == want[0]
                 assert np.array_equal(got[1], want[1])
+                assert not math.isnan(got[0])
             if big:
-                assert math.isnan(kernel.cycle_scores(cycles, src, tgt, C)[0])
+                with np.errstate(over="ignore"):
+                    own, new = (
+                        C[src[cycles], tgt[c]].sum(axis=1)
+                        for c in (cycles, np.roll(cycles, -1, axis=1))
+                    )
+                assert (np.isinf(own) & np.isinf(new)).any()
 
     def test_scorers_reject_indices_outside_the_costs(self):
         kernel = _kernel._compiled_kernel()
@@ -614,9 +618,16 @@ class TestAuditScorers:
         assert rep.violating_cycle == ((0, 6), (6, 0))
         b = P05.value(np.sqrt(2.0))
         assert rep.worst_violation == (b + b - 1.0) - 1.0
-        # the cycles of each length tie too, and the longest win by rounding
-        for length in (3, 4):
-            assert len(verify_ccm(crossed, P05, max_cycle_len=length).violating_cycle[0]) == length
+        # a cycle's terms b - 1 and b - b are exact, and so are their sums:
+        # the best 3-cycles tie with the swaps, so the first swap stays the
+        # worst, and a 4-cycle that alternates the two kinds of entry
+        # scores twice as much
+        three = verify_ccm(crossed, P05, max_cycle_len=3)
+        assert three.worst_violation == rep.worst_violation
+        assert three.violating_cycle == ((0, 6), (6, 0))
+        four = verify_ccm(crossed, P05, max_cycle_len=4)
+        assert four.worst_violation == 2 * rep.worst_violation
+        assert len(four.violating_cycle[0]) == 4
 
     @pytest.mark.usefixtures("sample_20k")
     @pytest.mark.parametrize("length", [2, 3, 4])
@@ -633,6 +644,60 @@ class TestAuditScorers:
             assert whole == structure.CcmReport(0, 0.0, None)
         if S == 2:
             assert whole.cycles_checked == 2
+
+    def test_cycles_whose_sums_overflow_hide_no_other(self):
+        # Entries 0-2 sit on a line with their targets rotated; entries 3-5
+        # run between the clusters P and Q of an equilateral triangle of
+        # side 6e107 around the origin, so each cost they enter is about
+        # 6e307.  A 3-cycle of 3-5 sums three such costs to inf twice
+        # (inf - inf); taken term by term it scores finitely, and the
+        # 3-cycle (0, 2, 1) that undoes the rotation stays the worst, on
+        # both kernels, above every pair swap.
+        cost = PiecewiseConcaveCost((1e108,), (1e200, 1.0))
+        D, L = 1e100, 6e107
+        P, Q = np.array([L, 0.0]), np.array([L / 2, L * math.sqrt(3) / 2])
+        xs = [[0.0, 0.0], [D, 0.0], [2 * D, 0.0], P, P + [D, 0], P + [2 * D, 0]]
+        ys = [[D, 1e98], [2 * D, 1e98], [0.0, 1e98], Q, Q + [D, 0], Q + [2 * D, 0]]
+        mu, nu = DiscreteMeasure(xs, np.ones(6)), DiscreteMeasure(ys, np.ones(6))
+
+        def atoms(measure, points):
+            return [int(np.flatnonzero((measure.points == q).all(axis=1))[0]) for q in points]
+
+        plan = TransportPlan(
+            source=mu, target=nu, src_idx=atoms(mu, xs), tgt_idx=atoms(nu, ys), mass=np.ones(6)
+        )
+        src, tgt = plan.src_idx, plan.tgt_idx
+        C = solver._dense_cost_matrix(mu, nu, cost)
+        cycles = structure._all_cycles(6, 3)
+        with np.errstate(over="ignore"):
+            own, new = (C[src[cycles], tgt[c]].sum(axis=1) for c in (cycles, cycles[:, [1, 2, 0]]))
+        assert (np.isinf(own) & np.isinf(new)).sum() == 2  # (3, 4, 5) and (3, 5, 4)
+        for kernel in (_kernel._compiled_kernel(), ReferenceKernel()):
+            value, cycle = kernel.cycle_scores(cycles, src, tgt, C)
+            assert 3.9e300 < value < 4e300
+            assert cycle.tolist() == [0, 2, 1]
+            assert kernel.pair_scores(src, tgt, C)[0] < 2e300
+        for length in (3, 4):
+            rep = verify_ccm(plan, cost, max_cycle_len=length)
+            assert rep.worst_violation == value
+            assert rep.violating_cycle == ((0, 2, 1), (2, 1, 0))
+
+    @pytest.mark.parametrize("kernel", [_kernel._compiled_kernel, ReferenceKernel],
+                             ids=["compiled", "reference"])
+    def test_scorers_on_degenerate_input(self, kernel):
+        # a cycle needs two entries: rows of one would read the next row's
+        # entry as the first one's successor, or past the array
+        kernel = kernel()
+        src, tgt, C = np.array([0, 1, 2]), np.array([1, 2, 0]), np.arange(9.0).reshape(3, 3)
+        for shape in ((3, 1), (2, 0), 3):
+            cycles = np.zeros(shape, np.int64)
+            with pytest.raises(ValueError, match="cycles need rows of at least 2 entries"):
+                kernel.cycle_scores(cycles, src, tgt, C)
+        assert kernel.cycle_scores(np.zeros((0, 2), np.int64), src, tgt, C) == (-math.inf, None)
+        # no pair: an empty support reads no entry
+        none = np.zeros(0, np.int64)
+        assert kernel.pair_scores(none, none, C) == (-math.inf, 0, 0)
+        assert kernel.pair_scores(src[:1], tgt[:1], C) == (-math.inf, 0, 0)
 
     def test_nan_in_a_later_cycle_block(self):
         # entry 3 runs between coordinates near 1e308, so each cost it
